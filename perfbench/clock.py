@@ -1,21 +1,26 @@
 """Timings rescaled by the measured speed of the machine while they were taken.
 
 On a shared 2-core host the CPU speed available to one thread switches
-between two states about 1.8x apart, every few seconds (an op that takes
+between two states about 1.7x apart, every few seconds (an op that takes
 4.5 s in one run takes 7.3 s in the next with the same inputs, and CPU time
 moves with wall time).  Medians over more work do not remove that, so the
 benchmark samples the machine's speed while it measures.  A SIGALRM timer
 runs a frozen ~1 ms reference kernel every INTERVAL_S in the main thread:
 small-array numpy calls, a Python loop and float math, which is the
-instruction mix of the library's hot paths.  A measured duration excludes
+instruction mix of the library's stepper.  A measured duration excludes
 the sampling time inside it and is rescaled by
 
-    REF_NOMINAL_S / (mean kernel time of the samples during and next to it)
+    (REF_NOMINAL_S / mean kernel time of the samples during and next to it) ** beta
 
-which gives seconds at the kernel's fast-state speed on that box.  A
-library change moves the ops and leaves the kernel alone, so the ratio keeps
-it; a drift of the machine moves both, so the ratio cancels it.  The kernel
-is part of the benchmark and must not change between compared commits.
+which gives seconds at a kernel time of REF_NOMINAL_S.  `beta` is the
+sensitivity of that kind of work to the machine's state (SENSITIVITY): the
+stepper slows as much as the kernel (beta = 1), the special functions and
+the trajectory reads less (beta < 1), so a full rescale would make them read
+lower while the machine is slow.  A library change moves the ops and leaves
+the kernel alone, so the ratio keeps it; a drift of the machine moves both,
+so the ratio cancels it.  The kernel and the sensitivities are part of the
+benchmark and must not change between compared commits; perfbench/
+calibrate.py measures the sensitivities.
 """
 
 from __future__ import annotations
@@ -28,9 +33,19 @@ from time import perf_counter
 import numpy as np
 
 # Kernel time on the 2-core x86_64 box (Python 3.11.7, numpy 2.4.6) in its
-# fast state (samples fall in two modes, ~0.84 ms and ~1.47 ms).  It fixes
-# the unit, not the comparison.
+# fast state (samples fall in two modes, 0.84-1.07 ms and 1.47-1.68 ms).  It
+# fixes the unit, not the comparison.
 REF_NOMINAL_S = 0.00085
+# A kernel sample above this is taken in the slow state (between the modes).
+SLOW_SAMPLE_S = 0.00125
+# Exponent `beta` of the rescaling for each kind of timed work: the duration
+# ratio slow/fast state is (kernel ratio) ** beta.  Medians of four 60 s runs
+# of perfbench/calibrate.py at commit 88450ac on the 2-core box, which gave
+# step 0.94-1.05, tau 0.66-0.79 and maps 0.70-0.97.  "step":
+# make_backward_basis, solve_global and constant_numeric (also used for
+# set-up, import included); "tau": tau_profile reads; "maps": maps_closed
+# sweeps.
+SENSITIVITY = {"step": 1.0, "tau": 0.78, "maps": 0.9}
 # Short and frequent: a 5 s op averages ~100 samples, so the share of time
 # spent in the slow state is estimated to a few percent (2% overhead).
 INTERVAL_S = 0.05
@@ -79,14 +94,22 @@ class Clock:
         self.samples.append(t1 - t0)
         self.paused_s += perf_counter() - t0
 
-    def scale(self, seconds: float, t0: float, t1: float) -> float:
-        """Rescale a duration measured over [t0, t1] to the nominal speed."""
+    def near(self, t0: float, t1: float) -> list[float]:
+        """Kernel samples taken during [t0, t1] or within INTERVAL_S of it."""
         lo = bisect.bisect_left(self.starts, t0 - INTERVAL_S)
         hi = bisect.bisect_right(self.starts, t1 + INTERVAL_S)
         if lo == hi:   # a delayed timer left the window empty: take the sample before
             lo, hi = max(lo - 1, 0), max(lo, 1)
-        near = self.samples[lo:hi]
-        return seconds * REF_NOMINAL_S * len(near) / sum(near)
+        return self.samples[lo:hi]
+
+    def scale(self, seconds: float, t0: float, t1: float, kind: str) -> float:
+        """Rescale a duration of `kind` work measured over [t0, t1] to the nominal speed."""
+        near = self.near(t0, t1)
+        return seconds * (REF_NOMINAL_S * len(near) / sum(near)) ** SENSITIVITY[kind]
+
+    def slow_share(self) -> float:
+        """Share of all samples taken in the slow state."""
+        return sum(s > SLOW_SAMPLE_S for s in self.samples) / max(len(self.samples), 1)
 
 
 class Stopwatch:

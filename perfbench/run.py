@@ -88,11 +88,11 @@ def _environment() -> dict:
 
 def timings(out, import_s: float, import_w: tuple, scaled: bool) -> dict:
     """setup_s, op_ms_p50 and ops_per_s, rescaled to reference speed or raw."""
-    pick = out.scaled if scaled else (lambda times, _windows: times)
+    pick = out.scaled if scaled else (lambda times, _windows, _kind=None: times)
     ops = pick(out.op_s, out.op_w)
-    setup_s = (pick([import_s], [import_w])[0]
-               + statistics.median(pick(out.basis_s, out.basis_w))
-               + sum(pick(out.solve_s, out.solve_w)))
+    setup_s = (pick([import_s], [import_w], "step")[0]
+               + statistics.median(pick(out.basis_s, out.basis_w, "step"))
+               + sum(pick(out.solve_s, out.solve_w, "step")))
     return {"setup_s": setup_s, "op_ms_p50": 1e3 * statistics.median(ops),
             "ops_per_s": len(ops) / sum(ops)}
 
@@ -144,7 +144,7 @@ def per_layer(tracer, out) -> dict:
         "global_solutions.failures": (t.failures.get("global_solutions.solve_global", 0), "count"),
         "global_solutions.match_residual_max": (c.get("match_residual_max", 0.0), "rel"),
         "global_solutions.make_backward_basis_s":
-            (statistics.median(out.scaled(out.basis_s, out.basis_w)), "s"),
+            (statistics.median(out.scaled(out.basis_s, out.basis_w, "step")), "s"),
         "global_solutions.reg_integral.calls": calls("global_solutions.reg_integral"),
         "global_solutions.reg_integral.self_us":
             (t.mean_us("global_solutions.reg_integral", self_only=True), "us"),
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
 
     t0 = perf_counter()
     import workloads
-    from clock import REF_NOMINAL_S, Clock
+    from clock import REF_NOMINAL_S, SENSITIVITY, SLOW_SAMPLE_S, Clock
     lib = workloads.Library()
     import_w = (t0, perf_counter())
     import_s = import_w[1] - t0
@@ -227,7 +227,10 @@ def main(argv=None) -> int:
         "import_s": import_s, "basis_s": out.basis_s, "solve_s": out.solve_s,
         "measure_s": out.measure_s,
         "raw": timings(out, import_s, import_w, scaled=False) if out.op_s else None,
-        "reference_s": {"nominal": REF_NOMINAL_S, "samples": out.clock.samples},
+        "slow_share": out.clock.slow_share(),
+        "reference_s": {"nominal": REF_NOMINAL_S, "slow_above": SLOW_SAMPLE_S,
+                        "sensitivity": SENSITIVITY, "kind": out.kind,
+                        "samples": out.clock.samples},
         "details": out.details,
         "failures": out.failures, "fatal": out.fatal, "per_op": out.per_op,
     }

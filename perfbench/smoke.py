@@ -4,8 +4,10 @@
     python3 perfbench/smoke.py
 
 Asserts, per workload:
-- the traced hamiltonian_flow.rhs_evals equals the sum of stats.n_rhs_evals
-  over the trajectories the integration wrapper saw;
+- the traced hamiltonian_flow.rhs_evals, summed from the returned
+  Trajectory.stats, equals an independent count: the calls of the vector
+  field made inside the integration spans, counted by wrapping the
+  callable that hamiltonian_flow._make_rhs returns;
 - every work count (counters and call counts) repeats exactly between the
   two runs, as do attempted and failed;
 - no self time is negative, and the tracer restored every name it rebound;
@@ -40,9 +42,33 @@ def measured(lib, workload: str, tracer=None):
         clock.stop()
 
 
+def count_rhs_calls(tracer, flow) -> list:
+    """Count vector-field calls made directly inside an integration span of
+    the measured phase; reg_density's single call runs in its own span."""
+    calls = [0]
+    make_rhs = flow._make_rhs
+    integrate = tracer._intern("hamiltonian_flow.integrate")
+
+    def counting_make_rhs(n, even_variant):
+        f, L = make_rhs(n, even_variant)
+
+        def counted(x, y):
+            stack = tracer._stack
+            if tracer.op > 0 and stack and stack[-1][0] == integrate:
+                calls[0] += 1
+            return f(x, y)
+
+        return counted, L
+
+    tracer._restore.append((flow, "_make_rhs", make_rhs))
+    flow._make_rhs = counting_make_rhs
+    return calls
+
+
 def traced(lib, workload: str):
     tracer = tracing.Tracer()
     tracing.install(tracer, lib)
+    rhs_calls = count_rhs_calls(tracer, lib.hamiltonian_flow)
     rebound = list(tracer._restore)
     try:
         out = measured(lib, workload, tracer)
@@ -50,7 +76,7 @@ def traced(lib, workload: str):
         tracer.uninstall()
     for owner, attr, original in rebound:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
-    return tracer, out
+    return tracer, out, rhs_calls[0]
 
 
 def declared(section: str) -> dict:
@@ -61,11 +87,11 @@ def declared(section: str) -> dict:
 def main() -> int:
     lib = workloads.Library()
     for workload in SIZES:
-        (t1, o1), (t2, o2) = traced(lib, workload), traced(lib, workload)
+        (t1, o1, rhs1), (t2, o2, rhs2) = traced(lib, workload), traced(lib, workload)
         assert not o1.fatal, o1.fatal
-        for t in (t1, t2):
-            seen = sum(st.n_rhs_evals for st in t.seen_stats)
-            assert t.counts.get("rhs_evals", 0) == seen, (t.counts.get("rhs_evals"), seen)
+        for t, rhs_calls in ((t1, rhs1), (t2, rhs2)):
+            traced_rhs = t.counts.get("rhs_evals", 0)
+            assert traced_rhs == rhs_calls, (traced_rhs, rhs_calls)
             assert all(v >= -1e-9 for v in t.self_time.values()), t.self_time
         assert t1.counts == t2.counts, (t1.counts, t2.counts)
         assert t1.calls == t2.calls, (t1.calls, t2.calls)

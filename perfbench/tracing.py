@@ -28,9 +28,8 @@ SPAN_CAP = 1_000_000
 
 
 class Tracer:
-    def __init__(self, span_cap: int = SPAN_CAP):
+    def __init__(self):
         self.op = 0
-        self.span_cap = span_cap
         self.names: list[str] = []
         self._ids: dict[str, int] = {}
         self._name = array("i")
@@ -45,7 +44,6 @@ class Tracer:
         self.failures: dict[str, int] = {}
         self.counts: dict[str, float] = {}
         self.op_counts: dict[int, dict[str, float]] = {}
-        self.seen_stats: list = []  # IntegrationStats of every measured integration
         self.dropped = 0
         self._restore: list[tuple[object, str, object]] = []
 
@@ -61,7 +59,7 @@ class Tracer:
     def _open(self, nid: int) -> list:
         stack = self._stack
         idx = len(self._start)
-        if idx < self.span_cap:
+        if idx < SPAN_CAP:
             self._name.append(nid)
             self._parent.append(stack[-1][3] if stack else -1)
             self._op.append(self.op)
@@ -167,8 +165,6 @@ def install(tracer: Tracer, lib) -> None:
 
     def after_integration(traj):
         st = traj.stats
-        if tracer.op > 0:
-            tracer.seen_stats.append(st)
         tracer.count("integrations", 1)
         tracer.count("steps", st.n_steps)
         tracer.count("rejected_steps", st.n_rejected)

@@ -7,8 +7,9 @@ for, and its wall time is one latency sample:
 - constant_sweep: one `constant_numeric(gamma, basis=shared)`.  The fixed
   gammas (five acceptance gammas, then two known failures) come first, then
   seeded draws from |gamma_i| <= 0.9, at least one, until the time is up.
-  Stepping inside shooting is ~99% of the time: stepper, kernel and
-  shooting changes show here.
+  All eight always run, so a run measures ~30-60 s whatever `seconds` is;
+  a longer `seconds` only adds draws.  Stepping inside shooting is ~99% of
+  the time: stepper, kernel and shooting changes show here.
 - tau_profile: one profile read of a global solution solved at set-up:
   log tau(x0, x2) on a seeded grid of TAU_PER_OP x2 over (x0, x_right] and
   the state on a seeded grid of STATES_PER_OP x over [x0, x_right).  No
@@ -74,6 +75,7 @@ class Library:
 @dataclass
 class Outcome:
     clock: Clock
+    kind: str                # clock.SENSITIVITY key of the timed ops
     attempted: int = 0
     failed: int = 0
     # wall times net of clock sampling, each with its (start, end) window
@@ -91,8 +93,10 @@ class Outcome:
     fatal: list = field(default_factory=list)
     per_op: list = field(default_factory=list)
 
-    def scaled(self, times: list, windows: list) -> list:
-        return [self.clock.scale(t, *w) for t, w in zip(times, windows)]
+    def scaled(self, times: list, windows: list, kind: str | None = None) -> list:
+        """Rescaled times of ops (default) or of another kind of work."""
+        kind = kind or self.kind
+        return [self.clock.scale(t, *w, kind) for t, w in zip(times, windows)]
 
     def fail(self, op: int, what, reason: str) -> None:
         """Record a failed check; an op counts once however many of its checks fail."""
@@ -141,7 +145,7 @@ def _err(exc: BaseException) -> str:
 
 def constant_sweep(lib: Library, clock: Clock, seed: int, seconds: float,
                    tracer=None, max_ops=None) -> Outcome:
-    out = Outcome(clock)
+    out = Outcome(clock, "step")
     basis = _basis(lib, out)
     rng = np.random.default_rng(seed)
     runs = []
@@ -168,8 +172,8 @@ def constant_sweep(lib: Library, clock: Clock, seed: int, seconds: float,
     abs_diff_accept, reported_rhs, traced_rhs = [], 0, 0
     extrapolation_failures = 0
     for i, (gamma, rep, err) in enumerate(runs):
-        row = {"gamma": list(gamma), "seconds": out.clock.scale(out.op_s[i], *out.op_w[i]),
-               "raw_seconds": out.op_s[i]}
+        row = {"gamma": list(gamma), "raw_seconds": out.op_s[i],
+               "seconds": out.clock.scale(out.op_s[i], *out.op_w[i], out.kind)}
         if err is not None:
             extrapolation_failures += isinstance(err, lib.tau_constant.ExtrapolationError)
             row["outcome"] = type(err).__name__
@@ -215,7 +219,7 @@ def constant_sweep(lib: Library, clock: Clock, seed: int, seconds: float,
 
 def tau_profile(lib: Library, clock: Clock, seed: int, seconds: float,
                 tracer=None, max_ops=None) -> Outcome:
-    out = Outcome(clock)
+    out = Outcome(clock, "tau")
     basis = _basis(lib, out)
     rng = np.random.default_rng(seed)
     gammas = [tuple(float(v) for v in rng.uniform(-TAU_RADIUS, TAU_RADIUS, 2))
@@ -227,8 +231,8 @@ def tau_profile(lib: Library, clock: Clock, seed: int, seconds: float,
                 sols.append((gamma, lib.global_solutions.solve_global(gamma, TAU_X0,
                                                                       basis=basis)))
             except lib.expected_errors as exc:
-                out.attempted += 1
-                out.fail(0, list(gamma), "set-up solve: " + _err(exc))
+                out.attempted += 1   # set-up solve k counts as op -(k + 1)
+                out.fail(-(k + 1), list(gamma), "set-up solve: " + _err(exc))
         out.solve_s.append(sw.seconds)
         out.solve_w.append(sw.window)
     if not sols:
@@ -281,8 +285,8 @@ def tau_profile(lib: Library, clock: Clock, seed: int, seconds: float,
                          f"log tau {tau!r} vs quad {ref!r}: {abs(tau - ref):.3e}")
                 break
     n_ops = len(grids)
-    tau_s = sum(out.clock.scale(t, *w) for t, w, _s, _w in parts)
-    state_s = sum(out.clock.scale(s, *w) for _t, _w, s, w in parts)
+    tau_s = sum(out.clock.scale(t, *w, out.kind) for t, w, _s, _w in parts)
+    state_s = sum(out.clock.scale(s, *w, out.kind) for _t, _w, s, w in parts)
     out.details = {
         "tau_evals_per_s": {"value": n_ops * TAU_PER_OP / tau_s, "unit": "1/s"},
         "state_evals_per_s": {"value": n_ops * STATES_PER_OP / state_s, "unit": "1/s"},
@@ -344,7 +348,7 @@ def _maps_sweeps(lib: Library, seed: int):
 
 def maps_closed(lib: Library, clock: Clock, seed: int, seconds: float,
                 tracer=None, max_ops=None) -> Outcome:
-    out = Outcome(clock)
+    out = Outcome(clock, "maps")
     _basis(lib, out)
     sweeps = _maps_sweeps(lib, seed)
     worst = {key: 0.0 for key, _ in _MAPS_GATES}
