@@ -13,12 +13,12 @@ from .data_maps import (AsymptoticData, GenericityError, MonodromyData,
                         ShapeError, asymptotic_to_monodromy, check_genericity,
                         expand_full, expand_reduced, gen_fun_F, global_rho,
                         log_x_k, monodromy_to_asymptotic, reduced_length,
-                        verify_generating_function, verify_symplectic, x_k)
+                        verify_generating_function, verify_symplectic)
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                UnsupportedConfigError, check_quasihomogeneity,
                                hamiltonian, init_from_asymptotics, integrate,
                                tail_amplitude_s1, trajectory_to_csv,
-                               vector_field, vector_field_logx)
+                               vector_field)
 from .global_solutions import (GlobalSolution, GlobalSolveError,
                                fit_tail_amplitude, make_backward_basis,
                                solve_global)

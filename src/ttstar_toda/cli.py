@@ -89,8 +89,12 @@ def _parse_list(text: str) -> tuple[float, ...]:
         raise DomainError(f"could not parse comma-separated reals from {text!r}") from exc
 
 
-def _cfg_from(args) -> hf.IntegratorConfig:
-    return hf.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+def _cfg_from(args) -> hf.IntegratorConfig | None:
+    """The tolerances given on the command line, or None for the library's
+    defaults."""
+    given = {k: v for k, v in (("rel_tol", args.rel_tol), ("abs_tol", args.abs_tol))
+             if v is not None}
+    return hf.IntegratorConfig(**given) if given else None
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         if gamma:
             p.add_argument("--gamma", type=str, required=True,
                            help="comma-separated reduced list")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-11)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
+        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--reproducible", action="store_true")

@@ -45,7 +45,6 @@ __all__ = [
     "expand_full",
     "check_genericity",
     "log_x_k",
-    "x_k",
     "asymptotic_to_monodromy",
     "monodromy_to_asymptotic",
     "global_rho",
@@ -196,11 +195,6 @@ def log_x_k(k: int, full_values, n: int) -> float:
                 f"nonpositive Gamma argument {arg:.6g} in X_k at (k={k}, j={j})")
         acc += log_gamma(arg)
     return acc
-
-
-def x_k(k: int, full_values, n: int) -> float:
-    """The product X_k itself, computed as exp of a log-Gamma sum."""
-    return math.exp(log_x_k(k, full_values, n))
 
 
 def _log_ratio(n: int, gamma_reduced, i: int) -> float:

@@ -177,17 +177,12 @@ def _backward_basis(x_right: float, x_low: float) -> tuple[Trajectory, Trajector
 def _match(fwd: Trajectory, bs: Trajectory, bd: Trajectory,
            window: tuple[float, float], npts: int = 9) -> tuple[float, float, float]:
     xs = np.linspace(window[0], window[1], npts)
-    rows, target = [], []
-    for x in xs:
-        yf = fwd.sample_state(x)
-        ys = bs.sample_state(x)
-        yd = bd.sample_state(x)
-        for c in range(4):
-            wgt = 1.0 if c < 2 else 1.0 / (3.0 * x)
-            rows.append([ys[c] * wgt, yd[c] * wgt])
-            target.append(yf[c] * wgt)
-    M = np.array(rows)
-    t = np.array(target)
+    wgt = np.ones((4, npts))
+    wgt[2:] = 1.0 / (3.0 * xs)
+    # one row per (x, component), x-major
+    t, col_s, col_d = ((traj.sample_state(xs)[:4] * wgt).T.ravel()
+                       for traj in (fwd, bs, bd))
+    M = np.column_stack([col_s, col_d])
     scale = float(np.max(np.abs(t)))
     if scale == 0.0:
         return 0.0, 0.0, 0.0  # identically-zero forward solution
@@ -231,18 +226,14 @@ class GlobalSolution:
         if b <= a:
             return 0.0
         nodes, weights = _GL12
-        total = 0.0
         npanels = max(2, int(math.ceil((b - a) / 0.25)))
         edges = np.linspace(a, b, npanels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            for t, wgt in zip(nodes, weights):
-                x = mid + half * t
-                y = self.tail_state(x)
-                p = PhasePoint(x=x, w=tuple(y[:2]), wt=tuple(y[2:4]))
-                total += wgt * half * reg_density(p, 3)
-        return total
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+        terms = weights * half * reg_density(x, self.tail_state(x), 3)
+        # summed left to right, panel by panel: a pairwise sum would move
+        # the constant in its last bits
+        return float(np.cumsum(terms)[-1])
 
     def reg_integral(self, x2: float) -> float:
         """integral (H + 2x) dx from x0 to x2 along the composite orbit."""

@@ -14,17 +14,22 @@ anti-symmetric closures w_{-1} = -w_0, w_{K+1} = -w_K.  An even-n variant
 behind an explicit flag; it is validated against the closure form of the
 equations of motion rather than taken from a stated formula.
 
+The chain's energy and force are written once, in `_make_rhs`, the vector
+field of the augmented state [w, wt, q] with q' = H + 2x; `hamiltonian`,
+`vector_field` and `reg_density` evaluate it.  It takes one state (dim,)
+or a batch (dim, ...) with the components on axis 0.
+
 `integrate` is an embedded Dormand-Prince 5(4) pair with PI step-size
-control and the standard quartic dense-output interpolant.  The state is
-augmented with q' = H + 2x, so trajectories accumulate the regularized
-integral of H against the trivial background -2x as they go.  Blow-up
-(sup-norm of w beyond a threshold, or step underflow) flags and returns
-the partial trajectory instead of raising.
+control and the standard quartic dense-output interpolant (Hairer,
+Norsett and Wanner, Solving ODEs I, section II.6).  Through the q
+channel trajectories accumulate the regularized integral of H against
+the trivial background -2x as they go.  Blow-up (sup-norm of w beyond a
+threshold, or step underflow) flags and returns the partial trajectory
+instead of raising.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -41,7 +46,6 @@ __all__ = [
     "hamiltonian",
     "reg_density",
     "vector_field",
-    "vector_field_logx",
     "init_from_asymptotics",
     "integrate",
     "tail_amplitude_s1",
@@ -75,9 +79,7 @@ class PhasePoint:
 class IntegratorConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     blowup_threshold: float = 5.0
-    first_step: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -89,7 +91,6 @@ class IntegrationStats:
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs_evals: int = 0
-    max_error_estimate: float = 0.0
 
 
 def _check_n(n: int, L: int, even_variant: bool) -> None:
@@ -101,52 +102,74 @@ def _check_n(n: int, L: int, even_variant: bool) -> None:
             f"state length {L} does not match reduced length {reduced_length(n)} for n={n}")
 
 
-def hamiltonian(p: PhasePoint, n: int, even_variant: bool = False) -> float:
-    """Energy H(w, wt; x) of the reduced chain."""
-    L = len(p.w)
-    _check_n(n, L, even_variant)
-    w, wt, x = p.w, p.wt, p.x
-    h = sum(v * v for v in wt) / (2.0 * x)
-    h -= x * sum(math.exp(2.0 * (w[i] - w[i - 1])) for i in range(1, L))
+def _make_rhs(n: int, even_variant: bool):
+    """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
+
+    `f(x, y)` takes one state y of shape (dim,) or a batch (dim, ...) with
+    x broadcasting against y[0].  Link exponentials enter only through
+    expm1 of the 2(w_{i+1} - w_i) differences, so both the force terms and
+    the regularized density H + 2x stay relatively accurate down to
+    vanishing amplitudes (the trivial-background cancellation is done in
+    closed form).
+    """
+    L = reduced_length(n)
     if n % 2 == 1:
-        h -= 0.5 * x * (math.exp(-4.0 * w[L - 1]) + math.exp(4.0 * w[0]))
+        # -x(L-1) - x + 2x from the link constants against the +2x term
+        q_const = 2.0 - float(L)
     else:
-        h -= x * math.exp(-2.0 * w[L - 1]) + 0.5 * x * math.exp(4.0 * w[0])
-    return h
+        q_const = 1.5 - float(L)
 
-
-def _link_exponentials(w, n: int) -> list[float]:
-    """T_i = exp(2(w_{i+1} - w_i)) for i = -1..L-1 under the closures."""
-    L = len(w)
-    T = []
-    for i in range(-1, L):
-        if i < 0:
-            up, lo = w[0], -w[0]
-        elif i + 1 < L:
-            up, lo = w[i + 1], w[i]
-        elif n % 2 == 1:
-            up, lo = -w[L - 1], w[L - 1]
+    def f(x, y: np.ndarray) -> np.ndarray:
+        w = y[:L]
+        wt = y[L:2 * L]
+        batch = y.shape[1:]
+        diffs = np.empty((L + 1, *batch))
+        diffs[0] = 2.0 * w[0]                      # w_0 - (-w_0)
+        diffs[1:L] = w[1:] - w[:-1]
+        if n % 2 == 1:
+            diffs[L] = -2.0 * w[L - 1]
         else:
-            up, lo = 0.0, w[L - 1]
-        T.append(math.exp(2.0 * (up - lo)))
-    return T
+            diffs[L] = -w[L - 1]
+        E = np.expm1(2.0 * diffs)                  # T_i - 1
+        out = np.empty((2 * L + 1, *batch))
+        out[:L] = wt / x
+        out[L:2 * L] = -2.0 * x * (E[1:] - E[:-1])
+        # vecdot is bit for bit the `wt @ wt` of one state; shooting
+        # reacts to single-ulp changes of the stepper's arithmetic
+        q = np.vecdot(wt, wt, axis=0) / (2.0 * x) - x * np.add.reduce(E[1:L]) + q_const * x
+        if n % 2 == 1:
+            q -= 0.5 * x * (E[L] + E[0])
+        else:
+            q -= x * E[L] + 0.5 * x * E[0]
+        out[2 * L] = q
+        return out
+
+    return f, L
+
+
+def _rhs_at(p: PhasePoint, n: int, even_variant: bool) -> np.ndarray:
+    _check_n(n, len(p.w), even_variant)
+    f, _L = _make_rhs(n, even_variant)
+    return f(p.x, np.array(p.w + p.wt))
+
+
+def hamiltonian(p: PhasePoint, n: int, even_variant: bool = False) -> float:
+    """Energy H(w, wt; x) of the reduced chain: the kernel's H + 2x, less 2x."""
+    return float(_rhs_at(p, n, even_variant)[-1]) - 2.0 * p.x
 
 
 def vector_field(p: PhasePoint, n: int, even_variant: bool = False):
     """(dw/dx, dwt/dx) of the Hamiltonian system."""
     L = len(p.w)
-    _check_n(n, L, even_variant)
-    x = p.x
-    T = _link_exponentials(p.w, n)
-    dw = tuple(v / x for v in p.wt)
-    dwt = tuple(-2.0 * x * (T[i + 1] - T[i]) for i in range(L))
-    return dw, dwt
+    d = _rhs_at(p, n, even_variant)
+    return tuple(d[:L].tolist()), tuple(d[L:2 * L].tolist())
 
 
-def vector_field_logx(p: PhasePoint, n: int, even_variant: bool = False):
-    """Derivatives with respect to X = log x: ((w)_X, (wt)_X)."""
-    dw, dwt = vector_field(p, n, even_variant)
-    return tuple(p.wt), tuple(p.x * v for v in dwt)
+def reg_density(x, y: np.ndarray, n: int, even_variant: bool = False):
+    """H + 2x at state(s) y = [w, wt, ...] (components on axis 0), evaluated
+    without trivial-background cancellation."""
+    f, L = _make_rhs(n, even_variant)
+    return f(x, y)[2 * L]
 
 
 def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
@@ -193,39 +216,31 @@ _DP_P = np.array([
 ])
 
 
-@dataclass
-class _DenseSegment:
-    x0: float
-    h: float
-    y0: np.ndarray
-    Q: np.ndarray  # (dim, 4)
-
-    def eval(self, x: float) -> np.ndarray:
-        th = (x - self.x0) / self.h
-        p = np.array([th, th * th, th ** 3, th ** 4])
-        return self.y0 + self.h * (self.Q @ p)
-
-
 class Trajectory:
-    """Accepted integration samples plus the accumulated regularized integral.
+    """Accepted integration samples, their dense output and the accumulated
+    regularized integral.
 
-    `reg_integral` is integral (H + 2x) dx over the covered range; the
-    dense segments reproduce any interior state to the interpolant order.
-    Phase points are materialized lazily from the raw accepted states.
+    `xs` (N,) are the accepted abscissae, `ys` (dim, N) the states [w, wt, q]
+    there, and step k runs from xs[k] by hs[k] with quartic dense-output
+    coefficients Q[k] (dim, 4).  `reg_integral` is integral (H + 2x) dx over
+    the covered range.  Phase points are materialized lazily from `ys`.
     """
 
-    def __init__(self, n: int, xs: list[float], ys: list[np.ndarray],
-                 reg_integral: float, stats: IntegrationStats, stop_reason: str,
-                 even_variant: bool = False,
-                 segments: list[_DenseSegment] | None = None):
+    def __init__(self, n: int, xs: np.ndarray, ys: np.ndarray, hs: np.ndarray,
+                 Q: np.ndarray, stats: IntegrationStats, stop_reason: str,
+                 even_variant: bool = False):
         self.n = n
-        self.reg_integral = reg_integral
+        self.xs = xs
+        self.ys = ys
+        self.hs = hs
+        self.Q = Q
         self.stats = stats
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
         self.even_variant = even_variant
-        self._xs = xs
-        self._ys = ys
-        self._segments = segments or []
+        self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
+        # sign * xs increases in either direction of integration
+        self._sign = math.copysign(1.0, xs[-1] - xs[0])
+        self._key = self._sign * xs
         self._points: list[PhasePoint] | None = None
 
     @property
@@ -233,26 +248,31 @@ class Trajectory:
         if self._points is None:
             L = reduced_length(self.n)
             self._points = [PhasePoint(x=x, w=tuple(y[:L]), wt=tuple(y[L:2 * L]))
-                            for x, y in zip(self._xs, self._ys)]
+                            for x, y in zip(self.xs.tolist(), self.ys.T)]
         return self._points
 
     @property
     def x_final(self) -> float:
-        return self._xs[-1]
+        return float(self.xs[-1])
 
-    def sample_state(self, x: float) -> np.ndarray:
-        """Dense-output state [w, wt, q] at any covered x."""
-        if not self._segments:
+    def sample_state(self, x) -> np.ndarray:
+        """Dense-output state [w, wt, q] at covered x, a scalar or an array;
+        the components are on axis 0 of the result."""
+        if not len(self.hs):
             raise ValueError("trajectory carries no dense output")
-        lo, hi = sorted((self._xs[0], self._xs[-1]))
-        if not lo <= x <= hi:
+        xa = np.asarray(x, dtype=float)
+        lo, hi = sorted((float(self.xs[0]), float(self.xs[-1])))
+        if not np.all((lo <= xa) & (xa <= hi)):
             raise ValueError(f"x={x!r} outside covered range [{lo}, {hi}]")
-        if self._xs[0] < self._xs[-1]:
-            k = bisect.bisect_left(self._xs, x, 1, len(self._xs) - 1)
-        else:
-            rev = [-v for v in self._xs]
-            k = bisect.bisect_left(rev, -x, 1, len(rev) - 1)
-        return self._segments[k - 1].eval(x)
+        k = np.clip(np.searchsorted(self._key, self._sign * xa), 1, len(self.hs)) - 1
+        h = self.hs[k]
+        th = (xa - self.xs[k]) / h
+        # th**3 and th**4 by the C library's pow, one float at a time: numpy's
+        # SIMD pow can differ from it in the last bit, and the shooting reacts
+        # to single-ulp changes of a scalar lookup
+        P = np.array([[t, t * t, t ** 3, t ** 4] for t in th.ravel().tolist()])
+        Qp = (self.Q[k] @ P.reshape(th.shape + (4, 1)))[..., 0]
+        return self.ys[:, k] + h * np.moveaxis(Qp, -1, 0)
 
     def sample(self, x: float) -> PhasePoint:
         L = reduced_length(self.n)
@@ -262,53 +282,6 @@ class Trajectory:
     def reg_integral_to(self, x: float) -> float:
         """integral (H + 2x) dx from the start point up to x."""
         return float(self.sample_state(x)[-1])
-
-
-def _make_rhs(n: int, even_variant: bool):
-    """Vector field of [w, wt, q] with q' = H + 2x.
-
-    Link exponentials enter only through expm1 of the 2(w_{i+1} - w_i)
-    differences, so both the force terms and the regularized density
-    H + 2x stay relatively accurate down to vanishing amplitudes (the
-    trivial-background cancellation is done in closed form).
-    """
-    L = reduced_length(n)
-    if n % 2 == 1:
-        # -x(L-1) - x + 2x from the link constants against the +2x term
-        q_const = 2.0 - float(L)
-    else:
-        q_const = 1.5 - float(L)
-
-    def f(x: float, y: np.ndarray) -> np.ndarray:
-        w = y[:L]
-        wt = y[L:2 * L]
-        diffs = np.empty(L + 1)
-        diffs[0] = 2.0 * w[0]                      # w_0 - (-w_0)
-        diffs[1:L] = w[1:] - w[:-1]
-        if n % 2 == 1:
-            diffs[L] = -2.0 * w[L - 1]
-        else:
-            diffs[L] = -w[L - 1]
-        E = np.expm1(2.0 * diffs)                  # T_i - 1
-        out = np.empty(2 * L + 1)
-        out[:L] = wt / x
-        out[L:2 * L] = -2.0 * x * (E[1:] - E[:-1])
-        q = wt @ wt / (2.0 * x) - x * E[1:L].sum() + q_const * x
-        if n % 2 == 1:
-            q -= 0.5 * x * (E[L] + E[0])
-        else:
-            q -= x * E[L] + 0.5 * x * E[0]
-        out[2 * L] = q
-        return out
-
-    return f, L
-
-
-def reg_density(p: PhasePoint, n: int, even_variant: bool = False) -> float:
-    """H + 2x evaluated without trivial-background cancellation."""
-    f, L = _make_rhs(n, even_variant)
-    y = np.concatenate([p.w, p.wt, [0.0]])
-    return float(f(p.x, y)[2 * L])
 
 
 def _initial_step(f, x0, y0, f0, direction, rel_tol, abs_tol):
@@ -337,23 +310,17 @@ def _integrate_raw(n: int, y0: np.ndarray, x0: float, x_end: float,
     y = np.asarray(y0, dtype=float).copy()
     stats = IntegrationStats()
     k1 = f(x, y)
-    stats.n_rhs_evals += 1
-    if cfg.first_step is not None:
-        h = cfg.first_step
-    else:
-        h = _initial_step(f, x, y, k1, direction, cfg.rel_tol, cfg.abs_tol)
-        stats.n_rhs_evals += 1
-    h = min(h, cfg.max_step, abs(x_end - x0))
+    h = _initial_step(f, x, y, k1, direction, cfg.rel_tol, cfg.abs_tol)
+    stats.n_rhs_evals += 2
+    h = min(h, abs(x_end - x0))
 
-    ys_hist = [y.copy()]
-    segments: list[_DenseSegment] = []
-    xs = [x]
+    xs, ys_hist, h_hist, Q_hist = [x], [y.copy()], [], []
     err_prev = 1e-4
     stop = "completed"
     K = np.empty((7, y.size))
 
     while (x_end - x) * direction > 0.0:
-        h = min(h, abs(x_end - x), cfg.max_step)
+        h = min(h, abs(x_end - x))
         if h < 1e-14 * max(1.0, abs(x)):
             stop = "step_underflow"
             break
@@ -368,14 +335,14 @@ def _integrate_raw(n: int, y0: np.ndarray, x0: float, x_end: float,
         sc = atol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
         if err <= 1.0:
-            segments.append(_DenseSegment(x0=x, h=hs, y0=y, Q=K.T @ _DP_P))
+            h_hist.append(hs)
+            Q_hist.append(K.T @ _DP_P)
             x = x + hs
             y = y_new
             k1 = K[6].copy()  # FSAL
             xs.append(x)
             ys_hist.append(y)
             stats.n_steps += 1
-            stats.max_error_estimate = max(stats.max_error_estimate, err)
             if float(np.max(np.abs(y[:L]))) > cfg.blowup_threshold:
                 stop = "blowup"
                 break
@@ -386,10 +353,9 @@ def _integrate_raw(n: int, y0: np.ndarray, x0: float, x_end: float,
             stats.n_rejected += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
 
-    return Trajectory(n=n, xs=xs, ys=ys_hist,
-                      reg_integral=float(y[-1]) - float(y0[-1]),
-                      stats=stats, stop_reason=stop, even_variant=even_variant,
-                      segments=segments)
+    return Trajectory(n=n, xs=np.array(xs), ys=np.stack(ys_hist, axis=1),
+                      hs=np.array(h_hist), Q=np.reshape(Q_hist, (-1, y.size, 4)),
+                      stats=stats, stop_reason=stop, even_variant=even_variant)
 
 
 def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
@@ -443,9 +409,9 @@ def trajectory_to_csv(traj: Trajectory, fh) -> None:
     header = (["x"] + [f"w{i}" for i in range(L)] + [f"wt{i}" for i in range(L)]
               + ["H", "reg_integral"])
     fh.write(",".join(header) + "\n")
-    for pt, y in zip(traj.points, traj._ys):
-        h_val = hamiltonian(pt, traj.n, traj.even_variant)
-        row = [pt.x] + list(pt.w) + list(pt.wt) + [h_val, float(y[-1])]
+    H = reg_density(traj.xs, traj.ys, traj.n, traj.even_variant) - 2.0 * traj.xs
+    rows = np.vstack([traj.xs, traj.ys[:2 * L], H, traj.ys[-1]]).T
+    for row in rows.tolist():
         fh.write(",".join(f"{v + 0.0:.17g}" for v in row) + "\n")
     if traj.stop_reason != "completed":
         fh.write(f"# stopped: {traj.stop_reason} at x={traj.x_final:.17g}\n")

@@ -28,8 +28,8 @@ import numpy as np
 
 from .data_maps import check_genericity, gen_fun_F, global_rho, reduced_length
 from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
-from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
-                               hamiltonian, tail_amplitude_s1)
+from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
+                               tail_amplitude_s1)
 from .special_functions import psi_m2
 
 __all__ = [
@@ -156,6 +156,9 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     g0, g1 = float(gamma[0]), float(gamma[1])
     if len(x1_grid) != 3:
         raise ValueError("x1_grid must have exactly three geometric points")
+    if not all(math.isclose(a, 2.0 * b, rel_tol=1e-12)
+               for a, b in zip(x1_grid, x1_grid[1:])):
+        raise ValueError(f"x1_grid must halve at each point, got {tuple(x1_grid)}")
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
     stats = {"steps": 0, "rejected": 0, "rhs_evals": 0}
     if basis is None:
@@ -191,19 +194,11 @@ def classical_action(traj: Trajectory) -> float:
     Uses dw_i/dx = wt_i/x, so the integrand is sum wt_i^2 / x - H,
     evaluated on the dense output with per-step Gauss panels.
     """
-    if not traj._segments:
-        raise ValueError("trajectory carries no dense output")
     L = reduced_length(traj.n)
     nodes, weights = _GL6
-    total = 0.0
-    for seg in traj._segments:
-        half = 0.5 * seg.h
-        mid = seg.x0 + half
-        for t, wgt in zip(nodes, weights):
-            x = mid + half * t
-            y = seg.eval(x)
-            w, wt = y[:L], y[L:2 * L]
-            p = PhasePoint(x=x, w=tuple(w), wt=tuple(wt))
-            integrand = float(wt @ wt) / x - hamiltonian(p, traj.n, traj.even_variant)
-            total += wgt * half * integrand
-    return total
+    half = 0.5 * traj.hs[:, None]
+    x = traj.xs[:-1, None] + half + half * nodes
+    y = traj.sample_state(x)
+    wt = y[L:2 * L]
+    H = reg_density(x, y, traj.n, traj.even_variant) - 2.0 * x
+    return float(np.sum(weights * half * (np.vecdot(wt, wt, axis=0) / x - H)))

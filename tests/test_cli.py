@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ttstar_toda import cli
+from ttstar_toda import cli, log_tau
 
 
 def run(args):
@@ -78,6 +78,13 @@ class TestTau:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == pytest.approx(0.01 ** 2 - 25.0, abs=1e-9)
+
+    def test_default_tolerances_are_the_library_defaults(self, capsys):
+        rc = run(["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6",
+                  "--reproducible"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["log_tau"] == log_tau((0.3, 0.1), 0.01, 6.0)
 
 
 class TestConstant:

@@ -12,8 +12,7 @@ from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           check_quasihomogeneity, hamiltonian,
                                           init_from_asymptotics, integrate,
                                           reg_density, tail_amplitude_s1,
-                                          trajectory_to_csv, vector_field,
-                                          vector_field_logx)
+                                          trajectory_to_csv, vector_field)
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -48,8 +47,7 @@ class TestHamiltonian:
 
     def test_reg_density_trivial_background(self):
         # H + 2x vanishes on the trivial n=3 solution without cancellation
-        p = PhasePoint(x=3.0, w=(0.0, 0.0), wt=(0.0, 0.0))
-        assert reg_density(p, 3) == 0.0
+        assert reg_density(3.0, np.zeros(4), 3) == 0.0
 
 
 class TestVectorField:
@@ -85,6 +83,27 @@ class TestVectorField:
                          - hamiltonian(PhasePoint(p.x, tuple(wm), p.wt), n)) / (2 * h)
                 assert abs(dwt[i] + dH_dw) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_explicit_exp_formulas(self, n):
+        # the stated odd-n formulas with plain exponentials, sharing no code
+        # with the expm1 kernel behind hamiltonian and vector_field
+        rng = np.random.default_rng(300 + n)
+        L = reduced_length(n)
+        for _ in range(50):
+            p = rand_point(rng, n)
+            x, w, wt = p.x, p.w, p.wt
+            H = (sum(v * v for v in wt) / (2.0 * x)
+                 - x * sum(math.exp(2.0 * (w[i] - w[i - 1])) for i in range(1, L))
+                 - 0.5 * x * (math.exp(-4.0 * w[L - 1]) + math.exp(4.0 * w[0])))
+            assert hamiltonian(p, n) == pytest.approx(H, rel=1e-13)
+            ext = [-w[0]] + list(w) + [-w[L - 1]]  # w_{-1} = -w_0, w_{K+1} = -w_K
+            dw, dwt = vector_field(p, n)
+            for i in range(L):
+                up = math.exp(2.0 * (ext[i + 2] - ext[i + 1]))
+                down = math.exp(2.0 * (ext[i + 1] - ext[i]))
+                assert dw[i] == pytest.approx(wt[i] / x, rel=1e-13)
+                assert dwt[i] == pytest.approx(-2.0 * x * (up - down), rel=1e-13)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_variant_gradient_consistency(self, n):
         rng = np.random.default_rng(200 + n)
@@ -99,29 +118,6 @@ class TestVectorField:
                 dH_dw = (hamiltonian(PhasePoint(p.x, tuple(wp), p.wt), n, True)
                          - hamiltonian(PhasePoint(p.x, tuple(wm), p.wt), n, True)) / (2 * h)
                 assert abs(dwt[i] + dH_dw) <= 1e-9
-
-
-class TestLogxForm:
-    def test_w_derivative_is_wt(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = rand_point(rng, 3)
-            dwX, _ = vector_field_logx(p, 3)
-            assert dwX == p.wt
-
-    def test_chain_rule(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            p = rand_point(rng, 3)
-            dw, dwt = vector_field(p, 3)
-            dwX, dwtX = vector_field_logx(p, 3)
-            for a, b in zip(dwtX, dwt):
-                assert a == pytest.approx(p.x * b, rel=1e-12)
-
-    def test_trivial(self):
-        p = PhasePoint(x=1.0, w=(0.0, 0.0), wt=(0.0, 0.0))
-        dwX, dwtX = vector_field_logx(p, 3)
-        assert dwX == (0.0, 0.0) and dwtX == (0.0, 0.0)
 
 
 class TestInit:
@@ -202,6 +198,35 @@ def near_global_traj():
     a = AsymptoticData(3, (0.3, 0.1), rho)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
     return integrate(init_from_asymptotics(a, 0.01), 2.2, cfg, 3)
+
+
+class TestDenseOutput:
+    @pytest.fixture(params=["forward", "backward"])
+    def traj(self, request, near_global_traj, tail_basis):
+        return near_global_traj if request.param == "forward" else tail_basis[0]
+
+    def test_array_lookup_equals_scalar_lookups(self, traj):
+        rng = np.random.default_rng(5)
+        lo, hi = sorted((traj.xs[0], traj.xs[-1]))
+        xs = np.concatenate([[traj.xs[0], traj.xs[-1]], traj.xs[1:-1:7],
+                             rng.uniform(lo, hi, 200)])
+        batch = traj.sample_state(xs)
+        assert batch.shape == (traj.ys.shape[0], xs.size)
+        for j, x in enumerate(xs):
+            assert np.array_equal(batch[:, j], traj.sample_state(float(x)))
+        grid = xs[:12].reshape(3, 4)
+        assert np.array_equal(traj.sample_state(grid), batch[:, :12].reshape(-1, 3, 4))
+
+    def test_reproduces_accepted_states(self, traj):
+        # the interpolant hits each step's end state up to the rounding of
+        # y0 + h Q (1, 1, 1, 1) against the stepper's own sum
+        scale = np.max(np.abs(traj.ys), axis=1, keepdims=True)
+        assert np.all(np.abs(traj.sample_state(traj.xs) - traj.ys) <= 1e-14 * scale)
+
+    def test_outside_range(self, traj):
+        beyond = traj.xs[-1] + (traj.xs[-1] - traj.xs[0])
+        with pytest.raises(ValueError):
+            traj.sample_state(np.array([traj.xs[0], beyond]))
 
 
 class TestAgainstScipyReference:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ttstar_toda import tau_constant
 from ttstar_toda.data_maps import AsymptoticData, GenericityError, global_rho
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           hamiltonian, init_from_asymptotics,
@@ -108,6 +109,17 @@ class TestConstantNumeric:
         r6 = constant_numeric((0.3, 0.1), x2=6.0, basis=tail_basis)
         r7 = constant_numeric((0.3, 0.1), x2=7.0, basis=tail_basis)
         assert abs(r6.c_numeric - r7.c_numeric) <= 1e-5
+
+    @pytest.mark.parametrize("grid", [(1e-2, 2.5e-3, 6.25e-4), (1e-2, 4e-3, 1e-3)])
+    def test_non_halving_grid_rejected_before_solving(self, grid, monkeypatch):
+        # the three-point fit assumes ratio 2: on an exact C + 3 x^1.5 these
+        # grids report p = 3 and a shifted C without any error
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(tau_constant, "solve_global", no_solve)
+        with pytest.raises(ValueError, match="halve"):
+            constant_numeric((0.3, 0.1), x1_grid=grid)
 
     def test_power_fit_nonmonotone_raises(self):
         with pytest.raises(ExtrapolationError):
