@@ -17,6 +17,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ import time
 import numpy as np
 
 from . import data_maps as dm
+from . import global_solutions as gs
 from . import hamiltonian_flow as hf
 from . import tau_constant as tc
 from .special_functions import DomainError, psi_m2, psi_m2_oracle, log_barnes_g, log_gamma
@@ -89,12 +91,13 @@ def _parse_list(text: str) -> tuple[float, ...]:
         raise DomainError(f"could not parse comma-separated reals from {text!r}") from exc
 
 
-def _cfg_from(args) -> hf.IntegratorConfig | None:
-    """The tolerances given on the command line, or None for the library's
-    defaults."""
+def _cfg_from(args, default: hf.IntegratorConfig) -> hf.IntegratorConfig | None:
+    """The tolerances given on the command line, a missing one taken from
+    `default` (the library's default for the command), or None when none
+    is given."""
     given = {k: v for k, v in (("rel_tol", args.rel_tol), ("abs_tol", args.abs_tol))
              if v is not None}
-    return hf.IntegratorConfig(**given) if given else None
+    return dataclasses.replace(default, **given) if given else None
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +126,7 @@ def cmd_solve(args) -> int:
     rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
     a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
     start = hf.init_from_asymptotics(a, args.x0)
-    traj = hf.integrate(start, args.x1, _cfg_from(args), args.n)
+    traj = hf.integrate(start, args.x1, _cfg_from(args, hf.IntegratorConfig()), args.n)
     _log(f"integrated to x={traj.x_final:.6g} ({traj.stats.n_steps} steps, "
          f"stop={traj.stop_reason})")
     out = args.out or "trajectory.csv"
@@ -137,7 +140,7 @@ def cmd_solve(args) -> int:
 def cmd_tau(args) -> int:
     gamma = _parse_list(args.gamma)
     try:
-        val = tc.log_tau(gamma, args.x1, args.x2, _cfg_from(args))
+        val = tc.log_tau(gamma, args.x1, args.x2, _cfg_from(args, gs.FINAL_RUN_CONFIG))
     except tc.BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -148,7 +151,7 @@ def cmd_tau(args) -> int:
 def cmd_constant(args) -> int:
     gamma = _parse_list(args.gamma)
     try:
-        rep = tc.constant_numeric(gamma, _cfg_from(args), x2=args.x2)
+        rep = tc.constant_numeric(gamma, _cfg_from(args, gs.FINAL_RUN_CONFIG), x2=args.x2)
     except tc.BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

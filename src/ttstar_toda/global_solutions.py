@@ -35,10 +35,15 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                init_from_asymptotics, reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
-           "make_backward_basis", "fit_tail_amplitude"]
+           "make_backward_basis", "fit_tail_amplitude", "FINAL_RUN_CONFIG"]
 
 _SQ8 = 2.0 * math.sqrt(2.0)
 _RATE_FAST = 4.0
+
+# tolerances of the refined forward run that a global solution keeps: the
+# library's default for solve_global, log_tau, constant_numeric and the
+# `ttstar tau` / `ttstar constant` commands
+FINAL_RUN_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=5.0)
 
 
 class GlobalSolveError(RuntimeError):
@@ -62,14 +67,21 @@ def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
     return np.array([r1, r2])
 
 
-def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig) -> Trajectory:
+def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
+             tally: dict) -> Trajectory:
+    """Forward run from the seed; its work is added to `tally`."""
     a = AsymptoticData(n=3, gamma=tuple(gamma), rho=tuple(rho))
     start = init_from_asymptotics(a, x0)
-    y0 = np.concatenate([start.w, start.wt, [0.0]])
-    return _integrate_raw(3, y0, x0, x_end, cfg)
+    traj = _integrate_raw(3, start.w + start.wt + (0.0,), x0, x_end, cfg)
+    st = traj.stats
+    tally["integrations"] += 1
+    tally["steps"] += st.n_steps
+    tally["rejected"] += st.n_rejected
+    tally["rhs_evals"] += st.n_rhs_evals
+    return traj
 
 
-def _fd_jacobian(gamma, rho, x0, x_p, cfg, r0) -> np.ndarray | None:
+def _fd_jacobian(gamma, rho, x0, x_p, cfg, r0, tally) -> np.ndarray | None:
     """Finite-difference Jacobian of the residual in the rho offsets.
 
     The response grows like exp(2 sqrt 2 x_p), so the step shrinks with
@@ -81,7 +93,7 @@ def _fd_jacobian(gamma, rho, x0, x_p, cfg, r0) -> np.ndarray | None:
         for hj in (h, -h, 10 * h, -10 * h):
             rp = np.array(rho, float)
             rp[j] += hj
-            tp = _forward(gamma, rp, x0, x_p + 0.01, cfg)
+            tp = _forward(gamma, rp, x0, x_p + 0.01, cfg, tally)
             if tp.x_final >= x_p:
                 J[:, j] = (_growing_mode_residual(tp, x_p) - r0) / hj
                 break
@@ -98,11 +110,15 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25,
     The residual map is nearly linear in the rho offset and its Jacobian
     rows grow with the known mode rates, so the matrix is measured once
     at the first station and rescaled on each advance, with a fresh
-    finite-difference rebuild only if Newton stops contracting.
+    finite-difference rebuild only if Newton stops contracting.  The work
+    of every forward run, Jacobian runs included, is summed in
+    info["integrator_stats"].
     """
     rho = np.array(global_rho(3, gamma), dtype=float)
     x_p = 1.0
-    info = {"iterations": 0, "residual": math.inf, "station": x_p}
+    tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
+    info = {"iterations": 0, "residual": math.inf, "station": x_p,
+            "integrator_stats": tally}
     r_prev = math.inf
     newton_at_station = 0
     J: np.ndarray | None = None
@@ -111,7 +127,7 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25,
         info["iterations"] += 1
         final = x_p >= x_target - 0.01
         cfg = _probe_cfg(fine=x_p >= 3.9)
-        traj = _forward(gamma, rho, x0, x_p + 0.01, cfg)
+        traj = _forward(gamma, rho, x0, x_p + 0.01, cfg, tally)
         if traj.x_final < x_p:
             x_p = max(0.5, traj.x_final - 0.5)
             r_prev, newton_at_station, J = math.inf, 0, None
@@ -128,7 +144,7 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25,
             r_prev, newton_at_station, J = math.inf, 0, None
             continue
         if J is None or (newton_at_station >= 1 and rnorm > 0.6 * r_prev):
-            J = _fd_jacobian(gamma, rho, x0, x_p, cfg, r)
+            J = _fd_jacobian(gamma, rho, x0, x_p, cfg, r, tally)
             if J is None:
                 x_p = max(0.5, x_p - 0.5)
                 r_prev, newton_at_station = math.inf, 0
@@ -172,6 +188,18 @@ def _backward_basis(x_right: float, x_low: float) -> tuple[Trajectory, Trajector
     if bs.stop_reason != "completed" or bd.stop_reason != "completed":
         raise GlobalSolveError("backward basis integration failed")
     return bs, bd
+
+
+# lazily built bases for solves given none, keyed by (x_right, x_low); the
+# basis depends on neither gamma nor x0
+_DEFAULT_BASES: dict[tuple[float, float], tuple[Trajectory, Trajectory]] = {}
+
+
+def _default_basis(x_right: float, x_low: float) -> tuple[Trajectory, Trajectory]:
+    key = (x_right, x_low)
+    if key not in _DEFAULT_BASES:
+        _DEFAULT_BASES[key] = _backward_basis(x_right, x_low)
+    return _DEFAULT_BASES[key]
 
 
 def _match(fwd: Trajectory, bs: Trajectory, bd: Trajectory,
@@ -252,21 +280,23 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
 
     The seed at x0 uses the closed-form rho of the smooth family plus a
     Newton-refined offset that compensates the truncated O(x0^eps) seed
-    corrections; the large-x side is the matched two-mode tail.  A
-    precomputed backward `basis` (independent of gamma and x0) may be
-    passed to amortize it across solves.
+    corrections; the large-x side is the matched two-mode tail.  The
+    backward `basis` is independent of gamma and x0: without one, a basis
+    built once per (x_right, x_match) is reused.  `cfg` (default
+    FINAL_RUN_CONFIG) sets the refined forward run.  The diagnostics sum
+    the work of every forward run of the solve in "integrator_stats"; a
+    basis is built once and not counted there.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
     rho_seed, info = _refine_rho(gamma, x0, x_target=x_match + 0.25)
-    if cfg is None:
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=5.0)
-    fwd = _forward(gamma, rho_seed, x0, x_match + 0.26, cfg)
+    fwd = _forward(gamma, rho_seed, x0, x_match + 0.26, cfg or FINAL_RUN_CONFIG,
+                   info["integrator_stats"])
     if fwd.x_final < x_match + 0.25:
         raise GlobalSolveError(f"refined forward run stopped early at {fwd.x_final}")
-    bs, bd = basis or _backward_basis(x_right, x_match - 1.1)
+    bs, bd = basis or _default_basis(x_right, x_match - 1.1)
     A, D, resid = _match(fwd, bs, bd, (x_match - 0.8, x_match - 0.1))
     diag = dict(info)
     diag["match_residual"] = resid

@@ -15,22 +15,28 @@ behind an explicit flag; it is validated against the closure form of the
 equations of motion rather than taken from a stated formula.
 
 The chain's energy and force are written once, in `_make_rhs`, the vector
-field of the augmented state [w, wt, q] with q' = H + 2x; `hamiltonian`,
-`vector_field` and `reg_density` evaluate it.  It takes one state (dim,)
-or a batch (dim, ...) with the components on axis 0.
+field of the augmented state [w, wt, q] with q' = H + 2x; the stepper,
+`hamiltonian`, `vector_field` and `reg_density` evaluate it.  It takes one
+state as a sequence of floats (math.expm1, a list back) or a batch as an
+array (dim, ...) with the components on axis 0 (np.expm1, an array back).
 
 `integrate` is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and the standard quartic dense-output interpolant (Hairer,
-Norsett and Wanner, Solving ODEs I, section II.6).  Through the q
-channel trajectories accumulate the regularized integral of H against
-the trivial background -2x as they go.  Blow-up (sup-norm of w beyond a
-threshold, or step underflow) flags and returns the partial trajectory
-instead of raising.
+Norsett and Wanner, Solving ODEs I, sections II.5-II.6).  It steps on
+plain Python floats: stages, update and error norm are loops over the
+components, since numpy calls on 5-vectors cost more than the arithmetic.
+Accepted states and stages go into flat array('d') buffers, and the
+dense-output coefficients of a whole trajectory come from one product at
+its end.  Through the q channel trajectories accumulate the regularized
+integral of H against the trivial background -2x as they go.  Blow-up
+(sup-norm of w beyond a threshold, or step underflow) flags and returns
+the partial trajectory instead of raising.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,64 +111,73 @@ def _check_n(n: int, L: int, even_variant: bool) -> None:
 def _make_rhs(n: int, even_variant: bool):
     """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
 
-    `f(x, y)` takes one state y of shape (dim,) or a batch (dim, ...) with
-    x broadcasting against y[0].  Link exponentials enter only through
-    expm1 of the 2(w_{i+1} - w_i) differences, so both the force terms and
-    the regularized density H + 2x stay relatively accurate down to
-    vanishing amplitudes (the trivial-background cancellation is done in
-    closed form).
+    `f(x, y)` takes one state as a sequence of floats and returns a list of
+    floats (math.expm1), or a batch as an array (dim, ...) with x
+    broadcasting against y[0] and returns an array (np.expm1); the input
+    type chooses.  Link exponentials enter only through expm1 of the
+    2(w_{i+1} - w_i) differences, so both the force terms and the
+    regularized density H + 2x stay relatively accurate down to vanishing
+    amplitudes (the trivial-background cancellation is done in closed
+    form).  The body is plain loops over the L + 1 links: the stepper
+    calls it six times per step, and a comprehension is one more call.
     """
     L = reduced_length(n)
-    if n % 2 == 1:
-        # -x(L-1) - x + 2x from the link constants against the +2x term
-        q_const = 2.0 - float(L)
-    else:
-        q_const = 1.5 - float(L)
+    odd = n % 2 == 1
+    # -x(L-1) - x + 2x from the link constants against the +2x term
+    q_const = 2.0 - float(L) if odd else 1.5 - float(L)
+    # the last link closes on w_L = -w_{L-1} (odd n) or on the frozen
+    # middle entry 0 (even n), whose boundary term has twice the weight
+    last, last_weight = (-4.0, 1.0) if odd else (-2.0, 2.0)
+    inner = range(1, L)
+    comps = range(L)
 
-    def f(x, y: np.ndarray) -> np.ndarray:
-        w = y[:L]
-        wt = y[L:2 * L]
-        batch = y.shape[1:]
-        diffs = np.empty((L + 1, *batch))
-        diffs[0] = 2.0 * w[0]                      # w_0 - (-w_0)
-        diffs[1:L] = w[1:] - w[:-1]
-        if n % 2 == 1:
-            diffs[L] = -2.0 * w[L - 1]
-        else:
-            diffs[L] = -w[L - 1]
-        E = np.expm1(2.0 * diffs)                  # T_i - 1
-        out = np.empty((2 * L + 1, *batch))
-        out[:L] = wt / x
-        out[L:2 * L] = -2.0 * x * (E[1:] - E[:-1])
-        # vecdot is bit for bit the `wt @ wt` of one state; shooting
-        # reacts to single-ulp changes of the stepper's arithmetic
-        q = np.vecdot(wt, wt, axis=0) / (2.0 * x) - x * np.add.reduce(E[1:L]) + q_const * x
-        if n % 2 == 1:
-            q -= 0.5 * x * (E[L] + E[0])
-        else:
-            q -= x * E[L] + 0.5 * x * E[0]
-        out[2 * L] = q
-        return out
+    def f(x, y):
+        batch = isinstance(y, np.ndarray)
+        expm1 = np.expm1 if batch else math.expm1
+        try:
+            E = [expm1(4.0 * y[0])]                # E_i = T_i - 1; link 0: w_0 - (-w_0)
+            for i in inner:
+                E.append(expm1(2.0 * (y[i] - y[i - 1])))
+            E.append(expm1(last * y[L - 1]))
+        except OverflowError:
+            # a wild trial state: return the infinities np.expm1 gives, so
+            # that the stepper rejects the step as it rejects any non-finite one
+            return f(x, np.array(y)).tolist()
+        out = []
+        ww = 0.0
+        for i in comps:
+            wt = y[L + i]
+            out.append(wt / x)
+            ww = ww + wt * wt
+        m2x = -2.0 * x
+        for i in comps:
+            out.append(m2x * (E[i + 1] - E[i]))
+        e_inner = 0.0
+        for i in inner:
+            e_inner = e_inner + E[i]
+        out.append(ww / (2.0 * x) - x * e_inner + q_const * x
+                   - 0.5 * x * (last_weight * E[L] + E[0]))
+        return np.array(out) if batch else out
 
     return f, L
 
 
-def _rhs_at(p: PhasePoint, n: int, even_variant: bool) -> np.ndarray:
+def _rhs_at(p: PhasePoint, n: int, even_variant: bool) -> list[float]:
     _check_n(n, len(p.w), even_variant)
     f, _L = _make_rhs(n, even_variant)
-    return f(p.x, np.array(p.w + p.wt))
+    return f(p.x, p.w + p.wt)
 
 
 def hamiltonian(p: PhasePoint, n: int, even_variant: bool = False) -> float:
     """Energy H(w, wt; x) of the reduced chain: the kernel's H + 2x, less 2x."""
-    return float(_rhs_at(p, n, even_variant)[-1]) - 2.0 * p.x
+    return _rhs_at(p, n, even_variant)[-1] - 2.0 * p.x
 
 
 def vector_field(p: PhasePoint, n: int, even_variant: bool = False):
     """(dw/dx, dwt/dx) of the Hamiltonian system."""
     L = len(p.w)
     d = _rhs_at(p, n, even_variant)
-    return tuple(d[:L].tolist()), tuple(d[L:2 * L].tolist())
+    return tuple(d[:L]), tuple(d[L:2 * L])
 
 
 def reg_density(x, y: np.ndarray, n: int, even_variant: bool = False):
@@ -191,19 +206,6 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
 # Dormand-Prince 5(4) with PI control and quartic dense output
 # ----------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
 # quartic dense-output coefficients (Shampine's interpolant for this pair)
 _DP_P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -284,14 +286,22 @@ class Trajectory:
         return float(self.sample_state(x)[-1])
 
 
+def _rms(v, sc) -> float:
+    acc = 0.0
+    for a, b in zip(v, sc):
+        r = a / b
+        acc += r * r
+    return math.sqrt(acc / len(sc))
+
+
 def _initial_step(f, x0, y0, f0, direction, rel_tol, abs_tol):
-    sc = abs_tol + rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    sc = [abs_tol + rel_tol * abs(v) for v in y0]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + direction * h0 * f0
+    y1 = [a + direction * h0 * b for a, b in zip(y0, f0)]
     f1 = f(x0 + direction * h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -299,51 +309,93 @@ def _initial_step(f, x0, y0, f0, direction, rel_tol, abs_tol):
     return min(100.0 * h0, h1)
 
 
-def _integrate_raw(n: int, y0: np.ndarray, x0: float, x_end: float,
+def _integrate_raw(n: int, y0, x0: float, x_end: float,
                    cfg: IntegratorConfig, even_variant: bool = False,
-                   abs_tol_vec: np.ndarray | None = None) -> Trajectory:
-    """Core stepper; direction inferred from x_end - x0."""
+                   abs_tol_vec=None) -> Trajectory:
+    """Core stepper on plain floats; direction inferred from x_end - x0.
+
+    `y0` is any sequence of floats; `abs_tol_vec`, if given, replaces
+    cfg.abs_tol component by component.
+    """
+    # the tableau as float locals: rows of A (c_s = row sums), the
+    # 5th-order weights B (= row 7 of A: FSAL) and the error weights B - B*
+    c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    a21 = 1 / 5
+    a31, a32 = 3 / 40, 9 / 40
+    a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
+    a51, a52, a53, a54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    a61, a62, a63, a64, a65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    e1, e3, e4, e5, e6, e7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                              22 / 525, -1 / 40)
+
     f, L = _make_rhs(n, even_variant)
-    atol = cfg.abs_tol if abs_tol_vec is None else abs_tol_vec
+    y = [float(v) for v in y0]
+    dim = len(y)
+    comps = range(dim)
+    atol = [cfg.abs_tol] * dim if abs_tol_vec is None else [float(v) for v in abs_tol_vec]
+    rtol = cfg.rel_tol
+    threshold = cfg.blowup_threshold
     direction = 1.0 if x_end > x0 else -1.0
     x = float(x0)
-    y = np.asarray(y0, dtype=float).copy()
     stats = IntegrationStats()
     k1 = f(x, y)
-    h = _initial_step(f, x, y, k1, direction, cfg.rel_tol, cfg.abs_tol)
-    stats.n_rhs_evals += 2
+    h = _initial_step(f, x, y, k1, direction, rtol, cfg.abs_tol)
+    n_rhs = 2
     h = min(h, abs(x_end - x0))
 
-    xs, ys_hist, h_hist, Q_hist = [x], [y.copy()], [], []
+    xs, ys, hs, ks = array("d", [x]), array("d", y), array("d"), array("d")
     err_prev = 1e-4
     stop = "completed"
-    K = np.empty((7, y.size))
+    y2, y3, y4, y5, y6, y7 = ([0.0] * dim for _ in range(6))
 
     while (x_end - x) * direction > 0.0:
         h = min(h, abs(x_end - x))
         if h < 1e-14 * max(1.0, abs(x)):
             stop = "step_underflow"
             break
-        hs = direction * h
-        K[0] = k1
-        for s in range(1, 7):
-            ys = y + hs * (_DP_A[s] @ K[:s])
-            K[s] = f(x + _DP_C[s] * hs, ys)
-        stats.n_rhs_evals += 6
-        y_new = y + hs * (_DP_B @ K)
-        err_vec = hs * (_DP_E @ K)
-        sc = atol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
+        hd = direction * h
+        for i in comps:
+            y2[i] = y[i] + hd * (a21 * k1[i])
+        k2 = f(x + c2 * hd, y2)
+        for i in comps:
+            y3[i] = y[i] + hd * (a31 * k1[i] + a32 * k2[i])
+        k3 = f(x + c3 * hd, y3)
+        for i in comps:
+            y4[i] = y[i] + hd * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
+        k4 = f(x + c4 * hd, y4)
+        for i in comps:
+            y5[i] = y[i] + hd * (a51 * k1[i] + a52 * k2[i] + a53 * k3[i]
+                                 + a54 * k4[i])
+        k5 = f(x + c5 * hd, y5)
+        for i in comps:
+            y6[i] = y[i] + hd * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
+                                 + a64 * k4[i] + a65 * k5[i])
+        k6 = f(x + hd, y6)
+        for i in comps:
+            y7[i] = y[i] + hd * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i]
+                                 + b5 * k5[i] + b6 * k6[i])
+        k7 = f(x + hd, y7)
+        n_rhs += 6
+        acc = 0.0
+        for i in comps:
+            e = hd * (e1 * k1[i] + e3 * k3[i] + e4 * k4[i] + e5 * k5[i]
+                      + e6 * k6[i] + e7 * k7[i])
+            a, b = abs(y[i]), abs(y7[i])
+            r = e / (atol[i] + rtol * (a if a > b else b))
+            acc += r * r
+        err = math.sqrt(acc / dim)
         if err <= 1.0:
-            h_hist.append(hs)
-            Q_hist.append(K.T @ _DP_P)
-            x = x + hs
-            y = y_new
-            k1 = K[6].copy()  # FSAL
+            for k in (k1, k2, k3, k4, k5, k6, k7):
+                ks.extend(k)
+            x = x + hd
+            y, y7 = y7, y
+            k1 = k7  # FSAL
             xs.append(x)
-            ys_hist.append(y)
+            ys.extend(y)
+            hs.append(hd)
             stats.n_steps += 1
-            if float(np.max(np.abs(y[:L]))) > cfg.blowup_threshold:
+            if max(map(abs, y[:L])) > threshold:
                 stop = "blowup"
                 break
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
@@ -352,9 +404,12 @@ def _integrate_raw(n: int, y0: np.ndarray, x0: float, x_end: float,
         else:
             stats.n_rejected += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
+    stats.n_rhs_evals = n_rhs
 
-    return Trajectory(n=n, xs=np.array(xs), ys=np.stack(ys_hist, axis=1),
-                      hs=np.array(h_hist), Q=np.reshape(Q_hist, (-1, y.size, 4)),
+    # K (N, 7, dim) against the (7, 4) interpolant weights: Q (N, dim, 4)
+    K = np.frombuffer(ks).reshape(-1, 7, dim)
+    return Trajectory(n=n, xs=np.frombuffer(xs), ys=np.frombuffer(ys).reshape(-1, dim).T,
+                      hs=np.frombuffer(hs), Q=np.matmul(K.transpose(0, 2, 1), _DP_P),
                       stats=stats, stop_reason=stop, even_variant=even_variant)
 
 

@@ -86,6 +86,14 @@ class TestTau:
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == log_tau((0.3, 0.1), 0.01, 6.0)
 
+    def test_one_flag_keeps_the_other_default(self, capsys):
+        # --rel-tol alone at its default value must not loosen abs_tol
+        base = ["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6", "--reproducible"]
+        assert run(base) == 0
+        plain = json.loads(capsys.readouterr().out)["log_tau"]
+        assert run(base + ["--rel-tol", "1e-12"]) == 0
+        assert json.loads(capsys.readouterr().out)["log_tau"] == plain
+
 
 class TestConstant:
     def test_trivial(self, capsys):

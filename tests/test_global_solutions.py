@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ttstar_toda import global_solutions
 from ttstar_toda.global_solutions import fit_tail_amplitude, solve_global
 from ttstar_toda.hamiltonian_flow import tail_amplitude_s1
 
@@ -55,6 +56,25 @@ class TestSolveGlobal:
         assert abs(hi - lo) <= 1e-9
         # past x ~ 5 the integrand is ~ exp(-4 sqrt2 x): increments tiny
         assert abs(sol_031.reg_integral(7.0) - sol_031.reg_integral(6.0)) <= 1e-9
+
+    def test_stats_count_every_integration(self, tail_basis, monkeypatch):
+        # shooting, Jacobian and final runs, counted where the solve
+        # enters the stepper
+        runs = []
+        integrate_raw = global_solutions._integrate_raw
+
+        def counted(*args, **kwargs):
+            traj = integrate_raw(*args, **kwargs)
+            runs.append(traj.stats)
+            return traj
+
+        monkeypatch.setattr(global_solutions, "_integrate_raw", counted)
+        sol = solve_global((0.3, 0.1), 0.01, basis=tail_basis)
+        stats = sol.diagnostics["integrator_stats"]
+        assert stats["integrations"] == len(runs) > 3
+        assert stats["rhs_evals"] == sum(st.n_rhs_evals for st in runs)
+        assert stats["steps"] == sum(st.n_steps for st in runs)
+        assert stats["rejected"] == sum(st.n_rejected for st in runs)
 
     def test_x0_validation(self, tail_basis):
         with pytest.raises(Exception):

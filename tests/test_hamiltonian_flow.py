@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttstar_toda import hamiltonian_flow
 from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           UnsupportedConfigError,
@@ -120,6 +121,33 @@ class TestVectorField:
                 assert abs(dwt[i] + dH_dw) <= 1e-9
 
 
+class TestKernelForms:
+    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
+                                         (2, True), (4, True)])
+    def test_float_and_batch_paths_agree(self, n, even):
+        # one kernel, two input forms: floats through math.expm1, an array
+        # batch (components on axis 0) through np.expm1
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        rng = np.random.default_rng(400 + n)
+        x = rng.uniform(0.05, 4.0, 30)
+        y = np.vstack([rng.uniform(-0.4, 0.4, (L, 30)), rng.uniform(-1.0, 1.0, (L, 30)),
+                       np.zeros((1, 30))])
+        batch = f(x, y)
+        assert batch.shape == (2 * L + 1, 30)
+        singles = np.array([f(float(x[j]), y[:, j].tolist()) for j in range(30)]).T
+        scale = np.max(np.abs(batch), axis=1, keepdims=True)
+        assert np.all(np.abs(singles - batch) <= 1e-13 * scale)
+
+    def test_overflow_gives_the_batch_infinities(self):
+        # math.expm1 raises where np.expm1 returns inf; a wild trial state
+        # must come back non-finite, so that the stepper rejects the step
+        f, _L = hamiltonian_flow._make_rhs(3, False)
+        y = [200.0, 0.0, 0.1, 0.2, 0.0]
+        with np.errstate(over="ignore"):
+            floats, batch = f(1.0, y), f(1.0, np.array(y)).tolist()
+        assert floats == batch == [0.1, 0.2, math.inf, -2.0, -math.inf]
+
+
 class TestInit:
     def test_trivial(self):
         a = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))
@@ -181,6 +209,29 @@ class TestIntegrate:
             s = traj.sample(pt.x)
             assert s.w == pytest.approx(pt.w, rel=1e-12, abs=1e-12)
             assert s.wt == pytest.approx(pt.wt, rel=1e-12, abs=1e-12)
+
+    def test_rhs_count_matches_kernel_calls(self, monkeypatch):
+        # the reported count against the calls of the vector field that
+        # _make_rhs hands to the stepper, counted from outside
+        calls = [0]
+        make_rhs = hamiltonian_flow._make_rhs
+
+        def counting_make_rhs(n, even_variant):
+            f, L = make_rhs(n, even_variant)
+
+            def counted(x, y):
+                calls[0] += 1
+                return f(x, y)
+
+            return counted, L
+
+        monkeypatch.setattr(hamiltonian_flow, "_make_rhs", counting_make_rhs)
+        a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
+        traj = integrate(init_from_asymptotics(a, 0.01), 2.2,
+                         IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13), 3)
+        assert traj.stats.n_rejected > 0
+        assert traj.stats.n_rhs_evals == calls[0]
+        assert traj.stats.n_rhs_evals == 6 * (traj.stats.n_steps + traj.stats.n_rejected) + 2
 
     def test_even_variant_integration(self):
         a = AsymptoticData(2, (0.2,), (0.1,))

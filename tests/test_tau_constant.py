@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ttstar_toda import tau_constant
+from ttstar_toda import global_solutions, tau_constant
 from ttstar_toda.data_maps import AsymptoticData, GenericityError, global_rho
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           hamiltonian, init_from_asymptotics,
@@ -55,6 +55,22 @@ class TestLogTau:
                      IntegratorConfig(rel_tol=5e-13, abs_tol=5e-15))
         assert math.isfinite(v1)
         assert abs(v1 - v2) <= 1e-8
+
+    def test_default_basis_built_once(self, monkeypatch):
+        # log_tau passes no basis; the tail basis depends on neither gamma
+        # nor x1, so a second call reuses the first one's
+        built = []
+        backward_basis = global_solutions._backward_basis
+
+        def counted(*args):
+            built.append(args)
+            return backward_basis(*args)
+
+        monkeypatch.setattr(global_solutions, "_DEFAULT_BASES", {})
+        monkeypatch.setattr(global_solutions, "_backward_basis", counted)
+        log_tau((0.0, 0.0), 0.01, 6.0)
+        log_tau((0.3, 0.1), 0.05, 6.0)
+        assert len(built) == 1
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
