@@ -5,6 +5,9 @@ For each gamma the constant is computed two independent ways: by
 regularized quadrature along the numerically computed global solution
 (with x1 -> 0 extrapolation) and from the closed form built on the
 generating function.  Emits one JSON line per point and a summary table.
+A gamma whose solve fails is printed as a failed row and the sweep goes
+on; the exit code is 4 (as `ttstar constant`'s verification failure) if
+any gamma failed or has |c_numeric - c_closed| above 1e-3.
 
 Usage:
     python scripts/constant_sweep.py
@@ -16,8 +19,11 @@ import json
 import sys
 import time
 
-from ttstar_toda import constant_numeric, make_backward_basis
+from ttstar_toda import (BlowupError, ExtrapolationError, GlobalSolveError,
+                        constant_numeric, make_backward_basis)
 
+EXIT_VERIFY = 4
+ABS_DIFF_MAX = 1e-3
 DEFAULT_GRID = "0,0;0.3,0.1;0.1,-0.1;0.5,0.2;-0.2,0.4;0.25,-0.35"
 
 
@@ -37,19 +43,30 @@ def main() -> int:
     print(f"{'gamma':>16s} {'c_numeric':>15s} {'c_closed':>15s} "
           f"{'abs_diff':>10s} {'p':>6s} {'sec':>5s}")
     worst = 0.0
+    failed = []
     for g in pairs:
         t0 = time.perf_counter()
-        rep = constant_numeric(g, x2=args.x2, basis=basis)
+        try:
+            rep = constant_numeric(g, x2=args.x2, basis=basis)
+        except (BlowupError, ExtrapolationError, GlobalSolveError) as exc:
+            failed.append(g)
+            print(f"{str(g):>16s} failed: {type(exc).__name__}: {exc}")
+            if sink:
+                sink.write(json.dumps({"gamma": list(g), "error": type(exc).__name__,
+                                       "message": str(exc)}) + "\n")
+            continue
         dt = time.perf_counter() - t0
         worst = max(worst, rep.abs_diff)
+        if not rep.abs_diff <= ABS_DIFF_MAX:
+            failed.append(g)
         print(f"{str(g):>16s} {rep.c_numeric:>15.10f} {rep.c_closed:>15.10f} "
               f"{rep.abs_diff:>10.2e} {rep.extrapolation_exponent:>6.2f} {dt:>5.1f}")
         if sink:
             sink.write(json.dumps(rep.to_json_dict()) + "\n")
     if sink:
         sink.close()
-    print(f"\nworst |c_numeric - c_closed| = {worst:.3e}")
-    return 0
+    print(f"\nworst |c_numeric - c_closed| = {worst:.3e}, {len(failed)} failed or inaccurate")
+    return EXIT_VERIFY if failed else 0
 
 
 if __name__ == "__main__":

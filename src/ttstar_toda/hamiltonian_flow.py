@@ -120,6 +120,11 @@ def _make_rhs(n: int, even_variant: bool):
     amplitudes (the trivial-background cancellation is done in closed
     form).  The body is plain loops over the L + 1 links: the stepper
     calls it six times per step, and a comprehension is one more call.
+
+    Components past the 2L + 1 of the state are tangent columns [dw, dwt]
+    (2L each) of the tangent-linear flow, and f returns their linearised
+    derivatives after the state's: with T_i = E_i + 1 the exponential of
+    link i, dE_i = T_i times the derivative of the link's exponent.
     """
     L = reduced_length(n)
     odd = n % 2 == 1
@@ -130,6 +135,7 @@ def _make_rhs(n: int, even_variant: bool):
     last, last_weight = (-4.0, 1.0) if odd else (-2.0, 2.0)
     inner = range(1, L)
     comps = range(L)
+    dim = 2 * L + 1
 
     def f(x, y):
         batch = isinstance(y, np.ndarray)
@@ -157,6 +163,16 @@ def _make_rhs(n: int, even_variant: bool):
             e_inner = e_inner + E[i]
         out.append(ww / (2.0 * x) - x * e_inner + q_const * x
                    - 0.5 * x * (last_weight * E[L] + E[0]))
+        if len(y) > dim:
+            for c in range(dim, len(y), 2 * L):   # tangent column [dw, dwt] at c
+                dE = [4.0 * (E[0] + 1.0) * y[c]]
+                for i in inner:
+                    dE.append(2.0 * (E[i] + 1.0) * (y[c + i] - y[c + i - 1]))
+                dE.append(last * (E[L] + 1.0) * y[c + L - 1])
+                for i in comps:
+                    out.append(y[c + L + i] / x)
+                for i in comps:
+                    out.append(m2x * (dE[i + 1] - dE[i]))
         return np.array(out) if batch else out
 
     return f, L
@@ -226,11 +242,13 @@ class Trajectory:
     there, and step k runs from xs[k] by hs[k] with quartic dense-output
     coefficients Q[k] (dim, 4).  `reg_integral` is integral (H + 2x) dx over
     the covered range.  Phase points are materialized lazily from `ys`.
+    A run that carried tangent columns keeps them at its end node only:
+    `tangent` (2L, ncols), else None.
     """
 
     def __init__(self, n: int, xs: np.ndarray, ys: np.ndarray, hs: np.ndarray,
                  Q: np.ndarray, stats: IntegrationStats, stop_reason: str,
-                 even_variant: bool = False):
+                 even_variant: bool = False, tangent: np.ndarray | None = None):
         self.n = n
         self.xs = xs
         self.ys = ys
@@ -239,6 +257,7 @@ class Trajectory:
         self.stats = stats
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
         self.even_variant = even_variant
+        self.tangent = tangent
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
         # sign * xs increases in either direction of integration
         self._sign = math.copysign(1.0, xs[-1] - xs[0])
@@ -301,6 +320,10 @@ def _initial_step(f, x0, y0, f0, direction, rel_tol, abs_tol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = [a + direction * h0 * b for a, b in zip(y0, f0)]
     f1 = f(x0 + direction * h0, y1)
+    if not h0 > 0.0:
+        # the derivative dwarfs the state; f1 is made all the same, since
+        # the stepper counts two calls here, and it then flags an underflow
+        return 0.0
     d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -314,8 +337,11 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
                    abs_tol_vec=None) -> Trajectory:
     """Core stepper on plain floats; direction inferred from x_end - x0.
 
-    `y0` is any sequence of floats; `abs_tol_vec`, if given, replaces
-    cfg.abs_tol component by component.
+    `y0` is any sequence of floats: the state [w, wt, q], optionally
+    followed by tangent columns (see `_make_rhs`).  Step control (error
+    norm, initial step, blow-up) and the dense output cover the state
+    only; the tangent columns ride along and are kept at the end node.
+    `abs_tol_vec`, if given, replaces cfg.abs_tol component by component.
     """
     # the tableau as float locals: rows of A (c_s = row sums), the
     # 5th-order weights B (= row 7 of A: FSAL) and the error weights B - B*
@@ -331,8 +357,10 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
 
     f, L = _make_rhs(n, even_variant)
     y = [float(v) for v in y0]
-    dim = len(y)
-    comps = range(dim)
+    dim = 2 * L + 1
+    tangent = len(y) > dim
+    comps = range(len(y))
+    state = range(dim)
     atol = [cfg.abs_tol] * dim if abs_tol_vec is None else [float(v) for v in abs_tol_vec]
     rtol = cfg.rel_tol
     threshold = cfg.blowup_threshold
@@ -340,14 +368,14 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     x = float(x0)
     stats = IntegrationStats()
     k1 = f(x, y)
-    h = _initial_step(f, x, y, k1, direction, rtol, cfg.abs_tol)
+    h = _initial_step(f, x, y[:dim], k1[:dim], direction, rtol, cfg.abs_tol)
     n_rhs = 2
     h = min(h, abs(x_end - x0))
 
-    xs, ys, hs, ks = array("d", [x]), array("d", y), array("d"), array("d")
+    xs, ys, hs, ks = array("d", [x]), array("d", y[:dim]), array("d"), array("d")
     err_prev = 1e-4
     stop = "completed"
-    y2, y3, y4, y5, y6, y7 = ([0.0] * dim for _ in range(6))
+    y2, y3, y4, y5, y6, y7 = ([0.0] * len(y) for _ in range(6))
 
     while (x_end - x) * direction > 0.0:
         h = min(h, abs(x_end - x))
@@ -378,7 +406,7 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
         k7 = f(x + hd, y7)
         n_rhs += 6
         acc = 0.0
-        for i in comps:
+        for i in state:
             e = hd * (e1 * k1[i] + e3 * k3[i] + e4 * k4[i] + e5 * k5[i]
                       + e6 * k6[i] + e7 * k7[i])
             a, b = abs(y[i]), abs(y7[i])
@@ -387,12 +415,12 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
         err = math.sqrt(acc / dim)
         if err <= 1.0:
             for k in (k1, k2, k3, k4, k5, k6, k7):
-                ks.extend(k)
+                ks.extend(k[:dim] if tangent else k)
             x = x + hd
             y, y7 = y7, y
             k1 = k7  # FSAL
             xs.append(x)
-            ys.extend(y)
+            ys.extend(y[:dim] if tangent else y)
             hs.append(hd)
             stats.n_steps += 1
             if max(map(abs, y[:L])) > threshold:
@@ -410,7 +438,8 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     K = np.frombuffer(ks).reshape(-1, 7, dim)
     return Trajectory(n=n, xs=np.frombuffer(xs), ys=np.frombuffer(ys).reshape(-1, dim).T,
                       hs=np.frombuffer(hs), Q=np.matmul(K.transpose(0, 2, 1), _DP_P),
-                      stats=stats, stop_reason=stop, even_variant=even_variant)
+                      stats=stats, stop_reason=stop, even_variant=even_variant,
+                      tangent=np.array(y[dim:]).reshape(-1, 2 * L).T if tangent else None)
 
 
 def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,

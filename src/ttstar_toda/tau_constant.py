@@ -87,6 +87,7 @@ class ConstantReport:
             "x2_used": self.x2_used,
             "extrapolation_exponent": self.extrapolation_exponent,
             "tail_bound": self.tail_bound,
+            "integrator_stats": dict(self.integrator_stats),
         }
 
 

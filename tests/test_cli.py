@@ -104,7 +104,18 @@ class TestConstant:
         assert doc["abs_diff"] <= 1e-6
         assert list(doc.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                     "x1_grid", "x2_used",
-                                    "extrapolation_exponent", "tail_bound"]
+                                    "extrapolation_exponent", "tail_bound",
+                                    "integrator_stats"]
+
+    def test_integrator_stats_reproducible(self, capsys):
+        argv = ["constant", "--gamma", "0.1,-0.1", "--reproducible"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        stats = json.loads(first)["integrator_stats"]
+        assert list(stats) == ["integrations", "steps", "rejected", "rhs_evals"]
+        assert stats["integrations"] > 3 and stats["rhs_evals"] > stats["steps"] > 0
 
     def test_genericity_exit_2(self):
         assert run(["constant", "--gamma", "1.9,0"]) == 2

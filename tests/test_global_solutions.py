@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from ttstar_toda import global_solutions
+from ttstar_toda.data_maps import global_rho
 from ttstar_toda.global_solutions import fit_tail_amplitude, solve_global
-from ttstar_toda.hamiltonian_flow import tail_amplitude_s1
+from ttstar_toda.hamiltonian_flow import IntegratorConfig, tail_amplitude_s1
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -76,6 +78,21 @@ class TestSolveGlobal:
         assert stats["steps"] == sum(st.n_steps for st in runs)
         assert stats["rejected"] == sum(st.n_rejected for st in runs)
 
+    def test_residual_is_measured_on_the_kept_trajectory(self, sol_031):
+        d = sol_031.diagnostics
+        r = global_solutions._growing_mode_residual(sol_031.forward, d["station"])
+        assert float(np.max(np.abs(r))) == d["residual"]
+        assert sol_031.forward.x_final == d["station"] == 4.95
+
+    def test_own_cfg_gets_its_own_final_run(self, sol_031, tail_basis):
+        # the shooting does not depend on cfg; one forward run is added
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        sol = solve_global((0.3, 0.1), 0.01, cfg=cfg, basis=tail_basis)
+        assert sol.forward.x_final == pytest.approx(4.96, abs=1e-12)
+        assert sol.rho_seed == sol_031.rho_seed
+        assert (sol.diagnostics["integrator_stats"]["integrations"]
+                == sol_031.diagnostics["integrator_stats"]["integrations"] + 1)
+
     def test_x0_validation(self, tail_basis):
         with pytest.raises(Exception):
             solve_global((0.3, 0.1), 0.5, basis=tail_basis)
@@ -92,3 +109,24 @@ class TestAntidiagonal:
         assert abs(sol.amp_sum) < 0.01
         w5 = sol.state(5.0).w
         assert abs(w5[0]) < 1e-6
+
+
+class TestShootingJacobian:
+    def test_tangent_columns_match_central_difference(self):
+        # the exact Jacobian of the growing-mode residual at station 1
+        # against a central difference of plain probes in each rho_j
+        gamma, x0, x_p = (0.3, 0.1), 0.01, 1.0
+        rho = np.array(global_rho(3, gamma))
+        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals"), 0)
+        traj = global_solutions._forward(gamma, rho, x0, x_p, cfg, tally, tangents=True)
+        J = np.column_stack([global_solutions._mode_residual(col, x_p)
+                             for col in traj.tangent.T])
+        h = 1e-4
+        for j in range(2):
+            e = np.eye(2)[j] * h
+            rp, rm = (global_solutions._growing_mode_residual(
+                global_solutions._forward(gamma, rho + s, x0, x_p, cfg, tally), x_p)
+                for s in (e, -e))
+            fd = (rp - rm) / (2 * h)
+            assert np.all(np.abs(J[:, j] - fd) <= 1e-6 * np.max(np.abs(fd)))

@@ -148,6 +148,44 @@ class TestKernelForms:
         assert floats == batch == [0.1, 0.2, math.inf, -2.0, -math.inf]
 
 
+class TestTangentColumns:
+    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
+                                         (2, True), (4, True)])
+    def test_linearisation_matches_central_difference(self, n, even):
+        # tangent columns after the state come back as J(y) v, the state's
+        # own derivative unchanged bit for bit
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        rng = np.random.default_rng(500 + n)
+        x = 0.7
+        y = rng.uniform(-0.4, 0.4, L).tolist() + rng.uniform(-1.0, 1.0, L).tolist() + [0.0]
+        cols = [rng.uniform(-1.0, 1.0, 2 * L).tolist() for _ in range(2)]
+        out = f(x, y + cols[0] + cols[1])
+        assert len(out) == 2 * L + 1 + 4 * L
+        assert out[:2 * L + 1] == f(x, y)
+        h = 1e-6
+        for j, v in enumerate(cols):
+            yp = [a + h * b for a, b in zip(y, v)] + [0.0]
+            ym = [a - h * b for a, b in zip(y, v)] + [0.0]
+            fd = (np.array(f(x, yp)) - np.array(f(x, ym)))[:2 * L] / (2 * h)
+            lin = np.array(out[2 * L + 1 + 2 * L * j:2 * L + 1 + 2 * L * (j + 1)])
+            assert np.all(np.abs(lin - fd) <= 1e-7 * (1.0 + np.abs(fd)))
+
+    def test_state_steps_ignore_the_tangents(self):
+        # error control, dense output and step sequence cover the state only
+        a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
+        p = init_from_asymptotics(a, 0.01)
+        y0 = p.w + p.wt + (0.0,)
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        plain = hamiltonian_flow._integrate_raw(3, y0, 0.01, 2.0, cfg)
+        tang = hamiltonian_flow._integrate_raw(3, y0 + (0.5, 0, 0, 0, 0, 0.5, 0, 0),
+                                               0.01, 2.0, cfg)
+        assert plain.tangent is None and tang.tangent.shape == (4, 2)
+        for name in ("xs", "ys", "hs", "Q"):
+            assert np.array_equal(getattr(plain, name), getattr(tang, name))
+        assert (plain.stats.n_steps, plain.stats.n_rejected, plain.stats.n_rhs_evals) == \
+            (tang.stats.n_steps, tang.stats.n_rejected, tang.stats.n_rhs_evals)
+
+
 class TestInit:
     def test_trivial(self):
         a = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))
@@ -232,6 +270,13 @@ class TestIntegrate:
         assert traj.stats.n_rejected > 0
         assert traj.stats.n_rhs_evals == calls[0]
         assert traj.stats.n_rhs_evals == 6 * (traj.stats.n_steps + traj.stats.n_rejected) + 2
+
+    def test_initial_step_underflow_is_flagged(self):
+        # the scaled derivative dwarfs the state, so the initial step
+        # underflows to 0: a flagged trajectory, not ZeroDivisionError
+        traj = integrate(PhasePoint(1.0, (100.0,), (0.0,)), 2.0, IntegratorConfig(), 1)
+        assert traj.stop_reason == "step_underflow"
+        assert traj.x_final == 1.0 and traj.stats.n_steps == 0
 
     def test_even_variant_integration(self):
         a = AsymptoticData(2, (0.2,), (0.1,))

@@ -119,6 +119,17 @@ class TestConstantNumeric:
         assert rep.tail_bound >= 0.0
         assert rep.x2_used == 7.0
 
+    def test_work_ceiling(self, tail_basis):
+        # machine-independent: the exact shooting Jacobian needs 46 forward
+        # runs for the three solves here (81 with finite differences)
+        rep = constant_numeric((0.3, 0.1), basis=tail_basis)
+        assert rep.integrator_stats["integrations"] <= 55
+
+    def test_large_seed_solves(self, tail_basis):
+        # |w| of the seed at x0 = 2.5e-3 exceeds 2; probes stop relative to it
+        rep = constant_numeric((0.9, -0.4), basis=tail_basis)
+        assert rep.abs_diff <= 1e-3
+
     def test_tail_negligibility(self, tail_basis):
         # moving x2 from 6 to 7 changes the extrapolated constant by far
         # less than 1e-5: the regularized integrand decays ~ exp(-4 sqrt2 x)
@@ -192,5 +203,6 @@ class TestReportJson:
         d = rep.to_json_dict()
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                   "x1_grid", "x2_used",
-                                  "extrapolation_exponent", "tail_bound"]
+                                  "extrapolation_exponent", "tail_bound",
+                                  "integrator_stats"]
         json.dumps(d)
