@@ -130,6 +130,14 @@ class TestConstantNumeric:
         rep = constant_numeric((0.9, -0.4), basis=tail_basis)
         assert rep.abs_diff <= 1e-3
 
+    def test_edge_work_ceiling(self, tail_basis):
+        # near the edge Newton leaves the low stations unconverged; creeping
+        # on from there takes ~24,000 steps, full advances that blow up and
+        # back off took ~48,700
+        rep = constant_numeric((0.87, 0.51), basis=tail_basis)
+        assert rep.abs_diff <= 1e-3
+        assert rep.integrator_stats["steps"] <= 32000
+
     def test_tail_negligibility(self, tail_basis):
         # moving x2 from 6 to 7 changes the extrapolated constant by far
         # less than 1e-5: the regularized integrand decays ~ exp(-4 sqrt2 x)
