@@ -52,11 +52,11 @@ class GlobalSolveError(RuntimeError):
     """Shooting or matching failed to produce a usable global solution."""
 
 
-def _probe_cfg(fine: bool, threshold: float) -> IntegratorConfig:
-    """Probe tolerances: coarse ones inside x = 3.9, the final run's beyond;
+def _probe_cfg(fine: bool, threshold: float, final_cfg: IntegratorConfig) -> IntegratorConfig:
+    """Probe tolerances: coarse ones inside x = 3.9, `final_cfg`'s beyond;
     the blow-up `threshold` on |w| is relative to the seed."""
     if fine:
-        return dataclasses.replace(FINAL_RUN_CONFIG, blowup_threshold=threshold)
+        return dataclasses.replace(final_cfg, blowup_threshold=threshold)
     return IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
 
 
@@ -97,8 +97,9 @@ def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
     return traj
 
 
-def _refine_rho(gamma, x0: float, x_target: float = 5.25,
-                max_iter: int = 48) -> tuple[np.ndarray, dict, Trajectory]:
+def _refine_rho(gamma, x0: float, x_target: float = 5.25, max_iter: int = 48,
+                final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
+                ) -> tuple[np.ndarray, dict, Trajectory]:
     """Newton on the seed rho driving the growing modes to zero.
 
     Each probe integrates from the seed to the station x_p, which advances
@@ -110,9 +111,10 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25,
     residual; it is taken again only when a Newton step fails to contract,
     every other probe is a plain run.  At x_target such a step ends the
     iteration once the residual is below the accepted 1e-4: it has reached
-    the noise floor, and a fresh Jacobian cannot lower it.  At x_target the
-    probe of lowest residual is returned with its rho, and info["residual"]
-    is the residual measured on it.  The work of every probe is summed in
+    the noise floor, and a fresh Jacobian cannot lower it.  Probes from
+    x = 3.9 on use the `final_cfg` tolerances, and at x_target the probe of
+    lowest residual is returned with its rho; info["residual"] is the
+    residual measured on it.  The work of every probe is summed in
     info["integrator_stats"].
     """
     rho = np.array(global_rho(3, gamma), dtype=float)
@@ -131,7 +133,7 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25,
     for _ in range(max_iter):
         info["iterations"] += 1
         final = x_p >= x_target - 0.01
-        cfg = _probe_cfg(x_p >= 3.9, threshold)
+        cfg = _probe_cfg(x_p >= 3.9, threshold, final_cfg)
         traj = _forward(gamma, rho, x0, x_p, cfg, tally, tangents=J is None)
         if traj.stop_reason != "completed":
             x_p = max(0.5, traj.x_final - 0.5)
@@ -293,24 +295,20 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
     Newton-refined offset that compensates the truncated O(x0^eps) seed
     corrections; the large-x side is the matched two-mode tail.  The
     backward `basis` is independent of gamma and x0: without one, a basis
-    built once per (x_right, x_match) is reused.  With the default `cfg`
-    (None or FINAL_RUN_CONFIG) the forward trajectory is the last-station
-    shooting probe of lowest residual, the very run diagnostics["residual"]
-    was measured on: the match reacts to ulp-level changes of rho, so it is
-    not integrated again.  Any other `cfg` gets its own run from the
-    refined rho.  The diagnostics sum the work of every forward run of the
-    solve in "integrator_stats"; a basis is built once and not counted
-    there.
+    built once per (x_right, x_match) is reused.  `cfg` (None for
+    FINAL_RUN_CONFIG) sets the tolerances of the shooting probes from
+    x = 3.9 on, and the forward trajectory is the last-station probe of
+    lowest residual, the very run diagnostics["residual"] was measured on:
+    the match reacts to ulp-level changes of rho, so it is not integrated
+    again.  The diagnostics sum the work of every forward run of the solve
+    in "integrator_stats"; a basis is built once and not counted there.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    rho_seed, info, fwd = _refine_rho(gamma, x0, x_target=x_match + 0.25)
-    if cfg is not None and cfg != FINAL_RUN_CONFIG:
-        fwd = _forward(gamma, rho_seed, x0, x_match + 0.26, cfg, info["integrator_stats"])
-        if fwd.x_final < x_match + 0.25:
-            raise GlobalSolveError(f"refined forward run stopped early at {fwd.x_final}")
+    rho_seed, info, fwd = _refine_rho(gamma, x0, x_target=x_match + 0.25,
+                                      final_cfg=cfg or FINAL_RUN_CONFIG)
     bs, bd = basis or _default_basis(x_right, x_match - 1.1)
     A, D, resid = _match(fwd, bs, bd, (x_match - 0.8, x_match - 0.1))
     diag = dict(info)

@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_X2",
 ]
 
-DEFAULT_X1_GRID = (1e-2, 5e-3, 2.5e-3)
+DEFAULT_X1_GRID = (2.5e-3, 1.25e-3, 6.25e-4)
 DEFAULT_X2 = 7.0
 
 

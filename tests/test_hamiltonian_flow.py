@@ -269,7 +269,10 @@ class TestIntegrate:
                          IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13), 3)
         assert traj.stats.n_rejected > 0
         assert traj.stats.n_rhs_evals == calls[0]
-        assert traj.stats.n_rhs_evals == 6 * (traj.stats.n_steps + traj.stats.n_rejected) + 2
+        # 11 stages per attempt, the FSAL stage per accepted step, two calls
+        # for the initial step and three batch calls for the dense output
+        assert traj.stats.n_rhs_evals == (12 * traj.stats.n_steps
+                                          + 11 * traj.stats.n_rejected + 2 + 3)
 
     def test_initial_step_underflow_is_flagged(self):
         # the scaled derivative dwarfs the state, so the initial step
@@ -285,6 +288,53 @@ class TestIntegrate:
             integrate(p, 1.0, IntegratorConfig(), 2)
         traj = integrate(p, 1.0, IntegratorConfig(), 2, even_variant=True)
         assert traj.stop_reason in ("completed", "blowup")
+
+
+def full_tableau() -> np.ndarray:
+    A = np.zeros((16, 16))
+    for s, row in enumerate(hamiltonian_flow._A):
+        A[s, :len(row)] = row
+    return A
+
+
+class TestTableau:
+    def test_against_scipy_coefficients(self):
+        # scipy is an oracle here only: the library carries its own copy
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        A = full_tableau()
+        assert np.array_equal(A, ref.A)
+        assert np.array_equal(hamiltonian_flow._C, ref.C)
+        assert np.array_equal(hamiltonian_flow._E5 + (0.0,), ref.E5)
+        e3 = np.append(A[12, :12], 0.0)
+        e3[[0, 8, 11]] -= hamiltonian_flow._BHH
+        assert np.array_equal(e3, ref.E3)
+        assert np.array_equal(hamiltonian_flow._D, ref.D)
+
+    def test_order_conditions(self):
+        # row sums of A are the nodes; the weights integrate c^k exactly
+        # up to k = 7
+        A = full_tableau()
+        c = np.array(hamiltonian_flow._C)
+        assert np.all(np.abs(A.sum(axis=1) - c) <= 2e-15)
+        b = A[12, :12]
+        for k in range(8):
+            assert b @ c[:12] ** k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+
+    def test_power_basis_is_the_dop853_interpolant(self):
+        # Q = K^T F T against dop853's nested form of the same seven terms
+        rng = np.random.default_rng(8)
+        K = rng.standard_normal((16, 3))
+        h, y0 = 0.3, rng.standard_normal(3)
+        A, D = full_tableau(), np.array(hamiltonian_flow._D)
+        F0 = h * (A[12, :12] @ K[:12])
+        F = [F0, h * K[0] - F0, 2.0 * F0 - h * (K[0] + K[12])] + list(h * (D @ K))
+        Q = K.T @ hamiltonian_flow._DENSE_F @ hamiltonian_flow._DENSE_T
+        for th in (0.0, 0.2, 0.5, 0.9, 1.0):
+            nested = F[6]
+            for j in range(5, -1, -1):
+                nested = F[j] + (th if j % 2 else 1.0 - th) * nested
+            assert np.allclose(y0 + h * Q @ th ** np.arange(1, 8), y0 + th * nested,
+                               rtol=0, atol=1e-13)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +133,19 @@ class TestConstantNumeric:
         rep = constant_numeric((0.9, -0.4), basis=tail_basis)
         assert rep.abs_diff <= 1e-3
 
+    def test_rhs_work_ceiling(self, tail_basis):
+        # machine-independent: DOP853 needs ~50,000 RHS calls for the three
+        # solves here on the default grid (DP5(4): 107,138 on a grid twice
+        # as coarse)
+        rep = constant_numeric((0.3, 0.1), basis=tail_basis)
+        assert rep.integrator_stats["rhs_evals"] <= 60000
+
+    def test_high_gamma1_solves(self, tail_basis):
+        # abs_diff 4.1e-3 on the grid (1e-2, 5e-3, 2.5e-3); the default
+        # grid two halvings further down reaches the closed form
+        rep = constant_numeric((0.0, 0.8), basis=tail_basis)
+        assert rep.abs_diff <= 1e-3
+
     def test_edge_work_ceiling(self, tail_basis):
         # near the edge Newton leaves the low stations unconverged; creeping
         # on from there takes ~24,000 steps, full advances that blow up and
@@ -214,3 +230,14 @@ class TestReportJson:
                                   "extrapolation_exponent", "tail_bound",
                                   "integrator_stats"]
         json.dumps(d)
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves the tests as an oracle; loading it in the library would
+    # multiply start-up time and memory
+    src = os.path.dirname(os.path.dirname(tau_constant.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ttstar_toda.tau_constant; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
