@@ -7,10 +7,11 @@ the seed truncation error is amplified to order one.  This module
 recovers the orbit to near machine precision with the standard two-sided
 strategy:
 
-  1. forward shooting with a Newton refinement of the seed offsets in
-     rho, driving the growing-mode components to zero at a probe station
-     that is pushed outward as the iteration converges; the Jacobian in
-     rho comes exactly from tangent-linear columns carried by the probe;
+  1. forward shooting from a seed that carries the leading small-x terms,
+     with a Newton refinement of the seed offsets in rho, driving the
+     growing-mode components to zero at a probe station that is pushed
+     outward as the iteration converges; the Jacobian in rho comes
+     exactly from tangent-linear columns carried by the probe;
   2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,
      mode vectors (1, 1) and (1, -1)) seeded far out at x_right, which is
      numerically stable in the decreasing-x direction;
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_maps import AsymptoticData, global_rho
+from .data_maps import global_rho
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                UnsupportedConfigError, _integrate_raw,
-                               init_from_asymptotics, reg_density)
+                               reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
            "make_backward_basis", "fit_tail_amplitude", "FINAL_RUN_CONFIG"]
@@ -76,19 +77,49 @@ def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
     return _mode_residual(traj.sample_state(x_p), x_p)
 
 
-# d(seed)/d(rho_j) as tangent columns [dw, dwt]: w_i = ... + rho_i / 2
-_SEED_TANGENT = (0.5, 0.0, 0.0, 0.0,
-                 0.0, 0.5, 0.0, 0.0)
+# the links e^{4 w0}, e^{2(w1 - w0)}, e^{-4 w1} of the n = 3 chain: their
+# exponent rows over (w0, w1), and their weights in H = ... - x sum c_l e^link
+_LINK_ROWS = np.array([[4.0, 0.0], [-2.0, 2.0], [0.0, -4.0]])
+_LINK_WEIGHTS = np.array([0.5, 1.0, 0.5])
+
+
+def link_terms(gamma, rho, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P_l, s_l) of the leading small-x terms: on 2w = gamma log x + rho,
+    x e^{link_l} = P_l / x with P_l = exp((A rho)_l / 2) x^{s_l} and
+    s_l = 2 + (A gamma)_l / 2 (McCoy-Tracy-Wu, J. Math. Phys. 18 (1977))."""
+    s = 2.0 + 0.5 * (_LINK_ROWS @ np.asarray(gamma, dtype=float))
+    P = np.exp(0.5 * (_LINK_ROWS @ np.asarray(rho, dtype=float))) * x ** s
+    return P, s
+
+
+def endcap(gamma, rho, x1: float) -> float:
+    """sum_l 2 c_l P_l(x1)/s_l^2: near x = 0, H - q/x ~ -(2/x) sum_l c_l P_l/s_l
+    with q = |gamma|^2/8, and this is its integral over (0, x1), negated."""
+    P, s = link_terms(gamma, rho, x1)
+    return float(np.sum(2.0 * _LINK_WEIGHTS * P / (s * s)))
+
+
+def _seed(gamma, rho, x0: float, tangents: bool = False) -> list[float]:
+    """[w, wt, q] at x0 with the leading small-x terms,
+    w_i = gamma_i/2 log x0 + rho_i/2 - 2 (P_{i+1}/s_{i+1}^2 - P_i/s_i^2) and
+    wt_i = gamma_i/2 - 2 (P_{i+1}/s_{i+1} - P_i/s_i); with `tangents`, the
+    columns d(w, wt)/d(rho_j) follow, from dP_l/d(rho_j) = P_l A_lj / 2."""
+    P, s = link_terms(gamma, rho, x0)
+    g, r = np.asarray(gamma, dtype=float), np.asarray(rho, dtype=float)
+    dw, dwt = P / (s * s), P / s
+    y = [*(0.5 * g * math.log(x0) + 0.5 * r - 2.0 * np.diff(dw)),
+         *(0.5 * g - 2.0 * np.diff(dwt)), 0.0]
+    if tangents:
+        for j, a_j in enumerate(_LINK_ROWS.T):
+            y += [*(0.5 * np.eye(2)[j] - np.diff(a_j * dw)), *-np.diff(a_j * dwt)]
+    return [float(v) for v in y]
 
 
 def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
              tally: dict, tangents: bool = False) -> Trajectory:
-    """Forward run from the seed; its work is added to `tally`.  With
-    `tangents`, the run carries d(w, wt)/d(rho) to its end node."""
-    a = AsymptoticData(n=3, gamma=tuple(gamma), rho=tuple(rho))
-    start = init_from_asymptotics(a, x0)
-    y0 = start.w + start.wt + (0.0,) + (_SEED_TANGENT if tangents else ())
-    traj = _integrate_raw(3, y0, x0, x_end, cfg)
+    """Forward run from the corrected seed; its work is added to `tally`.
+    With `tangents`, the run carries d(w, wt)/d(rho) to its end node."""
+    traj = _integrate_raw(3, _seed(gamma, rho, x0, tangents), x0, x_end, cfg)
     st = traj.stats
     tally["integrations"] += 1
     tally["steps"] += st.n_steps
@@ -97,31 +128,39 @@ def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
     return traj
 
 
-def _refine_rho(gamma, x0: float, x_target: float = 5.25, max_iter: int = 48,
+def _refine_rho(gamma, rho, x0: float, x_target: float = 5.25, max_iter: int = 48,
                 final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
                 ) -> tuple[np.ndarray, dict, Trajectory]:
-    """Newton on the seed rho driving the growing modes to zero.
+    """Newton on the seed rho, starting from `rho`, driving the growing
+    modes to zero.
 
-    Each probe integrates from the seed to the station x_p, which advances
-    1 -> 3 -> x_target as the residual converges (backing off before a
-    blow-up).  A station that Newton leaves with the residual still above
-    1e-3 advances by 0.25 only.  The Jacobian in rho is exact: the first
-    probe at a station carries the tangent-linear flow (two columns
-    d(w, wt)/d(rho_j)) and maps its end node through the same linear
+    Each probe integrates from the corrected seed (`_seed`) to the station
+    x_p, which advances to 3 and then to x_target as the residual converges
+    (backing off before a blow-up).  The corrected seed misses the orbit
+    by about 5 x0^(2a), a = min_l s_l, so the ladder starts at 3 when
+    x0^(2a) <= 2e-8 and at 1 otherwise.  A station below x_target is left
+    once its residual is below 1e-5: the linear decay condition at x_p is
+    itself biased by more than that (at gamma (0.3, 0.1), station 1
+    converged to 7e-13 still leaves 0.17 at the first probe at 3), so
+    converging further buys the next station nothing.  A station that
+    Newton leaves with the residual still above 1e-3 advances by 0.25 only.
+    The Jacobian in rho is exact: the first probe at a station carries the
+    tangent-linear flow (two columns d(w, wt)/d(rho_j), seeded with the
+    seed's own derivative) and maps its end node through the same linear
     residual; it is taken again only when a Newton step fails to contract,
-    every other probe is a plain run.  At x_target such a step ends the
-    iteration once the residual is below the accepted 1e-4: it has reached
-    the noise floor, and a fresh Jacobian cannot lower it.  Probes from
-    x = 3.9 on use the `final_cfg` tolerances, and at x_target the probe of
-    lowest residual is returned with its rho; info["residual"] is the
-    residual measured on it.  The work of every probe is summed in
-    info["integrator_stats"].
+    every other probe is a plain run.  At x_target the iteration runs to
+    2e-11, and a step that fails to contract ends it once the residual is
+    below the accepted 1e-4: it has reached the noise floor, and a fresh
+    Jacobian cannot lower it.  Probes from x = 3.9 on use the `final_cfg`
+    tolerances, and at x_target the probe of lowest residual is returned
+    with its rho; info["residual"] is the residual measured on it.  The
+    work of every probe is summed in info["integrator_stats"].
     """
-    rho = np.array(global_rho(3, gamma), dtype=float)
-    seed = init_from_asymptotics(AsymptoticData(n=3, gamma=tuple(gamma), rho=tuple(rho)), x0)
+    rho = np.array(rho, dtype=float)
     # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
-    threshold = max(2.0, 1.0 + max(abs(v) for v in seed.w))
-    x_p = 1.0
+    threshold = max(2.0, 1.0 + max(abs(v) for v in _seed(gamma, rho, x0)[:2]))
+    a = float(np.min(link_terms(gamma, rho, x0)[1]))
+    x_p = 3.0 if x0 ** (2.0 * a) <= 2e-8 else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": x_p,
             "integrator_stats": tally}
@@ -145,7 +184,8 @@ def _refine_rho(gamma, x0: float, x_target: float = 5.25, max_iter: int = 48,
         info["station"] = x_p
         if final and (best is None or rnorm < best[0]):
             best = (rnorm, rho, traj)
-        if rnorm < 2e-11 or (newton_at_station >= 2 and rnorm > 0.25 * r_prev) \
+        if rnorm < (2e-11 if final else 1e-5) \
+                or (newton_at_station >= 2 and rnorm > 0.25 * r_prev) \
                 or newton_at_station >= 8:
             if final:
                 break
@@ -291,9 +331,11 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
                  basis: tuple[Trajectory, Trajectory] | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
-    The seed at x0 uses the closed-form rho of the smooth family plus a
-    Newton-refined offset that compensates the truncated O(x0^eps) seed
-    corrections; the large-x side is the matched two-mode tail.  The
+    The seed at x0 carries the leading small-x terms of the links in
+    closed form (`link_terms`), at the smooth family's rho plus a
+    Newton-refined offset that compensates the O(x0^{2a}) terms it still
+    drops (a = min_l s_l); the large-x side is the matched two-mode tail.
+    Genericity is checked once, by `global_rho`.  The
     backward `basis` is independent of gamma and x0: without one, a basis
     built once per (x_right, x_match) is reused.  `cfg` (None for
     FINAL_RUN_CONFIG) sets the tolerances of the shooting probes from
@@ -307,7 +349,7 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    rho_seed, info, fwd = _refine_rho(gamma, x0, x_target=x_match + 0.25,
+    rho_seed, info, fwd = _refine_rho(gamma, rho_f, x0, x_target=x_match + 0.25,
                                       final_cfg=cfg or FINAL_RUN_CONFIG)
     bs, bd = basis or _default_basis(x_right, x_match - 1.1)
     A, D, resid = _match(fwd, bs, bd, (x_match - 0.8, x_match - 0.1))

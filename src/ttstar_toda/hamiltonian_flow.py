@@ -207,8 +207,10 @@ def reg_density(x, y: np.ndarray, n: int, even_variant: bool = False):
 def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     """Leading-order seed w_i = (gamma_i/2) log x0 + rho_i/2, wt_i = gamma_i/2.
 
-    The dropped O(x0^eps) correction biases downstream quantities by a
-    power of x0; the tau-side extrapolation in x0 absorbs it.
+    It drops the O(x0^{s_l}) terms of the links.  Global solutions shoot
+    from the seed with those terms in closed form, which lives in
+    `global_solutions` (`link_terms`, `_seed`); this one is the plain
+    leading order, for `ttstar solve` and callers of `integrate`.
     """
     check_genericity(a.n, a.gamma)
     if not 0.0 < x0 <= 0.1:
@@ -502,7 +504,10 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     k1 = f(x, y)
     h = _initial_step(f, x, y[:dim], k1[:dim], direction, rtol, cfg.abs_tol)
     n_rhs = 2
-    h = min(h, abs(x_end - x0))
+    # near x = 0 the seed's w ~ (gamma/2) log x varies on the scale of x
+    # itself: a first step past about 0.2 x0 is rejected at rel_tol 1e-10,
+    # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0
+    h = min(h, 0.15 * abs(x0), abs(x_end - x0))
 
     xs, ys, hs, ks = array("d", [x]), array("d", y[:dim]), array("d"), array("d")
     err_prev = 1e-4

@@ -7,8 +7,9 @@ reg_integral - (x2^2 - x1^2).  The connection constant
     C = lim_{x1 -> 0, x2 -> inf} ( log tau(x1, x2) + x2^2
                                    + (gamma0^2 + gamma1^2)/8 * log x1 )
 
-is extracted numerically on a geometric x1 grid with a fitted power-law
-extrapolation C + a x1^p, and compared against the closed form
+is extracted numerically on a geometric x1 grid, less the closed-form
+integral of the leading small-x terms of H (the endcap), with a fitted
+power-law extrapolation C + a x1^p, and compared against the closed form
 
     C = -(gamma0^2 + gamma1^2)/8 - F(rho*, m)/2
         + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4)),
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_maps import check_genericity, gen_fun_F, global_rho, reduced_length
-from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
+from .global_solutions import (GlobalSolution, GlobalSolveError, endcap,
+                               solve_global)
 from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
                                tail_amplitude_s1)
 from .special_functions import psi_m2
@@ -149,11 +151,17 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     """Constant by regularized quadrature and x1 -> 0 extrapolation.
 
     One global solve per x1 grid point; C(x1) = reg_integral(x1 -> x2)
-    + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1, then a three-point
-    power-law fit in x1.  A precomputed backward tail basis may be shared
-    across the grid (it does not depend on x1); without one, the solves
-    reuse solve_global's default basis.  `integrator_stats` sums the work
-    of every forward run of the three solves.
+    + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1 - endcap, then a three-point
+    power-law fit in x1.  The endcap sum_l 2 c_l P_l(x1)/s_l^2
+    (`global_solutions.endcap`, at the smooth family's rho) is the
+    closed-form integral over (0, x1) of the leading small-x terms of H,
+    so C(x1) is flat to O(x1^{2a}), a = min_l s_l: the fitted exponent
+    comes out near 2a, and the fit is a check more than a correction.  On
+    the trivial solution the endcap is exact and the exponent is inf.  A
+    precomputed backward tail basis may be shared across the grid (it
+    does not depend on x1); without one, the solves reuse solve_global's
+    default basis.  `integrator_stats` sums the work of every forward run
+    of the three solves.
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])
@@ -170,9 +178,11 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
             stats[key] = stats.get(key, 0) + value
     # one consistent upper endpoint for the whole grid
     x2_used = min([x2] + [s.x_right for s in sols])
+    rho = global_rho(3, (g0, g1))
     values = []
     for x1, sol in zip(x1_grid, sols):
-        values.append(sol.reg_integral(x2_used) + x1 * x1 + quad_coeff * math.log(x1))
+        values.append(sol.reg_integral(x2_used) + x1 * x1 + quad_coeff * math.log(x1)
+                      - endcap((g0, g1), rho, x1))
     c_ext, _a, p = _power_fit(tuple(x1_grid), values)
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))

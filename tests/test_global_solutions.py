@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ttstar_toda import global_solutions
-from ttstar_toda.data_maps import global_rho
+from ttstar_toda.data_maps import AsymptoticData, global_rho
 from ttstar_toda.global_solutions import fit_tail_amplitude, solve_global
-from ttstar_toda.hamiltonian_flow import IntegratorConfig, tail_amplitude_s1
+from ttstar_toda.hamiltonian_flow import (IntegratorConfig, init_from_asymptotics,
+                                          tail_amplitude_s1)
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -137,3 +138,53 @@ class TestShootingJacobian:
                 for s in (e, -e))
             fd = (rp - rm) / (2 * h)
             assert np.all(np.abs(J[:, j] - fd) <= 1e-6 * np.max(np.abs(fd)))
+
+
+class TestCorrectedSeed:
+    def test_tangent_columns_match_central_difference(self):
+        # the seed's own derivative in rho, which starts the tangent-linear
+        # columns, against a central difference of the seed
+        gamma, x0 = (0.3, 0.1), 2.5e-3
+        rho = np.array(global_rho(3, gamma))
+        y = global_solutions._seed(gamma, rho, x0, tangents=True)
+        cols = np.array(y[5:]).reshape(2, 4)
+        h = 1e-6
+        for j in range(2):
+            e = np.eye(2)[j] * h
+            fd = (np.array(global_solutions._seed(gamma, rho + e, x0)[:4])
+                  - np.array(global_solutions._seed(gamma, rho - e, x0)[:4])) / (2 * h)
+            assert np.all(np.abs(cols[j] - fd) <= 1e-9)
+
+    def test_closer_to_the_orbit_than_leading_order(self):
+        # a tight run from each seed at 1e-3 to 2e-3 against the same
+        # seed formula at 2e-3: the corrected seed drops O(x^{2a}) terms,
+        # the leading-order one O(x^a) terms
+        gamma, x0, x1 = (0.3, 0.1), 1e-3, 2e-3
+        rho = tuple(global_rho(3, gamma))
+        cfg = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
+
+        def miss(seed):
+            traj = global_solutions._integrate_raw(3, seed(x0), x0, x1, cfg)
+            return float(np.max(np.abs(traj.ys[:4, -1] - np.array(seed(x1)[:4]))))
+
+        def leading(x):
+            p = init_from_asymptotics(AsymptoticData(3, gamma, rho), x)
+            return list(p.w + p.wt) + [0.0]
+
+        corrected = miss(lambda x: global_solutions._seed(gamma, rho, x))
+        assert corrected <= 1e-3 * miss(leading)
+
+    @pytest.mark.parametrize("gamma, first", [((0.3, 0.1), 3.0), ((0.0, 0.8), 1.0)])
+    def test_first_station_from_predicted_seed_error(self, gamma, first, monkeypatch):
+        # x0^(2a) at x0 = 2.5e-3: 4e-10 at (0.3, 0.1), a = 1.8, and 8e-3
+        # at (0.0, 0.8), a = 0.4
+        ends = []
+        forward = global_solutions._forward
+
+        def recorded(gamma, rho, x0, x_end, *args, **kwargs):
+            ends.append(x_end)
+            return forward(gamma, rho, x0, x_end, *args, **kwargs)
+
+        monkeypatch.setattr(global_solutions, "_forward", recorded)
+        global_solutions._refine_rho(gamma, global_rho(3, gamma), 2.5e-3, x_target=4.95)
+        assert ends[0] == first
