@@ -5,13 +5,15 @@ For each gamma the constant is computed two independent ways: by
 regularized quadrature along the numerically computed global solution
 (with x1 -> 0 extrapolation) and from the closed form built on the
 generating function.  Emits one JSON line per point and a summary table.
-A gamma whose solve fails is printed as a failed row and the sweep goes
-on; the exit code is 4 (as `ttstar constant`'s verification failure) if
+A gamma whose solve fails, or that lies below the working domain's floor
+a(gamma) >= 0.2, is printed as a failed row and the sweep goes on; the
+exit code is 4 (as `ttstar constant`'s verification failure) if
 any gamma failed or has |c_numeric - c_closed| above 1e-3.
 
 Usage:
     python scripts/constant_sweep.py
     python scripts/constant_sweep.py --gammas "0.3,0.1;0.1,-0.1" --out sweep.jsonl
+    python scripts/constant_sweep.py --gammas=-0.825,0.075   # '=' before a leading minus
 """
 
 import argparse
@@ -19,8 +21,8 @@ import json
 import sys
 import time
 
-from ttstar_toda import (BlowupError, ExtrapolationError, GlobalSolveError,
-                        constant_numeric, make_backward_basis)
+from ttstar_toda import (BlowupError, ExtrapolationError, GenericityError,
+                        GlobalSolveError, constant_numeric, make_backward_basis)
 
 EXIT_VERIFY = 4
 ABS_DIFF_MAX = 1e-3
@@ -48,7 +50,7 @@ def main() -> int:
         t0 = time.perf_counter()
         try:
             rep = constant_numeric(g, x2=args.x2, basis=basis)
-        except (BlowupError, ExtrapolationError, GlobalSolveError) as exc:
+        except (BlowupError, ExtrapolationError, GenericityError, GlobalSolveError) as exc:
             failed.append(g)
             print(f"{str(g):>16s} failed: {type(exc).__name__}: {exc}")
             if sink:

@@ -261,43 +261,47 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, gamma=True):
-        p.add_argument("--n", type=int, default=3)
+    # --n only where the chain parameter is read (tau and constant are
+    # n = 3), the tolerances only where something is integrated
+    def common(p, n=False, gamma=True, tols=False):
+        if n:
+            p.add_argument("--n", type=int, default=3)
         if gamma:
             p.add_argument("--gamma", type=str, required=True,
                            help="comma-separated reduced list")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+        if tols:
+            p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+            p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--reproducible", action="store_true")
 
     p = sub.add_parser("maps", help="data maps in one JSON document")
-    common(p)
+    common(p, n=True)
     p.add_argument("--rho", type=str, default=None)
     p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("solve", help="integrate and write a CSV trajectory")
-    common(p)
+    common(p, n=True, tols=True)
     p.add_argument("--rho", type=str, default=None)
     p.add_argument("--x0", type=float, default=1e-2)
     p.add_argument("--x1", type=float, default=8.0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tau", help="log tau over [x1, x2], global solution")
-    common(p)
+    common(p, tols=True)
     p.add_argument("--x1", type=float, default=1e-2)
     p.add_argument("--x2", type=float, default=6.0)
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("constant", help="connection constant, numeric vs closed")
-    common(p)
+    common(p, tols=True)
     p.add_argument("--x2", type=float, default=tc.DEFAULT_X2)
     p.add_argument("--threshold", type=float, default=1e-2)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("verify", help="randomized residual suites")
-    common(p, gamma=False)
+    common(p, n=True, gamma=False)
     p.add_argument("--suite", type=str, required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--threshold", type=float, default=None)

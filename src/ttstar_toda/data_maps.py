@@ -207,10 +207,9 @@ def _log_ratio(n: int, gamma_reduced, i: int) -> float:
 # Data maps
 # ----------------------------------------------------------------------
 
-def asymptotic_to_monodromy(a: AsymptoticData,
-                            margin: float = DEFAULT_MARGIN) -> MonodromyData:
+def asymptotic_to_monodromy(a: AsymptoticData) -> MonodromyData:
     """Closed-form monodromy data of a local solution germ."""
-    check_genericity(a.n, a.gamma, margin)
+    check_genericity(a.n, a.gamma)
     ln_np1 = math.log(a.n + 1)
     m = [-0.5 * g for g in a.gamma]
     log_e = [a.rho[i] + a.gamma[i] * ln_np1 + _log_ratio(a.n, a.gamma, i)
@@ -218,20 +217,19 @@ def asymptotic_to_monodromy(a: AsymptoticData,
     return MonodromyData(n=a.n, m=tuple(m), log_e=tuple(log_e))
 
 
-def monodromy_to_asymptotic(md: MonodromyData,
-                            margin: float = DEFAULT_MARGIN) -> AsymptoticData:
+def monodromy_to_asymptotic(md: MonodromyData) -> AsymptoticData:
     """Exact inverse of `asymptotic_to_monodromy`."""
     gamma = [-2.0 * v for v in md.m]
-    check_genericity(md.n, gamma, margin)
+    check_genericity(md.n, gamma)
     ln_np1 = math.log(md.n + 1)
     rho = [md.log_e[i] - gamma[i] * ln_np1 - _log_ratio(md.n, gamma, i)
            for i in range(len(gamma))]
     return AsymptoticData(n=md.n, gamma=tuple(gamma), rho=tuple(rho))
 
 
-def global_rho(n: int, gamma, margin: float = DEFAULT_MARGIN) -> list[float]:
+def global_rho(n: int, gamma) -> list[float]:
     """The unique rho with log e_i = 0: the globally smooth solutions."""
-    check_genericity(n, gamma, margin)
+    check_genericity(n, gamma)
     ln_np1 = math.log(n + 1)
     return [-float(gamma[i]) * ln_np1 - _log_ratio(n, gamma, i)
             for i in range(reduced_length(n))]

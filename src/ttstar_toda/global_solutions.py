@@ -13,20 +13,21 @@ strategy:
      outward as the iteration converges; the Jacobian in rho comes
      exactly from tangent-linear columns carried by the probe;
   2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,
-     mode vectors (1, 1) and (1, -1)) seeded far out at x_right, which is
+     mode vectors (1, 1) and (1, -1)) seeded far out at x = 9, which is
      numerically stable in the decreasing-x direction;
   3. a least-squares match of the forward trajectory against the basis
-     on an overlap window, yielding tail amplitudes (A, D).
+     on the overlap window [3.9, 4.6], yielding tail amplitudes (A, D).
 
-The composite object evaluates states on [x0, x_right] and accumulates
-the regularized integral of (H + 2x), forward part from the augmented
-integrator state and tail part by fixed-panel Gauss-Legendre quadrature
-of the matched tail.
+The composite object evaluates states on [x0, 9], forward up to x = 4.2
+and tail beyond, and accumulates the regularized integral of (H + 2x),
+forward part from the augmented integrator state and tail part by
+fixed-panel Gauss-Legendre quadrature of the matched tail.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,17 +49,18 @@ _RATE_FAST = 4.0
 # `ttstar tau` / `ttstar constant` commands
 FINAL_RUN_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=5.0)
 
+# the one solve geometry: the last shooting station, the match window, the
+# forward/tail switch and the right end of the tail basis.  The station and
+# window keep the floats they were first written as, offsets from 4.7:
+# (3.9, 4.6) as literals moves the matched amplitudes by a few ulps.
+_STATION = 4.7 + 0.25
+_WINDOW = (4.7 - 0.8, 4.7 - 0.1)
+_X_SWITCH = 4.2
+_X_RIGHT = 9.0
+
 
 class GlobalSolveError(RuntimeError):
     """Shooting or matching failed to produce a usable global solution."""
-
-
-def _probe_cfg(fine: bool, threshold: float, final_cfg: IntegratorConfig) -> IntegratorConfig:
-    """Probe tolerances: coarse ones inside x = 3.9, `final_cfg`'s beyond;
-    the blow-up `threshold` on |w| is relative to the seed."""
-    if fine:
-        return dataclasses.replace(final_cfg, blowup_threshold=threshold)
-    return IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
 
 
 def _mode_residual(y, x_p: float) -> np.ndarray:
@@ -128,17 +130,16 @@ def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
     return traj
 
 
-def _refine_rho(gamma, rho, x0: float, x_target: float = 5.25, max_iter: int = 48,
-                final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
+def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
                 ) -> tuple[np.ndarray, dict, Trajectory]:
     """Newton on the seed rho, starting from `rho`, driving the growing
     modes to zero.
 
     Each probe integrates from the corrected seed (`_seed`) to the station
-    x_p, which advances to 3 and then to x_target as the residual converges
+    x_p, which advances to 3 and then to 4.95 as the residual converges
     (backing off before a blow-up).  The corrected seed misses the orbit
     by about 5 x0^(2a), a = min_l s_l, so the ladder starts at 3 when
-    x0^(2a) <= 2e-8 and at 1 otherwise.  A station below x_target is left
+    x0^(2a) <= 2e-8 and at 1 otherwise.  A station below 4.95 is left
     once its residual is below 1e-5: the linear decay condition at x_p is
     itself biased by more than that (at gamma (0.3, 0.1), station 1
     converged to 7e-13 still leaves 0.17 at the first probe at 3), so
@@ -148,17 +149,20 @@ def _refine_rho(gamma, rho, x0: float, x_target: float = 5.25, max_iter: int = 4
     tangent-linear flow (two columns d(w, wt)/d(rho_j), seeded with the
     seed's own derivative) and maps its end node through the same linear
     residual; it is taken again only when a Newton step fails to contract,
-    every other probe is a plain run.  At x_target the iteration runs to
+    every other probe is a plain run.  At 4.95 the iteration runs to
     2e-11, and a step that fails to contract ends it once the residual is
     below the accepted 1e-4: it has reached the noise floor, and a fresh
-    Jacobian cannot lower it.  Probes from x = 3.9 on use the `final_cfg`
-    tolerances, and at x_target the probe of lowest residual is returned
+    Jacobian cannot lower it; 48 probes in all end it with an error.
+    Probes from x = 3.9 on use the `final_cfg` tolerances, those inside it
+    1e-10 and 1e-12, and at 4.95 the probe of lowest residual is returned
     with its rho; info["residual"] is the residual measured on it.  The
     work of every probe is summed in info["integrator_stats"].
     """
     rho = np.array(rho, dtype=float)
     # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
     threshold = max(2.0, 1.0 + max(abs(v) for v in _seed(gamma, rho, x0)[:2]))
+    coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
+    fine = dataclasses.replace(final_cfg, blowup_threshold=threshold)
     a = float(np.min(link_terms(gamma, rho, x0)[1]))
     x_p = 3.0 if x0 ** (2.0 * a) <= 2e-8 else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
@@ -169,10 +173,10 @@ def _refine_rho(gamma, rho, x0: float, x_target: float = 5.25, max_iter: int = 4
     J: np.ndarray | None = None
     best: tuple[float, np.ndarray, Trajectory] | None = None
 
-    for _ in range(max_iter):
+    for _ in range(48):
         info["iterations"] += 1
-        final = x_p >= x_target - 0.01
-        cfg = _probe_cfg(x_p >= 3.9, threshold, final_cfg)
+        final = x_p >= _STATION - 0.01
+        cfg = fine if x_p >= 3.9 else coarse
         traj = _forward(gamma, rho, x0, x_p, cfg, tally, tangents=J is None)
         if traj.stop_reason != "completed":
             x_p = max(0.5, traj.x_final - 0.5)
@@ -191,7 +195,7 @@ def _refine_rho(gamma, rho, x0: float, x_target: float = 5.25, max_iter: int = 4
                 break
             # left unconverged, the growing-mode error grows ~ exp(2 sqrt 2 dx)
             # and a full advance blows up: creep on until a station converges
-            x_p = min(x_p + (2.0 if rnorm < 1e-3 else 0.25), x_target)
+            x_p = min(x_p + (2.0 if rnorm < 1e-3 else 0.25), _STATION)
             r_prev, newton_at_station, J = math.inf, 0, None
             continue
         if traj.tangent is not None:
@@ -231,34 +235,29 @@ def _mode_seed(x: float, vec, rate: float) -> np.ndarray:
     return np.concatenate([w, wt, [0.0]])
 
 
-def _backward_basis(x_right: float, x_low: float) -> tuple[Trajectory, Trajectory]:
+def make_backward_basis() -> tuple[Trajectory, Trajectory]:
+    """The two-mode backward tail basis, integrated from x = 9 down to 3.5;
+    it depends on neither gamma nor x0, so solves may share one."""
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-22, blowup_threshold=5.0)
     atv = np.array([1e-22] * 4 + [1e-12])  # loose on q: unused for the basis
-    bs = _integrate_raw(3, _mode_seed(x_right, (1.0, 1.0), _SQ8),
-                        x_right, x_low, cfg, abs_tol_vec=atv)
-    bd = _integrate_raw(3, _mode_seed(x_right, (1.0, -1.0), _RATE_FAST),
-                        x_right, x_low, cfg, abs_tol_vec=atv)
+    bs = _integrate_raw(3, _mode_seed(_X_RIGHT, (1.0, 1.0), _SQ8),
+                        _X_RIGHT, 3.5, cfg, abs_tol_vec=atv)
+    bd = _integrate_raw(3, _mode_seed(_X_RIGHT, (1.0, -1.0), _RATE_FAST),
+                        _X_RIGHT, 3.5, cfg, abs_tol_vec=atv)
     if bs.stop_reason != "completed" or bd.stop_reason != "completed":
         raise GlobalSolveError("backward basis integration failed")
     return bs, bd
 
 
-# lazily built bases for solves given none, keyed by (x_right, x_low); the
-# basis depends on neither gamma nor x0
-_DEFAULT_BASES: dict[tuple[float, float], tuple[Trajectory, Trajectory]] = {}
+@functools.cache
+def _default_basis() -> tuple[Trajectory, Trajectory]:
+    """The basis of every solve given none, built on first use."""
+    return make_backward_basis()
 
 
-def _default_basis(x_right: float, x_low: float) -> tuple[Trajectory, Trajectory]:
-    key = (x_right, x_low)
-    if key not in _DEFAULT_BASES:
-        _DEFAULT_BASES[key] = _backward_basis(x_right, x_low)
-    return _DEFAULT_BASES[key]
-
-
-def _match(fwd: Trajectory, bs: Trajectory, bd: Trajectory,
-           window: tuple[float, float], npts: int = 9) -> tuple[float, float, float]:
-    xs = np.linspace(window[0], window[1], npts)
-    wgt = np.ones((4, npts))
+def _match(fwd: Trajectory, bs: Trajectory, bd: Trajectory) -> tuple[float, float, float]:
+    xs = np.linspace(*_WINDOW, 9)
+    wgt = np.ones((4, xs.size))
     wgt[2:] = 1.0 / (3.0 * xs)
     # one row per (x, component), x-major
     t, col_s, col_d = ((traj.sample_state(xs)[:4] * wgt).T.ravel()
@@ -277,14 +276,16 @@ _GL12 = np.polynomial.legendre.leggauss(12)
 
 @dataclass
 class GlobalSolution:
-    """Matched composite global solution on [x0, x_right] (n = 3)."""
+    """Matched composite global solution on [x0, x_right] (n = 3): the
+    forward trajectory up to x_switch, the matched tail beyond."""
+
+    x_switch = _X_SWITCH
+    x_right = _X_RIGHT
 
     gamma: tuple[float, float]
     rho_formula: tuple[float, float]
     rho_seed: tuple[float, float]
     x0: float
-    x_switch: float
-    x_right: float
     forward: Trajectory
     basis_sum: Trajectory
     basis_diff: Trajectory
@@ -326,8 +327,7 @@ class GlobalSolution:
                 + self._tail_reg_integral(self.x_switch, x2))
 
 
-def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
-                 cfg: IntegratorConfig | None = None,
+def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
                  basis: tuple[Trajectory, Trajectory] | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
@@ -335,9 +335,11 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
     closed form (`link_terms`), at the smooth family's rho plus a
     Newton-refined offset that compensates the O(x0^{2a}) terms it still
     drops (a = min_l s_l); the large-x side is the matched two-mode tail.
-    Genericity is checked once, by `global_rho`.  The
-    backward `basis` is independent of gamma and x0: without one, a basis
-    built once per (x_right, x_match) is reused.  `cfg` (None for
+    Genericity is checked once, by `global_rho`.  The shooting ends at
+    station 4.95, the forward run is matched to the tail on [3.9, 4.6],
+    and the solution switches from one to the other at 4.2.  The backward
+    `basis` (`make_backward_basis`) is independent of gamma and x0:
+    without one, a basis built on first use is reused.  `cfg` (None for
     FINAL_RUN_CONFIG) sets the tolerances of the shooting probes from
     x = 3.9 on, and the forward trajectory is the last-station probe of
     lowest residual, the very run diagnostics["residual"] was measured on:
@@ -349,24 +351,14 @@ def solve_global(gamma, x0: float, x_right: float = 9.0, x_match: float = 4.7,
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    rho_seed, info, fwd = _refine_rho(gamma, rho_f, x0, x_target=x_match + 0.25,
-                                      final_cfg=cfg or FINAL_RUN_CONFIG)
-    bs, bd = basis or _default_basis(x_right, x_match - 1.1)
-    A, D, resid = _match(fwd, bs, bd, (x_match - 0.8, x_match - 0.1))
-    diag = dict(info)
-    diag["match_residual"] = resid
-    diag["forward_steps"] = fwd.stats.n_steps
+    rho_seed, info, fwd = _refine_rho(gamma, rho_f, x0, cfg or FINAL_RUN_CONFIG)
+    bs, bd = basis or _default_basis()
+    A, D, resid = _match(fwd, bs, bd)
     return GlobalSolution(gamma=gamma, rho_formula=rho_f,
                           rho_seed=(float(rho_seed[0]), float(rho_seed[1])),
-                          x0=x0, x_switch=x_match - 0.5, x_right=x_right,
-                          forward=fwd, basis_sum=bs, basis_diff=bd,
-                          amp_sum=A, amp_diff=D, diagnostics=diag)
-
-
-def make_backward_basis(x_right: float = 9.0,
-                        x_low: float = 3.5) -> tuple[Trajectory, Trajectory]:
-    """Precompute the two-mode backward tail basis for reuse across solves."""
-    return _backward_basis(x_right, x_low)
+                          x0=x0, forward=fwd, basis_sum=bs, basis_diff=bd,
+                          amp_sum=A, amp_diff=D,
+                          diagnostics={**info, "match_residual": resid})
 
 
 def fit_tail_amplitude(sol: GlobalSolution, window: tuple[float, float] = (5.0, 7.0),

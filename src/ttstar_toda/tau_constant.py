@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_maps import check_genericity, gen_fun_F, global_rho, reduced_length
+from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
+                        reduced_length)
 from .global_solutions import (GlobalSolution, GlobalSolveError, endcap,
-                               solve_global)
+                               link_terms, solve_global)
 from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
                                tail_amplitude_s1)
 from .special_functions import psi_m2
@@ -48,14 +49,14 @@ __all__ = [
 
 DEFAULT_X1_GRID = (2.5e-3, 1.25e-3, 6.25e-4)
 DEFAULT_X2 = 7.0
+# the smallest exponent a(gamma) of the small-x corrections that
+# constant_numeric accepts: below it the x1 sequence is too slow for the
+# three-point fit (or the shooting blows up), and results land far off
+_A_MIN = 0.2
 
 
 class BlowupError(RuntimeError):
     """The trajectory left the global family before reaching x2."""
-
-    def __init__(self, message: str, trajectory: Trajectory | None = None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class ExtrapolationError(RuntimeError):
@@ -106,14 +107,13 @@ def log_tau(gamma, x1: float, x2: float,
     """log tau(x1, x2) = integral of H along the global solution.
 
     rho is pinned to the smooth family; the value is
-    reg_integral - (x2^2 - x1^2).
+    reg_integral - (x2^2 - x1^2), and x2 may reach GlobalSolution.x_right.
     """
-    if not 0.0 < x1 < x2:
-        raise ValueError("need 0 < x1 < x2")
+    if not 0.0 < x1 < x2 <= GlobalSolution.x_right:
+        raise ValueError(f"need 0 < x1 < x2 <= {GlobalSolution.x_right}, "
+                         f"got x1={x1}, x2={x2}")
     check_genericity(3, gamma)
     sol = _solve(gamma, x1, cfg)
-    if x2 > sol.x_right:
-        raise ValueError(f"x2={x2} beyond the computed range {sol.x_right}")
     return sol.reg_integral(x2) - (x2 * x2 - x1 * x1)
 
 
@@ -146,11 +146,11 @@ def _power_fit(x1_grid, values):
 
 
 def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
-                     x1_grid=DEFAULT_X1_GRID, x2: float = DEFAULT_X2,
-                     basis=None) -> ConstantReport:
+                     x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
     """Constant by regularized quadrature and x1 -> 0 extrapolation.
 
-    One global solve per x1 grid point; C(x1) = reg_integral(x1 -> x2)
+    One global solve per point of DEFAULT_X1_GRID, with x2 at most
+    GlobalSolution.x_right; C(x1) = reg_integral(x1 -> x2)
     + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1 - endcap, then a three-point
     power-law fit in x1.  The endcap sum_l 2 c_l P_l(x1)/s_l^2
     (`global_solutions.endcap`, at the smooth family's rho) is the
@@ -158,6 +158,7 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     so C(x1) is flat to O(x1^{2a}), a = min_l s_l: the fitted exponent
     comes out near 2a, and the fit is a check more than a correction.  On
     the trivial solution the endcap is exact and the exponent is inf.  A
+    gamma with a below 0.2 raises GenericityError before any solve.  A
     precomputed backward tail basis may be shared across the grid (it
     does not depend on x1); without one, the solves reuse solve_global's
     default basis.  `integrator_stats` sums the work of every forward run
@@ -165,32 +166,31 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])
-    if len(x1_grid) != 3:
-        raise ValueError("x1_grid must have exactly three geometric points")
-    if not all(math.isclose(a, 2.0 * b, rel_tol=1e-12)
-               for a, b in zip(x1_grid, x1_grid[1:])):
-        raise ValueError(f"x1_grid must halve at each point, got {tuple(x1_grid)}")
+    if not DEFAULT_X1_GRID[0] < x2 <= GlobalSolution.x_right:
+        raise ValueError(f"x2 must lie in ({DEFAULT_X1_GRID[0]}, "
+                         f"{GlobalSolution.x_right}], got {x2}")
+    a = float(np.min(link_terms((g0, g1), (0.0, 0.0), 1.0)[1]))
+    if a < _A_MIN:
+        raise GenericityError(
+            f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
+            f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
-    sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in x1_grid]
+    sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in DEFAULT_X1_GRID]
     stats = {}
     for sol in sols:
         for key, value in sol.diagnostics["integrator_stats"].items():
             stats[key] = stats.get(key, 0) + value
-    # one consistent upper endpoint for the whole grid
-    x2_used = min([x2] + [s.x_right for s in sols])
-    rho = global_rho(3, (g0, g1))
-    values = []
-    for x1, sol in zip(x1_grid, sols):
-        values.append(sol.reg_integral(x2_used) + x1 * x1 + quad_coeff * math.log(x1)
-                      - endcap((g0, g1), rho, x1))
-    c_ext, _a, p = _power_fit(tuple(x1_grid), values)
+    values = [sol.reg_integral(x2) + x1 * x1 + quad_coeff * math.log(x1)
+              - endcap((g0, g1), sol.rho_formula, x1)
+              for x1, sol in zip(DEFAULT_X1_GRID, sols)]
+    c_ext, _a, p = _power_fit(DEFAULT_X1_GRID, values)
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))
-    tail = abs(s1) * math.sqrt(x2_used) * math.exp(-2.0 * math.sqrt(2.0) * x2_used)
+    tail = abs(s1) * math.sqrt(x2) * math.exp(-2.0 * math.sqrt(2.0) * x2)
     return ConstantReport(
         gamma=(g0, g1), c_numeric=float(c_ext), c_closed=float(c_closed),
-        abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=tuple(x1_grid),
-        x2_used=float(x2_used), extrapolation_exponent=float(p),
+        abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=DEFAULT_X1_GRID,
+        x2_used=float(x2), extrapolation_exponent=float(p),
         tail_bound=float(tail), integrator_stats=stats)
 
 

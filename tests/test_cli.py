@@ -10,6 +10,12 @@ def run(args):
     return cli.main(args)
 
 
+def parse_error_code(args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    return exc.value.code
+
+
 class TestMaps:
     def test_trivial(self, capsys):
         assert run(["maps", "--n", "3", "--gamma", "0,0", "--reproducible"]) == 0
@@ -119,6 +125,28 @@ class TestConstant:
 
     def test_genericity_exit_2(self):
         assert run(["constant", "--gamma", "1.9,0"]) == 2
+
+    def test_below_domain_floor_exit_2(self, capsys):
+        # a(gamma) = 0.05 < 0.2: refused before any solve
+        assert run(["constant", "--gamma=-0.975,0.075"]) == 2
+        assert "a_min" in capsys.readouterr().err
+
+
+class TestFlags:
+    # a flag is registered only where it is read; argparse exits 2 on the rest
+    def test_constant_rejects_n(self):
+        assert parse_error_code(["constant", "--n", "1", "--gamma", "0.3,0.1"]) == 2
+
+    def test_tau_rejects_n(self):
+        assert parse_error_code(["tau", "--n", "1", "--gamma", "0.3,0.1"]) == 2
+
+    def test_maps_rejects_tolerances(self):
+        assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--rel-tol", "1e-9"]) == 2
+        assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--abs-tol", "1e-9"]) == 2
+
+    def test_verify_rejects_tolerances(self):
+        assert parse_error_code(["verify", "--suite", "specfun", "--rel-tol", "1e-9"]) == 2
+        assert parse_error_code(["verify", "--suite", "specfun", "--abs-tol", "1e-9"]) == 2
 
 
 class TestVerify:

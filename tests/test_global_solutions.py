@@ -60,6 +60,15 @@ class TestSolveGlobal:
         # past x ~ 5 the integrand is ~ exp(-4 sqrt2 x): increments tiny
         assert abs(sol_031.reg_integral(7.0) - sol_031.reg_integral(6.0)) <= 1e-9
 
+    def test_default_basis_gives_the_shared_basis_numbers(self, sol_031):
+        # the default basis is make_backward_basis() built once, so a solve
+        # given none matches one given a shared basis bit for bit
+        sol = solve_global((0.3, 0.1), 0.01)
+        assert sol.amp_sum == sol_031.amp_sum
+        assert sol.amp_diff == sol_031.amp_diff
+        assert sol.reg_integral(7.0) == sol_031.reg_integral(7.0)
+        assert sol.state(6.0) == sol_031.state(6.0)
+
     def test_stats_count_every_integration(self, tail_basis, monkeypatch):
         # shooting, Jacobian and final runs, counted where the solve
         # enters the stepper
@@ -186,5 +195,5 @@ class TestCorrectedSeed:
             return forward(gamma, rho, x0, x_end, *args, **kwargs)
 
         monkeypatch.setattr(global_solutions, "_forward", recorded)
-        global_solutions._refine_rho(gamma, global_rho(3, gamma), 2.5e-3, x_target=4.95)
+        global_solutions._refine_rho(gamma, global_rho(3, gamma), 2.5e-3)
         assert ends[0] == first

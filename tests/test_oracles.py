@@ -1,0 +1,71 @@
+"""Special functions and the closed-form constant against mpmath at 30 digits.
+
+mpmath shares no code with the library: Barnes G, log Gamma and the
+quadrature below are its own.  It serves the tests only, and the module
+is skipped where it is not installed.
+"""
+
+import numpy as np
+import pytest
+
+from ttstar_toda.special_functions import log_barnes_g, psi_m2
+from ttstar_toda.tau_constant import constant_closed
+
+mp = pytest.importorskip("mpmath")
+
+# (0, 3], finer towards the log singularities of both functions at 0
+Z_GRID = [1e-3, 0.01, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0,
+          *np.linspace(0.1, 2.9, 15).tolist()]
+
+
+def _psi_m2_mp(z):
+    """integral_0^z log Gamma(t) dt by tanh-sinh quadrature."""
+    return mp.quad(mp.loggamma, [0, z])
+
+
+@pytest.mark.parametrize("z", Z_GRID)
+def test_log_barnes_g(z):
+    with mp.workdps(30):
+        ref = mp.log(mp.barnesg(mp.mpf(z)))
+        assert abs(log_barnes_g(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("z", Z_GRID)
+def test_psi_m2(z):
+    with mp.workdps(30):
+        ref = _psi_m2_mp(mp.mpf(z))
+        assert abs(psi_m2(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def _constant_closed_mp(gamma):
+    """C = -|gamma|^2/8 - F(rho*, m)/2 + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4))
+    for n = 3, rebuilt from the formulas: rho* is the rho with log e_i = 0,
+    rho_i = -gamma_i log 4 - (log X_{3-i} - log X_i) on the negated full
+    gamma with X_k(v) = prod_{j=1..3} Gamma((v_k - v_{k+j} + 2j)/8), and
+    F(rho, m) = -sum rho_i m_i + log 4 sum m_i^2
+                + 2 sum_k sum_j psi_m2((m_{k-j} - m_k + j)/4), m = -gamma/2."""
+    g = [mp.mpf(v) for v in gamma]
+
+    def full(v):
+        return [v[0], v[1], -v[1], -v[0]]
+
+    def log_x(k, v):
+        return mp.fsum(mp.loggamma((v[k % 4] - v[(k + j) % 4] + 2 * j) / 8)
+                       for j in (1, 2, 3))
+
+    neg = [-v for v in full(g)]
+    rho = [-g[i] * mp.log(4) - (log_x(3 - i, neg) - log_x(i, neg)) for i in (0, 1)]
+    m = [-v / 2 for v in g]
+    mf = full(m)
+    F = (-mp.fsum(r * v for r, v in zip(rho, m)) + mp.log(4) * mp.fsum(v * v for v in m)
+         + 2 * mp.fsum(_psi_m2_mp((mf[(k - j) % 4] - mf[k] + j) / mp.mpf(4))
+                       for k in range(4) for j in (1, 2, 3)))
+    psis = sum(_psi_m2_mp(mp.mpf(z) / 4) for z in (1, 2, 3))
+    return -(g[0] ** 2 + g[1] ** 2) / 8 - F / 2 + 4 * psis
+
+
+@pytest.mark.parametrize("gamma", [(0.3, 0.1), (-0.2, 0.4), (0.9, -0.4)])
+def test_constant_closed(gamma):
+    with mp.workdps(30):
+        ref = _constant_closed_mp(gamma)
+        assert abs(constant_closed(gamma) - ref) <= 1e-8

@@ -18,6 +18,10 @@ from ttstar_toda.tau_constant import (ConstantReport, ExtrapolationError,
                                       log_tau)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the input was checked")
+
+
 class TestLogTau:
     def test_trivial_solution(self, tail_basis):
         # tau of the trivial solution is exp(x1^2 - x2^2)
@@ -63,21 +67,29 @@ class TestLogTau:
         # log_tau passes no basis; the tail basis depends on neither gamma
         # nor x1, so a second call reuses the first one's
         built = []
-        backward_basis = global_solutions._backward_basis
+        make_backward_basis = global_solutions.make_backward_basis
 
-        def counted(*args):
-            built.append(args)
-            return backward_basis(*args)
+        def counted():
+            built.append(1)
+            return make_backward_basis()
 
-        monkeypatch.setattr(global_solutions, "_DEFAULT_BASES", {})
-        monkeypatch.setattr(global_solutions, "_backward_basis", counted)
-        log_tau((0.0, 0.0), 0.01, 6.0)
-        log_tau((0.3, 0.1), 0.05, 6.0)
+        monkeypatch.setattr(global_solutions, "make_backward_basis", counted)
+        global_solutions._default_basis.cache_clear()
+        try:
+            log_tau((0.0, 0.0), 0.01, 6.0)
+            log_tau((0.3, 0.1), 0.05, 6.0)
+        finally:
+            global_solutions._default_basis.cache_clear()
         assert len(built) == 1
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             log_tau((0.3, 0.1), 2.0, 1.0)
+
+    def test_x2_beyond_tail_rejected_before_solving(self, monkeypatch):
+        monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
+        with pytest.raises(ValueError, match="9.0"):
+            log_tau((0.3, 0.1), 0.01, 9.5)
 
 
 class TestConstantClosed:
@@ -209,16 +221,28 @@ class TestConstantNumeric:
         r7 = constant_numeric((0.3, 0.1), x2=7.0, basis=tail_basis)
         assert abs(r6.c_numeric - r7.c_numeric) <= 1e-5
 
-    @pytest.mark.parametrize("grid", [(1e-2, 2.5e-3, 6.25e-4), (1e-2, 4e-3, 1e-3)])
-    def test_non_halving_grid_rejected_before_solving(self, grid, monkeypatch):
-        # the three-point fit assumes ratio 2: on an exact C + 3 x^1.5 these
-        # grids report p = 3 and a shifted C without any error
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before the grid was checked")
+    def test_x2_beyond_tail_rejected_before_solving(self, monkeypatch):
+        # the tail basis ends at 9; x2 = 9.5 was clamped to 9 after solving
+        monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
+        with pytest.raises(ValueError, match="9.0"):
+            constant_numeric((0.3, 0.1), x2=9.5)
 
-        monkeypatch.setattr(tau_constant, "solve_global", no_solve)
-        with pytest.raises(ValueError, match="halve"):
-            constant_numeric((0.3, 0.1), x1_grid=grid)
+    def test_domain_floor_rejected_before_solving(self, monkeypatch):
+        # a = 2 + 2 (-0.975) = 0.05: the solve returned a constant 4.8e-2
+        # off the closed form with nothing flagging it
+        monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
+        with pytest.raises(GenericityError, match=r"a\(gamma\).*0\.05.*a_min = 0\.2"):
+            constant_numeric((-0.975, 0.075))
+
+    def test_sweep_prints_domain_error_as_failed_row(self):
+        # the sweep script reports the refusal as a failed row and exits 4
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run([sys.executable, os.path.join(root, "scripts", "constant_sweep.py"),
+                              "--gammas=-0.975,0.075"], capture_output=True, text=True, env=env)
+        assert out.returncode == 4, out.stderr
+        assert "failed: GenericityError" in out.stdout
+        assert "Traceback" not in out.stderr
 
     def test_power_fit_nonmonotone_raises(self):
         with pytest.raises(ExtrapolationError):
