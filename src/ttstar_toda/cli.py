@@ -8,9 +8,10 @@ Subcommands:
   verify    randomized residual suites (specfun, genfun, symplectic, dynamics)
 
 Exit codes: 0 success, 2 input/domain error, 3 blow-up, 4 verification
-failure.  All floats are serialized with 17 significant digits; passing
---reproducible suppresses the timestamp field so identical flags and seed
-give byte-identical output.  Set TTSTAR_LOG=debug for diagnostics on
+failure.  All floats are serialized with 17 significant digits and a
+decimal point or exponent; passing --reproducible suppresses the
+timestamp field so identical flags (and verify's --seed) give
+byte-identical output.  Set TTSTAR_LOG=debug for diagnostics on
 stderr.
 """
 
@@ -54,9 +55,9 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             return '"%s"' % repr(value)
-        if value == 0.0:
-            return "0"
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        # a float stays a float for the reader: 7.0 -> "7.0", not "7"
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     # --n only where the chain parameter is read (tau and constant are
-    # n = 3), the tolerances only where something is integrated
+    # n = 3), the tolerances only where something is integrated, --seed
+    # only on verify, the one command that draws samples
     def common(p, n=False, gamma=True, tols=False):
         if n:
             p.add_argument("--n", type=int, default=3)
@@ -272,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         if tols:
             p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
             p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--reproducible", action="store_true")
 
@@ -303,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized residual suites")
     common(p, n=True, gamma=False)
     p.add_argument("--suite", type=str, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_verify)

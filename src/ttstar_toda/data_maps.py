@@ -324,16 +324,17 @@ def verify_symplectic(n: int, gamma, h: float = 1e-4) -> SymplecticCheckReport:
     except GenericityError as exc:
         raise ValueError(f"step h={h:g} too large for genericity margin: {exc}") from exc
 
-    def g_i(gm, i):
+    def g(gm):
         full = expand_reduced(n, gm)
-        return log_x_k(n - i, full, n) - log_x_k(i, full, n)
+        return [log_x_k(n - i, full, n) - log_x_k(i, full, n) for i in range(L)]
 
-    A = [[0.0] * L for _ in range(L)]
-    for i in range(L):
-        for j in range(L):
-            gp = list(gamma); gp[j] += h
-            gm_ = list(gamma); gm_[j] -= h
-            A[i][j] = (g_i(gp, i) - g_i(gm_, i)) / (2.0 * h)
+    # column j from one evaluation of the vector g at each of gamma +- h e_j
+    cols = []
+    for j in range(L):
+        gp = list(gamma); gp[j] += h
+        gm_ = list(gamma); gm_[j] -= h
+        cols.append([(p - m) / (2.0 * h) for p, m in zip(g(gp), g(gm_))])
+    A = [list(row) for row in zip(*cols)]
     asym = max(abs(A[i][j] - A[j][i]) for i in range(L) for j in range(L))
     return SymplecticCheckReport(n=n, h=h,
                                  matrix=tuple(tuple(row) for row in A),

@@ -78,6 +78,7 @@ class ConstantReport:
     x2_used: float
     extrapolation_exponent: float
     tail_bound: float
+    a: float  # min_l s_l, the smallest small-x exponent; p comes out near 2a
     integrator_stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -91,6 +92,7 @@ class ConstantReport:
             "extrapolation_exponent": self.extrapolation_exponent,
             "tail_bound": self.tail_bound,
             "integrator_stats": dict(self.integrator_stats),
+            "a": self.a,
         }
 
 
@@ -191,7 +193,7 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
         gamma=(g0, g1), c_numeric=float(c_ext), c_closed=float(c_closed),
         abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=DEFAULT_X1_GRID,
         x2_used=float(x2), extrapolation_exponent=float(p),
-        tail_bound=float(tail), integrator_stats=stats)
+        tail_bound=float(tail), a=a, integrator_stats=stats)
 
 
 _GL6 = np.polynomial.legendre.leggauss(6)

@@ -42,9 +42,9 @@ class TestMaps:
         assert "gap" in capsys.readouterr().err
 
     def test_determinism(self, capsys):
-        run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible", "--seed", "7"])
+        run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"])
         out1 = capsys.readouterr().out
-        run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible", "--seed", "7"])
+        run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"])
         out2 = capsys.readouterr().out
         assert out1 == out2
 
@@ -84,6 +84,7 @@ class TestTau:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == pytest.approx(0.01 ** 2 - 25.0, abs=1e-9)
+        assert isinstance(doc["x2"], float)
 
     def test_default_tolerances_are_the_library_defaults(self, capsys):
         rc = run(["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6",
@@ -111,7 +112,10 @@ class TestConstant:
         assert list(doc.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                     "x1_grid", "x2_used",
                                     "extrapolation_exponent", "tail_bound",
-                                    "integrator_stats"]
+                                    "integrator_stats", "a"]
+        # a(0, 0) = 2: written "2.0", like x2_used "7.0", so both load as floats
+        assert doc["a"] == 2.0
+        assert isinstance(doc["a"], float) and isinstance(doc["x2_used"], float)
 
     def test_integrator_stats_reproducible(self, capsys):
         argv = ["constant", "--gamma", "0.1,-0.1", "--reproducible"]
@@ -143,6 +147,12 @@ class TestFlags:
     def test_maps_rejects_tolerances(self):
         assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--rel-tol", "1e-9"]) == 2
         assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--abs-tol", "1e-9"]) == 2
+
+    def test_seed_only_on_verify(self):
+        assert parse_error_code(["constant", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
+        assert parse_error_code(["tau", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
+        assert parse_error_code(["maps", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
+        assert parse_error_code(["solve", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
 
     def test_verify_rejects_tolerances(self):
         assert parse_error_code(["verify", "--suite", "specfun", "--rel-tol", "1e-9"]) == 2
@@ -197,3 +207,11 @@ class TestJsonWriter:
     def test_17g_format(self):
         s = cli.dumps17({"v": math.pi})
         assert "3.1415926535897931" in s
+
+    def test_integral_floats_stay_floats(self):
+        s = cli.dumps17({"a": 7.0, "b": 0.0, "c": -0.0, "d": 1e22, "e": 6, "f": 1e16})
+        assert s == ('{"a": 7.0, "b": 0.0, "c": -0.0, "d": 1e+22, "e": 6, '
+                     '"f": 10000000000000000.0}\n')
+        doc = json.loads(s)
+        assert [type(doc[k]) for k in "abcdef"] == [float] * 4 + [int, float]
+        assert math.copysign(1.0, doc["c"]) == -1.0

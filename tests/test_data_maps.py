@@ -259,6 +259,36 @@ class TestVerifyOps:
                 rep = verify_symplectic(n, g, h=1e-4)
                 assert rep.max_asymmetry <= 1e-7
 
+    @pytest.mark.parametrize("n, gamma", [(3, (0.3, 0.1)), (5, (0.2, -0.1, 0.15))])
+    def test_symplectic_matrix_is_the_central_difference(self, n, gamma):
+        # each entry, bit for bit, as a central difference of its own
+        h = 1e-4
+
+        def g_i(gm, i):
+            full = expand_reduced(n, gm)
+            return log_x_k(n - i, full, n) - log_x_k(i, full, n)
+
+        L = reduced_length(n)
+        expected = []
+        for i in range(L):
+            row = []
+            for j in range(L):
+                gp = list(gamma); gp[j] += h
+                gm = list(gamma); gm[j] -= h
+                row.append((g_i(gp, i) - g_i(gm, i)) / (2.0 * h))
+            expected.append(tuple(row))
+        assert verify_symplectic(n, gamma, h=h).matrix == tuple(expected)
+
+    def test_global_rho_pinned_bits(self):
+        # global_rho reads only log_gamma; pinning its bits pins every
+        # shooting seed, and so every c_numeric, against changes elsewhere
+        # in the special functions
+        recorded = {(0.3, 0.1): ("0x1.22e967e3845d9p-2", "0x1.dea1e88461c44p-5"),
+                    (0.9, -0.4): ("0x1.3c46ecd5d9943p+0", "-0x1.d93062d39fc97p-1"),
+                    (0.0, 0.8): ("-0x1.3c7df901729c0p-4", "0x1.9e483e26c18a1p+0")}
+        for gamma, bits in recorded.items():
+            assert tuple(v.hex() for v in global_rho(3, gamma)) == bits
+
 
 class TestJson:
     def test_asymptotic_roundtrip_and_order(self):

@@ -8,7 +8,7 @@ is skipped where it is not installed.
 import numpy as np
 import pytest
 
-from ttstar_toda.special_functions import log_barnes_g, psi_m2
+from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2
 from ttstar_toda.tau_constant import constant_closed
 
 mp = pytest.importorskip("mpmath")
@@ -16,6 +16,11 @@ mp = pytest.importorskip("mpmath")
 # (0, 3], finer towards the log singularities of both functions at 0
 Z_GRID = [1e-3, 0.01, 0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0,
           *np.linspace(0.1, 2.9, 15).tolist()]
+# log_barnes_g switches between the series and one, two or three
+# recursion steps at 0.5, 1.5, 2.5 and 3.5; psi_m2 switches at 0.5
+EDGES = [z + d for z in (0.5, 1.5, 2.5, 3.5) for d in (-1e-9, 1e-9)]
+BARNES_GRID = Z_GRID + EDGES + [1e-6, 3.9, 4.0]
+PSI_GRID = Z_GRID + [0.5 - 1e-9, 0.5 + 1e-9, 0.49, 0.51, 1e-6]
 
 
 def _psi_m2_mp(z):
@@ -23,18 +28,29 @@ def _psi_m2_mp(z):
     return mp.quad(mp.loggamma, [0, z])
 
 
-@pytest.mark.parametrize("z", Z_GRID)
+@pytest.mark.parametrize("z", BARNES_GRID)
 def test_log_barnes_g(z):
     with mp.workdps(30):
         ref = mp.log(mp.barnesg(mp.mpf(z)))
         assert abs(log_barnes_g(z) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("z", Z_GRID)
+@pytest.mark.parametrize("z", PSI_GRID)
 def test_psi_m2(z):
     with mp.workdps(30):
         ref = _psi_m2_mp(mp.mpf(z))
         assert abs(psi_m2(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_series_tail_coefficients():
+    # (-1)^(k-1) r(k-1) / k for k = 26 .. 3, r(s) = zeta(s) - 1 - 2^-s; their
+    # rounding moves the tail polynomial by less than 5e-17 on |y| <= 1/2
+    with mp.workdps(30):
+        moved = 0.0
+        for k, c in zip(range(26, 2, -1), _SERIES_TAIL):
+            ref = (-1) ** (k - 1) * (mp.zeta(k - 1) - 1 - mp.mpf(2) ** (1 - k)) / k
+            moved += float(abs(c - ref)) * 0.5 ** k
+        assert moved <= 5e-17
 
 
 def _constant_closed_mp(gamma):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar_toda.special_functions import (DomainError, _zeta_int, log_barnes_g,
-                                           log_gamma, psi_m2, psi_m2_oracle)
+from ttstar_toda.special_functions import (_SERIES_TAIL, DomainError, _zeta_int,
+                                           log_barnes_g, log_gamma, psi_m2,
+                                           psi_m2_oracle)
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -39,6 +40,13 @@ class TestZeta:
 
 
 class TestBarnesG:
+    def test_series_tail_is_short_enough(self):
+        # Horner coefficients of y^26 .. y^3, highest first: the highest
+        # term is below 1e-18 on |y| <= 1/2 (test_oracles checks the values)
+        K = len(_SERIES_TAIL)
+        assert K == 24
+        assert abs(_SERIES_TAIL[0]) * 0.5 ** (K + 2) < 1e-18
+
     def test_known_zeros(self):
         for z in (1.0, 2.0, 3.0):
             assert log_barnes_g(z) == pytest.approx(0.0, abs=1e-14)

@@ -191,6 +191,7 @@ class TestConstantNumeric:
         g0, g1 = gamma
         a = min(2 + 2 * g0, 2 + g1 - g0, 2 - 2 * g1)
         rep = constant_numeric(gamma, basis=tail_basis)
+        assert rep.a == pytest.approx(a, abs=1e-14)
         assert rep.extrapolation_exponent >= 1.5 * a
 
     @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825)])
@@ -295,12 +296,12 @@ class TestReportJson:
         rep = ConstantReport(gamma=(0.1, 0.2), c_numeric=1.0, c_closed=1.0,
                              abs_diff=0.0, x1_grid=(1e-2, 5e-3, 2.5e-3),
                              x2_used=7.0, extrapolation_exponent=1.8,
-                             tail_bound=1e-9)
+                             tail_bound=1e-9, a=0.9)
         d = rep.to_json_dict()
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                   "x1_grid", "x2_used",
                                   "extrapolation_exponent", "tail_bound",
-                                  "integrator_stats"]
+                                  "integrator_stats", "a"]
         json.dumps(d)
 
 
