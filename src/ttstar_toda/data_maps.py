@@ -256,6 +256,7 @@ def gen_fun_F(n: int, rho, m) -> float:
     acc = -sum(rho[i] * m[i] for i in range(L))
     acc += math.log(N) * sum(v * v for v in m)
     ssum = 0.0
+    psi = {}  # the extension repeats arguments: 8 distinct of 12 at n = 3
     for k in range(N):
         for j in range(1, n + 1):
             arg = (mf[(k - j) % N] - mf[k] + j) / N
@@ -263,7 +264,9 @@ def gen_fun_F(n: int, rho, m) -> float:
                 raise GenericityError(
                     f"nonpositive psi_m2 argument {arg:.6g} at (k={k}, j={j}); "
                     "full m gaps must lie in (-1, 1)")
-            ssum += psi_m2(arg)
+            if arg not in psi:
+                psi[arg] = psi_m2(arg)
+            ssum += psi[arg]
     return acc + 0.5 * N * ssum
 
 

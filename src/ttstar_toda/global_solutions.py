@@ -7,11 +7,12 @@ the seed truncation error is amplified to order one.  This module
 recovers the orbit to near machine precision with the standard two-sided
 strategy:
 
-  1. forward shooting from a seed that carries the leading small-x terms,
-     with a Newton refinement of the seed offsets in rho, driving the
-     growing-mode components to zero at a probe station that is pushed
-     outward as the iteration converges; the Jacobian in rho comes
-     exactly from tangent-linear columns carried by the probe;
+  1. forward shooting from the small-x series of the chain, generated to
+     order K <= 8 from the link data (`SmallXSeries`), with a Newton
+     refinement of the seed offsets in rho, driving the growing-mode
+     components to zero at a probe station that is pushed outward as the
+     iteration converges; the Jacobian in rho comes exactly from
+     tangent-linear columns carried by the probe;
   2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,
      mode vectors (1, 1) and (1, -1)) seeded far out at x = 9, which is
      numerically stable in the decreasing-x direction;
@@ -21,11 +22,13 @@ strategy:
 The composite object evaluates states on [x0, 9], forward up to x = 4.2
 and tail beyond, and accumulates the regularized integral of (H + 2x),
 forward part from the augmented integrator state and tail part by
-fixed-panel Gauss-Legendre quadrature of the matched tail.
+fixed-panel Gauss-Legendre quadrature of the matched tail.  The series
+also gives `tau_constant` the integral of H near x = 0 (the endcap).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -80,48 +83,109 @@ def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
 
 
 # the links e^{4 w0}, e^{2(w1 - w0)}, e^{-4 w1} of the n = 3 chain: their
-# exponent rows over (w0, w1), and their weights in H = ... - x sum c_l e^link
+# exponent rows A over (w0, w1), their weights c in H = ... - x sum c_l e^link
+# and the force matrix D = (c A)^T, D[i, l] = 2 (delta_{l,i} - delta_{l,i+1})
 _LINK_ROWS = np.array([[4.0, 0.0], [-2.0, 2.0], [0.0, -4.0]])
 _LINK_WEIGHTS = np.array([0.5, 1.0, 0.5])
+_FORCE = (_LINK_WEIGHTS[:, None] * _LINK_ROWS).T
+_L3 = np.arange(3)
+# the series' highest order, and the first dropped term a lower one must reach
+_K_MAX, _SERIES_TOL = 8, 1e-13
 
 
-def link_terms(gamma, rho, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P_l, s_l) of the leading small-x terms: on 2w = gamma log x + rho,
-    x e^{link_l} = P_l / x with P_l = exp((A rho)_l / 2) x^{s_l} and
-    s_l = 2 + (A gamma)_l / 2 (McCoy-Tracy-Wu, J. Math. Phys. 18 (1977))."""
-    s = 2.0 + 0.5 * (_LINK_ROWS @ np.asarray(gamma, dtype=float))
-    P = np.exp(0.5 * (_LINK_ROWS @ np.asarray(rho, dtype=float))) * x ** s
-    return P, s
+@functools.cache
+def _series_tables():
+    """Multi-indices k, |k| <= _K_MAX + 1, by order (n from row first[n]);
+    shift[k, l]: row k - e_l, link l, of a flat (rows + 1, 3) array, its
+    zero last row where k_l = 0; the pairs k = j + m, j != 0: (pk, pj, pm)
+    sorted by k, those of k from pfirst[k] on, with |j| in jn."""
+    N = _K_MAX + 1
+    ks = np.array([(a, b, n - a - b) for n in range(N + 1)
+                   for a in range(n, -1, -1) for b in range(n - a, -1, -1)])
+    code = (N + 1) ** _L3
+    lookup = np.zeros((N + 1) ** 3, dtype=int)
+    lookup[ks @ code] = np.arange(len(ks))
+    shift = 3 * np.where(ks > 0, lookup[(ks[:, None] - np.eye(3, dtype=int)) @ code],
+                         len(ks)) + _L3
+    pk, pj = np.nonzero(np.all(ks[None] <= ks[:, None], axis=2) & (ks.sum(1) > 0))
+    pm = lookup[(ks[pk] - ks[pj]) @ code]
+    first = np.searchsorted(ks.sum(1), np.arange(N + 2))
+    return (ks, first, shift, pk, pj, pm, np.searchsorted(pk, np.arange(len(ks) + 1)),
+            ks.sum(1)[pj, None].astype(float))
 
 
-def endcap(gamma, rho, x1: float) -> float:
-    """sum_l 2 c_l P_l(x1)/s_l^2: near x = 0, H - q/x ~ -(2/x) sum_l c_l P_l/s_l
-    with q = |gamma|^2/8, and this is its integral over (0, x1), negated."""
-    P, s = link_terms(gamma, rho, x1)
-    return float(np.sum(2.0 * _LINK_WEIGHTS * P / (s * s)))
+class SmallXSeries:
+    """The small-x series of the chain, 1 <= |k| <= order, in the link terms
+    P_l = exp((A rho)_l/2) x^{s_l}, s_l = 2 + (A gamma)_l/2 (McCoy-Tracy-Wu,
+    J. Math. Phys. 18 (1977)).  On 2w = gamma log x + rho + 2 dw, in log x,
+    dw_i'' = sum_l D_il P_l e^{(A dw)_l}: dw = sum_k c_k P^k order by order,
+    c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by the Euler
+    recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of x (H - q/x) =
+    gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l}, q = |gamma|^2/8.
+    A solve computes them once and cuts them at its x0 (a cut, not again)."""
+
+    def __init__(self, gamma):
+        ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables()
+        self.gamma = np.asarray(gamma, dtype=float)
+        self.s = 2.0 + 0.5 * (_LINK_ROWS @ self.gamma)
+        ks_s = ks @ self.s
+        c, u, E = np.zeros((len(ks), 2)), np.zeros((len(ks), 3)), np.zeros((len(ks) + 1, 3))
+        E[0] = 1.0
+        for n in range(1, _K_MAX + 2):   # np.take: a fancy index costs 4x more here
+            a, b = first[n], first[n + 1]
+            c[a:b] = (E.take(shift[a:b]) @ _FORCE.T) / ks_s[a:b, None] ** 2
+            u[a:b] = c[a:b] @ _LINK_ROWS.T
+            p = slice(pfirst[a], pfirst[b])
+            E[a:b] = np.add.reduceat(jn[p] * u.take(pj[p], 0) * E.take(pm[p], 0),
+                                     pfirst[a:b] - pfirst[a]) / n
+        dw = ks_s[:, None] * c   # the series of dw'
+        two = pm > 0
+        f = (dw @ (0.5 * self.gamma) - E.take(shift) @ _LINK_WEIGHTS + 0.5 * np.bincount(
+            pk[two], np.sum(dw.take(pj[two], 0) * dw.take(pm[two], 0), 1), len(ks)))
+        self.ks, self.ks_s, self.c, self.f = ks[1:], ks_s[1:], c[1:], f[1:]
+        self.order, self.error, self._first = _K_MAX + 1, math.inf, first - 1
+
+    def terms(self, rho, x: float) -> np.ndarray:
+        """Rows (c_k, (k.s) c_k, -f_k/(k.s)) P^k at (rho, x): the terms of
+        dw, dw' and the endcap."""
+        P = np.exp(self.ks @ (0.5 * (_LINK_ROWS @ np.asarray(rho, dtype=float))))
+        return (np.column_stack([self.c, self.ks_s[:, None] * self.c, -self.f / self.ks_s])
+                * (P * x ** self.ks_s)[:, None])
+
+    def cut(self, rho, x: float) -> SmallXSeries:
+        """The series to the least order K <= _K_MAX whose first dropped term
+        at (rho, x), the largest order-(K + 1) part of (dw, dw'), is below
+        _SERIES_TOL, or to _K_MAX; `error` is that term."""
+        by_order = np.abs(np.add.reduceat(self.terms(rho, x)[:, :4], self._first[1:-1])).max(1)
+        K = next((n for n in range(1, _K_MAX) if by_order[n] < _SERIES_TOL), _K_MAX)
+        out, rows = copy.copy(self), self._first[K + 1]
+        out.ks, out.ks_s, out.c, out.f = (v[:rows] for v in (self.ks, self.ks_s, self.c, self.f))
+        out.order, out.error = K, float(by_order[K])
+        return out
+
+    def endcap(self, rho, x1: float) -> float:
+        """-sum_k f_k P^k(x1)/(k.s), the integral of H - q/x over (0, x1) negated."""
+        return float(self.terms(rho, x1)[:, 4].sum())
+
+    def seed(self, rho, x0: float, tangents: bool = False) -> list[float]:
+        """[w, wt, q] at x0, w = gamma/2 log x0 + rho/2 + dw, wt = gamma/2 + dw';
+        with `tangents`, d(w, wt)/d(rho_j) from dP^k/d(rho_j) = P^k (k.A_j)/2."""
+        t = self.terms(rho, x0)
+        g, r = self.gamma, np.asarray(rho, dtype=float)
+        y = [*(0.5 * g * math.log(x0) + 0.5 * r + t[:, :2].sum(0)),
+             *(0.5 * g + t[:, 2:4].sum(0)), 0.0]
+        if tangents:
+            cols = (0.5 * (self.ks @ _LINK_ROWS)).T @ t[:, :4]
+            cols[:, :2] += 0.5 * np.eye(2)
+            y += [*cols.ravel()]
+        return [float(v) for v in y]
 
 
-def _seed(gamma, rho, x0: float, tangents: bool = False) -> list[float]:
-    """[w, wt, q] at x0 with the leading small-x terms,
-    w_i = gamma_i/2 log x0 + rho_i/2 - 2 (P_{i+1}/s_{i+1}^2 - P_i/s_i^2) and
-    wt_i = gamma_i/2 - 2 (P_{i+1}/s_{i+1} - P_i/s_i); with `tangents`, the
-    columns d(w, wt)/d(rho_j) follow, from dP_l/d(rho_j) = P_l A_lj / 2."""
-    P, s = link_terms(gamma, rho, x0)
-    g, r = np.asarray(gamma, dtype=float), np.asarray(rho, dtype=float)
-    dw, dwt = P / (s * s), P / s
-    y = [*(0.5 * g * math.log(x0) + 0.5 * r - 2.0 * np.diff(dw)),
-         *(0.5 * g - 2.0 * np.diff(dwt)), 0.0]
-    if tangents:
-        for j, a_j in enumerate(_LINK_ROWS.T):
-            y += [*(0.5 * np.eye(2)[j] - np.diff(a_j * dw)), *-np.diff(a_j * dwt)]
-    return [float(v) for v in y]
-
-
-def _forward(gamma, rho, x0: float, x_end: float, cfg: IntegratorConfig,
+def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: IntegratorConfig,
              tally: dict, tangents: bool = False) -> Trajectory:
-    """Forward run from the corrected seed; its work is added to `tally`.
+    """Forward run from the seed of `series`; its work is added to `tally`.
     With `tangents`, the run carries d(w, wt)/d(rho) to its end node."""
-    traj = _integrate_raw(3, _seed(gamma, rho, x0, tangents), x0, x_end, cfg)
+    traj = _integrate_raw(3, series.seed(rho, x0, tangents), x0, x_end, cfg)
     st = traj.stats
     tally["integrations"] += 1
     tally["steps"] += st.n_steps
@@ -135,11 +199,12 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     """Newton on the seed rho, starting from `rho`, driving the growing
     modes to zero.
 
-    Each probe integrates from the corrected seed (`_seed`) to the station
-    x_p, which advances to 3 and then to 4.95 as the residual converges
-    (backing off before a blow-up).  The corrected seed misses the orbit
-    by about 5 x0^(2a), a = min_l s_l, so the ladder starts at 3 when
-    x0^(2a) <= 2e-8 and at 1 otherwise.  A station below 4.95 is left
+    Each probe integrates from the small-x series seed, cut once at the
+    starting rho and x0, to the station x_p, which advances to 3 and then
+    to 4.95 as the residual converges (backing off before a blow-up).  The
+    ladder starts at 3 where the series has converged at x0 (first dropped
+    term below 1e-13), elsewhere when x0^(2a) <= 2e-8, a = min_l s_l, and
+    at 1 otherwise.  A station below 4.95 is left
     once its residual is below 1e-5: the linear decay condition at x_p is
     itself biased by more than that (at gamma (0.3, 0.1), station 1
     converged to 7e-13 still leaves 0.17 at the first probe at 3), so
@@ -156,18 +221,21 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     Probes from x = 3.9 on use the `final_cfg` tolerances, those inside it
     1e-10 and 1e-12, and at 4.95 the probe of lowest residual is returned
     with its rho; info["residual"] is the residual measured on it.  The
-    work of every probe is summed in info["integrator_stats"].
+    work of every probe is summed in info["integrator_stats"], the cut's
+    order and first dropped term are info["series_order"/"series_error"].
     """
     rho = np.array(rho, dtype=float)
+    series = SmallXSeries(gamma).cut(rho, x0)
     # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
-    threshold = max(2.0, 1.0 + max(abs(v) for v in _seed(gamma, rho, x0)[:2]))
+    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
     coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
     fine = dataclasses.replace(final_cfg, blowup_threshold=threshold)
-    a = float(np.min(link_terms(gamma, rho, x0)[1]))
-    x_p = 3.0 if x0 ** (2.0 * a) <= 2e-8 else 1.0
+    seed_close = series.error < _SERIES_TOL or x0 ** (2.0 * float(np.min(series.s))) <= 2e-8
+    x_p = 3.0 if seed_close else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": x_p,
-            "integrator_stats": tally}
+            "integrator_stats": tally, "series_order": series.order,
+            "series_error": series.error}
     r_prev = math.inf
     newton_at_station = 0
     J: np.ndarray | None = None
@@ -177,7 +245,7 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
         info["iterations"] += 1
         final = x_p >= _STATION - 0.01
         cfg = fine if x_p >= 3.9 else coarse
-        traj = _forward(gamma, rho, x0, x_p, cfg, tally, tangents=J is None)
+        traj = _forward(series, rho, x0, x_p, cfg, tally, tangents=J is None)
         if traj.stop_reason != "completed":
             x_p = max(0.5, traj.x_final - 0.5)
             r_prev, newton_at_station, J = math.inf, 0, None
@@ -331,10 +399,9 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
                  basis: tuple[Trajectory, Trajectory] | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
-    The seed at x0 carries the leading small-x terms of the links in
-    closed form (`link_terms`), at the smooth family's rho plus a
-    Newton-refined offset that compensates the O(x0^{2a}) terms it still
-    drops (a = min_l s_l); the large-x side is the matched two-mode tail.
+    The seed at x0 is the small-x series (`SmallXSeries`) cut at order
+    K <= 8, at the smooth family's rho plus a Newton-refined offset that
+    compensates the terms it drops; the large-x side is the matched tail.
     Genericity is checked once, by `global_rho`.  The shooting ends at
     station 4.95, the forward run is matched to the tail on [3.9, 4.6],
     and the solution switches from one to the other at 4.2.  The backward

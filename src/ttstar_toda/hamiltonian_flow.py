@@ -208,9 +208,9 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     """Leading-order seed w_i = (gamma_i/2) log x0 + rho_i/2, wt_i = gamma_i/2.
 
     It drops the O(x0^{s_l}) terms of the links.  Global solutions shoot
-    from the seed with those terms in closed form, which lives in
-    `global_solutions` (`link_terms`, `_seed`); this one is the plain
-    leading order, for `ttstar solve` and callers of `integrate`.
+    from the small-x series carried to order K, which lives in
+    `global_solutions` (`SmallXSeries`); this one is the plain leading
+    order, for `ttstar solve` and callers of `integrate`.
     """
     check_genericity(a.n, a.gamma)
     if not 0.0 < x0 <= 0.1:

@@ -7,9 +7,11 @@ reg_integral - (x2^2 - x1^2).  The connection constant
     C = lim_{x1 -> 0, x2 -> inf} ( log tau(x1, x2) + x2^2
                                    + (gamma0^2 + gamma1^2)/8 * log x1 )
 
-is extracted numerically on a geometric x1 grid, less the closed-form
-integral of the leading small-x terms of H (the endcap), with a fitted
-power-law extrapolation C + a x1^p, and compared against the closed form
+is extracted numerically less the integral over (0, x1) of the small-x
+series of H (the endcap), cut at order K <= 8: from one solve at
+x1 = 6.25e-4 where the series' first dropped term there is below 1e-12,
+and elsewhere on a geometric x1 grid with a fitted power-law
+extrapolation C + a x1^p.  It is compared against the closed form
 
     C = -(gamma0^2 + gamma1^2)/8 - F(rho*, m)/2
         + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4)),
@@ -29,8 +31,8 @@ import numpy as np
 
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
-from .global_solutions import (GlobalSolution, GlobalSolveError, endcap,
-                               link_terms, solve_global)
+from .global_solutions import (GlobalSolution, GlobalSolveError, SmallXSeries,
+                               solve_global)
 from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
                                tail_amplitude_s1)
 from .special_functions import psi_m2
@@ -53,6 +55,7 @@ DEFAULT_X2 = 7.0
 # constant_numeric accepts: below it the x1 sequence is too slow for the
 # three-point fit (or the shooting blows up), and results land far off
 _A_MIN = 0.2
+_ONE_SOLVE_TOL = 1e-12  # series error at the smallest x1 for one solve there
 
 
 class BlowupError(RuntimeError):
@@ -78,8 +81,10 @@ class ConstantReport:
     x2_used: float
     extrapolation_exponent: float
     tail_bound: float
-    a: float  # min_l s_l, the smallest small-x exponent; p comes out near 2a
+    a: float  # min_l s_l, the smallest small-x exponent
     integrator_stats: dict = field(default_factory=dict)
+    series_order: int = 0  # K of the small-x series at the smallest x1
+    series_error: float = math.inf  # its first dropped term there
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,6 +98,8 @@ class ConstantReport:
             "tail_bound": self.tail_bound,
             "integrator_stats": dict(self.integrator_stats),
             "a": self.a,
+            "series_order": self.series_order,
+            "series_error": self.series_error,
         }
 
 
@@ -149,51 +156,54 @@ def _power_fit(x1_grid, values):
 
 def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
                      x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
-    """Constant by regularized quadrature and x1 -> 0 extrapolation.
+    """Constant by regularized quadrature, from one solve where the small-x
+    series has converged and by x1 -> 0 extrapolation elsewhere.
 
-    One global solve per point of DEFAULT_X1_GRID, with x2 at most
-    GlobalSolution.x_right; C(x1) = reg_integral(x1 -> x2)
-    + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1 - endcap, then a three-point
-    power-law fit in x1.  The endcap sum_l 2 c_l P_l(x1)/s_l^2
-    (`global_solutions.endcap`, at the smooth family's rho) is the
-    closed-form integral over (0, x1) of the leading small-x terms of H,
-    so C(x1) is flat to O(x1^{2a}), a = min_l s_l: the fitted exponent
-    comes out near 2a, and the fit is a check more than a correction.  On
-    the trivial solution the endcap is exact and the exponent is inf.  A
-    gamma with a below 0.2 raises GenericityError before any solve.  A
-    precomputed backward tail basis may be shared across the grid (it
-    does not depend on x1); without one, the solves reuse solve_global's
-    default basis.  `integrator_stats` sums the work of every forward run
-    of the three solves.
+    C(x1) = reg_integral(x1 -> x2) + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1
+    - endcap, x2 at most GlobalSolution.x_right; the endcap
+    (`SmallXSeries.endcap`, at the smooth family's rho) integrates the
+    series of H - q/x over (0, x1), cut as the seed of the solve at x1,
+    so C(x1) is off by about its first dropped term.  Where that is below
+    1e-12 at the smallest point of DEFAULT_X1_GRID, one solve there gives
+    C (exponent inf), elsewhere one per grid point and a three-point
+    power-law fit.  A gamma with a below 0.2 raises GenericityError
+    before any solve.  A backward tail basis may be shared across solves;
+    without one, they reuse solve_global's default basis.
+    `integrator_stats` sums the work of every forward run of the solves.
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])
     if not DEFAULT_X1_GRID[0] < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({DEFAULT_X1_GRID[0]}, "
                          f"{GlobalSolution.x_right}], got {x2}")
-    a = float(np.min(link_terms((g0, g1), (0.0, 0.0), 1.0)[1]))
+    series = SmallXSeries((g0, g1))
+    a = float(np.min(series.s))
     if a < _A_MIN:
         raise GenericityError(
             f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
             f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
+    rho_f = global_rho(3, (g0, g1))
+    grid, cuts = DEFAULT_X1_GRID, [series.cut(rho_f, x1) for x1 in DEFAULT_X1_GRID]
+    if cuts[-1].error < _ONE_SOLVE_TOL:
+        grid, cuts = grid[-1:], cuts[-1:]
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
-    sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in DEFAULT_X1_GRID]
+    sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in grid]
     stats = {}
     for sol in sols:
         for key, value in sol.diagnostics["integrator_stats"].items():
             stats[key] = stats.get(key, 0) + value
     values = [sol.reg_integral(x2) + x1 * x1 + quad_coeff * math.log(x1)
-              - endcap((g0, g1), sol.rho_formula, x1)
-              for x1, sol in zip(DEFAULT_X1_GRID, sols)]
-    c_ext, _a, p = _power_fit(DEFAULT_X1_GRID, values)
+              - cut.endcap(rho_f, x1) for x1, sol, cut in zip(grid, sols, cuts)]
+    c_ext, p = (values[0], math.inf) if len(grid) == 1 else _power_fit(grid, values)[::2]
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))
     tail = abs(s1) * math.sqrt(x2) * math.exp(-2.0 * math.sqrt(2.0) * x2)
     return ConstantReport(
         gamma=(g0, g1), c_numeric=float(c_ext), c_closed=float(c_closed),
-        abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=DEFAULT_X1_GRID,
+        abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=grid,
         x2_used=float(x2), extrapolation_exponent=float(p),
-        tail_bound=float(tail), a=a, integrator_stats=stats)
+        tail_bound=float(tail), a=a, integrator_stats=stats,
+        series_order=cuts[-1].order, series_error=cuts[-1].error)
 
 
 _GL6 = np.polynomial.legendre.leggauss(6)

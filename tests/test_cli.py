@@ -112,7 +112,8 @@ class TestConstant:
         assert list(doc.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                     "x1_grid", "x2_used",
                                     "extrapolation_exponent", "tail_bound",
-                                    "integrator_stats", "a"]
+                                    "integrator_stats", "a", "series_order",
+                                    "series_error"]
         # a(0, 0) = 2: written "2.0", like x2_used "7.0", so both load as floats
         assert doc["a"] == 2.0
         assert isinstance(doc["a"], float) and isinstance(doc["x2_used"], float)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttstar_toda import data_maps
 from ttstar_toda.data_maps import (AsymptoticData, GenericityError,
                                    MonodromyData, ShapeError,
                                    asymptotic_to_monodromy, check_genericity,
@@ -222,6 +223,21 @@ class TestGeneratingFunction:
     def test_domain_error(self):
         with pytest.raises(GenericityError):
             gen_fun_F(3, (0.0, 0.0), (0.9, -0.9))
+
+    @pytest.mark.parametrize("n, gamma, bits, calls", [
+        (3, (-0.825, 0.075), "0x1.2b7c09fc696a5p+4", 8),
+        (5, (0.3, 0.1, -0.2), "0x1.0c3be4284648bp+6", 18),
+        (5, (0.6, -0.35, 0.05), "0x1.0cd03c7fdf17cp+6", 18)])
+    def test_each_distinct_argument_once(self, n, gamma, bits, calls, monkeypatch):
+        # the anti-symmetric extension repeats psi_m2 arguments (12 terms
+        # for 8 distinct ones at n = 3, 30 for 18 at n = 5); each is
+        # evaluated once, and the sum keeps its order, so the value keeps
+        # the bits it had with one call per term
+        args = []
+        monkeypatch.setattr(data_maps, "psi_m2", lambda z: args.append(z) or psi_m2(z))
+        F = gen_fun_F(n, global_rho(n, gamma), tuple(-0.5 * g for g in gamma))
+        assert F.hex() == bits
+        assert len(args) == len(set(args)) == calls
 
 
 class TestVerifyOps:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ttstar_toda import global_solutions
 from ttstar_toda.data_maps import AsymptoticData, global_rho
-from ttstar_toda.global_solutions import fit_tail_amplitude, solve_global
+from ttstar_toda.global_solutions import SmallXSeries, fit_tail_amplitude, solve_global
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, init_from_asymptotics,
                                           tail_amplitude_s1)
 
@@ -136,37 +137,85 @@ class TestShootingJacobian:
         rho = np.array(global_rho(3, gamma))
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals"), 0)
-        traj = global_solutions._forward(gamma, rho, x0, x_p, cfg, tally, tangents=True)
+        series = SmallXSeries(gamma).cut(rho, x0)
+        traj = global_solutions._forward(series, rho, x0, x_p, cfg, tally, tangents=True)
         J = np.column_stack([global_solutions._mode_residual(col, x_p)
                              for col in traj.tangent.T])
         h = 1e-4
         for j in range(2):
             e = np.eye(2)[j] * h
             rp, rm = (global_solutions._growing_mode_residual(
-                global_solutions._forward(gamma, rho + s, x0, x_p, cfg, tally), x_p)
+                global_solutions._forward(series, rho + s, x0, x_p, cfg, tally), x_p)
                 for s in (e, -e))
             fd = (rp - rm) / (2 * h)
             assert np.all(np.abs(J[:, j] - fd) <= 1e-6 * np.max(np.abs(fd)))
 
 
+def _cut(gamma, rho, x):
+    return SmallXSeries(gamma).cut(rho, x)
+
+
 class TestCorrectedSeed:
     def test_tangent_columns_match_central_difference(self):
         # the seed's own derivative in rho, which starts the tangent-linear
-        # columns, against a central difference of the seed
-        gamma, x0 = (0.3, 0.1), 2.5e-3
+        # columns, against a central difference of the seed, at order 2
+        # and at order 8
+        for gamma, x0, K in (((0.3, 0.1), 2.5e-3, 2), ((0.0, 0.8), 0.01, 8)):
+            rho = np.array(global_rho(3, gamma))
+            series = _cut(gamma, rho, x0)
+            assert series.order == K
+            y = series.seed(rho, x0, tangents=True)
+            cols = np.array(y[5:]).reshape(2, 4)
+            h = 1e-6
+            for j in range(2):
+                e = np.eye(2)[j] * h
+                fd = (np.array(series.seed(rho + e, x0)[:4])
+                      - np.array(series.seed(rho - e, x0)[:4])) / (2 * h)
+                assert np.all(np.abs(cols[j] - fd) <= 1e-9)
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.0, 0.8), (-0.825, 0.075)])
+    def test_first_order_is_the_closed_form(self, gamma):
+        # cut at K = 1, the series is the closed-form leading small-x
+        # correction: with s_l = 2 + (A gamma)_l/2 and
+        # P_l = exp((A rho)_l/2) x^{s_l},
+        # w_i = gamma_i/2 log x + rho_i/2 - 2 (P_{i+1}/s_{i+1}^2 - P_i/s_i^2),
+        # wt_i = gamma_i/2 - 2 (P_{i+1}/s_{i+1} - P_i/s_i), its derivative in
+        # rho_j from dP_l/d(rho_j) = P_l A_lj/2, and the endcap
+        # sum_l 2 c_l P_l/s_l^2, c = (1/2, 1, 1/2)
+        A = np.array([[4.0, 0.0], [-2.0, 2.0], [0.0, -4.0]])
+        g, rho = np.array(gamma), np.array(global_rho(3, gamma))
+        K1 = copy.copy(SmallXSeries(gamma))
+        K1.ks, K1.ks_s, K1.c, K1.f = (v[:3] for v in (K1.ks, K1.ks_s, K1.c, K1.f))
+        for x in (2.5e-3, 6.25e-4):
+            s = 2.0 + 0.5 * A @ g
+            P = np.exp(0.5 * A @ rho) * x ** s
+            w = 0.5 * g * math.log(x) + 0.5 * rho - 2.0 * np.diff(P / s ** 2)
+            wt = 0.5 * g - 2.0 * np.diff(P / s)
+            cols = [np.concatenate([0.5 * np.eye(2)[j] - np.diff(A[:, j] * P / s ** 2),
+                                    -np.diff(A[:, j] * P / s)]) for j in range(2)]
+            want = np.concatenate([w, wt, [0.0], *cols])
+            got = np.array(K1.seed(rho, x, tangents=True))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            cap = float(np.sum(2.0 * np.array([0.5, 1.0, 0.5]) * P / s ** 2))
+            assert K1.endcap(rho, x) == pytest.approx(cap, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x, K", [(6.25e-4, 2), (0.01, 3)])
+    def test_cut_at_the_first_small_dropped_term(self, x, K):
+        # K is the smallest order whose next order part of (dw, dw') is
+        # below 1e-13 at x, and `error` is that part
+        gamma = (0.3, 0.1)
         rho = np.array(global_rho(3, gamma))
-        y = global_solutions._seed(gamma, rho, x0, tangents=True)
-        cols = np.array(y[5:]).reshape(2, 4)
-        h = 1e-6
-        for j in range(2):
-            e = np.eye(2)[j] * h
-            fd = (np.array(global_solutions._seed(gamma, rho + e, x0)[:4])
-                  - np.array(global_solutions._seed(gamma, rho - e, x0)[:4])) / (2 * h)
-            assert np.all(np.abs(cols[j] - fd) <= 1e-9)
+        series = SmallXSeries(gamma)
+        terms, orders = series.terms(rho, x), series.ks.sum(1)
+        part = [float(np.max(np.abs(terms[orders == n].sum(0)))) for n in range(10)]
+        cut = series.cut(rho, x)
+        assert cut.order == K and len(cut.ks) == np.sum(orders <= K)
+        assert cut.error == pytest.approx(part[K + 1], rel=1e-12, abs=0.0)
+        assert cut.error < 1e-13 <= min(part[2:K + 1])
 
     def test_closer_to_the_orbit_than_leading_order(self):
         # a tight run from each seed at 1e-3 to 2e-3 against the same
-        # seed formula at 2e-3: the corrected seed drops O(x^{2a}) terms,
+        # seed formula at 2e-3: the series seed drops terms below 1e-13,
         # the leading-order one O(x^a) terms
         gamma, x0, x1 = (0.3, 0.1), 1e-3, 2e-3
         rho = tuple(global_rho(3, gamma))
@@ -180,20 +229,26 @@ class TestCorrectedSeed:
             p = init_from_asymptotics(AsymptoticData(3, gamma, rho), x)
             return list(p.w + p.wt) + [0.0]
 
-        corrected = miss(lambda x: global_solutions._seed(gamma, rho, x))
+        corrected = miss(lambda x: _cut(gamma, rho, x).seed(rho, x))
         assert corrected <= 1e-3 * miss(leading)
 
-    @pytest.mark.parametrize("gamma, first", [((0.3, 0.1), 3.0), ((0.0, 0.8), 1.0)])
-    def test_first_station_from_predicted_seed_error(self, gamma, first, monkeypatch):
-        # x0^(2a) at x0 = 2.5e-3: 4e-10 at (0.3, 0.1), a = 1.8, and 8e-3
-        # at (0.0, 0.8), a = 0.4
+    @pytest.mark.parametrize("gamma, first, x0", [((0.3, 0.1), 3.0, 2.5e-3),
+                                                  ((0.0, 0.8), 1.0, 2.5e-3),
+                                                  ((0.3, 0.1), 3.0, 0.01)],
+                             ids=["gamma0-3.0", "gamma1-1.0", "gamma2-3.0-0.01"])
+    def test_first_station_from_predicted_seed_error(self, gamma, first, x0,
+                                                      monkeypatch):
+        # the series has converged at (0.3, 0.1), at order 2 at x0 = 2.5e-3
+        # and at order 3 at 0.01, where the first-order seed's x0^(2a) =
+        # 6e-8 started the ladder at 1; at (0.0, 0.8), a = 0.4, order 8
+        # still drops 7e-11 at 2.5e-3, and x0^(2a) = 8e-3
         ends = []
         forward = global_solutions._forward
 
-        def recorded(gamma, rho, x0, x_end, *args, **kwargs):
+        def recorded(series, rho, x0, x_end, *args, **kwargs):
             ends.append(x_end)
-            return forward(gamma, rho, x0, x_end, *args, **kwargs)
+            return forward(series, rho, x0, x_end, *args, **kwargs)
 
         monkeypatch.setattr(global_solutions, "_forward", recorded)
-        global_solutions._refine_rho(gamma, global_rho(3, gamma), 2.5e-3)
+        global_solutions._refine_rho(gamma, global_rho(3, gamma), x0)
         assert ends[0] == first

@@ -1,13 +1,16 @@
-"""Special functions and the closed-form constant against mpmath at 30 digits.
+"""Special functions, the closed-form constant and the small-x series
+against mpmath.
 
-mpmath shares no code with the library: Barnes G, log Gamma and the
-quadrature below are its own.  It serves the tests only, and the module
+mpmath shares no code with the library: Barnes G, log Gamma, the
+quadrature and the ODE solver below are its own.  It serves the tests only, and the module
 is skipped where it is not installed.
 """
 
 import numpy as np
 import pytest
 
+from ttstar_toda.data_maps import global_rho
+from ttstar_toda.global_solutions import SmallXSeries
 from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2
 from ttstar_toda.tau_constant import constant_closed
 
@@ -85,3 +88,29 @@ def test_constant_closed(gamma):
     with mp.workdps(30):
         ref = _constant_closed_mp(gamma)
         assert abs(constant_closed(gamma) - ref) <= 1e-8
+
+
+def _chain_theta_mp(theta, y):
+    """The n = 3 chain in theta = log x: w' = wt and
+    wt' = x^2 (2 e^{4 w0} - 2 e^{2(w1 - w0)}, 2 e^{2(w1 - w0)} - 2 e^{-4 w1})."""
+    w0, w1, t0, t1 = y
+    x2, mid = mp.exp(2 * theta), mp.exp(2 * (w1 - w0))
+    return [t0, t1, 2 * x2 * (mp.exp(4 * w0) - mid), 2 * x2 * (mid - mp.exp(-4 * w1))]
+
+
+@pytest.mark.parametrize("gamma, tol", [((0.3, 0.1), 1e-15), ((0.0, 0.8), 1e-11)])
+def test_series_seed_against_the_ode(gamma, tol):
+    # mpmath's Taylor-series ODE solver at 18 digits carries the series
+    # state at x = 1e-6, where its first dropped term is far below the
+    # rounding of the start, to 1e-3, and meets the seed there: order 2
+    # at (0.3, 0.1), 6e-17 off (the first-order seed: 6e-12), and order 8
+    # at (0.0, 0.8), a = 0.4, whose first dropped term at 1e-3 is 2.7e-12,
+    # 2.9e-12 off (the first-order seed: 1e-3)
+    rho = global_rho(3, gamma)
+    series = SmallXSeries(gamma)
+    start = series.cut(rho, 1e-6).seed(rho, 1e-6)[:4]
+    seed = series.cut(rho, 1e-3).seed(rho, 1e-3)[:4]
+    with mp.workdps(18):
+        y = mp.odefun(_chain_theta_mp, mp.log(1e-6), [mp.mpf(v) for v in start])
+        end = y(mp.log(1e-3))
+    assert max(abs(float(e) - v) for e, v in zip(end, seed)) <= tol

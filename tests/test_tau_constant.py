@@ -41,13 +41,14 @@ class TestLogTau:
         assert tr.reg_integral == pytest.approx(inc_composite, abs=1e-8)
 
     def test_additivity_across_solves(self):
-        # independent solves seeded at x1 = a and x1 = b sit on slightly
-        # different family members (seed truncation ~ b^1.8), so the
-        # cross-solve additivity holds only to that bias scale
+        # independent solves seeded at x1 = a and x1 = b sit on the same
+        # family member to the series' first dropped term (below 1e-13 at
+        # both): 7e-15 apart, against 1.4e-6 from the first-order seed,
+        # whose truncation ~ b^3.6 differs between the solves
         a, b, c = 0.01, 0.05, 6.0
         full = log_tau((0.3, 0.1), a, c)
         parts = log_tau((0.3, 0.1), a, b) + log_tau((0.3, 0.1), b, c)
-        assert full == pytest.approx(parts, abs=5e-3)
+        assert full == pytest.approx(parts, abs=1e-10)
 
     def test_additivity_trivial(self):
         a, b, c = 0.01, 0.05, 6.0
@@ -123,10 +124,10 @@ class TestConstantClosed:
 class TestConstantNumeric:
     def test_trivial(self, tail_basis):
         # the trivial solution's C(x1) is x1^2, which the endcap removes:
-        # with an exact pow(x, 2.0) the sequence is 0 at every x1 and the
-        # fit reports it converged (p = inf); a last-bit error of x1^2 in
-        # the endcap would leave the same multiple of x1^2 at each point
-        # of the halving grid, which the fit reads as p = 2 and C = 0
+        # the series cuts at order 1, where the seed cancels to 0 and,
+        # with an exact pow(x, 2.0), the endcap is x1^2, so one solve
+        # gives C = 0 exactly (p = inf); a last-bit error of x1^2 in the
+        # endcap would leave C = O(1e-23)
         rep = constant_numeric((0.0, 0.0))
         assert rep.c_numeric == 0.0
         assert abs(rep.c_closed) <= 1e-12
@@ -172,34 +173,45 @@ class TestConstantNumeric:
         assert rep.integrator_stats["steps"] <= 32000
 
     def test_seed_work_ceiling(self, tail_basis):
-        # machine-independent: from the corrected seed the ladder starts at
-        # 3 and intermediate stations stop at 1e-5, 15 forward runs and
-        # 24,077 RHS calls for the three solves (42 and 50,274 from the
-        # leading-order seed); with the first step capped by the scale of
+        # machine-independent: the series has converged at x1 = 6.25e-4,
+        # so one solve from its seed, with the ladder starting at 3, takes
+        # 4 forward runs and 7,061 RHS calls (15 and 24,077 for three
+        # solves from the first-order seed, 42 and 50,274 from the
+        # leading-order one); with the first step capped by the scale of
         # x0, the solves reject fewer steps than they run integrations
         # (two per run before the cap)
         st = constant_numeric((0.3, 0.1), basis=tail_basis).integrator_stats
-        assert st["integrations"] <= 20
-        assert st["rhs_evals"] <= 30000
+        assert st["integrations"] <= 6
+        assert st["rhs_evals"] <= 10000
         assert st["rejected"] <= st["integrations"]
 
     @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.1, -0.1), (0.5, 0.2),
                                        (-0.2, 0.4), (0.25, -0.35)])
     def test_endcapped_sequence_converges_at_2a(self, gamma, tail_basis):
-        # the endcap removes the O(x1^a) terms of C(x1), so the fitted
-        # exponent sits near 2a (3.47 at (0.3, 0.1), a = 1.8), not near a
+        # endcapped at order K, C(x1) is flat to the first dropped term,
+        # O(x1^{(K+1) a}): at the acceptance gammas (a >= 1.2) the series
+        # has converged at x1 = 6.25e-4 by order 3, so one solve there
+        # gives the constant, 4e-16 to 3.3e-14 off, and the exponent reads
+        # inf (at first order the fit found p near 2a and left 7.8e-12 to
+        # 3.2e-10)
         g0, g1 = gamma
         a = min(2 + 2 * g0, 2 + g1 - g0, 2 - 2 * g1)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.a == pytest.approx(a, abs=1e-14)
-        assert rep.extrapolation_exponent >= 1.5 * a
+        assert rep.x1_grid == (6.25e-4,) and rep.extrapolation_exponent == math.inf
+        assert rep.series_order <= 3 and rep.series_error < 1e-13
+        assert rep.abs_diff <= 1e-12
 
     @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825)])
     def test_edge_band_accuracy(self, gamma, tail_basis):
-        # a(gamma) = 0.35: 2.1e-3 to 3.8e-3 without the corrected seed and
-        # the endcap, 4e-5 to 8e-5 with them
+        # a(gamma) = 0.35: 2.1e-3 to 3.8e-3 from the leading-order seed,
+        # 4e-5 to 8e-5 from the first-order seed and endcap, 5e-9 to
+        # 1.6e-8 from the order-8 series, whose first dropped term at
+        # x1 = 6.25e-4 (1e-11 to 2e-11) still calls for three solves
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert rep.abs_diff <= 1e-4
+        assert rep.series_order == 8 and rep.series_error >= 1e-12
+        assert len(rep.x1_grid) == 3
+        assert rep.abs_diff <= 1e-7
 
     @pytest.mark.parametrize("gamma", [(0.5, 0.2), (-0.825, 0.075), (0.0, 0.8)])
     def test_mirror_symmetry(self, gamma, tail_basis):
@@ -301,7 +313,8 @@ class TestReportJson:
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                   "x1_grid", "x2_used",
                                   "extrapolation_exponent", "tail_bound",
-                                  "integrator_stats", "a"]
+                                  "integrator_stats", "a", "series_order",
+                                  "series_error"]
         json.dumps(d)
 
 
