@@ -122,7 +122,8 @@ class SmallXSeries:
     c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by the Euler
     recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of x (H - q/x) =
     gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l}, q = |gamma|^2/8.
-    A solve computes them once and cuts them at its x0 (a cut, not again)."""
+    A solve computes them once, cuts them at its x0 and keeps the cut in
+    its diagnostics["series"], so its endcap uses the seed's own K."""
 
     def __init__(self, gamma):
         ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables()
@@ -203,8 +204,7 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     starting rho and x0, to the station x_p, which advances to 3 and then
     to 4.95 as the residual converges (backing off before a blow-up).  The
     ladder starts at 3 where the series has converged at x0 (first dropped
-    term below 1e-13), elsewhere when x0^(2a) <= 2e-8, a = min_l s_l, and
-    at 1 otherwise.  A station below 4.95 is left
+    term below 1e-13) and at 1 otherwise.  A station below 4.95 is left
     once its residual is below 1e-5: the linear decay condition at x_p is
     itself biased by more than that (at gamma (0.3, 0.1), station 1
     converged to 7e-13 still leaves 0.17 at the first probe at 3), so
@@ -221,8 +221,8 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     Probes from x = 3.9 on use the `final_cfg` tolerances, those inside it
     1e-10 and 1e-12, and at 4.95 the probe of lowest residual is returned
     with its rho; info["residual"] is the residual measured on it.  The
-    work of every probe is summed in info["integrator_stats"], the cut's
-    order and first dropped term are info["series_order"/"series_error"].
+    work of every probe is summed in info["integrator_stats"], and the cut
+    series, with its order and first dropped term, is info["series"].
     """
     rho = np.array(rho, dtype=float)
     series = SmallXSeries(gamma).cut(rho, x0)
@@ -230,12 +230,10 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
     coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
     fine = dataclasses.replace(final_cfg, blowup_threshold=threshold)
-    seed_close = series.error < _SERIES_TOL or x0 ** (2.0 * float(np.min(series.s))) <= 2e-8
-    x_p = 3.0 if seed_close else 1.0
+    x_p = 3.0 if series.error < _SERIES_TOL else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": x_p,
-            "integrator_stats": tally, "series_order": series.order,
-            "series_error": series.error}
+            "integrator_stats": tally, "series": series}
     r_prev = math.inf
     newton_at_station = 0
     J: np.ndarray | None = None
@@ -413,6 +411,8 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
     the match reacts to ulp-level changes of rho, so it is not integrated
     again.  The diagnostics sum the work of every forward run of the solve
     in "integrator_stats"; a basis is built once and not counted there.
+    diagnostics["series"] is the seed's cut series, which also gives the
+    endcap at x0.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:

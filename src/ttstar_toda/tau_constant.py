@@ -31,8 +31,7 @@ import numpy as np
 
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
-from .global_solutions import (GlobalSolution, GlobalSolveError, SmallXSeries,
-                               solve_global)
+from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
 from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
                                tail_amplitude_s1)
 from .special_functions import psi_m2
@@ -149,7 +148,8 @@ def _power_fit(x1_grid, values):
     if p <= 0.0:
         raise ExtrapolationError(f"fitted exponent p={p:.3g} not positive",
                                  x1_grid, values)
-    c_ext = (c0 * c2 - c1 * c1) / (c0 - 2.0 * c1 + c2)
+    # Aitken's form: (c0 c2 - c1^2)/(c0 - 2 c1 + c2) loses C^2 eps/(c0 - 2 c1 + c2)
+    c_ext = c2 - d12 * d12 / (d01 - d12)
     a = d01 / (x1_grid[0] ** p - x1_grid[1] ** p)
     return c_ext, a, p
 
@@ -162,11 +162,12 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     C(x1) = reg_integral(x1 -> x2) + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1
     - endcap, x2 at most GlobalSolution.x_right; the endcap
     (`SmallXSeries.endcap`, at the smooth family's rho) integrates the
-    series of H - q/x over (0, x1), cut as the seed of the solve at x1,
-    so C(x1) is off by about its first dropped term.  Where that is below
-    1e-12 at the smallest point of DEFAULT_X1_GRID, one solve there gives
-    C (exponent inf), elsewhere one per grid point and a three-point
-    power-law fit.  A gamma with a below 0.2 raises GenericityError
+    series of H - q/x over (0, x1), the solve's own cut series
+    (diagnostics["series"]), so C(x1) is off by about its first dropped
+    term.  The first solve is at the smallest point of DEFAULT_X1_GRID:
+    where that term is below 1e-12 there, it gives C (exponent inf),
+    elsewhere the other two points are solved too and a three-point
+    power-law fit gives C.  A gamma with a below 0.2 raises GenericityError
     before any solve.  A backward tail basis may be shared across solves;
     without one, they reuse solve_global's default basis.
     `integrator_stats` sums the work of every forward run of the solves.
@@ -176,24 +177,25 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     if not DEFAULT_X1_GRID[0] < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({DEFAULT_X1_GRID[0]}, "
                          f"{GlobalSolution.x_right}], got {x2}")
-    series = SmallXSeries((g0, g1))
-    a = float(np.min(series.s))
+    a = min(2.0 + 2.0 * g0, 2.0 + (g1 - g0), 2.0 - 2.0 * g1)
     if a < _A_MIN:
         raise GenericityError(
             f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
             f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
-    rho_f = global_rho(3, (g0, g1))
-    grid, cuts = DEFAULT_X1_GRID, [series.cut(rho_f, x1) for x1 in DEFAULT_X1_GRID]
-    if cuts[-1].error < _ONE_SOLVE_TOL:
-        grid, cuts = grid[-1:], cuts[-1:]
+    grid = DEFAULT_X1_GRID[-1:]
+    sols = [_solve((g0, g1), grid[0], cfg, basis=basis)]
+    series = sols[0].diagnostics["series"]
+    if series.error >= _ONE_SOLVE_TOL:
+        grid = DEFAULT_X1_GRID
+        sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in grid[:-1]] + sols
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
-    sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in grid]
     stats = {}
     for sol in sols:
         for key, value in sol.diagnostics["integrator_stats"].items():
             stats[key] = stats.get(key, 0) + value
     values = [sol.reg_integral(x2) + x1 * x1 + quad_coeff * math.log(x1)
-              - cut.endcap(rho_f, x1) for x1, sol, cut in zip(grid, sols, cuts)]
+              - sol.diagnostics["series"].endcap(sol.rho_formula, x1)
+              for x1, sol in zip(grid, sols)]
     c_ext, p = (values[0], math.inf) if len(grid) == 1 else _power_fit(grid, values)[::2]
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))
@@ -203,7 +205,7 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
         abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=grid,
         x2_used=float(x2), extrapolation_exponent=float(p),
         tail_bound=float(tail), a=a, integrator_stats=stats,
-        series_order=cuts[-1].order, series_error=cuts[-1].error)
+        series_order=series.order, series_error=series.error)
 
 
 _GL6 = np.polynomial.legendre.leggauss(6)

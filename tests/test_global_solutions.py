@@ -238,10 +238,10 @@ class TestCorrectedSeed:
                              ids=["gamma0-3.0", "gamma1-1.0", "gamma2-3.0-0.01"])
     def test_first_station_from_predicted_seed_error(self, gamma, first, x0,
                                                       monkeypatch):
-        # the series has converged at (0.3, 0.1), at order 2 at x0 = 2.5e-3
-        # and at order 3 at 0.01, where the first-order seed's x0^(2a) =
-        # 6e-8 started the ladder at 1; at (0.0, 0.8), a = 0.4, order 8
-        # still drops 7e-11 at 2.5e-3, and x0^(2a) = 8e-3
+        # the ladder starts at 3 where the series has converged at x0: at
+        # (0.3, 0.1) by order 2 at x0 = 2.5e-3 and by order 3 at 0.01; at
+        # (0.0, 0.8), a = 0.4, order 8 still drops 7e-11 at 2.5e-3, and it
+        # starts at 1
         ends = []
         forward = global_solutions._forward
 

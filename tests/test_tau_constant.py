@@ -205,13 +205,16 @@ class TestConstantNumeric:
     @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825)])
     def test_edge_band_accuracy(self, gamma, tail_basis):
         # a(gamma) = 0.35: 2.1e-3 to 3.8e-3 from the leading-order seed,
-        # 4e-5 to 8e-5 from the first-order seed and endcap, 5e-9 to
-        # 1.6e-8 from the order-8 series, whose first dropped term at
-        # x1 = 6.25e-4 (1e-11 to 2e-11) still calls for three solves
+        # 4e-5 to 8e-5 from the first-order seed and endcap, 1.8e-13 to
+        # 3.2e-13 from the order-8 series, whose first dropped term at
+        # x1 = 6.25e-4 (1e-11 to 2e-11) still calls for three solves.  The
+        # fit then sees the order-9 truncation, O(x1^{9a}): p reads 2.94,
+        # near 9a = 3.15 (2a at first order)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.series_order == 8 and rep.series_error >= 1e-12
         assert len(rep.x1_grid) == 3
-        assert rep.abs_diff <= 1e-7
+        assert 7 * rep.a <= rep.extrapolation_exponent <= 9.5 * rep.a
+        assert rep.abs_diff <= 1e-11
 
     @pytest.mark.parametrize("gamma", [(0.5, 0.2), (-0.825, 0.075), (0.0, 0.8)])
     def test_mirror_symmetry(self, gamma, tail_basis):
@@ -268,6 +271,15 @@ class TestConstantNumeric:
         assert c == pytest.approx(3.0, abs=1e-12)
         assert p == pytest.approx(1.5, abs=1e-9)
         assert a == pytest.approx(2.0, rel=1e-9)
+
+    def test_power_fit_keeps_small_corrections(self):
+        # corrections of 1e-9 on an O(1) constant, as on the edge band:
+        # the fit must not cancel C^2 (that left 3.9e-6 here)
+        grid = (2.5e-3, 1.25e-3, 6.25e-4)
+        vals = tuple(-5.3 + 1e-9 * (x / grid[0]) ** 3 for x in grid)
+        c, _a, p = _power_fit(grid, vals)
+        assert c == pytest.approx(-5.3, abs=1e-14)
+        assert p == pytest.approx(3.0, abs=1e-5)
 
 
 class TestClassicalAction:
