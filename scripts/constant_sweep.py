@@ -5,9 +5,10 @@ For each gamma the constant is computed two independent ways: by
 regularized quadrature along the numerically computed global solution
 (one solve where the small-x series has converged, else x1 -> 0
 extrapolation over three) and from the closed form built on the
-generating function.  K is the order of the series at the smallest x1
-and p the fitted exponent (inf from one solve).  Emits one JSON line per
-point and a summary table.
+generating function.  x1 is the smallest x1 solved at (the one solve's
+own, or 6.25e-4 under the fit), K the order of the series there and p
+the fitted exponent (inf from one solve).  Emits one JSON line per point
+and a summary table.
 A gamma whose solve fails, or that lies below the working domain's floor
 a(gamma) >= 0.2, is printed as a failed row and the sweep goes on; the
 exit code is 4 (as `ttstar constant`'s verification failure) if
@@ -46,7 +47,7 @@ def main() -> int:
     sink = open(args.out, "w") if args.out else None
 
     print(f"{'gamma':>16s} {'c_numeric':>15s} {'c_closed':>15s} "
-          f"{'abs_diff':>10s} {'K':>2s} {'p':>6s} {'sec':>5s}")
+          f"{'abs_diff':>10s} {'x1':>8s} {'K':>2s} {'p':>6s} {'sec':>5s}")
     worst = 0.0
     failed = []
     for g in pairs:
@@ -65,7 +66,8 @@ def main() -> int:
         if not rep.abs_diff <= ABS_DIFF_MAX:
             failed.append(g)
         print(f"{str(g):>16s} {rep.c_numeric:>15.10f} {rep.c_closed:>15.10f} "
-              f"{rep.abs_diff:>10.2e} {rep.series_order:>2d} {rep.extrapolation_exponent:>6.2f} "
+              f"{rep.abs_diff:>10.2e} {rep.x1_grid[-1]:>8.3g} {rep.series_order:>2d} "
+              f"{rep.extrapolation_exponent:>6.2f} "
               f"{dt:>5.1f}")
         if sink:
             sink.write(json.dumps(rep.to_json_dict()) + "\n")

@@ -122,8 +122,9 @@ class SmallXSeries:
     c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by the Euler
     recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of x (H - q/x) =
     gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l}, q = |gamma|^2/8.
-    A solve computes them once, cuts them at its x0 and keeps the cut in
-    its diagnostics["series"], so its endcap uses the seed's own K."""
+    A solve computes them once (a constant once for all its solves), cuts
+    them at its x0 and keeps the cut in its diagnostics["series"], so its
+    endcap uses the seed's own K."""
 
     def __init__(self, gamma):
         ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables()
@@ -195,12 +196,13 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
     return traj
 
 
-def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
+def _refine_rho(series: SmallXSeries, rho, x0: float,
+                final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
                 ) -> tuple[np.ndarray, dict, Trajectory]:
     """Newton on the seed rho, starting from `rho`, driving the growing
     modes to zero.
 
-    Each probe integrates from the small-x series seed, cut once at the
+    Each probe integrates from the seed of `series`, cut once at the
     starting rho and x0, to the station x_p, which advances to 3 and then
     to 4.95 as the residual converges (backing off before a blow-up).  The
     ladder starts at 3 where the series has converged at x0 (first dropped
@@ -225,7 +227,7 @@ def _refine_rho(gamma, rho, x0: float, final_cfg: IntegratorConfig = FINAL_RUN_C
     series, with its order and first dropped term, is info["series"].
     """
     rho = np.array(rho, dtype=float)
-    series = SmallXSeries(gamma).cut(rho, x0)
+    series = series.cut(rho, x0)
     # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
     threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
     coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
@@ -394,7 +396,8 @@ class GlobalSolution:
 
 
 def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
-                 basis: tuple[Trajectory, Trajectory] | None = None) -> GlobalSolution:
+                 basis: tuple[Trajectory, Trajectory] | None = None, *,
+                 _series: SmallXSeries | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
     The seed at x0 is the small-x series (`SmallXSeries`) cut at order
@@ -412,13 +415,16 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
     again.  The diagnostics sum the work of every forward run of the solve
     in "integrator_stats"; a basis is built once and not counted there.
     diagnostics["series"] is the seed's cut series, which also gives the
-    endcap at x0.
+    endcap at x0.  `_series` is private: a caller that already built the
+    uncut `SmallXSeries` of gamma (`constant_numeric`, which chooses x1
+    from it) passes it, so its coefficients are computed once per constant.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    rho_seed, info, fwd = _refine_rho(gamma, rho_f, x0, cfg or FINAL_RUN_CONFIG)
+    series = SmallXSeries(gamma) if _series is None else _series
+    rho_seed, info, fwd = _refine_rho(series, rho_f, x0, cfg or FINAL_RUN_CONFIG)
     bs, bd = basis or _default_basis()
     A, D, resid = _match(fwd, bs, bd)
     return GlobalSolution(gamma=gamma, rho_formula=rho_f,

@@ -8,10 +8,12 @@ reg_integral - (x2^2 - x1^2).  The connection constant
                                    + (gamma0^2 + gamma1^2)/8 * log x1 )
 
 is extracted numerically less the integral over (0, x1) of the small-x
-series of H (the endcap), cut at order K <= 8: from one solve at
-x1 = 6.25e-4 where the series' first dropped term there is below 1e-12,
-and elsewhere on a geometric x1 grid with a fitted power-law
-extrapolation C + a x1^p.  It is compared against the closed form
+series of H (the endcap), cut at order K <= 8.  Where the series' first
+dropped term at x1 = 6.25e-4 is below 1e-12, C comes from one solve at
+the largest x1 = 6.25e-4 * 2^j <= 0.08 whose first dropped term is still
+below 1e-13; elsewhere from three solves on a geometric x1 grid and a
+fitted power-law extrapolation C + a x1^p.  It is compared against the
+closed form
 
     C = -(gamma0^2 + gamma1^2)/8 - F(rho*, m)/2
         + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4)),
@@ -31,7 +33,8 @@ import numpy as np
 
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
-from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
+from .global_solutions import (_SERIES_TOL, GlobalSolution, GlobalSolveError,
+                               SmallXSeries, solve_global)
 from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
                                tail_amplitude_s1)
 from .special_functions import psi_m2
@@ -54,7 +57,9 @@ DEFAULT_X2 = 7.0
 # constant_numeric accepts: below it the x1 sequence is too slow for the
 # three-point fit (or the shooting blows up), and results land far off
 _A_MIN = 0.2
-_ONE_SOLVE_TOL = 1e-12  # series error at the smallest x1 for one solve there
+_ONE_SOLVE_TOL = 1e-12  # series error at the smallest x1 for one solve
+_X1_MAX = 0.08  # the one solve's largest x1: DEFAULT_X1_GRID[-1] * 2^7 <= 0.1,
+# the largest x0 solve_global takes
 
 
 class BlowupError(RuntimeError):
@@ -82,7 +87,7 @@ class ConstantReport:
     tail_bound: float
     a: float  # min_l s_l, the smallest small-x exponent
     integrator_stats: dict = field(default_factory=dict)
-    series_order: int = 0  # K of the small-x series at the smallest x1
+    series_order: int = 0  # K of the small-x series at the smallest x1 used
     series_error: float = math.inf  # its first dropped term there
 
     def to_json_dict(self) -> dict:
@@ -103,9 +108,9 @@ class ConstantReport:
 
 
 def _solve(gamma, x1: float, cfg: IntegratorConfig | None,
-           basis=None) -> GlobalSolution:
+           basis=None, series: SmallXSeries | None = None) -> GlobalSolution:
     try:
-        return solve_global(gamma, x1, cfg=cfg, basis=basis)
+        return solve_global(gamma, x1, cfg=cfg, basis=basis, _series=series)
     except GlobalSolveError as exc:
         raise BlowupError(f"global solve failed for gamma={tuple(gamma)}: {exc}") from exc
 
@@ -164,12 +169,15 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
     (`SmallXSeries.endcap`, at the smooth family's rho) integrates the
     series of H - q/x over (0, x1), the solve's own cut series
     (diagnostics["series"]), so C(x1) is off by about its first dropped
-    term.  The first solve is at the smallest point of DEFAULT_X1_GRID:
-    where that term is below 1e-12 there, it gives C (exponent inf),
-    elsewhere the other two points are solved too and a three-point
-    power-law fit gives C.  A gamma with a below 0.2 raises GenericityError
-    before any solve.  A backward tail basis may be shared across solves;
-    without one, they reuse solve_global's default basis.
+    term.  The series is built once and every solve shares it.  Cut at
+    the smooth family's rho, where its first dropped term at the smallest
+    point of DEFAULT_X1_GRID is below 1e-12, x1 doubles from there while
+    that term stays below 1e-13, up to 0.08 (and below x2), and one solve
+    there gives C (exponent inf): the series gives the run over smaller x
+    in closed form.  Elsewhere the three points are solved and a
+    three-point power-law fit gives C.  A gamma with a below 0.2 raises
+    GenericityError before any solve.  A backward tail basis may be shared
+    across solves; without one, they reuse solve_global's default basis.
     `integrator_stats` sums the work of every forward run of the solves.
     """
     check_genericity(3, gamma)
@@ -182,12 +190,16 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
         raise GenericityError(
             f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
             f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
-    grid = DEFAULT_X1_GRID[-1:]
-    sols = [_solve((g0, g1), grid[0], cfg, basis=basis)]
-    series = sols[0].diagnostics["series"]
-    if series.error >= _ONE_SOLVE_TOL:
-        grid = DEFAULT_X1_GRID
-        sols = [_solve((g0, g1), x1, cfg, basis=basis) for x1 in grid[:-1]] + sols
+    series, rho_f = SmallXSeries((g0, g1)), global_rho(3, (g0, g1))
+    grid = DEFAULT_X1_GRID
+    x1 = grid[-1]
+    if series.cut(rho_f, x1).error < _ONE_SOLVE_TOL:
+        while (2.0 * x1 <= _X1_MAX and 2.0 * x1 < x2
+               and series.cut(rho_f, 2.0 * x1).error < _SERIES_TOL):
+            x1 *= 2.0
+        grid = (x1,)
+    sols = [_solve((g0, g1), x1, cfg, basis, series) for x1 in grid]
+    cut = sols[-1].diagnostics["series"]
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
     stats = {}
     for sol in sols:
@@ -205,7 +217,7 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
         abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=grid,
         x2_used=float(x2), extrapolation_exponent=float(p),
         tail_bound=float(tail), a=a, integrator_stats=stats,
-        series_order=series.order, series_error=series.error)
+        series_order=cut.order, series_error=cut.error)
 
 
 _GL6 = np.polynomial.legendre.leggauss(6)

@@ -250,5 +250,5 @@ class TestCorrectedSeed:
             return forward(series, rho, x0, x_end, *args, **kwargs)
 
         monkeypatch.setattr(global_solutions, "_forward", recorded)
-        global_solutions._refine_rho(gamma, global_rho(3, gamma), x0)
+        global_solutions._refine_rho(SmallXSeries(gamma), global_rho(3, gamma), x0)
         assert ends[0] == first

@@ -173,34 +173,97 @@ class TestConstantNumeric:
         assert rep.integrator_stats["steps"] <= 32000
 
     def test_seed_work_ceiling(self, tail_basis):
-        # machine-independent: the series has converged at x1 = 6.25e-4,
-        # so one solve from its seed, with the ladder starting at 3, takes
-        # 4 forward runs and 7,061 RHS calls (15 and 24,077 for three
-        # solves from the first-order seed, 42 and 50,274 from the
-        # leading-order one); with the first step capped by the scale of
-        # x0, the solves reject fewer steps than they run integrations
-        # (two per run before the cap)
+        # machine-independent: the series has converged up to x1 = 0.08,
+        # where it cuts at K = 5, so one solve from its seed there, with
+        # the ladder starting at 3, takes 4 forward runs and 4,025 RHS
+        # calls (7,061 from x1 = 6.25e-4, 15 and 24,077 for three solves
+        # from the first-order seed, 42 and 50,274 from the leading-order
+        # one); with the first step capped by the scale of x0, the solves
+        # reject fewer steps than they run integrations (two per run
+        # before the cap)
         st = constant_numeric((0.3, 0.1), basis=tail_basis).integrator_stats
         assert st["integrations"] <= 6
-        assert st["rhs_evals"] <= 10000
+        assert st["rhs_evals"] <= 5000
         assert st["rejected"] <= st["integrations"]
 
-    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.1, -0.1), (0.5, 0.2),
-                                       (-0.2, 0.4), (0.25, -0.35)])
-    def test_endcapped_sequence_converges_at_2a(self, gamma, tail_basis):
+    @pytest.mark.parametrize("gamma, x1", [((0.3, 0.1), 0.08), ((0.1, -0.1), 0.08),
+                                           ((0.5, 0.2), 0.08), ((-0.2, 0.4), 0.04),
+                                           ((0.25, -0.35), 0.08)],
+                             ids=[f"gamma{i}" for i in range(5)])
+    def test_endcapped_sequence_converges_at_2a(self, gamma, x1, tail_basis):
         # endcapped at order K, C(x1) is flat to the first dropped term,
-        # O(x1^{(K+1) a}): at the acceptance gammas (a >= 1.2) the series
-        # has converged at x1 = 6.25e-4 by order 3, so one solve there
-        # gives the constant, 4e-16 to 3.3e-14 off, and the exponent reads
+        # O(x1^{(K+1) a}): at the acceptance gammas (a >= 1.2) that term is
+        # below 1e-13 up to x1 = 0.04-0.08 at K = 5-8, so one solve there
+        # gives the constant, 4e-16 to 1.4e-14 off, and the exponent reads
         # inf (at first order the fit found p near 2a and left 7.8e-12 to
         # 3.2e-10)
         g0, g1 = gamma
         a = min(2 + 2 * g0, 2 + g1 - g0, 2 - 2 * g1)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.a == pytest.approx(a, abs=1e-14)
-        assert rep.x1_grid == (6.25e-4,) and rep.extrapolation_exponent == math.inf
-        assert rep.series_order <= 3 and rep.series_error < 1e-13
+        assert rep.x1_grid == (x1,) and rep.extrapolation_exponent == math.inf
+        assert rep.series_order <= 8 and rep.series_error < 1e-13
         assert rep.abs_diff <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.1, -0.1), (0.5, 0.2),
+                                       (-0.2, 0.4), (0.25, -0.35)])
+    def test_one_solve_independent_of_x1(self, gamma, tail_basis):
+        # the one solve's C(x1) does not depend on where the series hands
+        # over to the integration: a solve at the smallest grid point
+        # gives the same constant to 1e-14
+        x1 = tau_constant.DEFAULT_X1_GRID[-1]
+        sol = global_solutions.solve_global(gamma, x1, basis=tail_basis)
+        c_small = (sol.reg_integral(7.0) + x1 * x1 + sum(g * g for g in gamma) / 8.0 * math.log(x1)
+                   - sol.diagnostics["series"].endcap(sol.rho_formula, x1))
+        rep = constant_numeric(gamma, basis=tail_basis)
+        assert rep.x1_grid[0] > x1
+        assert abs(rep.c_numeric - c_small) <= 1e-13
+
+    @pytest.mark.parametrize("gamma, x1, order", [((0.3, 0.1), 0.08, 5),
+                                                  ((-0.675, 0.3), 0.005, 8)])
+    def test_one_solve_at_largest_converged_x1(self, gamma, x1, order, tail_basis,
+                                               monkeypatch):
+        # x1 doubles from 6.25e-4 while the series' first dropped term
+        # stays below 1e-13: up to the cap 0.08 at a = 1.8, to 0.005 at
+        # a = 0.65, where the order-9 part at 0.01 is 4.1e-13
+        solved = []
+        solve_global = tau_constant.solve_global
+
+        def recorded(gamma, x0, *args, **kwargs):
+            solved.append(x0)
+            return solve_global(gamma, x0, *args, **kwargs)
+
+        monkeypatch.setattr(tau_constant, "solve_global", recorded)
+        rep = constant_numeric(gamma, basis=tail_basis)
+        assert solved == [x1] and rep.x1_grid == (x1,)
+        assert rep.series_order == order and rep.series_error < 1e-13
+        assert rep.abs_diff <= 1e-13
+
+    def test_one_solve_x1_below_x2(self, tail_basis):
+        # a short x2 caps the doubling: x1 = 0.08 would start past it
+        rep = constant_numeric((0.3, 0.1), x2=0.05, basis=tail_basis)
+        assert rep.x1_grid == (0.04,)
+
+    def test_series_built_once_per_constant(self, tail_basis, monkeypatch):
+        # the three solves of the a = 0.35 band share the one series that
+        # chose their path, on the default grid
+        built, solved = [], []
+        init = global_solutions.SmallXSeries.__init__
+        solve_global = tau_constant.solve_global
+
+        def counted(self, gamma):
+            built.append(1)
+            init(self, gamma)
+
+        def recorded(gamma, x0, *args, **kwargs):
+            solved.append(x0)
+            return solve_global(gamma, x0, *args, **kwargs)
+
+        monkeypatch.setattr(global_solutions.SmallXSeries, "__init__", counted)
+        monkeypatch.setattr(tau_constant, "solve_global", recorded)
+        rep = constant_numeric((-0.825, 0.075), basis=tail_basis)
+        assert len(built) == 1
+        assert tuple(solved) == rep.x1_grid == tau_constant.DEFAULT_X1_GRID
 
     @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825)])
     def test_edge_band_accuracy(self, gamma, tail_basis):
@@ -212,7 +275,7 @@ class TestConstantNumeric:
         # near 9a = 3.15 (2a at first order)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.series_order == 8 and rep.series_error >= 1e-12
-        assert len(rep.x1_grid) == 3
+        assert rep.x1_grid == tau_constant.DEFAULT_X1_GRID
         assert 7 * rep.a <= rep.extrapolation_exponent <= 9.5 * rep.a
         assert rep.abs_diff <= 1e-11
 
