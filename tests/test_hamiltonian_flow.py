@@ -148,6 +148,97 @@ class TestKernelForms:
         assert floats == batch == [0.1, 0.2, math.inf, -2.0, -math.inf]
 
 
+def eom_loops(x, y, n, even):
+    """The equations of motion of [w, wt, q] and of tangent columns after
+    it, as plain loops over the links: link 0 has exponent 4 w_0, link i
+    2 (w_i - w_{i-1}), the last -4 w_{L-1} (odd n) or -2 w_{L-1} (even n,
+    weight 2); a list is evaluated with math.expm1, an array with np.expm1."""
+    L = reduced_length(n)
+    dim = 2 * L + 1
+    last, last_weight = (-2.0, 2.0) if even else (-4.0, 1.0)
+    q_const = 1.5 - float(L) if even else 2.0 - float(L)
+    batch = isinstance(y, np.ndarray)
+    expm1 = np.expm1 if batch else math.expm1
+    try:
+        E = [expm1(4.0 * y[0])]
+        for i in range(1, L):
+            E.append(expm1(2.0 * (y[i] - y[i - 1])))
+        E.append(expm1(last * y[L - 1]))
+    except OverflowError:
+        return eom_loops(x, np.array(y), n, even).tolist()
+    out = []
+    ww = 0.0
+    for i in range(L):
+        out.append(y[L + i] / x)
+        ww = ww + y[L + i] * y[L + i]
+    for i in range(L):
+        out.append(-2.0 * x * (E[i + 1] - E[i]))
+    e_inner = 0.0
+    for i in range(1, L):
+        e_inner = e_inner + E[i]
+    out.append(ww / (2.0 * x) - x * e_inner + q_const * x
+               - 0.5 * x * (last_weight * E[L] + E[0]))
+    for c in range(dim, len(y), 2 * L):
+        dE = [4.0 * (E[0] + 1.0) * y[c]]
+        for i in range(1, L):
+            dE.append(2.0 * (E[i] + 1.0) * (y[c + i] - y[c + i - 1]))
+        dE.append(last * (E[L] + 1.0) * y[c + L - 1])
+        for i in range(L):
+            out.append(y[c + L + i] / x)
+        for i in range(L):
+            out.append(-2.0 * x * (dE[i + 1] - dE[i]))
+    return np.array(out) if batch else out
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestKernelOracle:
+    # the generated straight-line kernel against the loops, bit for bit
+    chains = pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
+                                                 (7, False), (2, True), (4, True)])
+    columns = pytest.mark.parametrize("ncols", [0, 1, 2])
+
+    @chains
+    @columns
+    def test_floats(self, n, even, ncols):
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        rng = np.random.default_rng(600 + 10 * n + ncols)
+        for scale in (0.0, 1e-9, 0.4, 3.0):
+            for _ in range(25):
+                x = float(rng.uniform(1e-3, 9.0))
+                y = (rng.normal(0.0, scale, 2 * L + 1).tolist()
+                     + rng.normal(0.0, 1.0, 2 * L * ncols).tolist())
+                out = f(x, y)
+                assert isinstance(out, list)
+                assert bits(out) == bits(eom_loops(x, y, n, even))
+
+    @chains
+    @columns
+    def test_batches(self, n, even, ncols):
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        rng = np.random.default_rng(700 + 10 * n + ncols)
+        x = rng.uniform(1e-3, 9.0, 40)
+        y = np.vstack([rng.normal(0.0, 0.5, (2 * L + 1, 40)),
+                       rng.normal(0.0, 1.0, (2 * L * ncols, 40))])
+        out = f(x, y)
+        assert out.shape == y.shape
+        assert bits(out) == bits(eom_loops(x, y, n, even))
+
+    @chains
+    @columns
+    def test_overflow(self, n, even, ncols):
+        # math.expm1 raises on the state [300, 0, ...]: the kernel answers
+        # with the infinities of the batch path, as the loops do
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        y = [300.0] + [0.0] * (2 * L) + [0.5] * (2 * L * ncols)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, ref = f(1.0, y), eom_loops(1.0, y, n, even)
+        assert isinstance(out, list) and not all(map(math.isfinite, out))
+        assert bits(out) == bits(ref)
+
+
 class TestTangentColumns:
     @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
                                          (2, True), (4, True)])
