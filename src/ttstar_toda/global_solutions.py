@@ -91,6 +91,8 @@ _FORCE = (_LINK_WEIGHTS[:, None] * _LINK_ROWS).T
 _L3 = np.arange(3)
 # the series' highest order, and the first dropped term a lower one must reach
 _K_MAX, _SERIES_TOL = 8, 1e-13
+# the last station's Newton step in rho (max norm) that ends the shooting
+_STEP_TOL = 1e-14
 
 
 @functools.cache
@@ -203,28 +205,34 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
     modes to zero.
 
     Each probe integrates from the seed of `series`, cut once at the
-    starting rho and x0, to the station x_p, which advances to 3 and then
-    to 4.95 as the residual converges (backing off before a blow-up).  The
-    ladder starts at 3 where the series has converged at x0 (first dropped
-    term below 1e-13) and at 1 otherwise.  A station below 4.95 is left
-    once its residual is below 1e-5: the linear decay condition at x_p is
-    itself biased by more than that (at gamma (0.3, 0.1), station 1
-    converged to 7e-13 still leaves 0.17 at the first probe at 3), so
-    converging further buys the next station nothing.  A station that
-    Newton leaves with the residual still above 1e-3 advances by 0.25 only.
-    The Jacobian in rho is exact: the first probe at a station carries the
-    tangent-linear flow (two columns d(w, wt)/d(rho_j), seeded with the
-    seed's own derivative) and maps its end node through the same linear
-    residual; it is taken again only when a Newton step fails to contract,
-    every other probe is a plain run.  At 4.95 the iteration runs to
-    2e-11, and a step that fails to contract ends it once the residual is
-    below the accepted 1e-4: it has reached the noise floor, and a fresh
-    Jacobian cannot lower it; 48 probes in all end it with an error.
-    Probes from x = 3.9 on use the `final_cfg` tolerances, those inside it
-    1e-10 and 1e-12, and at 4.95 the probe of lowest residual is returned
-    with its rho; info["residual"] is the residual measured on it.  The
-    work of every probe is summed in info["integrator_stats"], and the cut
-    series, with its order and first dropped term, is info["series"].
+    starting rho and x0, to the station x_p.  Where the series has
+    converged at x0 (first dropped term below 1e-13) the ladder starts at
+    the last station, 4.95; elsewhere at 1, advancing to 3 and then to
+    4.95 as the residual converges (backing off before a blow-up).  A
+    station below 4.95 is left once its residual is below 1e-5: the linear
+    decay condition at x_p is itself biased by more than that (at gamma
+    (0.3, 0.1), station 1 converged to 7e-13 still leaves 0.17 at the
+    first probe at 3), so converging further buys the next station
+    nothing.  A station that Newton leaves with the residual still above
+    1e-3 advances by 0.25 only.  The Jacobian in rho is exact: the first
+    probe at a station carries the tangent-linear flow (two columns
+    d(w, wt)/d(rho_j), seeded with the seed's own derivative) and maps its
+    end node through the same linear residual; it is taken again only when
+    a Newton step fails to contract, every other probe is a plain run.
+    At 4.95 the first of these rules ends the iteration, and info["stop"]
+    names it: "residual", the residual is below 2e-11; "step", the Newton
+    step just solved for moves rho by less than 1e-14 (max norm), so the
+    residual is at its noise floor, where ulp-level changes of rho move it
+    at random, and the next probe would buy nothing (a converged series
+    ends here on its second probe); "noise_floor", after two Newton steps
+    the residual fell by less than 4 (it fires on ladders that start at
+    1); "newton_limit", eight Newton steps.  48 probes in all end it with
+    an error.  Probes from x = 3.9 on use the `final_cfg` tolerances,
+    those inside it 1e-10 and 1e-12, and at 4.95 the probe of lowest
+    residual is returned with its rho; info["residual"] is the residual
+    measured on it.  The work of every probe is summed in
+    info["integrator_stats"], and the cut series, with its order and first
+    dropped term, is info["series"].
     """
     rho = np.array(rho, dtype=float)
     series = series.cut(rho, x0)
@@ -232,7 +240,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
     threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
     coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
     fine = dataclasses.replace(final_cfg, blowup_threshold=threshold)
-    x_p = 3.0 if series.error < _SERIES_TOL else 1.0
+    x_p = _STATION if series.error < _SERIES_TOL else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": x_p,
             "integrator_stats": tally, "series": series}
@@ -256,10 +264,12 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
         info["station"] = x_p
         if final and (best is None or rnorm < best[0]):
             best = (rnorm, rho, traj)
-        if rnorm < (2e-11 if final else 1e-5) \
-                or (newton_at_station >= 2 and rnorm > 0.25 * r_prev) \
-                or newton_at_station >= 8:
+        converged = rnorm < (2e-11 if final else 1e-5)
+        stalled = newton_at_station >= 2 and rnorm > 0.25 * r_prev
+        if converged or stalled or newton_at_station >= 8:
             if final:
+                info["stop"] = ("residual" if converged else "noise_floor" if stalled
+                                else "newton_limit")
                 break
             # left unconverged, the growing-mode error grows ~ exp(2 sqrt 2 dx)
             # and a full advance blows up: creep on until a station converges
@@ -269,8 +279,6 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
         if traj.tangent is not None:
             J = np.column_stack([_mode_residual(col, x_p) for col in traj.tangent.T])
         elif newton_at_station >= 1 and rnorm > 0.6 * r_prev:
-            if final and rnorm <= 1e-4:
-                break  # an exact Jacobian stalls only at the noise floor
             J = None  # re-probe this rho with tangents
             continue
         try:
@@ -278,6 +286,9 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
         except np.linalg.LinAlgError as exc:
             raise GlobalSolveError(f"singular shooting Jacobian at x_p={x_p}") from exc
         nrm = float(np.max(np.abs(step)))
+        if final and nrm < _STEP_TOL:
+            info["stop"] = "step"
+            break
         if nrm > 0.5:
             step *= 0.5 / nrm
         rho = rho - step

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ttstar_toda import global_solutions
+from ttstar_toda import constant_numeric, global_solutions
 from ttstar_toda.data_maps import AsymptoticData, global_rho
 from ttstar_toda.global_solutions import SmallXSeries, fit_tail_amplitude, solve_global
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, init_from_asymptotics,
@@ -72,7 +72,8 @@ class TestSolveGlobal:
 
     def test_stats_count_every_integration(self, tail_basis, monkeypatch):
         # shooting, Jacobian and final runs, counted where the solve
-        # enters the stepper
+        # enters the stepper: the series has converged at x0 = 0.01, so a
+        # tangent probe and a plain one, both at 4.95
         runs = []
         integrate_raw = global_solutions._integrate_raw
 
@@ -84,7 +85,7 @@ class TestSolveGlobal:
         monkeypatch.setattr(global_solutions, "_integrate_raw", counted)
         sol = solve_global((0.3, 0.1), 0.01, basis=tail_basis)
         stats = sol.diagnostics["integrator_stats"]
-        assert stats["integrations"] == len(runs) > 3
+        assert stats["integrations"] == len(runs) == 2
         assert stats["rhs_evals"] == sum(st.n_rhs_evals for st in runs)
         assert stats["steps"] == sum(st.n_steps for st in runs)
         assert stats["rejected"] == sum(st.n_rejected for st in runs)
@@ -232,16 +233,17 @@ class TestCorrectedSeed:
         corrected = miss(lambda x: _cut(gamma, rho, x).seed(rho, x))
         assert corrected <= 1e-3 * miss(leading)
 
-    @pytest.mark.parametrize("gamma, first, x0", [((0.3, 0.1), 3.0, 2.5e-3),
+    # the ids keep the names the cases had when the ladder started at 3
+    @pytest.mark.parametrize("gamma, first, x0", [((0.3, 0.1), 4.95, 2.5e-3),
                                                   ((0.0, 0.8), 1.0, 2.5e-3),
-                                                  ((0.3, 0.1), 3.0, 0.01)],
+                                                  ((0.3, 0.1), 4.95, 0.01)],
                              ids=["gamma0-3.0", "gamma1-1.0", "gamma2-3.0-0.01"])
     def test_first_station_from_predicted_seed_error(self, gamma, first, x0,
                                                       monkeypatch):
-        # the ladder starts at 3 where the series has converged at x0: at
-        # (0.3, 0.1) by order 2 at x0 = 2.5e-3 and by order 3 at 0.01; at
-        # (0.0, 0.8), a = 0.4, order 8 still drops 7e-11 at 2.5e-3, and it
-        # starts at 1
+        # the ladder starts at the last station, 4.95, where the series has
+        # converged at x0: at (0.3, 0.1) by order 2 at x0 = 2.5e-3 and by
+        # order 3 at 0.01; at (0.0, 0.8), a = 0.4, order 8 still drops
+        # 7e-11 at 2.5e-3, and it starts at 1
         ends = []
         forward = global_solutions._forward
 
@@ -252,3 +254,30 @@ class TestCorrectedSeed:
         monkeypatch.setattr(global_solutions, "_forward", recorded)
         global_solutions._refine_rho(SmallXSeries(gamma), global_rho(3, gamma), x0)
         assert ends[0] == first
+
+
+class TestLastStationStop:
+    @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "step"),
+                                                 ((0.0, 0.0), 0.08, "residual"),
+                                                 ((0.0, 0.8), 6.25e-4, "noise_floor")])
+    def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop, tail_basis):
+        # a converged series ends on the Newton step, the trivial orbit on
+        # a vanishing residual; the ladder from 1 at a = 0.4 stalls at the
+        # noise floor of its residual
+        sol = solve_global(gamma, x0, basis=tail_basis)
+        assert sol.diagnostics["stop"] == stop
+        assert sol.diagnostics["station"] == 4.95
+
+    def test_probes_do_not_depend_on_the_noise_floor(self, tail_basis):
+        # at (0.42223887, -0.69539036) the one solve is at x1 = 0.02, K = 8.
+        # Nudging the starting rho by a few ulps moves the last station's
+        # residual at random between 5e-9 and 2e-7, but the Newton step
+        # there is always below 1e-14: two probes each time
+        gamma = (0.42223887, -0.69539036)
+        rep = constant_numeric(gamma, basis=tail_basis)
+        assert rep.x1_grid == (0.02,) and rep.integrator_stats["integrations"] == 2
+        series, rho = SmallXSeries(gamma), np.array(global_rho(3, gamma))
+        for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:
+            nudged = [r + k * math.ulp(r) for r, k in zip(rho, ulps)]
+            _rho, info, _traj = global_solutions._refine_rho(series, nudged, 0.02)
+            assert info["iterations"] == 2 and info["stop"] == "step"
