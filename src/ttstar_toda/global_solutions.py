@@ -10,7 +10,8 @@ strategy:
   1. forward shooting from the small-x series of the chain, generated to
      order K <= 8 from the link data (`SmallXSeries`), with a Newton
      refinement of the seed offsets in rho, driving the growing-mode
-     components to zero at a probe station that is pushed outward as the
+     components to zero at the last probe station, reached at once where
+     the series has converged at x0 and else pushed outward as the
      iteration converges; the Jacobian in rho comes exactly from
      tangent-linear columns carried by the probe;
   2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,

@@ -112,6 +112,7 @@ def _check_n(n: int, L: int, even_variant: bool) -> None:
             f"state length {L} does not match reduced length {reduced_length(n)} for n={n}")
 
 
+@functools.cache
 def _make_rhs(n: int, even_variant: bool):
     """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
 
@@ -122,27 +123,21 @@ def _make_rhs(n: int, even_variant: bool):
     2(w_{i+1} - w_i) differences, so both the force terms and the
     regularized density H + 2x stay relatively accurate down to vanishing
     amplitudes (the trivial-background cancellation is done in closed
-    form).  f is straight-line code over the L + 1 links, generated once
-    per chain by `_kernel`: the stepper calls it 12 times per step, and
-    loops over the links took twice as long (n = 3 on Python 3.11: 2.1
-    against 1.1 us a call, 4.1 against 2.5 us with two tangent columns).
+    form).
 
     Components past the 2L + 1 of the state are tangent columns [dw, dwt]
     (2L each) of the tangent-linear flow, and f returns their linearised
     derivatives after the state's: with T_i = E_i + 1 the exponential of
     link i, dE_i = T_i times the derivative of the link's exponent.
-    """
-    return _kernel(n, even_variant), reduced_length(n)
 
-
-@functools.cache
-def _kernel(n: int, even_variant: bool):
-    """`_make_rhs`'s f for one chain, written out as source and compiled.
-
-    Link i has exponent k_i u_i: 4 w_0 (w_0 less its closure -w_0),
-    2 (w_i - w_{i-1}) inside, and on the last link -4 w_{L-1} (odd n,
-    closure -w_{L-1}) or -2 w_{L-1} (even n, on the frozen middle entry 0,
-    whose boundary term has twice the weight).  E_i = expm1(k_i u_i).
+    f is straight-line code over the L + 1 links, written out as source
+    once per chain and compiled: the stepper calls it 12 times per step,
+    and loops over the links took twice as long (n = 3 on Python 3.11:
+    2.1 against 1.1 us a call, 4.1 against 2.5 us with two tangent
+    columns).  Link i has exponent k_i u_i: 4 w_0 (w_0 less its closure
+    -w_0), 2 (w_i - w_{i-1}) inside, and on the last link -4 w_{L-1} (odd
+    n, closure -w_{L-1}) or -2 w_{L-1} (even n, on the frozen middle entry
+    0, whose boundary term has twice the weight); E_i = expm1(k_i u_i).
     Sums start from 0.0 and run in link order, as in the plain loops over
     the links (`eom_loops` in the tests), which f matches bit for bit.
     """
@@ -191,7 +186,7 @@ def _kernel(n: int, even_variant: bool):
     scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
              "array": np.array}
     exec(compile(src, f"<chain kernel n={n}>", "exec"), scope)
-    return scope["f"]
+    return scope["f"], L
 
 
 def _rhs_at(p: PhasePoint, n: int, even_variant: bool) -> list[float]:

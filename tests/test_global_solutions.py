@@ -233,7 +233,8 @@ class TestCorrectedSeed:
         corrected = miss(lambda x: _cut(gamma, rho, x).seed(rho, x))
         assert corrected <= 1e-3 * miss(leading)
 
-    # the ids keep the names the cases had when the ladder started at 3
+    # the ids name the first station of an earlier ladder (3); kept, so
+    # that the test ids stay stable
     @pytest.mark.parametrize("gamma, first, x0", [((0.3, 0.1), 4.95, 2.5e-3),
                                                   ((0.0, 0.8), 1.0, 2.5e-3),
                                                   ((0.3, 0.1), 4.95, 0.01)],

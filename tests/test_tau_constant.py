@@ -175,12 +175,12 @@ class TestConstantNumeric:
     def test_seed_work_ceiling(self, tail_basis):
         # machine-independent: the series has converged up to x1 = 0.08,
         # where it cuts at K = 5, so one solve from its seed there, with
-        # the ladder starting at 3, takes 4 forward runs and 4,025 RHS
-        # calls (7,061 from x1 = 6.25e-4, 15 and 24,077 for three solves
-        # from the first-order seed, 42 and 50,274 from the leading-order
-        # one); with the first step capped by the scale of x0, the solves
-        # reject fewer steps than they run integrations (two per run
-        # before the cap)
+        # the ladder starting at 4.95, takes 2 forward runs and 2,312 RHS
+        # calls (4,025 with a probe at 3, 7,061 from x1 = 6.25e-4, 15 and
+        # 24,077 for three solves from the first-order seed, 42 and 50,274
+        # from the leading-order one); with the first step capped by the
+        # scale of x0, the solves reject fewer steps than they run
+        # integrations (two per run before the cap)
         st = constant_numeric((0.3, 0.1), basis=tail_basis).integrator_stats
         assert st["integrations"] <= 6
         assert st["rhs_evals"] <= 5000
