@@ -18,7 +18,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -27,7 +26,6 @@ import time
 import numpy as np
 
 from . import data_maps as dm
-from . import global_solutions as gs
 from . import hamiltonian_flow as hf
 from . import tau_constant as tc
 from .special_functions import DomainError, psi_m2, psi_m2_oracle, log_barnes_g, log_gamma
@@ -92,13 +90,12 @@ def _parse_list(text: str) -> tuple[float, ...]:
         raise DomainError(f"could not parse comma-separated reals from {text!r}") from exc
 
 
-def _cfg_from(args, default: hf.IntegratorConfig) -> hf.IntegratorConfig | None:
-    """The tolerances given on the command line, a missing one taken from
-    `default` (the library's default for the command), or None when none
-    is given."""
+def _cfg_from(args) -> hf.IntegratorConfig:
+    """`solve`'s integrator tolerances: those given on the command line, a
+    missing one at its IntegratorConfig default."""
     given = {k: v for k, v in (("rel_tol", args.rel_tol), ("abs_tol", args.abs_tol))
              if v is not None}
-    return dataclasses.replace(default, **given) if given else None
+    return hf.IntegratorConfig(**given)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +124,7 @@ def cmd_solve(args) -> int:
     rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
     a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
     start = hf.init_from_asymptotics(a, args.x0)
-    traj = hf.integrate(start, args.x1, _cfg_from(args, hf.IntegratorConfig()), args.n)
+    traj = hf.integrate(start, args.x1, _cfg_from(args), args.n)
     _log(f"integrated to x={traj.x_final:.6g} ({traj.stats.n_steps} steps, "
          f"stop={traj.stop_reason})")
     out = args.out or "trajectory.csv"
@@ -141,7 +138,7 @@ def cmd_solve(args) -> int:
 def cmd_tau(args) -> int:
     gamma = _parse_list(args.gamma)
     try:
-        val = tc.log_tau(gamma, args.x1, args.x2, _cfg_from(args, gs.FINAL_RUN_CONFIG))
+        val = tc.log_tau(gamma, args.x1, args.x2)
     except tc.BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -152,7 +149,7 @@ def cmd_tau(args) -> int:
 def cmd_constant(args) -> int:
     gamma = _parse_list(args.gamma)
     try:
-        rep = tc.constant_numeric(gamma, _cfg_from(args, gs.FINAL_RUN_CONFIG), x2=args.x2)
+        rep = tc.constant_numeric(gamma, x2=args.x2)
     except tc.BlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -236,8 +233,11 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from "
               f"{sorted(_SUITE_THRESHOLDS)}", file=sys.stderr)
         return EXIT_INPUT
-    rng = np.random.default_rng(args.seed)
     n = args.n
+    if args.suite == "dynamics" and n % 2 == 0:
+        print(f"error: the dynamics suite takes an odd n, got n={n}", file=sys.stderr)
+        return EXIT_INPUT
+    rng = np.random.default_rng(args.seed)
     if args.suite == "specfun":
         worst = _suite_specfun(rng, args.samples)
     elif args.suite == "genfun":
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "symplectic":
         worst = _suite_symplectic(rng, args.samples, n)
     else:
-        worst = _suite_dynamics(rng, args.samples, n if n % 2 == 1 else 3)
+        worst = _suite_dynamics(rng, args.samples, n)
     thr = args.threshold if args.threshold is not None else _SUITE_THRESHOLDS[args.suite]
     doc = {"suite": args.suite, "n": n, "samples": args.samples, "seed": args.seed,
            "max_residual": worst, "threshold": thr, "pass": bool(worst <= thr)}
@@ -263,17 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     # --n only where the chain parameter is read (tau and constant are
-    # n = 3), the tolerances only where something is integrated, --seed
-    # only on verify, the one command that draws samples
-    def common(p, n=False, gamma=True, tols=False):
+    # n = 3), the tolerances only on solve (a global solve has one set),
+    # --seed only on verify, the one command that draws samples
+    def common(p, n=False, gamma=True):
         if n:
             p.add_argument("--n", type=int, default=3)
         if gamma:
             p.add_argument("--gamma", type=str, required=True,
                            help="comma-separated reduced list")
-        if tols:
-            p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-            p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--reproducible", action="store_true")
 
@@ -283,20 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("solve", help="integrate and write a CSV trajectory")
-    common(p, n=True, tols=True)
+    common(p, n=True)
     p.add_argument("--rho", type=str, default=None)
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
     p.add_argument("--x0", type=float, default=1e-2)
     p.add_argument("--x1", type=float, default=8.0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tau", help="log tau over [x1, x2], global solution")
-    common(p, tols=True)
+    common(p)
     p.add_argument("--x1", type=float, default=1e-2)
     p.add_argument("--x2", type=float, default=6.0)
     p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("constant", help="connection constant, numeric vs closed")
-    common(p, tols=True)
+    common(p)
     p.add_argument("--x2", type=float, default=tc.DEFAULT_X2)
     p.add_argument("--threshold", type=float, default=1e-2)
     p.set_defaults(func=cmd_constant)

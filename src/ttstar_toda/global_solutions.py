@@ -30,7 +30,6 @@ also gives `tau_constant` the integral of H near x = 0 (the endcap).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -43,15 +42,10 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
-           "make_backward_basis", "fit_tail_amplitude", "FINAL_RUN_CONFIG"]
+           "make_backward_basis", "fit_tail_amplitude"]
 
 _SQ8 = 2.0 * math.sqrt(2.0)
 _RATE_FAST = 4.0
-
-# tolerances of the refined forward run that a global solution keeps: the
-# library's default for solve_global, log_tau, constant_numeric and the
-# `ttstar tau` / `ttstar constant` commands
-FINAL_RUN_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=5.0)
 
 # the one solve geometry: the last shooting station, the match window, the
 # forward/tail switch and the right end of the tail basis.  The station and
@@ -199,9 +193,7 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
     return traj
 
 
-def _refine_rho(series: SmallXSeries, rho, x0: float,
-                final_cfg: IntegratorConfig = FINAL_RUN_CONFIG
-                ) -> tuple[np.ndarray, dict, Trajectory]:
+def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict, Trajectory]:
     """Newton on the seed rho, starting from `rho`, driving the growing
     modes to zero.
 
@@ -228,10 +220,11 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
     ends here on its second probe); "noise_floor", after two Newton steps
     the residual fell by less than 4 (it fires on ladders that start at
     1); "newton_limit", eight Newton steps.  48 probes in all end it with
-    an error.  Probes from x = 3.9 on use the `final_cfg` tolerances,
-    those inside it 1e-10 and 1e-12, and at 4.95 the probe of lowest
-    residual is returned with its rho; info["residual"] is the residual
-    measured on it.  The work of every probe is summed in
+    an error.  Probes from x = 3.9 on run at rel_tol 1e-12 and abs_tol
+    1e-14, the tolerances these stop rules are tuned to, those inside it
+    at 1e-10 and 1e-12, and at 4.95 the probe of lowest residual is
+    returned with its rho; info["residual"] is the residual measured on
+    it.  The work of every probe is summed in
     info["integrator_stats"], and the cut series, with its order and first
     dropped term, is info["series"].
     """
@@ -240,7 +233,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float,
     # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
     threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
     coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
-    fine = dataclasses.replace(final_cfg, blowup_threshold=threshold)
+    fine = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
     x_p = _STATION if series.error < _SERIES_TOL else 1.0
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": x_p,
@@ -407,9 +400,8 @@ class GlobalSolution:
                 + self._tail_reg_integral(self.x_switch, x2))
 
 
-def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
-                 basis: tuple[Trajectory, Trajectory] | None = None, *,
-                 _series: SmallXSeries | None = None) -> GlobalSolution:
+def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None = None,
+                 *, _series: SmallXSeries | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
     The seed at x0 is the small-x series (`SmallXSeries`) cut at order
@@ -419,13 +411,14 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
     station 4.95, the forward run is matched to the tail on [3.9, 4.6],
     and the solution switches from one to the other at 4.2.  The backward
     `basis` (`make_backward_basis`) is independent of gamma and x0:
-    without one, a basis built on first use is reused.  `cfg` (None for
-    FINAL_RUN_CONFIG) sets the tolerances of the shooting probes from
-    x = 3.9 on, and the forward trajectory is the last-station probe of
-    lowest residual, the very run diagnostics["residual"] was measured on:
-    the match reacts to ulp-level changes of rho, so it is not integrated
-    again.  The diagnostics sum the work of every forward run of the solve
-    in "integrator_stats"; a basis is built once and not counted there.
+    without one, a basis built on first use is reused.  A solve has one
+    tolerance set: its shooting probes from x = 3.9 on run at rel_tol
+    1e-12 and abs_tol 1e-14 (`_refine_rho`), and the forward trajectory
+    is the last-station probe of lowest residual, the very run
+    diagnostics["residual"] was measured on: the match reacts to
+    ulp-level changes of rho, so it is not integrated again.  The
+    diagnostics sum the work of every forward run of the solve in
+    "integrator_stats"; a basis is built once and not counted there.
     diagnostics["series"] is the seed's cut series, which also gives the
     endcap at x0.  `_series` is private: a caller that already built the
     uncut `SmallXSeries` of gamma (`constant_numeric`, which chooses x1
@@ -436,7 +429,7 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
     series = SmallXSeries(gamma) if _series is None else _series
-    rho_seed, info, fwd = _refine_rho(series, rho_f, x0, cfg or FINAL_RUN_CONFIG)
+    rho_seed, info, fwd = _refine_rho(series, rho_f, x0)
     bs, bd = basis or _default_basis()
     A, D, resid = _match(fwd, bs, bd)
     return GlobalSolution(gamma=gamma, rho_formula=rho_f,
@@ -446,14 +439,15 @@ def solve_global(gamma, x0: float, cfg: IntegratorConfig | None = None,
                           diagnostics={**info, "match_residual": resid})
 
 
-def fit_tail_amplitude(sol: GlobalSolution, window: tuple[float, float] = (5.0, 7.0),
-                       npts: int = 41) -> float:
-    """Fit w_0(x) sqrt(x) exp(2 sqrt 2 x) = a + b/x on the window; return a.
+def fit_tail_amplitude(sol: GlobalSolution,
+                       window: tuple[float, float] = (5.0, 7.0)) -> float:
+    """Fit w_0(x) sqrt(x) exp(2 sqrt 2 x) = a + b/x at 41 points of the
+    window; return a.
 
     For the decaying family the constant a estimates the tail coefficient
     -s1 * 2^(-7/4) / sqrt(pi).
     """
-    xs = np.linspace(window[0], window[1], npts)
+    xs = np.linspace(window[0], window[1], 41)
     vals = np.array([sol.state(x).w[0] * math.sqrt(x) * math.exp(_SQ8 * x)
                      for x in xs])
     M = np.vstack([np.ones_like(xs), 1.0 / xs]).T

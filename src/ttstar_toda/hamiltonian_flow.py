@@ -646,11 +646,9 @@ def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
 # Large-x tail amplitude and scaling identity
 # ----------------------------------------------------------------------
 
-def tail_amplitude_s1(gamma, n: int = 3) -> float:
+def tail_amplitude_s1(gamma) -> float:
     """Leading tail coefficient s1 for the n=3 chain:
     w_i(x) ~ -s1 * 2^(-7/4) (pi x)^(-1/2) exp(-2 sqrt(2) x)."""
-    if n != 3:
-        raise UnsupportedConfigError("tail amplitude is implemented for n=3 only")
     g0, g1 = float(gamma[0]), float(gamma[1])
     return (-2.0 * math.cos(math.pi / 4.0 * (g0 + 1.0))
             - 2.0 * math.cos(math.pi / 4.0 * (g1 + 3.0)))

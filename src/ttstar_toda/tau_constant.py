@@ -35,8 +35,7 @@ from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho
                         reduced_length)
 from .global_solutions import (_SERIES_TOL, GlobalSolution, GlobalSolveError,
                                SmallXSeries, solve_global)
-from .hamiltonian_flow import (IntegratorConfig, Trajectory, reg_density,
-                               tail_amplitude_s1)
+from .hamiltonian_flow import Trajectory, reg_density, tail_amplitude_s1
 from .special_functions import psi_m2
 
 __all__ = [
@@ -107,26 +106,27 @@ class ConstantReport:
         }
 
 
-def _solve(gamma, x1: float, cfg: IntegratorConfig | None,
-           basis=None, series: SmallXSeries | None = None) -> GlobalSolution:
+def _solve(gamma, x1: float, basis=None,
+           series: SmallXSeries | None = None) -> GlobalSolution:
     try:
-        return solve_global(gamma, x1, cfg=cfg, basis=basis, _series=series)
+        return solve_global(gamma, x1, basis=basis, _series=series)
     except GlobalSolveError as exc:
         raise BlowupError(f"global solve failed for gamma={tuple(gamma)}: {exc}") from exc
 
 
-def log_tau(gamma, x1: float, x2: float,
-            cfg: IntegratorConfig | None = None) -> float:
+def log_tau(gamma, x1: float, x2: float) -> float:
     """log tau(x1, x2) = integral of H along the global solution.
 
     rho is pinned to the smooth family; the value is
-    reg_integral - (x2^2 - x1^2), and x2 may reach GlobalSolution.x_right.
+    reg_integral - (x2^2 - x1^2).  The solve starts at x1, so x1 lies in
+    (0, 0.1] like solve_global's x0, and x2 may reach
+    GlobalSolution.x_right.
     """
-    if not 0.0 < x1 < x2 <= GlobalSolution.x_right:
-        raise ValueError(f"need 0 < x1 < x2 <= {GlobalSolution.x_right}, "
+    if not (0.0 < x1 <= 0.1 and x1 < x2 <= GlobalSolution.x_right):
+        raise ValueError(f"need 0 < x1 <= 0.1 and x1 < x2 <= {GlobalSolution.x_right}, "
                          f"got x1={x1}, x2={x2}")
     check_genericity(3, gamma)
-    sol = _solve(gamma, x1, cfg)
+    sol = _solve(gamma, x1)
     return sol.reg_integral(x2) - (x2 * x2 - x1 * x1)
 
 
@@ -159,8 +159,7 @@ def _power_fit(x1_grid, values):
     return c_ext, a, p
 
 
-def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
-                     x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
+def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
     """Constant by regularized quadrature, from one solve where the small-x
     series has converged and by x1 -> 0 extrapolation elsewhere.
 
@@ -198,7 +197,7 @@ def constant_numeric(gamma, cfg: IntegratorConfig | None = None,
                and series.cut(rho_f, 2.0 * x1).error < _SERIES_TOL):
             x1 *= 2.0
         grid = (x1,)
-    sols = [_solve((g0, g1), x1, cfg, basis, series) for x1 in grid]
+    sols = [_solve((g0, g1), x1, basis, series) for x1 in grid]
     cut = sols[-1].diagnostics["series"]
     quad_coeff = (g0 * g0 + g1 * g1) / 8.0
     stats = {}

@@ -93,14 +93,6 @@ class TestTau:
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == log_tau((0.3, 0.1), 0.01, 6.0)
 
-    def test_one_flag_keeps_the_other_default(self, capsys):
-        # --rel-tol alone at its default value must not loosen abs_tol
-        base = ["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6", "--reproducible"]
-        assert run(base) == 0
-        plain = json.loads(capsys.readouterr().out)["log_tau"]
-        assert run(base + ["--rel-tol", "1e-12"]) == 0
-        assert json.loads(capsys.readouterr().out)["log_tau"] == plain
-
 
 class TestConstant:
     def test_trivial(self, capsys):
@@ -149,6 +141,11 @@ class TestFlags:
     def test_maps_rejects_tolerances(self):
         assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--rel-tol", "1e-9"]) == 2
         assert parse_error_code(["maps", "--gamma", "0.3,0.1", "--abs-tol", "1e-9"]) == 2
+        # a global solve has one tolerance set: only solve takes tolerances
+        assert parse_error_code(["tau", "--gamma", "0.3,0.1", "--rel-tol", "1e-9"]) == 2
+        assert parse_error_code(["tau", "--gamma", "0.3,0.1", "--abs-tol", "1e-9"]) == 2
+        assert parse_error_code(["constant", "--gamma", "0.3,0.1", "--rel-tol", "1e-9"]) == 2
+        assert parse_error_code(["constant", "--gamma", "0.3,0.1", "--abs-tol", "1e-9"]) == 2
 
     def test_seed_only_on_verify(self):
         assert parse_error_code(["constant", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
@@ -186,6 +183,14 @@ class TestVerify:
         rc = run(["verify", "--suite", "dynamics", "--n", "3",
                   "--samples", "20", "--seed", "7", "--reproducible"])
         assert rc == 0
+
+    def test_dynamics_refuses_even_n(self, capsys):
+        # the suite checks the odd chain only; an even n is refused by
+        # name rather than run as n = 3
+        assert run(["verify", "--suite", "dynamics", "--n", "4",
+                    "--samples", "3", "--reproducible"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n=4" in captured.err
 
     def test_unknown_suite_exit_2(self):
         assert run(["verify", "--suite", "nope"]) == 2

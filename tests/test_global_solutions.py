@@ -96,22 +96,6 @@ class TestSolveGlobal:
         assert float(np.max(np.abs(r))) == d["residual"]
         assert sol_031.forward.x_final == d["station"] == 4.95
 
-    def test_own_cfg_keeps_its_measured_probe(self, tail_basis):
-        # a caller's cfg sets the final-station probes, so the forward run
-        # is the one the residual was measured on: re-integrating the
-        # refined rho at another tolerance left the orbit (match residual
-        # 0.97 at rel_tol 1e-11) without any error
-        steps = []
-        for rel_tol in (1e-11, 1e-13):
-            cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol / 100)
-            sol = solve_global((0.3, 0.1), 0.01, cfg=cfg, basis=tail_basis)
-            d = sol.diagnostics
-            assert d["match_residual"] < 0.05
-            r = global_solutions._growing_mode_residual(sol.forward, d["station"])
-            assert float(np.max(np.abs(r))) == d["residual"]
-            steps.append(sol.forward.stats.n_steps)
-        assert steps[0] < steps[1]   # the tolerances took effect
-
     def test_x0_validation(self, tail_basis):
         with pytest.raises(Exception):
             solve_global((0.3, 0.1), 0.5, basis=tail_basis)

@@ -551,10 +551,6 @@ class TestTailAmplitude:
         assert tail_amplitude_s1((0.3, 0.1)) == pytest.approx(ref, rel=1e-15)
         assert ref == pytest.approx(0.4758148, abs=1e-6)
 
-    def test_unsupported_n(self):
-        with pytest.raises(UnsupportedConfigError):
-            tail_amplitude_s1((0.1,), n=1)
-
 
 class TestCsv:
     def test_header_and_rows(self):

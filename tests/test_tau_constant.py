@@ -56,13 +56,16 @@ class TestLogTau:
         parts = log_tau((0.0, 0.0), a, b) + log_tau((0.0, 0.0), b, c)
         assert full == pytest.approx(parts, abs=1e-9)
 
-    def test_finite_and_tolerance_stable(self):
-        v1 = log_tau((0.3, 0.1), 0.01, 6.0,
-                     IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
-        v2 = log_tau((0.3, 0.1), 0.01, 6.0,
-                     IntegratorConfig(rel_tol=5e-13, abs_tol=5e-15))
-        assert math.isfinite(v1)
-        assert abs(v1 - v2) <= 1e-8
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (-0.2, 0.4), (0.0, 0.0)])
+    def test_gives_the_closed_constant(self, gamma):
+        # log tau(x1, x2) + x2^2 + (gamma0^2 + gamma1^2)/8 log x1, less the
+        # series integral over (0, x1), is the constant to the x2 tail
+        # (~1e-15 at x2 = 6): 5e-15 to 1e-14 off
+        x1, x2, rho = 0.01, 6.0, global_rho(3, gamma)
+        endcap = global_solutions.SmallXSeries(gamma).cut(rho, x1).endcap(rho, x1)
+        c = (log_tau(gamma, x1, x2) + x2 * x2
+             + (gamma[0] ** 2 + gamma[1] ** 2) / 8.0 * math.log(x1) - endcap)
+        assert abs(c - constant_closed(gamma)) <= 1e-12
 
     def test_default_basis_built_once(self, monkeypatch):
         # log_tau passes no basis; the tail basis depends on neither gamma
@@ -91,6 +94,13 @@ class TestLogTau:
         monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
         with pytest.raises(ValueError, match="9.0"):
             log_tau((0.3, 0.1), 0.01, 9.5)
+
+    def test_x1_beyond_seed_range_rejected_before_solving(self, monkeypatch):
+        # the solve starts at x1, so x1 > 0.1 is refused by name, not by
+        # solve_global's x0
+        monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
+        with pytest.raises(ValueError, match="0 < x1 <= 0.1"):
+            log_tau((0.3, 0.1), 0.5, 6.0)
 
 
 class TestConstantClosed:
