@@ -8,11 +8,10 @@ recovers the orbit to near machine precision with the standard two-sided
 strategy:
 
   1. forward shooting from the small-x series of the chain, generated to
-     order K <= 8 from the link data (`SmallXSeries`), with a Newton
-     refinement of the seed offsets in rho, driving the growing-mode
-     components to zero at the last probe station, reached at once where
-     the series has converged at x0 and else pushed outward as the
-     iteration converges; the Jacobian in rho comes exactly from
+     order K <= 8 from the link data (`SmallXSeries`) and started at the
+     largest x0 2^-j where it has converged, with a Newton refinement of
+     the seed offsets in rho, driving the growing-mode components to zero
+     at the station x = 4.95; the Jacobian in rho comes exactly from
      tangent-linear columns carried by the probe;
   2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,
      mode vectors (1, 1) and (1, -1)) seeded far out at x = 9, which is
@@ -47,7 +46,7 @@ __all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
 _SQ8 = 2.0 * math.sqrt(2.0)
 _RATE_FAST = 4.0
 
-# the one solve geometry: the last shooting station, the match window, the
+# the one solve geometry: the shooting station, the match window, the
 # forward/tail switch and the right end of the tail basis.  The station and
 # window keep the floats they were first written as, offsets from 4.7:
 # (3.9, 4.6) as literals moves the matched amplitudes by a few ulps.
@@ -86,8 +85,10 @@ _FORCE = (_LINK_WEIGHTS[:, None] * _LINK_ROWS).T
 _L3 = np.arange(3)
 # the series' highest order, and the first dropped term a lower one must reach
 _K_MAX, _SERIES_TOL = 8, 1e-13
-# the last station's Newton step in rho (max norm) that ends the shooting
+# the Newton step in rho (max norm) that ends the shooting
 _STEP_TOL = 1e-14
+# the lowest shooting start: a(gamma) = 0.2 starts from 0.08 2^-19 = 1.53e-7
+_X_START_MIN = 1e-8
 
 
 @functools.cache
@@ -119,8 +120,8 @@ class SmallXSeries:
     c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by the Euler
     recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of x (H - q/x) =
     gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l}, q = |gamma|^2/8.
-    A solve computes them once (a constant once for all its solves), cuts
-    them at its x0 and keeps the cut in its diagnostics["series"], so its
+    A solve computes them once (a constant shares them with its solve), cuts
+    them at its start and keeps the cut in its diagnostics["series"], so its
     endcap uses the seed's own K."""
 
     def __init__(self, gamma):
@@ -193,110 +194,99 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
     return traj
 
 
+def _converged_start(series: SmallXSeries, rho, x0: float) -> tuple[float, SmallXSeries]:
+    """The largest x0 2^-j (j >= 0) at which the series cut at rho drops a
+    first term below _SERIES_TOL, with that cut; below _X_START_MIN the
+    GlobalSolveError names a(gamma) and the term."""
+    x = x0
+    while (cut := series.cut(rho, x)).error >= _SERIES_TOL:
+        x *= 0.5
+        if x < _X_START_MIN:
+            raise GlobalSolveError(
+                f"the small-x series has not converged above x = {_X_START_MIN:g}: "
+                f"first dropped term {cut.error:.3e} at a(gamma) = {min(series.s):.6g}, "
+                f"gamma = {tuple(series.gamma.tolist())}")
+    return x, cut
+
+
 def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict, Trajectory]:
     """Newton on the seed rho, starting from `rho`, driving the growing
-    modes to zero.
+    modes to zero at the station 4.95.
 
     Each probe integrates from the seed of `series`, cut once at the
-    starting rho and x0, to the station x_p.  Where the series has
-    converged at x0 (first dropped term below 1e-13) the ladder starts at
-    the last station, 4.95; elsewhere at 1, advancing to 3 and then to
-    4.95 as the residual converges (backing off before a blow-up).  A
-    station below 4.95 is left once its residual is below 1e-5: the linear
-    decay condition at x_p is itself biased by more than that (at gamma
-    (0.3, 0.1), station 1 converged to 7e-13 still leaves 0.17 at the
-    first probe at 3), so converging further buys the next station
-    nothing.  A station that Newton leaves with the residual still above
-    1e-3 advances by 0.25 only.  The Jacobian in rho is exact: the first
-    probe at a station carries the tangent-linear flow (two columns
-    d(w, wt)/d(rho_j), seeded with the seed's own derivative) and maps its
-    end node through the same linear residual; it is taken again only when
-    a Newton step fails to contract, every other probe is a plain run.
-    At 4.95 the first of these rules ends the iteration, and info["stop"]
-    names it: "residual", the residual is below 2e-11; "step", the Newton
-    step just solved for moves rho by less than 1e-14 (max norm), so the
-    residual is at its noise floor, where ulp-level changes of rho move it
-    at random, and the next probe would buy nothing (a converged series
-    ends here on its second probe); "noise_floor", after two Newton steps
-    the residual fell by less than 4 (it fires on ladders that start at
-    1); "newton_limit", eight Newton steps.  48 probes in all end it with
-    an error.  Probes from x = 3.9 on run at rel_tol 1e-12 and abs_tol
-    1e-14, the tolerances these stop rules are tuned to, those inside it
-    at 1e-10 and 1e-12, and at 4.95 the probe of lowest residual is
+    starting rho, at the start `_converged_start` gives: the largest
+    x0 2^-j where the series' first dropped term is below 1e-13, so the
+    seed misses the orbit by less than that (info["x_start"]).  The
+    Jacobian in rho is exact: the first probe carries the tangent-linear
+    flow (two columns d(w, wt)/d(rho_j), seeded with the seed's own
+    derivative) and maps its end node through the same linear residual;
+    it is taken again only when a Newton step fails to contract, every
+    other probe is a plain run.  The first of three rules ends the
+    iteration, and info["stop"] names it: "residual", the residual is
+    below 2e-11 (the trivial orbit); "step", the Newton step just solved
+    for moves rho by less than 1e-14 (max norm), so the residual is at its
+    noise floor, where ulp-level changes of rho move it at random, and the
+    next probe would buy nothing (most solves end here on their second
+    probe); "noise_floor", after two Newton steps the residual fell by
+    less than 4 (a few solves near the edge of the domain, started below
+    1e-5, one to three probes sooner than the step rule would end them,
+    with the same probe kept).  A probe that blows up, or 12 probes
+    without a stop, raise GlobalSolveError.  The probes run at rel_tol
+    1e-12 and abs_tol 1e-14, and the probe of lowest residual is
     returned with its rho; info["residual"] is the residual measured on
-    it.  The work of every probe is summed in
-    info["integrator_stats"], and the cut series, with its order and first
-    dropped term, is info["series"].
+    it.  The work of every
+    probe is summed in info["integrator_stats"], and the cut series, with
+    its order and first dropped term, is info["series"].
     """
     rho = np.array(rho, dtype=float)
-    series = series.cut(rho, x0)
-    # the seed has |w_i| ~ |gamma_i|/2 |log x0|: a fixed threshold stops it at once
-    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, x0)[:2]))
-    coarse = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=threshold)
-    fine = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
-    x_p = _STATION if series.error < _SERIES_TOL else 1.0
+    start, series = _converged_start(series, rho, x0)
+    # the seed has |w_i| ~ |gamma_i|/2 |log x|: a fixed threshold stops it at once
+    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, start)[:2]))
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
-    info = {"iterations": 0, "residual": math.inf, "station": x_p,
+    info = {"iterations": 0, "residual": math.inf, "station": _STATION, "x_start": start,
             "integrator_stats": tally, "series": series}
-    r_prev = math.inf
-    newton_at_station = 0
+    r_prev, newton = math.inf, 0
     J: np.ndarray | None = None
     best: tuple[float, np.ndarray, Trajectory] | None = None
 
-    for _ in range(48):
+    for _ in range(12):
         info["iterations"] += 1
-        final = x_p >= _STATION - 0.01
-        cfg = fine if x_p >= 3.9 else coarse
-        traj = _forward(series, rho, x0, x_p, cfg, tally, tangents=J is None)
+        traj = _forward(series, rho, start, _STATION, cfg, tally, tangents=J is None)
         if traj.stop_reason != "completed":
-            x_p = max(0.5, traj.x_final - 0.5)
-            r_prev, newton_at_station, J = math.inf, 0, None
-            continue
-        r = _growing_mode_residual(traj, x_p)
+            raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
+                                   f"({traj.stop_reason}) at x = {traj.x_final:.6g}")
+        r = _growing_mode_residual(traj, _STATION)
         rnorm = float(np.max(np.abs(r)))
-        info["residual"] = rnorm
-        info["station"] = x_p
-        if final and (best is None or rnorm < best[0]):
+        if best is None or rnorm < best[0]:
             best = (rnorm, rho, traj)
-        converged = rnorm < (2e-11 if final else 1e-5)
-        stalled = newton_at_station >= 2 and rnorm > 0.25 * r_prev
-        if converged or stalled or newton_at_station >= 8:
-            if final:
-                info["stop"] = ("residual" if converged else "noise_floor" if stalled
-                                else "newton_limit")
-                break
-            # left unconverged, the growing-mode error grows ~ exp(2 sqrt 2 dx)
-            # and a full advance blows up: creep on until a station converges
-            x_p = min(x_p + (2.0 if rnorm < 1e-3 else 0.25), _STATION)
-            r_prev, newton_at_station, J = math.inf, 0, None
-            continue
+        if rnorm < 2e-11 or (newton >= 2 and rnorm > 0.25 * r_prev):
+            info["stop"] = "residual" if rnorm < 2e-11 else "noise_floor"
+            break
         if traj.tangent is not None:
-            J = np.column_stack([_mode_residual(col, x_p) for col in traj.tangent.T])
-        elif newton_at_station >= 1 and rnorm > 0.6 * r_prev:
+            J = np.column_stack([_mode_residual(col, _STATION) for col in traj.tangent.T])
+        elif rnorm > 0.6 * r_prev:
             J = None  # re-probe this rho with tangents
             continue
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError as exc:
-            raise GlobalSolveError(f"singular shooting Jacobian at x_p={x_p}") from exc
+            raise GlobalSolveError("singular shooting Jacobian") from exc
         nrm = float(np.max(np.abs(step)))
-        if final and nrm < _STEP_TOL:
+        if nrm < _STEP_TOL:
             info["stop"] = "step"
             break
         if nrm > 0.5:
             step *= 0.5 / nrm
         rho = rho - step
-        r_prev = rnorm
-        newton_at_station += 1
+        r_prev, newton = rnorm, newton + 1
     else:
-        raise GlobalSolveError(
-            f"shooting did not converge: station {info['station']}, "
-            f"residual {info['residual']:.3e}")
+        raise GlobalSolveError(f"shooting did not converge in 12 probes: "
+                               f"residual {rnorm:.3e}")
     rnorm, rho, traj = best
     info["residual"] = rnorm
     if rnorm > 1e-4:
-        raise GlobalSolveError(
-            f"shooting stalled at residual {rnorm:.3e} (station {info['station']})")
+        raise GlobalSolveError(f"shooting stalled at residual {rnorm:.3e}")
     return rho, info, traj
 
 
@@ -366,6 +356,11 @@ class GlobalSolution:
     amp_diff: float
     diagnostics: dict
 
+    def __post_init__(self):
+        # the shooting may start below x0; reg_integral stays measured from x0
+        start = float(self.forward.xs[0])
+        self._offset = self.forward.reg_integral_to(self.x0) if start < self.x0 else 0.0
+
     def tail_state(self, x: float) -> np.ndarray:
         return (self.amp_sum * self.basis_sum.sample_state(x)
                 + self.amp_diff * self.basis_diff.sample_state(x))
@@ -395,8 +390,8 @@ class GlobalSolution:
         if not self.x0 < x2 <= self.x_right:
             raise ValueError(f"x2 must lie in ({self.x0}, {self.x_right}]")
         if x2 <= self.x_switch:
-            return self.forward.reg_integral_to(x2)
-        return (self.forward.reg_integral_to(self.x_switch)
+            return self.forward.reg_integral_to(x2) - self._offset
+        return (self.forward.reg_integral_to(self.x_switch) - self._offset
                 + self._tail_reg_integral(self.x_switch, x2))
 
 
@@ -404,25 +399,29 @@ def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None =
                  *, _series: SmallXSeries | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
-    The seed at x0 is the small-x series (`SmallXSeries`) cut at order
-    K <= 8, at the smooth family's rho plus a Newton-refined offset that
+    The seed is the small-x series (`SmallXSeries`) cut at order K <= 8,
+    at the smooth family's rho plus a Newton-refined offset that
     compensates the terms it drops; the large-x side is the matched tail.
-    Genericity is checked once, by `global_rho`.  The shooting ends at
-    station 4.95, the forward run is matched to the tail on [3.9, 4.6],
-    and the solution switches from one to the other at 4.2.  The backward
-    `basis` (`make_backward_basis`) is independent of gamma and x0:
-    without one, a basis built on first use is reused.  A solve has one
-    tolerance set: its shooting probes from x = 3.9 on run at rel_tol
+    The shooting starts at the largest x0 2^-j where the series' first
+    dropped term is below 1e-13 (diagnostics["x_start"]), at x0 itself
+    where it has converged there; a series not converged above 1e-8
+    raises GlobalSolveError naming a(gamma).  reg_integral is measured
+    from x0 either way.  Genericity is checked once, by `global_rho`.
+    The shooting ends at station 4.95, the forward run is matched to the
+    tail on [3.9, 4.6], and the solution switches from one to the other
+    at 4.2.  The backward `basis` (`make_backward_basis`) is independent
+    of gamma and x0: without one, a basis built on first use is reused.
+    A solve has one tolerance set: its shooting probes run at rel_tol
     1e-12 and abs_tol 1e-14 (`_refine_rho`), and the forward trajectory
-    is the last-station probe of lowest residual, the very run
-    diagnostics["residual"] was measured on: the match reacts to
-    ulp-level changes of rho, so it is not integrated again.  The
-    diagnostics sum the work of every forward run of the solve in
-    "integrator_stats"; a basis is built once and not counted there.
-    diagnostics["series"] is the seed's cut series, which also gives the
-    endcap at x0.  `_series` is private: a caller that already built the
-    uncut `SmallXSeries` of gamma (`constant_numeric`, which chooses x1
-    from it) passes it, so its coefficients are computed once per constant.
+    is the probe of lowest residual, the very run diagnostics["residual"]
+    was measured on: the match reacts to ulp-level changes of rho, so it
+    is not integrated again.  The diagnostics sum the work of every
+    forward run of the solve in "integrator_stats"; a basis is built once
+    and not counted there.  diagnostics["series"] is the seed's cut
+    series, which also gives the endcap at the start.  `_series` is
+    private: a caller that already built the uncut `SmallXSeries` of
+    gamma (`constant_numeric`, which chooses x1 from it) passes it, so
+    its coefficients are computed once per constant.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:

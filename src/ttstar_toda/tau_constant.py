@@ -8,12 +8,10 @@ reg_integral - (x2^2 - x1^2).  The connection constant
                                    + (gamma0^2 + gamma1^2)/8 * log x1 )
 
 is extracted numerically less the integral over (0, x1) of the small-x
-series of H (the endcap), cut at order K <= 8.  Where the series' first
-dropped term at x1 = 6.25e-4 is below 1e-12, C comes from one solve at
-the largest x1 = 6.25e-4 * 2^j <= 0.08 whose first dropped term is still
-below 1e-13; elsewhere from three solves on a geometric x1 grid and a
-fitted power-law extrapolation C + a x1^p.  It is compared against the
-closed form
+series of H (the endcap), cut at order K <= 8: one solve at the largest
+x1 = 0.08 * 2^-j whose first dropped term is below 1e-13 gives C, as the
+series gives the run over (0, x1) in closed form.  It is compared
+against the closed form
 
     C = -(gamma0^2 + gamma1^2)/8 - F(rho*, m)/2
         + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4)),
@@ -33,8 +31,8 @@ import numpy as np
 
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
-from .global_solutions import (_SERIES_TOL, GlobalSolution, GlobalSolveError,
-                               SmallXSeries, solve_global)
+from .global_solutions import (GlobalSolution, GlobalSolveError, SmallXSeries,
+                               _converged_start, solve_global)
 from .hamiltonian_flow import Trajectory, reg_density, tail_amplitude_s1
 from .special_functions import psi_m2
 
@@ -46,19 +44,19 @@ __all__ = [
     "constant_numeric",
     "constant_closed",
     "classical_action",
-    "DEFAULT_X1_GRID",
     "DEFAULT_X2",
 ]
 
-DEFAULT_X1_GRID = (2.5e-3, 1.25e-3, 6.25e-4)
 DEFAULT_X2 = 7.0
 # the smallest exponent a(gamma) of the small-x corrections that
-# constant_numeric accepts: below it the x1 sequence is too slow for the
-# three-point fit (or the shooting blows up), and results land far off
+# constant_numeric accepts: the series' first dropped term O(x1^{9a}) at
+# a = 0.2 falls below 1e-13 by x1 = 1.53e-7, while a = 0.1 would need x1
+# below the stepper's underflow near 1e-14
 _A_MIN = 0.2
-_ONE_SOLVE_TOL = 1e-12  # series error at the smallest x1 for one solve
-_X1_MAX = 0.08  # the one solve's largest x1: DEFAULT_X1_GRID[-1] * 2^7 <= 0.1,
-# the largest x0 solve_global takes
+# the grid 6.25e-4 * 2^j, j <= 7, whose largest point below x2 starts the
+# search for x1: its top, 0.08, is the largest within 0.1, solve_global's
+# largest x0
+_X1_MIN, _X1_MAX = 6.25e-4, 0.08
 
 
 class BlowupError(RuntimeError):
@@ -66,12 +64,10 @@ class BlowupError(RuntimeError):
 
 
 class ExtrapolationError(RuntimeError):
-    """The x1 sequence is unusable for power-law extrapolation."""
-
-    def __init__(self, message: str, x1_grid, values):
-        super().__init__(f"{message}: C(x1) = {list(values)} on x1 = {list(x1_grid)}")
-        self.x1_grid = tuple(x1_grid)
-        self.values = tuple(values)
+    """Raised by nothing now that one solve gives the constant (there is
+    no x1 -> 0 extrapolation left to fail); kept because callers catch it
+    by name: the benchmark's workloads, the CLI and
+    scripts/constant_sweep.py."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,12 @@ class ConstantReport:
     c_numeric: float
     c_closed: float
     abs_diff: float
-    x1_grid: tuple[float, ...]
+    x1: float
     x2_used: float
-    extrapolation_exponent: float
     tail_bound: float
     a: float  # min_l s_l, the smallest small-x exponent
     integrator_stats: dict = field(default_factory=dict)
-    series_order: int = 0  # K of the small-x series at the smallest x1 used
+    series_order: int = 0  # K of the small-x series at x1
     series_error: float = math.inf  # its first dropped term there
 
     def to_json_dict(self) -> dict:
@@ -95,23 +90,14 @@ class ConstantReport:
             "c_numeric": self.c_numeric,
             "c_closed": self.c_closed,
             "abs_diff": self.abs_diff,
-            "x1_grid": list(self.x1_grid),
+            "x1": self.x1,
             "x2_used": self.x2_used,
-            "extrapolation_exponent": self.extrapolation_exponent,
             "tail_bound": self.tail_bound,
             "integrator_stats": dict(self.integrator_stats),
             "a": self.a,
             "series_order": self.series_order,
             "series_error": self.series_error,
         }
-
-
-def _solve(gamma, x1: float, basis=None,
-           series: SmallXSeries | None = None) -> GlobalSolution:
-    try:
-        return solve_global(gamma, x1, basis=basis, _series=series)
-    except GlobalSolveError as exc:
-        raise BlowupError(f"global solve failed for gamma={tuple(gamma)}: {exc}") from exc
 
 
 def log_tau(gamma, x1: float, x2: float) -> float:
@@ -126,7 +112,10 @@ def log_tau(gamma, x1: float, x2: float) -> float:
         raise ValueError(f"need 0 < x1 <= 0.1 and x1 < x2 <= {GlobalSolution.x_right}, "
                          f"got x1={x1}, x2={x2}")
     check_genericity(3, gamma)
-    sol = _solve(gamma, x1)
+    try:
+        sol = solve_global(gamma, x1)
+    except GlobalSolveError as exc:
+        raise BlowupError(f"global solve failed for gamma={tuple(gamma)}: {exc}") from exc
     return sol.reg_integral(x2) - (x2 * x2 - x1 * x1)
 
 
@@ -141,81 +130,53 @@ def constant_closed(gamma) -> float:
     return -0.125 * (g0 * g0 + g1 * g1) - 0.5 * F + 4.0 * psis
 
 
-def _power_fit(x1_grid, values):
-    """Fit C + a*x1^p through three geometric grid points (ratio 2)."""
-    c0, c1, c2 = values
-    d01, d12 = c0 - c1, c1 - c2
-    if d01 == 0.0 and d12 == 0.0:
-        return c2, 0.0, math.inf  # already converged
-    if d01 * d12 <= 0.0:
-        raise ExtrapolationError("non-monotone C(x1) sequence", x1_grid, values)
-    p = math.log2(d01 / d12)
-    if p <= 0.0:
-        raise ExtrapolationError(f"fitted exponent p={p:.3g} not positive",
-                                 x1_grid, values)
-    # Aitken's form: (c0 c2 - c1^2)/(c0 - 2 c1 + c2) loses C^2 eps/(c0 - 2 c1 + c2)
-    c_ext = c2 - d12 * d12 / (d01 - d12)
-    a = d01 / (x1_grid[0] ** p - x1_grid[1] ** p)
-    return c_ext, a, p
-
-
 def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
-    """Constant by regularized quadrature, from one solve where the small-x
-    series has converged and by x1 -> 0 extrapolation elsewhere.
+    """Constant by regularized quadrature from one solve where the small-x
+    series has converged.
 
     C(x1) = reg_integral(x1 -> x2) + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1
     - endcap, x2 at most GlobalSolution.x_right; the endcap
     (`SmallXSeries.endcap`, at the smooth family's rho) integrates the
     series of H - q/x over (0, x1), the solve's own cut series
     (diagnostics["series"]), so C(x1) is off by about its first dropped
-    term.  The series is built once and every solve shares it.  Cut at
-    the smooth family's rho, where its first dropped term at the smallest
-    point of DEFAULT_X1_GRID is below 1e-12, x1 doubles from there while
-    that term stays below 1e-13, up to 0.08 (and below x2), and one solve
-    there gives C (exponent inf): the series gives the run over smaller x
-    in closed form.  Elsewhere the three points are solved and a
-    three-point power-law fit gives C.  A gamma with a below 0.2 raises
-    GenericityError before any solve.  A backward tail basis may be shared
-    across solves; without one, they reuse solve_global's default basis.
-    `integrator_stats` sums the work of every forward run of the solves.
+    term.  The series is built once and the solve shares it.  x1 is the
+    shooting start by solve_global's rule, taken from the top of the grid
+    6.25e-4 * 2^j, j <= 7 (0.08, or the largest point below x2): halving
+    from there, the first x1 at which the series cut at the smooth
+    family's rho drops a first term below 1e-13, so the solve starts at
+    its x0.  A gamma with a below 0.2 raises GenericityError before any
+    solve.  A backward tail basis may be shared across constants; without
+    one, the solve reuses solve_global's default basis.
+    `integrator_stats` is the work of the solve's forward runs.
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])
-    if not DEFAULT_X1_GRID[0] < x2 <= GlobalSolution.x_right:
-        raise ValueError(f"x2 must lie in ({DEFAULT_X1_GRID[0]}, "
-                         f"{GlobalSolution.x_right}], got {x2}")
+    if not _X1_MIN < x2 <= GlobalSolution.x_right:
+        raise ValueError(f"x2 must lie in ({_X1_MIN}, {GlobalSolution.x_right}], got {x2}")
     a = min(2.0 + 2.0 * g0, 2.0 + (g1 - g0), 2.0 - 2.0 * g1)
     if a < _A_MIN:
         raise GenericityError(
             f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
             f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
     series, rho_f = SmallXSeries((g0, g1)), global_rho(3, (g0, g1))
-    grid = DEFAULT_X1_GRID
-    x1 = grid[-1]
-    if series.cut(rho_f, x1).error < _ONE_SOLVE_TOL:
-        while (2.0 * x1 <= _X1_MAX and 2.0 * x1 < x2
-               and series.cut(rho_f, 2.0 * x1).error < _SERIES_TOL):
-            x1 *= 2.0
-        grid = (x1,)
-    sols = [_solve((g0, g1), x1, basis, series) for x1 in grid]
-    cut = sols[-1].diagnostics["series"]
-    quad_coeff = (g0 * g0 + g1 * g1) / 8.0
-    stats = {}
-    for sol in sols:
-        for key, value in sol.diagnostics["integrator_stats"].items():
-            stats[key] = stats.get(key, 0) + value
-    values = [sol.reg_integral(x2) + x1 * x1 + quad_coeff * math.log(x1)
-              - sol.diagnostics["series"].endcap(sol.rho_formula, x1)
-              for x1, sol in zip(grid, sols)]
-    c_ext, p = (values[0], math.inf) if len(grid) == 1 else _power_fit(grid, values)[::2]
+    x1 = _X1_MAX
+    while x1 >= x2:
+        x1 *= 0.5
+    try:
+        x1 = _converged_start(series, rho_f, x1)[0]
+        sol = solve_global((g0, g1), x1, basis=basis, _series=series)
+    except GlobalSolveError as exc:
+        raise BlowupError(f"global solve failed for gamma={(g0, g1)}: {exc}") from exc
+    cut = sol.diagnostics["series"]
+    c_num = (sol.reg_integral(x2) + x1 * x1 + (g0 * g0 + g1 * g1) / 8.0 * math.log(x1)
+             - cut.endcap(sol.rho_formula, x1))
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))
     tail = abs(s1) * math.sqrt(x2) * math.exp(-2.0 * math.sqrt(2.0) * x2)
     return ConstantReport(
-        gamma=(g0, g1), c_numeric=float(c_ext), c_closed=float(c_closed),
-        abs_diff=abs(float(c_ext) - float(c_closed)), x1_grid=grid,
-        x2_used=float(x2), extrapolation_exponent=float(p),
-        tail_bound=float(tail), a=a, integrator_stats=stats,
+        gamma=(g0, g1), c_numeric=float(c_num), c_closed=float(c_closed),
+        abs_diff=abs(float(c_num) - float(c_closed)), x1=x1, x2_used=float(x2),
+        tail_bound=float(tail), a=a, integrator_stats=dict(sol.diagnostics["integrator_stats"]),
         series_order=cut.order, series_error=cut.error)
 
 

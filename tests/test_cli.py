@@ -93,6 +93,13 @@ class TestTau:
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == log_tau((0.3, 0.1), 0.01, 6.0)
 
+    def test_below_series_floor_exit_3(self, capsys):
+        # a(-0.95, 0) = 0.1: the small-x series has not converged above the
+        # lowest shooting start, and the error names a(gamma)
+        rc = run(["tau", "--gamma=-0.95,0", "--x1", "0.01", "--x2", "6"])
+        assert rc == 3
+        assert "a(gamma) = 0.1" in capsys.readouterr().err
+
 
 class TestConstant:
     def test_trivial(self, capsys):
@@ -102,8 +109,7 @@ class TestConstant:
         assert abs(doc["c_numeric"]) <= 1e-6
         assert doc["abs_diff"] <= 1e-6
         assert list(doc.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
-                                    "x1_grid", "x2_used",
-                                    "extrapolation_exponent", "tail_bound",
+                                    "x1", "x2_used", "tail_bound",
                                     "integrator_stats", "a", "series_order",
                                     "series_error"]
         # a(0, 0) = 2: written "2.0", like x2_used "7.0", so both load as floats

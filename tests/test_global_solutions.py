@@ -6,7 +6,8 @@ import pytest
 
 from ttstar_toda import constant_numeric, global_solutions
 from ttstar_toda.data_maps import AsymptoticData, global_rho
-from ttstar_toda.global_solutions import SmallXSeries, fit_tail_amplitude, solve_global
+from ttstar_toda.global_solutions import (GlobalSolveError, SmallXSeries, fit_tail_amplitude,
+                                          solve_global)
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, init_from_asymptotics,
                                           tail_amplitude_s1)
 
@@ -95,6 +96,12 @@ class TestSolveGlobal:
         r = global_solutions._growing_mode_residual(sol_031.forward, d["station"])
         assert float(np.max(np.abs(r))) == d["residual"]
         assert sol_031.forward.x_final == d["station"] == 4.95
+
+    def test_unconverged_series_raises_naming_a(self, tail_basis):
+        # a = 0.1: the series' first dropped term is still 6e-9 near 1e-8,
+        # the lowest start
+        with pytest.raises(GlobalSolveError, match=r"6\.0\d*e-09 at a\(gamma\) = 0\.1\b"):
+            solve_global((-0.95, 0.0), 0.01, basis=tail_basis)
 
     def test_x0_validation(self, tail_basis):
         with pytest.raises(Exception):
@@ -220,15 +227,13 @@ class TestCorrectedSeed:
     # the ids name the first station of an earlier ladder (3); kept, so
     # that the test ids stay stable
     @pytest.mark.parametrize("gamma, first, x0", [((0.3, 0.1), 4.95, 2.5e-3),
-                                                  ((0.0, 0.8), 1.0, 2.5e-3),
                                                   ((0.3, 0.1), 4.95, 0.01)],
-                             ids=["gamma0-3.0", "gamma1-1.0", "gamma2-3.0-0.01"])
+                             ids=["gamma0-3.0", "gamma2-3.0-0.01"])
     def test_first_station_from_predicted_seed_error(self, gamma, first, x0,
                                                       monkeypatch):
-        # the ladder starts at the last station, 4.95, where the series has
-        # converged at x0: at (0.3, 0.1) by order 2 at x0 = 2.5e-3 and by
-        # order 3 at 0.01; at (0.0, 0.8), a = 0.4, order 8 still drops
-        # 7e-11 at 2.5e-3, and it starts at 1
+        # the shooting goes to the station 4.95 at once, from x0 where the
+        # series has converged: at (0.3, 0.1) by order 2 at x0 = 2.5e-3
+        # and by order 3 at 0.01
         ends = []
         forward = global_solutions._forward
 
@@ -244,11 +249,11 @@ class TestCorrectedSeed:
 class TestLastStationStop:
     @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "step"),
                                                  ((0.0, 0.0), 0.08, "residual"),
-                                                 ((0.0, 0.8), 6.25e-4, "noise_floor")])
+                                                 ((-0.9, -0.56), 0.08, "noise_floor")])
     def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop, tail_basis):
         # a converged series ends on the Newton step, the trivial orbit on
-        # a vanishing residual; the ladder from 1 at a = 0.4 stalls at the
-        # noise floor of its residual
+        # a vanishing residual; at a = 0.2, shot from 1.53e-7, the third
+        # probe's residual falls by less than 4
         sol = solve_global(gamma, x0, basis=tail_basis)
         assert sol.diagnostics["stop"] == stop
         assert sol.diagnostics["station"] == 4.95
@@ -260,7 +265,7 @@ class TestLastStationStop:
         # there is always below 1e-14: two probes each time
         gamma = (0.42223887, -0.69539036)
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert rep.x1_grid == (0.02,) and rep.integrator_stats["integrations"] == 2
+        assert rep.x1 == 0.02 and rep.integrator_stats["integrations"] == 2
         series, rho = SmallXSeries(gamma), np.array(global_rho(3, gamma))
         for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:
             nudged = [r + k * math.ulp(r) for r, k in zip(rho, ulps)]

@@ -12,8 +12,7 @@ from ttstar_toda.data_maps import AsymptoticData, GenericityError, global_rho
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           hamiltonian, init_from_asymptotics,
                                           integrate)
-from ttstar_toda.tau_constant import (ConstantReport, ExtrapolationError,
-                                      _power_fit, classical_action,
+from ttstar_toda.tau_constant import (ConstantReport, classical_action,
                                       constant_closed, constant_numeric,
                                       log_tau)
 
@@ -49,6 +48,19 @@ class TestLogTau:
         full = log_tau((0.3, 0.1), a, c)
         parts = log_tau((0.3, 0.1), a, b) + log_tau((0.3, 0.1), b, c)
         assert full == pytest.approx(parts, abs=1e-10)
+
+    def test_starts_where_the_series_has_converged(self, tail_basis):
+        # at (0.0, 0.8), a = 0.4, the series has not converged at x1 = 0.1,
+        # so the solve shoots from below it; log tau from x1 is the run
+        # over [x1, x2] of a solve started there (a station ladder from
+        # x1 itself left it 5.9e-6 off)
+        gamma = (0.0, 0.8)
+        solve = global_solutions.solve_global
+        start = solve(gamma, 0.1, basis=tail_basis).diagnostics["x_start"]
+        ref = solve(gamma, start, basis=tail_basis)
+        assert start < 0.1 and ref.diagnostics["x_start"] == start
+        want = ref.reg_integral(7.0) - ref.reg_integral(0.1) - (7.0 ** 2 - 0.1 ** 2)
+        assert abs(log_tau(gamma, 0.1, 7.0) - want) <= 1e-13
 
     def test_additivity_trivial(self):
         a, b, c = 0.01, 0.05, 6.0
@@ -136,37 +148,22 @@ class TestConstantNumeric:
         # the trivial solution's C(x1) is x1^2, which the endcap removes:
         # the series cuts at order 1, where the seed cancels to 0 and,
         # with an exact pow(x, 2.0), the endcap is x1^2, so one solve
-        # gives C = 0 exactly (p = inf); a last-bit error of x1^2 in the
-        # endcap would leave C = O(1e-23)
+        # gives C = 0 exactly; a last-bit error of x1^2 in the endcap
+        # would leave C = O(1e-23)
         rep = constant_numeric((0.0, 0.0))
         assert rep.c_numeric == 0.0
         assert abs(rep.c_closed) <= 1e-12
-        assert rep.extrapolation_exponent in (2.0, math.inf)
 
     def test_generic_point(self, tail_basis):
         rep = constant_numeric((0.3, 0.1))
         assert rep.abs_diff <= 1e-3
-        assert rep.extrapolation_exponent > 0.0
         assert rep.tail_bound >= 0.0
         assert rep.x2_used == 7.0
-
-    def test_work_ceiling(self, tail_basis):
-        # machine-independent: the exact shooting Jacobian needs 46 forward
-        # runs for the three solves here (81 with finite differences)
-        rep = constant_numeric((0.3, 0.1), basis=tail_basis)
-        assert rep.integrator_stats["integrations"] <= 55
 
     def test_large_seed_solves(self, tail_basis):
         # |w| of the seed at x0 = 2.5e-3 exceeds 2; probes stop relative to it
         rep = constant_numeric((0.9, -0.4), basis=tail_basis)
         assert rep.abs_diff <= 1e-3
-
-    def test_rhs_work_ceiling(self, tail_basis):
-        # machine-independent: DOP853 needs ~50,000 RHS calls for the three
-        # solves here on the default grid (DP5(4): 107,138 on a grid twice
-        # as coarse)
-        rep = constant_numeric((0.3, 0.1), basis=tail_basis)
-        assert rep.integrator_stats["rhs_evals"] <= 60000
 
     def test_high_gamma1_solves(self, tail_basis):
         # abs_diff 4.1e-3 on the grid (1e-2, 5e-3, 2.5e-3); the default
@@ -175,18 +172,18 @@ class TestConstantNumeric:
         assert rep.abs_diff <= 1e-3
 
     def test_edge_work_ceiling(self, tail_basis):
-        # near the edge Newton leaves the low stations unconverged; creeping
-        # on from there takes ~24,000 steps, full advances that blow up and
-        # back off took ~48,700
+        # a = 0.72: the series has converged at x1 = 0.02, where one solve
+        # takes 2 forward runs and 249 steps
         rep = constant_numeric((0.87, 0.51), basis=tail_basis)
         assert rep.abs_diff <= 1e-3
+        assert rep.integrator_stats["integrations"] <= 3
         assert rep.integrator_stats["steps"] <= 32000
 
     def test_seed_work_ceiling(self, tail_basis):
         # machine-independent: the series has converged up to x1 = 0.08,
-        # where it cuts at K = 5, so one solve from its seed there, with
-        # the ladder starting at 4.95, takes 2 forward runs and 2,312 RHS
-        # calls (4,025 with a probe at 3, 7,061 from x1 = 6.25e-4, 15 and
+        # where it cuts at K = 5, so one solve from its seed there, shot
+        # at 4.95, takes 2 forward runs and 2,312 RHS calls (4,025 with a
+        # probe at 3, 7,061 from x1 = 6.25e-4, 15 and
         # 24,077 for three solves from the first-order seed, 42 and 50,274
         # from the leading-order one); with the first step capped by the
         # scale of x0, the solves reject fewer steps than they run
@@ -204,14 +201,14 @@ class TestConstantNumeric:
         # endcapped at order K, C(x1) is flat to the first dropped term,
         # O(x1^{(K+1) a}): at the acceptance gammas (a >= 1.2) that term is
         # below 1e-13 up to x1 = 0.04-0.08 at K = 5-8, so one solve there
-        # gives the constant, 4e-16 to 1.4e-14 off, and the exponent reads
-        # inf (at first order the fit found p near 2a and left 7.8e-12 to
+        # gives the constant, 4e-16 to 1.4e-14 off (at first order a fit
+        # over three solves found an exponent near 2a and left 7.8e-12 to
         # 3.2e-10)
         g0, g1 = gamma
         a = min(2 + 2 * g0, 2 + g1 - g0, 2 - 2 * g1)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.a == pytest.approx(a, abs=1e-14)
-        assert rep.x1_grid == (x1,) and rep.extrapolation_exponent == math.inf
+        assert rep.x1 == x1
         assert rep.series_order <= 8 and rep.series_error < 1e-13
         assert rep.abs_diff <= 1e-12
 
@@ -221,21 +218,21 @@ class TestConstantNumeric:
         # the one solve's C(x1) does not depend on where the series hands
         # over to the integration: a solve at the smallest grid point
         # gives the same constant to 1e-14
-        x1 = tau_constant.DEFAULT_X1_GRID[-1]
+        x1 = 6.25e-4
         sol = global_solutions.solve_global(gamma, x1, basis=tail_basis)
         c_small = (sol.reg_integral(7.0) + x1 * x1 + sum(g * g for g in gamma) / 8.0 * math.log(x1)
                    - sol.diagnostics["series"].endcap(sol.rho_formula, x1))
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert rep.x1_grid[0] > x1
+        assert rep.x1 > x1
         assert abs(rep.c_numeric - c_small) <= 1e-13
 
     @pytest.mark.parametrize("gamma, x1, order", [((0.3, 0.1), 0.08, 5),
                                                   ((-0.675, 0.3), 0.005, 8)])
     def test_one_solve_at_largest_converged_x1(self, gamma, x1, order, tail_basis,
                                                monkeypatch):
-        # x1 doubles from 6.25e-4 while the series' first dropped term
-        # stays below 1e-13: up to the cap 0.08 at a = 1.8, to 0.005 at
-        # a = 0.65, where the order-9 part at 0.01 is 4.1e-13
+        # x1 halves from 0.08 until the series' first dropped term is
+        # below 1e-13: at once at a = 1.8, to 0.005 at a = 0.65, where the
+        # order-9 part at 0.01 is 4.1e-13
         solved = []
         solve_global = tau_constant.solve_global
 
@@ -245,18 +242,18 @@ class TestConstantNumeric:
 
         monkeypatch.setattr(tau_constant, "solve_global", recorded)
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert solved == [x1] and rep.x1_grid == (x1,)
+        assert solved == [x1] and rep.x1 == x1
         assert rep.series_order == order and rep.series_error < 1e-13
         assert rep.abs_diff <= 1e-13
 
     def test_one_solve_x1_below_x2(self, tail_basis):
-        # a short x2 caps the doubling: x1 = 0.08 would start past it
+        # a short x2 lowers the top: x1 = 0.08 would start past it
         rep = constant_numeric((0.3, 0.1), x2=0.05, basis=tail_basis)
-        assert rep.x1_grid == (0.04,)
+        assert rep.x1 == 0.04
 
     def test_series_built_once_per_constant(self, tail_basis, monkeypatch):
-        # the three solves of the a = 0.35 band share the one series that
-        # chose their path, on the default grid
+        # at a = 0.35 the one solve shares the series that chose its x1,
+        # 0.08 halved ten times to 7.8125e-5
         built, solved = [], []
         init = global_solutions.SmallXSeries.__init__
         solve_global = tau_constant.solve_global
@@ -273,35 +270,41 @@ class TestConstantNumeric:
         monkeypatch.setattr(tau_constant, "solve_global", recorded)
         rep = constant_numeric((-0.825, 0.075), basis=tail_basis)
         assert len(built) == 1
-        assert tuple(solved) == rep.x1_grid == tau_constant.DEFAULT_X1_GRID
+        assert solved == [rep.x1] == [7.8125e-5]
 
-    @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825)])
-    def test_edge_band_accuracy(self, gamma, tail_basis):
-        # a(gamma) = 0.35: 2.1e-3 to 3.8e-3 from the leading-order seed,
-        # 4e-5 to 8e-5 from the first-order seed and endcap, 1.8e-13 to
-        # 3.2e-13 from the order-8 series, whose first dropped term at
-        # x1 = 6.25e-4 (1e-11 to 2e-11) still calls for three solves.  The
-        # fit then sees the order-9 truncation, O(x1^{9a}): p reads 2.94,
-        # near 9a = 3.15 (2a at first order)
+    @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825),
+                                       (-0.88, 0.3), (0.3, 0.88)])
+    def test_edge_band_accuracy(self, gamma, tail_basis, monkeypatch):
+        # a(gamma) = 0.35 and 0.24: 2.1e-3 to 3.8e-3 from the
+        # leading-order seed, 4e-5 to 8e-5 from the first-order seed and
+        # endcap; the order-8 series has converged only at x1 = 7.8e-5 to
+        # 2.4e-6, and one solve from there lands within 3e-13 (a fit over
+        # three solves at x1 = 2.5e-3 to 6.25e-4 left 3.2e-13 at a = 0.35
+        # and 9.5e-11 at a = 0.24)
+        solved = []
+        solve_global = tau_constant.solve_global
+
+        def recorded(gamma, x0, *args, **kwargs):
+            solved.append(x0)
+            return solve_global(gamma, x0, *args, **kwargs)
+
+        monkeypatch.setattr(tau_constant, "solve_global", recorded)
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert rep.series_order == 8 and rep.series_error >= 1e-12
-        assert rep.x1_grid == tau_constant.DEFAULT_X1_GRID
-        assert 7 * rep.a <= rep.extrapolation_exponent <= 9.5 * rep.a
-        assert rep.abs_diff <= 1e-11
+        assert solved == [rep.x1] and rep.x1 < 6.25e-4
+        assert rep.series_order == 8 and rep.series_error < 1e-13
+        assert rep.integrator_stats["integrations"] <= 3
+        assert rep.abs_diff <= 1e-12
 
     @pytest.mark.parametrize("gamma", [(0.5, 0.2), (-0.825, 0.075), (0.0, 0.8)])
     def test_mirror_symmetry(self, gamma, tail_basis):
         # (g0, g1) -> (-g1, -g0) swaps the outer links and keeps the middle
         # one, so the constant is unchanged.  The closed form agrees to
-        # rounding.  The mirrored numeric solves differ in the last bits of
-        # their float operations, and with intermediate shooting stations
-        # left at a residual of 1e-5 those bits steer Newton to different
-        # accepted iterates: 5.4e-10 apart at (0.5, 0.2), against 2.3e-13
-        # when every station converged to 2e-11
+        # rounding, and the mirrored numeric solves, which differ only in
+        # the last bits of their float operations, to 1.1e-16
         mirror = (-gamma[1], -gamma[0])
         assert abs(constant_closed(gamma) - constant_closed(mirror)) <= 1e-13
         c, c_m = (constant_numeric(g, basis=tail_basis).c_numeric for g in (gamma, mirror))
-        assert abs(c - c_m) <= 1e-8
+        assert abs(c - c_m) <= 1e-12
 
     def test_tail_negligibility(self, tail_basis):
         # moving x2 from 6 to 7 changes the extrapolated constant by far
@@ -332,27 +335,6 @@ class TestConstantNumeric:
         assert out.returncode == 4, out.stderr
         assert "failed: GenericityError" in out.stdout
         assert "Traceback" not in out.stderr
-
-    def test_power_fit_nonmonotone_raises(self):
-        with pytest.raises(ExtrapolationError):
-            _power_fit((1e-2, 5e-3, 2.5e-3), (1.0, 0.5, 0.7))
-
-    def test_power_fit_exact_power(self):
-        grid = (1e-2, 5e-3, 2.5e-3)
-        vals = tuple(3.0 + 2.0 * x ** 1.5 for x in grid)
-        c, a, p = _power_fit(grid, vals)
-        assert c == pytest.approx(3.0, abs=1e-12)
-        assert p == pytest.approx(1.5, abs=1e-9)
-        assert a == pytest.approx(2.0, rel=1e-9)
-
-    def test_power_fit_keeps_small_corrections(self):
-        # corrections of 1e-9 on an O(1) constant, as on the edge band:
-        # the fit must not cancel C^2 (that left 3.9e-6 here)
-        grid = (2.5e-3, 1.25e-3, 6.25e-4)
-        vals = tuple(-5.3 + 1e-9 * (x / grid[0]) ** 3 for x in grid)
-        c, _a, p = _power_fit(grid, vals)
-        assert c == pytest.approx(-5.3, abs=1e-14)
-        assert p == pytest.approx(3.0, abs=1e-5)
 
 
 class TestClassicalAction:
@@ -391,13 +373,11 @@ class TestClassicalAction:
 class TestReportJson:
     def test_field_order(self):
         rep = ConstantReport(gamma=(0.1, 0.2), c_numeric=1.0, c_closed=1.0,
-                             abs_diff=0.0, x1_grid=(1e-2, 5e-3, 2.5e-3),
-                             x2_used=7.0, extrapolation_exponent=1.8,
+                             abs_diff=0.0, x1=0.08, x2_used=7.0,
                              tail_bound=1e-9, a=0.9)
         d = rep.to_json_dict()
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
-                                  "x1_grid", "x2_used",
-                                  "extrapolation_exponent", "tail_bound",
+                                  "x1", "x2_used", "tail_bound",
                                   "integrator_stats", "a", "series_order",
                                   "series_error"]
         json.dumps(d)
