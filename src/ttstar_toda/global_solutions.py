@@ -191,6 +191,7 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
     tally["steps"] += st.n_steps
     tally["rejected"] += st.n_rejected
     tally["rhs_evals"] += st.n_rhs_evals
+    tally["tangent_rhs_evals"] += st.n_tangent_rhs
     return traj
 
 
@@ -243,7 +244,8 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     # the seed has |w_i| ~ |gamma_i|/2 |log x|: a fixed threshold stops it at once
     threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, start)[:2]))
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
-    tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0}
+    tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0,
+             "tangent_rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": _STATION, "x_start": start,
             "integrator_stats": tally, "series": series}
     r_prev, newton = math.inf, 0
@@ -416,8 +418,9 @@ def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None =
     is the probe of lowest residual, the very run diagnostics["residual"]
     was measured on: the match reacts to ulp-level changes of rho, so it
     is not integrated again.  The diagnostics sum the work of every
-    forward run of the solve in "integrator_stats"; a basis is built once
-    and not counted there.  diagnostics["series"] is the seed's cut
+    forward run of the solve in "integrator_stats", with the RHS calls that
+    carried tangent columns also in "tangent_rhs_evals"; a basis is built
+    once and not counted there.  diagnostics["series"] is the seed's cut
     series, which also gives the endcap at the start.  `_series` is
     private: a caller that already built the uncut `SmallXSeries` of
     gamma (`constant_numeric`, which chooses x1 from it) passes it, so

@@ -123,7 +123,8 @@ class TestConstant:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         stats = json.loads(first)["integrator_stats"]
-        assert list(stats) == ["integrations", "steps", "rejected", "rhs_evals"]
+        assert list(stats) == ["integrations", "steps", "rejected", "rhs_evals",
+                               "tangent_rhs_evals"]
         # one solve at x1 = 0.08 from a converged series: two probes at 4.95
         assert stats["integrations"] == 2 and stats["rhs_evals"] > stats["steps"] > 0
 

@@ -90,6 +90,11 @@ class TestSolveGlobal:
         assert stats["rhs_evals"] == sum(st.n_rhs_evals for st in runs)
         assert stats["steps"] == sum(st.n_steps for st in runs)
         assert stats["rejected"] == sum(st.n_rejected for st in runs)
+        # the tangent probe's calls with columns, all but its initial-step
+        # trial call and the three dense-output batch calls
+        tangent, plain = runs
+        assert plain.n_tangent_rhs == 0
+        assert stats["tangent_rhs_evals"] == tangent.n_tangent_rhs == tangent.n_rhs_evals - 4
 
     def test_residual_is_measured_on_the_kept_trajectory(self, sol_031):
         d = sol_031.diagnostics
@@ -128,7 +133,8 @@ class TestShootingJacobian:
         gamma, x0, x_p = (0.3, 0.1), 0.01, 1.0
         rho = np.array(global_rho(3, gamma))
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals"), 0)
+        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals",
+                               "tangent_rhs_evals"), 0)
         series = SmallXSeries(gamma).cut(rho, x0)
         traj = global_solutions._forward(series, rho, x0, x_p, cfg, tally, tangents=True)
         J = np.column_stack([global_solutions._mode_residual(col, x_p)

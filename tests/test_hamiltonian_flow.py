@@ -277,6 +277,202 @@ class TestTangentColumns:
             (tang.stats.n_steps, tang.stats.n_rejected, tang.stats.n_rhs_evals)
 
 
+def dop853_loops(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
+    """DOP853 as plain loops over the components, each stage's argument
+    written into one reused list: the stepper before it was generated as
+    straight-line code, kept as the generated loop's byte-for-byte oracle.
+    Returns (xs, ys, hs, Q, tangent, (n_steps, n_rejected, n_rhs_evals),
+    stop_reason)."""
+    fl = hamiltonian_flow
+    A, C = fl._A, fl._C
+    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = C[1:11]
+    ((a21,), (a31, a32), (a41, _, a43), (a51, _, a53, a54), (a61, _, _, a64, a65),
+     (a71, _, _, a74, a75, a76), (a81, _, _, a84, a85, a86, a87),
+     (a91, _, _, a94, a95, a96, a97, a98),
+     (a101, _, _, a104, a105, a106, a107, a108, a109),
+     (a111, _, _, a114, a115, a116, a117, a118, a119, a1110),
+     (a121, _, _, a124, a125, a126, a127, a128, a129, a1210, a1211),
+     (b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12)) = A[1:13]
+    er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12 = fl._E5
+    bhh1, bhh2, bhh3 = fl._BHH
+
+    f, L = fl._make_rhs(n, even_variant)
+    y = [float(v) for v in y0]
+    dim = 2 * L + 1
+    tangent = len(y) > dim
+    comps = range(len(y))
+    atol = [cfg.abs_tol] * dim if abs_tol_vec is None else [float(v) for v in abs_tol_vec]
+    rtol = cfg.rel_tol
+    direction = 1.0 if x_end > x0 else -1.0
+    x = float(x0)
+    n_steps = n_rejected = 0
+    k1 = f(x, y)
+    h = fl._initial_step(f, x, y[:dim], k1[:dim], direction, rtol, cfg.abs_tol)
+    n_rhs = 2
+    h = min(h, 0.15 * abs(x0), abs(x_end - x0))
+    xs, ys, hs, ks = [x], list(y[:dim]), [], []
+    err_prev = 1e-4
+    stop = "completed"
+    yt, yn = [0.0] * len(y), [0.0] * len(y)
+    while (x_end - x) * direction > 0.0:
+        h = min(h, abs(x_end - x))
+        if h < 1e-14 * max(1.0, abs(x)):
+            stop = "step_underflow"
+            break
+        hd = direction * h
+        for i in comps:
+            yt[i] = y[i] + hd * (a21 * k1[i])
+        k2 = f(x + c2 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a31 * k1[i] + a32 * k2[i])
+        k3 = f(x + c3 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a41 * k1[i] + a43 * k3[i])
+        k4 = f(x + c4 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a51 * k1[i] + a53 * k3[i] + a54 * k4[i])
+        k5 = f(x + c5 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a61 * k1[i] + a64 * k4[i] + a65 * k5[i])
+        k6 = f(x + c6 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a71 * k1[i] + a74 * k4[i] + a75 * k5[i] + a76 * k6[i])
+        k7 = f(x + c7 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a81 * k1[i] + a84 * k4[i] + a85 * k5[i] + a86 * k6[i]
+                                 + a87 * k7[i])
+        k8 = f(x + c8 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a91 * k1[i] + a94 * k4[i] + a95 * k5[i] + a96 * k6[i]
+                                 + a97 * k7[i] + a98 * k8[i])
+        k9 = f(x + c9 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a101 * k1[i] + a104 * k4[i] + a105 * k5[i] + a106 * k6[i]
+                                 + a107 * k7[i] + a108 * k8[i] + a109 * k9[i])
+        k10 = f(x + c10 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a111 * k1[i] + a114 * k4[i] + a115 * k5[i] + a116 * k6[i]
+                                 + a117 * k7[i] + a118 * k8[i] + a119 * k9[i]
+                                 + a1110 * k10[i])
+        k11 = f(x + c11 * hd, yt)
+        for i in comps:
+            yt[i] = y[i] + hd * (a121 * k1[i] + a124 * k4[i] + a125 * k5[i] + a126 * k6[i]
+                                 + a127 * k7[i] + a128 * k8[i] + a129 * k9[i]
+                                 + a1210 * k10[i] + a1211 * k11[i])
+        k12 = f(x + hd, yt)
+        n_rhs += 11
+        e3 = e5 = 0.0
+        for i in comps:
+            d = (b1 * k1[i] + b6 * k6[i] + b7 * k7[i] + b8 * k8[i] + b9 * k9[i]
+                 + b10 * k10[i] + b11 * k11[i] + b12 * k12[i])
+            yn[i] = y[i] + hd * d
+            if i < dim:
+                u, v = abs(y[i]), abs(yn[i])
+                sc = atol[i] + rtol * (u if u > v else v)
+                r = (d - bhh1 * k1[i] - bhh2 * k9[i] - bhh3 * k12[i]) / sc
+                e3 += r * r
+                r = (er1 * k1[i] + er6 * k6[i] + er7 * k7[i] + er8 * k8[i] + er9 * k9[i]
+                     + er10 * k10[i] + er11 * k11[i] + er12 * k12[i]) / sc
+                e5 += r * r
+        err = h * e5 / math.sqrt(dim * (e5 + 0.01 * e3)) if e5 != 0.0 else 0.0
+        if err <= 1.0:
+            k13 = f(x + hd, yn)
+            n_rhs += 1
+            for k in (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+                ks.extend(k[:dim])
+            x = x + hd
+            y, yn = yn, y
+            k1 = k13
+            xs.append(x)
+            ys.extend(y[:dim])
+            hs.append(hd)
+            n_steps += 1
+            if max(map(abs, y[:L])) > cfg.blowup_threshold:
+                stop = "blowup"
+                break
+            fac = 0.9 * err ** -0.0875 * err_prev ** 0.05 if err > 0 else 5.0
+            err_prev = max(err, 1e-10)
+            h = h * min(5.0, max(0.2, fac))
+        else:
+            n_rejected += 1
+            h = h * min(1.0, max(0.2, 0.9 * err ** -0.125))
+
+    x_old, h_old = np.array(xs[:-1]), np.array(hs)
+    y_old = np.array(ys).reshape(-1, dim)[:-1]
+    K = np.empty((len(h_old), 16, dim))
+    K[:, :13] = np.array(ks).reshape(-1, 13, dim)
+    for s in (13, 14, 15):
+        dy = np.matmul(np.array(A[s]), K[:, :s])
+        K[:, s] = f(x_old + C[s] * h_old, (y_old + h_old[:, None] * dy).T).T
+    Q = K.transpose(0, 2, 1) @ fl._DENSE_F @ fl._DENSE_T
+    return (np.array(xs), np.array(ys).reshape(-1, dim).T, h_old, Q,
+            np.array(y[dim:]).reshape(-1, 2 * L).T if tangent else None,
+            (n_steps, n_rejected, n_rhs + 3), stop)
+
+
+def assert_same_run(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
+    """The generated stepper against `dop853_loops`, bit for bit; returns
+    the trajectory."""
+    traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg, even_variant, abs_tol_vec)
+    xs, ys, hs, Q, tangent, counts, stop = dop853_loops(n, y0, x0, x_end, cfg,
+                                                        even_variant, abs_tol_vec)
+    for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q)):
+        got = getattr(traj, name)
+        assert got.shape == ref.shape and bits(got) == bits(ref), name
+    assert (traj.tangent is None) == (tangent is None)
+    if tangent is not None:
+        assert traj.tangent.shape == tangent.shape and bits(traj.tangent) == bits(tangent)
+    st = traj.stats
+    assert (st.n_steps, st.n_rejected, st.n_rhs_evals) == counts
+    assert traj.stop_reason == stop
+    return traj
+
+
+def near_blowup_seed():
+    # the n = 3 leading-order seed at rho shifted off the global one: it
+    # leaves the orbit and w diverges near x = 0.73
+    rho = tuple(r + d for r, d in zip(global_rho(3, (0.3, 0.1)), (0.5, 0.0)))
+    p = init_from_asymptotics(AsymptoticData(3, (0.3, 0.1), rho), 0.01)
+    return p.w + p.wt + (0.0,)
+
+
+class TestStepperOracle:
+    # the generated stepping loop against the loops over the components
+
+    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
+                                         (7, False), (2, True), (4, True)])
+    @pytest.mark.parametrize("ncols", [0, 1, 2])
+    def test_chains_and_tangent_columns(self, n, even, ncols):
+        L = reduced_length(n)
+        rng = np.random.default_rng(800 + 10 * n + ncols)
+        y0 = (rng.normal(0.0, 0.1, L).tolist() + rng.normal(0.0, 0.3, L).tolist() + [0.0]
+              + rng.normal(0.0, 1.0, 2 * L * ncols).tolist())
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, blowup_threshold=3.0)
+        traj = assert_same_run(n, y0, 0.05, 2.5, cfg, even)
+        assert traj.stats.n_steps > 10
+
+    def test_backward_with_abs_tol_vec(self):
+        rng = np.random.default_rng(811)
+        y0 = rng.normal(0.0, 1e-4, 4).tolist() + [0.0] + rng.normal(0.0, 1.0, 8).tolist()
+        atol = [1e-12, 3e-13, 1e-11, 2e-12, 1e-10]
+        traj = assert_same_run(3, y0, 3.0, 1.0, IntegratorConfig(rel_tol=1e-10), False, atol)
+        assert traj.x_final == 1.0 and traj.hs[0] < 0.0
+
+    def test_rejections_and_blowup(self):
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        traj = assert_same_run(3, near_blowup_seed(), 0.01, 8.0, cfg)
+        assert traj.stop_reason == "blowup" and traj.stats.n_rejected > 0
+
+    def test_step_underflow_after_rejections(self):
+        # no blow-up threshold: the steps shrink into the singularity,
+        # through rejected non-finite trial states, until they underflow
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, blowup_threshold=1e300)
+        y0 = list(near_blowup_seed()) + [1.0, 0.0, 0.0, 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = assert_same_run(3, y0, 0.01, 8.0, cfg)
+        assert traj.stop_reason == "step_underflow" and traj.stats.n_rejected > 20
+
+
 class TestInit:
     def test_trivial(self):
         a = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))
@@ -364,6 +560,42 @@ class TestIntegrate:
         # for the initial step and three batch calls for the dense output
         assert traj.stats.n_rhs_evals == (12 * traj.stats.n_steps
                                           + 11 * traj.stats.n_rejected + 2 + 3)
+
+    def test_kernel_wrapped_after_the_loop_is_cached(self, monkeypatch):
+        # the stepping loop is generated once per state size but takes the
+        # kernel as an argument, so a _make_rhs wrapped after the loop was
+        # cached still sees every call; calls carrying tangent columns are
+        # counted apart
+        a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
+        p = init_from_asymptotics(a, 0.01)
+        y0 = p.w + p.wt + (0.0,)
+        cols = (0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        for y in (y0, y0 + cols):
+            hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg)
+        cached = hamiltonian_flow._make_stepper.cache_info()
+        calls = {"all": 0, "tangent": 0}
+        make_rhs = hamiltonian_flow._make_rhs
+
+        def counting_make_rhs(n, even_variant):
+            f, L = make_rhs(n, even_variant)
+
+            def counted(x, y):
+                calls["all"] += 1
+                calls["tangent"] += len(y) > 2 * L + 1
+                return f(x, y)
+
+            return counted, L
+
+        monkeypatch.setattr(hamiltonian_flow, "_make_rhs", counting_make_rhs)
+        for y in (y0, y0 + cols):
+            calls.update(all=0, tangent=0)
+            st = hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg).stats
+            assert st.n_rhs_evals == calls["all"]
+            assert st.n_tangent_rhs == calls["tangent"]
+        assert st.n_tangent_rhs == st.n_rhs_evals - 4 > 0
+        info = hamiltonian_flow._make_stepper.cache_info()
+        assert (info.hits, info.misses) == (cached.hits + 2, cached.misses)
 
     def test_initial_step_underflow_is_flagged(self):
         # the scaled derivative dwarfs the state, so the initial step
