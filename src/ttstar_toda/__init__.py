@@ -22,8 +22,7 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
 from .global_solutions import (GlobalSolution, GlobalSolveError,
                                fit_tail_amplitude, make_backward_basis,
                                solve_global)
-from .tau_constant import (BlowupError, ConstantReport, ExtrapolationError,
-                           classical_action, constant_closed, constant_numeric,
-                           log_tau)
+from .tau_constant import (BlowupError, ConstantReport, classical_action,
+                           constant_closed, constant_numeric, log_tau)
 
 __version__ = "0.1.0"

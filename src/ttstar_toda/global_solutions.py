@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .data_maps import global_rho
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
-                               UnsupportedConfigError, _integrate_raw,
+                               UnsupportedConfigError, _integrate_raw, _links,
                                reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
@@ -76,13 +77,12 @@ def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
     return _mode_residual(traj.sample_state(x_p), x_p)
 
 
-# the links e^{4 w0}, e^{2(w1 - w0)}, e^{-4 w1} of the n = 3 chain: their
-# exponent rows A over (w0, w1), their weights c in H = ... - x sum c_l e^link
-# and the force matrix D = (c A)^T, D[i, l] = 2 (delta_{l,i} - delta_{l,i+1})
-_LINK_ROWS = np.array([[4.0, 0.0], [-2.0, 2.0], [0.0, -4.0]])
-_LINK_WEIGHTS = np.array([0.5, 1.0, 0.5])
-_FORCE = (_LINK_WEIGHTS[:, None] * _LINK_ROWS).T
-_L3 = np.arange(3)
+# the links e^{4 w0}, e^{2(w1 - w0)}, e^{-4 w1} of the n = 3 chain
+# (`hamiltonian_flow._links`): their exponent rows A over (w0, w1), their
+# weights c in H = ... - x sum c_l e^link and the force matrix
+# D = (c A)^T, D[i, l] = 2 (delta_{l,i} - delta_{l,i+1})
+_ROWS, _WEIGHTS = _links(3)
+_FORCE = (_WEIGHTS[:, None] * _ROWS).T
 # the series' highest order, and the first dropped term a lower one must reach
 _K_MAX, _SERIES_TOL = 8, 1e-13
 # the Newton step in rho (max norm) that ends the shooting
@@ -92,19 +92,21 @@ _X_START_MIN = 1e-8
 
 
 @functools.cache
-def _series_tables():
-    """Multi-indices k, |k| <= _K_MAX + 1, by order (n from row first[n]);
-    shift[k, l]: row k - e_l, link l, of a flat (rows + 1, 3) array, its
-    zero last row where k_l = 0; the pairs k = j + m, j != 0: (pk, pj, pm)
-    sorted by k, those of k from pfirst[k] on, with |j| in jn."""
+def _series_tables(n_links: int):
+    """Multi-indices k over n_links links, |k| <= _K_MAX + 1, by order (n
+    from row first[n]), then k descending; shift[k, l]: row k - e_l, link
+    l, of a flat (rows + 1, n_links) array, its zero last row where
+    k_l = 0; the pairs k = j + m, j != 0: (pk, pj, pm) sorted by k, those
+    of k from pfirst[k] on, with |j| in jn."""
     N = _K_MAX + 1
-    ks = np.array([(a, b, n - a - b) for n in range(N + 1)
-                   for a in range(n, -1, -1) for b in range(n - a, -1, -1)])
-    code = (N + 1) ** _L3
-    lookup = np.zeros((N + 1) ** 3, dtype=int)
+    ks = np.array(sorted((k for k in itertools.product(range(N + 1), repeat=n_links)
+                          if sum(k) <= N), key=lambda k: (sum(k), [-v for v in k])))
+    links = np.arange(n_links)
+    code = (N + 1) ** links
+    lookup = np.zeros((N + 1) ** n_links, dtype=int)
     lookup[ks @ code] = np.arange(len(ks))
-    shift = 3 * np.where(ks > 0, lookup[(ks[:, None] - np.eye(3, dtype=int)) @ code],
-                         len(ks)) + _L3
+    shift = n_links * np.where(ks > 0, lookup[(ks[:, None] - np.eye(n_links, dtype=int)) @ code],
+                               len(ks)) + links
     pk, pj = np.nonzero(np.all(ks[None] <= ks[:, None], axis=2) & (ks.sum(1) > 0))
     pm = lookup[(ks[pk] - ks[pj]) @ code]
     first = np.searchsorted(ks.sum(1), np.arange(N + 2))
@@ -125,22 +127,23 @@ class SmallXSeries:
     endcap uses the seed's own K."""
 
     def __init__(self, gamma):
-        ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables()
+        m, L = _ROWS.shape
+        ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables(m)
         self.gamma = np.asarray(gamma, dtype=float)
-        self.s = 2.0 + 0.5 * (_LINK_ROWS @ self.gamma)
+        self.s = 2.0 + 0.5 * (_ROWS @ self.gamma)
         ks_s = ks @ self.s
-        c, u, E = np.zeros((len(ks), 2)), np.zeros((len(ks), 3)), np.zeros((len(ks) + 1, 3))
+        c, u, E = np.zeros((len(ks), L)), np.zeros((len(ks), m)), np.zeros((len(ks) + 1, m))
         E[0] = 1.0
         for n in range(1, _K_MAX + 2):   # np.take: a fancy index costs 4x more here
             a, b = first[n], first[n + 1]
             c[a:b] = (E.take(shift[a:b]) @ _FORCE.T) / ks_s[a:b, None] ** 2
-            u[a:b] = c[a:b] @ _LINK_ROWS.T
+            u[a:b] = c[a:b] @ _ROWS.T
             p = slice(pfirst[a], pfirst[b])
             E[a:b] = np.add.reduceat(jn[p] * u.take(pj[p], 0) * E.take(pm[p], 0),
                                      pfirst[a:b] - pfirst[a]) / n
         dw = ks_s[:, None] * c   # the series of dw'
         two = pm > 0
-        f = (dw @ (0.5 * self.gamma) - E.take(shift) @ _LINK_WEIGHTS + 0.5 * np.bincount(
+        f = (dw @ (0.5 * self.gamma) - E.take(shift) @ _WEIGHTS + 0.5 * np.bincount(
             pk[two], np.sum(dw.take(pj[two], 0) * dw.take(pm[two], 0), 1), len(ks)))
         self.ks, self.ks_s, self.c, self.f = ks[1:], ks_s[1:], c[1:], f[1:]
         self.order, self.error, self._first = _K_MAX + 1, math.inf, first - 1
@@ -148,7 +151,7 @@ class SmallXSeries:
     def terms(self, rho, x: float) -> np.ndarray:
         """Rows (c_k, (k.s) c_k, -f_k/(k.s)) P^k at (rho, x): the terms of
         dw, dw' and the endcap."""
-        P = np.exp(self.ks @ (0.5 * (_LINK_ROWS @ np.asarray(rho, dtype=float))))
+        P = np.exp(self.ks @ (0.5 * (_ROWS @ np.asarray(rho, dtype=float))))
         return (np.column_stack([self.c, self.ks_s[:, None] * self.c, -self.f / self.ks_s])
                 * (P * x ** self.ks_s)[:, None])
 
@@ -156,7 +159,7 @@ class SmallXSeries:
         """The series to the least order K <= _K_MAX whose first dropped term
         at (rho, x), the largest order-(K + 1) part of (dw, dw'), is below
         _SERIES_TOL, or to _K_MAX; `error` is that term."""
-        by_order = np.abs(np.add.reduceat(self.terms(rho, x)[:, :4], self._first[1:-1])).max(1)
+        by_order = np.abs(np.add.reduceat(self.terms(rho, x)[:, :-1], self._first[1:-1])).max(1)
         K = next((n for n in range(1, _K_MAX) if by_order[n] < _SERIES_TOL), _K_MAX)
         out, rows = copy.copy(self), self._first[K + 1]
         out.ks, out.ks_s, out.c, out.f = (v[:rows] for v in (self.ks, self.ks_s, self.c, self.f))
@@ -165,18 +168,18 @@ class SmallXSeries:
 
     def endcap(self, rho, x1: float) -> float:
         """-sum_k f_k P^k(x1)/(k.s), the integral of H - q/x over (0, x1) negated."""
-        return float(self.terms(rho, x1)[:, 4].sum())
+        return float(self.terms(rho, x1)[:, -1].sum())
 
     def seed(self, rho, x0: float, tangents: bool = False) -> list[float]:
         """[w, wt, q] at x0, w = gamma/2 log x0 + rho/2 + dw, wt = gamma/2 + dw';
         with `tangents`, d(w, wt)/d(rho_j) from dP^k/d(rho_j) = P^k (k.A_j)/2."""
         t = self.terms(rho, x0)
-        g, r = self.gamma, np.asarray(rho, dtype=float)
-        y = [*(0.5 * g * math.log(x0) + 0.5 * r + t[:, :2].sum(0)),
-             *(0.5 * g + t[:, 2:4].sum(0)), 0.0]
+        g, r, L = self.gamma, np.asarray(rho, dtype=float), len(self.gamma)
+        y = [*(0.5 * g * math.log(x0) + 0.5 * r + t[:, :L].sum(0)),
+             *(0.5 * g + t[:, L:-1].sum(0)), 0.0]
         if tangents:
-            cols = (0.5 * (self.ks @ _LINK_ROWS)).T @ t[:, :4]
-            cols[:, :2] += 0.5 * np.eye(2)
+            cols = (0.5 * (self.ks @ _ROWS)).T @ t[:, :-1]
+            cols[:, :L] += 0.5 * np.eye(L)
             y += [*cols.ravel()]
         return [float(v) for v in y]
 

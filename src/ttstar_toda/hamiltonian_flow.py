@@ -1,26 +1,30 @@
 """Radial Hamiltonian dynamics of the anti-symmetric periodic Toda chain.
 
 State is the reduced pair (w, w_tilde) with w_tilde_i = x dw_i/dx on the
-half-line x > 0.  For odd n the Hamiltonian is
+half-line x > 0, L = K + 1 entries w_0..w_K of the full anti-symmetric
+periodic chain v (`data_maps.expand_reduced`: v_{n-i} = -v_i, and for
+even n a forced middle entry 0).  The Hamiltonian is
 
-    H(w, wt; x) = (1/2x) sum wt_i^2
-                  - x sum_{i=1..K} exp(2(w_i - w_{i-1}))
-                  - (x/2) (exp(-4 w_K) + exp(4 w_0)),      K = (n-1)/2,
+    H(w, wt; x) = (1/2x) sum wt_i^2 - (x/2) sum_{i=0..n} exp(2(v_{i+1} - v_i)),
 
-with equations of motion dw_i/dx = wt_i/x and
+v_{n+1} = v_0, which for odd n, K = (n-1)/2, reads
+
+    H = (1/2x) sum wt_i^2 - x sum_{i=1..K} exp(2(w_i - w_{i-1}))
+        - (x/2) (exp(-4 w_K) + exp(4 w_0)),
+
+and for even n, K = n/2 - 1, has the last link -x exp(-2 w_K) instead of
+-(x/2) exp(-4 w_K).  The equations of motion are dw_i/dx = wt_i/x and
 dwt_i/dx = -2x (exp(2(w_{i+1}-w_i)) - exp(2(w_i-w_{i-1}))) under the
-anti-symmetric closures w_{-1} = -w_0, w_{K+1} = -w_K.  An even-n variant
-(middle entry frozen at 0, boundary term -x exp(-2 w_K)) is available
-behind an explicit flag; it is validated against the closure form of the
-equations of motion rather than taken from a stated formula.
+closures w_{-1} = -w_0 and w_{K+1} = -w_K (odd n) or 0 (even n).  The L + 1
+links, their exponents and weights, are written once, in `_links`.
 
 The chain's energy and force are written once, in `_make_rhs`, the vector
 field of the augmented state [w, wt, q] with q' = H + 2x; the stepper,
 `hamiltonian`, `vector_field` and `reg_density` evaluate it.  Its code is
-generated from the chain's link data once per (n, even_variant), straight
-through the links without loops.  It takes one state as a sequence of
-floats (math.expm1, a list back) or a batch as an array (dim, ...) with
-the components on axis 0 (np.expm1, an array back).
+generated from `_links(n)` once per n, straight through the links without
+loops.  It takes one state as a sequence of floats (math.expm1, a list
+back) or a batch as an array (dim, ...) with the components on axis 0
+(np.expm1, an array back).
 
 `integrate` is the Dormand-Prince 8(5,3) pair DOP853 with PI step-size
 control and its degree-7 dense output (Hairer, Norsett and Wanner, Solving
@@ -110,54 +114,78 @@ class IntegrationStats:
     n_tangent_rhs: int = 0   # those of the n_rhs_evals that carried tangent columns
 
 
-def _check_n(n: int, L: int, even_variant: bool) -> None:
-    if n % 2 == 0 and not even_variant:
-        raise UnsupportedConfigError(
-            f"n={n} is even; pass even_variant=True to enable the derived extension")
+def _check_n(n: int, L: int) -> None:
     if L != reduced_length(n):
         raise UnsupportedConfigError(
             f"state length {L} does not match reduced length {reduced_length(n)} for n={n}")
 
 
 @functools.cache
-def _make_rhs(n: int, even_variant: bool):
+def _links(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The L + 1 links of the chain: exponent rows A (L + 1, L) over w and
+    weights c, H = (1/2x) sum wt_i^2 - x sum_l c_l exp((A w)_l).
+
+    Link l is 2 (w_l - w_{l-1}) under the closures of w_{-1} and w_L:
+    4 w_0 (w_{-1} = -w_0), 2 (w_l - w_{l-1}) inside, and last -4 w_{L-1}
+    (odd n, w_L = -w_{L-1}) or -2 w_{L-1} (even n, the forced middle entry
+    w_L = 0).  Its weight is half the number of the n + 1 gaps
+    2 (v_{i+1} - v_i) of the full periodic chain that it stands for: 1/2
+    for link 0 and for the last link of odd n, 1 for the others.
+    """
+    L = reduced_length(n)
+    # every link 2 (w_l - w_{l-1}), then the closures of w_{-1} and w_L
+    A = 2.0 * (np.eye(L + 1, L) - np.eye(L + 1, L, -1))
+    A[0, 0], A[L, L - 1] = 4.0, (-4.0 if n % 2 else -2.0)
+    c = np.array([0.5] + [1.0] * (L - 1) + [0.5 if n % 2 else 1.0])
+    A.flags.writeable = c.flags.writeable = False
+    return A, c
+
+
+@functools.cache
+def _make_rhs(n: int, even: bool):
     """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
 
     `f(x, y)` takes one state as a sequence of floats and returns a list of
     floats (math.expm1), or a batch as an array (dim, ...) with x
     broadcasting against y[0] and returns an array (np.expm1); the input
-    type chooses.  Link exponentials enter only through expm1 of the
-    2(w_{i+1} - w_i) differences, so both the force terms and the
-    regularized density H + 2x stay relatively accurate down to vanishing
-    amplitudes (the trivial-background cancellation is done in closed
-    form).
+    type chooses.  Link exponentials enter only through expm1 of the link
+    exponents, so both the force terms and the regularized density H + 2x
+    stay relatively accurate down to vanishing amplitudes (the
+    trivial-background cancellation is done in closed form).
 
     Components past the 2L + 1 of the state are tangent columns [dw, dwt]
     (2L each) of the tangent-linear flow, and f returns their linearised
-    derivatives after the state's: with T_i = E_i + 1 the exponential of
-    link i, dE_i = T_i times the derivative of the link's exponent.
+    derivatives after the state's: with T_l = E_l + 1 the exponential of
+    link l, dE_l = T_l times the derivative of the link's exponent.
 
-    f is straight-line code over the L + 1 links, written out as source
-    once per chain and compiled: the stepper calls it 12 times per step,
-    and loops over the links took twice as long (n = 3 on Python 3.11:
-    2.1 against 1.1 us a call, 4.1 against 2.5 us with two tangent
-    columns).  Link i has exponent k_i u_i: 4 w_0 (w_0 less its closure
-    -w_0), 2 (w_i - w_{i-1}) inside, and on the last link -4 w_{L-1} (odd
-    n, closure -w_{L-1}) or -2 w_{L-1} (even n, on the frozen middle entry
-    0, whose boundary term has twice the weight); E_i = expm1(k_i u_i).
-    Sums start from 0.0 and run in link order, as in the plain loops over
-    the links (`eom_loops` in the tests), which f matches bit for bit.
+    f is straight-line code over the L + 1 links of `_links(n)`, written
+    out as source once per chain and compiled: the stepper calls it 12
+    times per step, and loops over the links took twice as long (n = 3 on
+    Python 3.11: 2.1 against 1.1 us a call, 4.1 against 2.5 us with two
+    tangent columns).  Link l has exponent k_l u_l, read off its row of A:
+    u_l is w_0 or w_{L-1} on a row with one entry k_l, and w_l - w_{l-1}
+    on a row (..., -k_l, k_l, ...); E_l = expm1(k_l u_l).  The density
+    groups the weights as x (E_1 + ... + E_{L-1}) and c_0 x (c_L/c_0 E_L +
+    E_0), with q_const x = (2 - sum c) x against the +2x term.  Sums start
+    from 0.0 and run in link order, as in the plain loops over the links
+    (`eom_loops` in the tests), which f matches bit for bit.
+
+    `even` is n % 2 == 0, which n already decides; it stays a second
+    positional parameter because perfbench/smoke.py wraps this function in
+    a two-parameter function that forwards both arguments by position.
     """
-    L = reduced_length(n)
-    odd = n % 2 == 1
-    # -x(L-1) - x + 2x from the link constants against the +2x term
-    q_const = 2.0 - float(L) if odd else 1.5 - float(L)
-    last, last_weight = (-4.0, 1.0) if odd else (-2.0, 2.0)
+    if even != (n % 2 == 0):
+        raise UnsupportedConfigError(f"even={even} contradicts the parity of n={n}")
+    A, c = _links(n)
+    L, c = len(A) - 1, c.tolist()
+    q_const = 2.0 - sum(c)
     dim = 2 * L + 1
-    k = [4.0] + [2.0] * (L - 1) + [last]
+    nonzero = [np.flatnonzero(row).tolist() for row in A]
+    k = [float(row[j[-1]]) for row, j in zip(A, nonzero)]
 
     def u(v):   # the link exponents' arguments, over variables v0, v1, ...
-        return [f"{v}0"] + [f"({v}{i} - {v}{i - 1})" for i in range(1, L)] + [f"{v}{L - 1}"]
+        return [f"{v}{j[0]}" if len(j) == 1 else f"({v}{j[1]} - {v}{j[0]})"
+                for j in nonzero]
 
     def names(*prefixes):
         return ", ".join(f"{p}{i}" for p in prefixes for i in range(L))
@@ -168,7 +196,7 @@ def _make_rhs(n: int, even_variant: bool):
     ww = " + ".join(["0.0"] + [f"wt{i} * wt{i}" for i in range(L)])
     e_inner = " + ".join(["0.0"] + [f"E{i}" for i in range(1, L)])
     density = (f"({ww}) / (2.0 * x) - x * ({e_inner}) + {q_const!r} * x"
-               f" - 0.5 * x * ({last_weight!r} * E{L} + E0)")
+               f" - {c[0]!r} * x * ({c[L] / c[0]!r} * E{L} + E0)")
     src = "\n".join([
         "def f(x, y):",
         "    batch = isinstance(y, ndarray)",
@@ -196,28 +224,28 @@ def _make_rhs(n: int, even_variant: bool):
     return scope["f"], L
 
 
-def _rhs_at(p: PhasePoint, n: int, even_variant: bool) -> list[float]:
-    _check_n(n, len(p.w), even_variant)
-    f, _L = _make_rhs(n, even_variant)
+def _rhs_at(p: PhasePoint, n: int) -> list[float]:
+    _check_n(n, len(p.w))
+    f, _L = _make_rhs(n, n % 2 == 0)
     return f(p.x, p.w + p.wt)
 
 
-def hamiltonian(p: PhasePoint, n: int, even_variant: bool = False) -> float:
+def hamiltonian(p: PhasePoint, n: int) -> float:
     """Energy H(w, wt; x) of the reduced chain: the kernel's H + 2x, less 2x."""
-    return _rhs_at(p, n, even_variant)[-1] - 2.0 * p.x
+    return _rhs_at(p, n)[-1] - 2.0 * p.x
 
 
-def vector_field(p: PhasePoint, n: int, even_variant: bool = False):
+def vector_field(p: PhasePoint, n: int):
     """(dw/dx, dwt/dx) of the Hamiltonian system."""
     L = len(p.w)
-    d = _rhs_at(p, n, even_variant)
+    d = _rhs_at(p, n)
     return tuple(d[:L]), tuple(d[L:2 * L])
 
 
-def reg_density(x, y: np.ndarray, n: int, even_variant: bool = False):
+def reg_density(x, y: np.ndarray, n: int):
     """H + 2x at state(s) y = [w, wt, ...] (components on axis 0), evaluated
     without trivial-background cancellation."""
-    f, L = _make_rhs(n, even_variant)
+    f, L = _make_rhs(n, n % 2 == 0)
     return f(x, y)[2 * L]
 
 
@@ -399,7 +427,7 @@ class Trajectory:
 
     def __init__(self, n: int, xs: np.ndarray, ys: np.ndarray, hs: np.ndarray,
                  Q: np.ndarray, stats: IntegrationStats, stop_reason: str,
-                 even_variant: bool = False, tangent: np.ndarray | None = None):
+                 tangent: np.ndarray | None = None):
         self.n = n
         self.xs = xs
         self.ys = ys
@@ -407,7 +435,6 @@ class Trajectory:
         self.Q = Q
         self.stats = stats
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
-        self.even_variant = even_variant
         self.tangent = tangent
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
         # sign * xs increases in either direction of integration
@@ -586,8 +613,7 @@ def _make_stepper(dim: int, size: int):
 
 
 def _integrate_raw(n: int, y0, x0: float, x_end: float,
-                   cfg: IntegratorConfig, even_variant: bool = False,
-                   abs_tol_vec=None) -> Trajectory:
+                   cfg: IntegratorConfig, abs_tol_vec=None) -> Trajectory:
     """DOP853 from x0 to x_end on plain floats; direction inferred from
     x_end - x0.
 
@@ -599,7 +625,7 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     The steps run in the generated loop of `_make_stepper`, with the
     kernel of `_make_rhs` looked up here on every call.
     """
-    f, L = _make_rhs(n, even_variant)
+    f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
     dim = 2 * L + 1
     tangent = len(y) > dim
@@ -635,12 +661,12 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
         K[:, s] = f(x_old + _C[s] * h_old, (y_old + h_old[:, None] * dy).T).T
     return Trajectory(n=n, xs=np.frombuffer(xs), ys=np.frombuffer(ys).reshape(-1, dim).T,
                       hs=h_old, Q=K.transpose(0, 2, 1) @ _DENSE_F @ _DENSE_T,
-                      stats=stats, stop_reason=stop, even_variant=even_variant,
+                      stats=stats, stop_reason=stop,
                       tangent=np.array(y[dim:]).reshape(-1, 2 * L).T if tangent else None)
 
 
 def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
-              n: int, even_variant: bool = False) -> Trajectory:
+              n: int) -> Trajectory:
     """Integrate forward from `start` to x_end (adaptive DOP853).
 
     On blow-up or step underflow the partial trajectory is returned with
@@ -649,11 +675,11 @@ def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
     """
     cfg = cfg or IntegratorConfig()
     L = len(start.w)
-    _check_n(n, L, even_variant)
+    _check_n(n, L)
     if not x_end > start.x:
         raise UnsupportedConfigError("x_end must exceed start.x")
     y0 = np.concatenate([start.w, start.wt, [0.0]])
-    return _integrate_raw(n, y0, start.x, x_end, cfg, even_variant)
+    return _integrate_raw(n, y0, start.x, x_end, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -668,14 +694,12 @@ def tail_amplitude_s1(gamma) -> float:
             - 2.0 * math.cos(math.pi / 4.0 * (g1 + 3.0)))
 
 
-def check_quasihomogeneity(p: PhasePoint, lam: float, n: int,
-                           even_variant: bool = False) -> float:
+def check_quasihomogeneity(p: PhasePoint, lam: float, n: int) -> float:
     """|H(w, lam*wt; lam*x) - lam*H(w, wt; x)|, which vanishes identically."""
     if lam <= 0.0:
         raise UnsupportedConfigError("lambda must be positive")
     scaled = PhasePoint(x=lam * p.x, w=p.w, wt=tuple(lam * v for v in p.wt))
-    return abs(hamiltonian(scaled, n, even_variant)
-               - lam * hamiltonian(p, n, even_variant))
+    return abs(hamiltonian(scaled, n) - lam * hamiltonian(p, n))
 
 
 # ----------------------------------------------------------------------
@@ -688,7 +712,7 @@ def trajectory_to_csv(traj: Trajectory, fh) -> None:
     header = (["x"] + [f"w{i}" for i in range(L)] + [f"wt{i}" for i in range(L)]
               + ["H", "reg_integral"])
     fh.write(",".join(header) + "\n")
-    H = reg_density(traj.xs, traj.ys, traj.n, traj.even_variant) - 2.0 * traj.xs
+    H = reg_density(traj.xs, traj.ys, traj.n) - 2.0 * traj.xs
     rows = np.vstack([traj.xs, traj.ys[:2 * L], H, traj.ys[-1]]).T
     for row in rows.tolist():
         fh.write(",".join(f"{v + 0.0:.17g}" for v in row) + "\n")

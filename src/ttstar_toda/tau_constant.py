@@ -38,7 +38,6 @@ from .special_functions import psi_m2
 
 __all__ = [
     "BlowupError",
-    "ExtrapolationError",
     "ConstantReport",
     "log_tau",
     "constant_numeric",
@@ -65,9 +64,8 @@ class BlowupError(RuntimeError):
 
 class ExtrapolationError(RuntimeError):
     """Raised by nothing now that one solve gives the constant (there is
-    no x1 -> 0 extrapolation left to fail); kept because callers catch it
-    by name: the benchmark's workloads, the CLI and
-    scripts/constant_sweep.py."""
+    no x1 -> 0 extrapolation left to fail); kept only because the
+    benchmark's workloads (perfbench/workloads.py) name it."""
 
 
 @dataclass(frozen=True)
@@ -153,12 +151,12 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     g0, g1 = float(gamma[0]), float(gamma[1])
     if not _X1_MIN < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({_X1_MIN}, {GlobalSolution.x_right}], got {x2}")
-    a = min(2.0 + 2.0 * g0, 2.0 + (g1 - g0), 2.0 - 2.0 * g1)
+    series = SmallXSeries((g0, g1))
+    a = float(min(series.s))
     if a < _A_MIN:
-        raise GenericityError(
-            f"a(gamma) = min(2 + 2 gamma0, 2 + gamma1 - gamma0, 2 - 2 gamma1) "
-            f"= {a:.6g} is below a_min = {_A_MIN} for gamma={(g0, g1)}")
-    series, rho_f = SmallXSeries((g0, g1)), global_rho(3, (g0, g1))
+        raise GenericityError(f"a(gamma) = min_l s_l = {a:.6g} is below a_min = {_A_MIN} "
+                              f"for gamma={(g0, g1)}")
+    rho_f = global_rho(3, (g0, g1))
     x1 = _X1_MAX
     while x1 >= x2:
         x1 *= 0.5
@@ -195,5 +193,5 @@ def classical_action(traj: Trajectory) -> float:
     x = traj.xs[:-1, None] + half + half * nodes
     y = traj.sample_state(x)
     wt = y[L:2 * L]
-    H = reg_density(x, y, traj.n, traj.even_variant) - 2.0 * x
+    H = reg_density(x, y, traj.n) - 2.0 * x
     return float(np.sum(weights * half * (np.vecdot(wt, wt, axis=0) / x - H)))

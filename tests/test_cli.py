@@ -191,13 +191,13 @@ class TestVerify:
                   "--samples", "20", "--seed", "7", "--reproducible"])
         assert rc == 0
 
-    def test_dynamics_refuses_even_n(self, capsys):
-        # the suite checks the odd chain only; an even n is refused by
-        # name rather than run as n = 3
+    def test_dynamics_even_n(self, capsys):
+        # the even chain, with its forced middle entry 0, passes the same
+        # checks at the same threshold
         assert run(["verify", "--suite", "dynamics", "--n", "4",
-                    "--samples", "3", "--reproducible"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "n=4" in captured.err
+                    "--samples", "20", "--seed", "7", "--reproducible"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 4 and doc["pass"] is True
 
     def test_unknown_suite_exit_2(self):
         assert run(["verify", "--suite", "nope"]) == 2

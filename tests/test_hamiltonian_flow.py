@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttstar_toda import hamiltonian_flow
-from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
+from ttstar_toda.data_maps import (AsymptoticData, expand_reduced, global_rho,
+                                   reduced_length)
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           UnsupportedConfigError,
                                           check_quasihomogeneity, hamiltonian,
@@ -41,9 +42,7 @@ class TestHamiltonian:
 
     def test_even_n_gated(self):
         p = PhasePoint(x=1.0, w=(0.1,), wt=(0.0,))
-        with pytest.raises(UnsupportedConfigError):
-            hamiltonian(p, 2)
-        assert hamiltonian(p, 2, even_variant=True) == pytest.approx(
+        assert hamiltonian(p, 2) == pytest.approx(
             -math.exp(-0.2) - 0.5 * math.exp(0.4), rel=1e-15)
 
     def test_reg_density_trivial_background(self):
@@ -84,20 +83,29 @@ class TestVectorField:
                          - hamiltonian(PhasePoint(p.x, tuple(wm), p.wt), n)) / (2 * h)
                 assert abs(dwt[i] + dH_dw) <= 1e-9
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_explicit_exp_formulas(self, n):
-        # the stated odd-n formulas with plain exponentials, sharing no code
-        # with the expm1 kernel behind hamiltonian and vector_field
+        # the stated formulas with plain exponentials, sharing no code with
+        # the expm1 kernel behind hamiltonian and vector_field: H from the
+        # n + 1 gaps of the full periodic chain (`expand_reduced`, with the
+        # forced middle 0 at even n), and for odd n also the reduced form
         rng = np.random.default_rng(300 + n)
         L = reduced_length(n)
         for _ in range(50):
             p = rand_point(rng, n)
             x, w, wt = p.x, p.w, p.wt
+            full = expand_reduced(n, w)
             H = (sum(v * v for v in wt) / (2.0 * x)
-                 - x * sum(math.exp(2.0 * (w[i] - w[i - 1])) for i in range(1, L))
-                 - 0.5 * x * (math.exp(-4.0 * w[L - 1]) + math.exp(4.0 * w[0])))
+                 - 0.5 * x * sum(math.exp(2.0 * (full[(i + 1) % (n + 1)] - full[i]))
+                                 for i in range(n + 1)))
             assert hamiltonian(p, n) == pytest.approx(H, rel=1e-13)
-            ext = [-w[0]] + list(w) + [-w[L - 1]]  # w_{-1} = -w_0, w_{K+1} = -w_K
+            if n % 2:
+                H = (sum(v * v for v in wt) / (2.0 * x)
+                     - x * sum(math.exp(2.0 * (w[i] - w[i - 1])) for i in range(1, L))
+                     - 0.5 * x * (math.exp(-4.0 * w[L - 1]) + math.exp(4.0 * w[0])))
+                assert hamiltonian(p, n) == pytest.approx(H, rel=1e-13)
+            # w_{-1} = -w_0, and w_{K+1} = -w_K (odd n) or the middle 0 (even n)
+            ext = [full[-1]] + full[:L + 1]
             dw, dwt = vector_field(p, n)
             for i in range(L):
                 up = math.exp(2.0 * (ext[i + 2] - ext[i + 1]))
@@ -112,12 +120,12 @@ class TestVectorField:
         h = 3e-6
         for _ in range(50):
             p = rand_point(rng, n)
-            _dw, dwt = vector_field(p, n, even_variant=True)
+            _dw, dwt = vector_field(p, n)
             for i in range(L):
                 wp = list(p.w); wp[i] += h
                 wm = list(p.w); wm[i] -= h
-                dH_dw = (hamiltonian(PhasePoint(p.x, tuple(wp), p.wt), n, True)
-                         - hamiltonian(PhasePoint(p.x, tuple(wm), p.wt), n, True)) / (2 * h)
+                dH_dw = (hamiltonian(PhasePoint(p.x, tuple(wp), p.wt), n)
+                         - hamiltonian(PhasePoint(p.x, tuple(wm), p.wt), n)) / (2 * h)
                 assert abs(dwt[i] + dH_dw) <= 1e-9
 
 
@@ -137,6 +145,14 @@ class TestKernelForms:
         singles = np.array([f(float(x[j]), y[:, j].tolist()) for j in range(30)]).T
         scale = np.max(np.abs(batch), axis=1, keepdims=True)
         assert np.all(np.abs(singles - batch) <= 1e-13 * scale)
+
+    def test_parity_is_that_of_n(self):
+        # the kernel's second argument repeats n's parity: it cannot pick
+        # another chain
+        with pytest.raises(UnsupportedConfigError):
+            hamiltonian_flow._make_rhs(3, True)
+        with pytest.raises(UnsupportedConfigError):
+            hamiltonian_flow._make_rhs(4, False)
 
     def test_overflow_gives_the_batch_infinities(self):
         # math.expm1 raises where np.expm1 returns inf; a wild trial state
@@ -277,7 +293,7 @@ class TestTangentColumns:
             (tang.stats.n_steps, tang.stats.n_rejected, tang.stats.n_rhs_evals)
 
 
-def dop853_loops(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
+def dop853_loops(n, y0, x0, x_end, cfg, even=False, abs_tol_vec=None):
     """DOP853 as plain loops over the components, each stage's argument
     written into one reused list: the stepper before it was generated as
     straight-line code, kept as the generated loop's byte-for-byte oracle.
@@ -296,7 +312,7 @@ def dop853_loops(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
     er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12 = fl._E5
     bhh1, bhh2, bhh3 = fl._BHH
 
-    f, L = fl._make_rhs(n, even_variant)
+    f, L = fl._make_rhs(n, even)
     y = [float(v) for v in y0]
     dim = 2 * L + 1
     tangent = len(y) > dim
@@ -410,12 +426,12 @@ def dop853_loops(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
             (n_steps, n_rejected, n_rhs + 3), stop)
 
 
-def assert_same_run(n, y0, x0, x_end, cfg, even_variant=False, abs_tol_vec=None):
+def assert_same_run(n, y0, x0, x_end, cfg, even=False, abs_tol_vec=None):
     """The generated stepper against `dop853_loops`, bit for bit; returns
     the trajectory."""
-    traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg, even_variant, abs_tol_vec)
+    traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg, abs_tol_vec)
     xs, ys, hs, Q, tangent, counts, stop = dop853_loops(n, y0, x0, x_end, cfg,
-                                                        even_variant, abs_tol_vec)
+                                                        even, abs_tol_vec)
     for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q)):
         got = getattr(traj, name)
         assert got.shape == ref.shape and bits(got) == bits(ref), name
@@ -541,8 +557,8 @@ class TestIntegrate:
         calls = [0]
         make_rhs = hamiltonian_flow._make_rhs
 
-        def counting_make_rhs(n, even_variant):
-            f, L = make_rhs(n, even_variant)
+        def counting_make_rhs(n, even):
+            f, L = make_rhs(n, even)
 
             def counted(x, y):
                 calls[0] += 1
@@ -577,8 +593,8 @@ class TestIntegrate:
         calls = {"all": 0, "tangent": 0}
         make_rhs = hamiltonian_flow._make_rhs
 
-        def counting_make_rhs(n, even_variant):
-            f, L = make_rhs(n, even_variant)
+        def counting_make_rhs(n, even):
+            f, L = make_rhs(n, even)
 
             def counted(x, y):
                 calls["all"] += 1
@@ -607,9 +623,7 @@ class TestIntegrate:
     def test_even_variant_integration(self):
         a = AsymptoticData(2, (0.2,), (0.1,))
         p = init_from_asymptotics(a, 0.01)
-        with pytest.raises(UnsupportedConfigError):
-            integrate(p, 1.0, IntegratorConfig(), 2)
-        traj = integrate(p, 1.0, IntegratorConfig(), 2, even_variant=True)
+        traj = integrate(p, 1.0, IntegratorConfig(), 2)
         assert traj.stop_reason in ("completed", "blowup")
 
 

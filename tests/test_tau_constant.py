@@ -205,9 +205,12 @@ class TestConstantNumeric:
         # over three solves found an exponent near 2a and left 7.8e-12 to
         # 3.2e-10)
         g0, g1 = gamma
-        a = min(2 + 2 * g0, 2 + g1 - g0, 2 - 2 * g1)
+        # the hand formula, with g1 - g0 rounded first as the link row
+        # (-2, 2) of A gamma does: (2 + g1) - g0 misses 1.8 by an ulp at
+        # (0.1, -0.1)
+        a = min(2 + 2 * g0, 2 + (g1 - g0), 2 - 2 * g1)
         rep = constant_numeric(gamma, basis=tail_basis)
-        assert rep.a == pytest.approx(a, abs=1e-14)
+        assert rep.a == a
         assert rep.x1 == x1
         assert rep.series_order <= 8 and rep.series_error < 1e-13
         assert rep.abs_diff <= 1e-12
