@@ -16,12 +16,11 @@ from .data_maps import (AsymptoticData, GenericityError, MonodromyData,
                         verify_generating_function, verify_symplectic)
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                UnsupportedConfigError, check_quasihomogeneity,
-                               hamiltonian, init_from_asymptotics, integrate,
-                               tail_amplitude_s1, trajectory_to_csv,
-                               vector_field)
+                               hamiltonian, integrate, tail_amplitude_s1,
+                               trajectory_to_csv, vector_field)
 from .global_solutions import (GlobalSolution, GlobalSolveError,
-                               fit_tail_amplitude, make_backward_basis,
-                               solve_global)
+                               fit_tail_amplitude, init_from_asymptotics,
+                               make_backward_basis, solve_global)
 from .tau_constant import (BlowupError, ConstantReport, classical_action,
                            constant_closed, constant_numeric, log_tau)
 

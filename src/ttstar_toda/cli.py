@@ -2,12 +2,13 @@
 
 Subcommands:
   maps      asymptotic <-> monodromy data and the smooth-family rho
-  solve     integrate a trajectory and write it as CSV
+  solve     integrate from the small-x series seed and write a CSV trajectory
   tau       log tau over [x1, x2] along a global solution
   constant  numeric vs closed-form connection constant
   verify    randomized residual suites (specfun, genfun, symplectic, dynamics)
 
-Exit codes: 0 success, 2 input/domain error, 3 blow-up, 4 verification
+Exit codes: 0 success, 2 input/domain error (for solve also a small-x
+series not converged above x = 1e-8), 3 blow-up, 4 verification
 failure.  All floats are serialized with 17 significant digits and a
 decimal point or exponent; passing --reproducible suppresses the
 timestamp field so identical flags (and verify's --seed) give
@@ -26,6 +27,7 @@ import time
 import numpy as np
 
 from . import data_maps as dm
+from . import global_solutions as gs
 from . import hamiltonian_flow as hf
 from . import tau_constant as tc
 from .special_functions import DomainError, psi_m2, psi_m2_oracle, log_barnes_g, log_gamma
@@ -123,7 +125,7 @@ def cmd_solve(args) -> int:
     gamma = _parse_list(args.gamma)
     rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
     a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
-    start = hf.init_from_asymptotics(a, args.x0)
+    start = gs.init_from_asymptotics(a, args.x0)
     traj = hf.integrate(start, args.x1, _cfg_from(args), args.n)
     _log(f"integrated to x={traj.x_final:.6g} ({traj.stats.n_steps} steps, "
          f"stop={traj.stop_reason})")
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, dm.GenericityError, dm.ShapeError,
+    except (DomainError, dm.GenericityError, dm.ShapeError, gs.GlobalSolveError,
             hf.UnsupportedConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,15 +1,21 @@
-"""Accurate global (connecting-orbit) solutions of the n = 3 chain.
+"""The small-x seed of the chain, and accurate global (connecting-orbit)
+solutions of the n = 3 chain.
+
+The seed of every n is the small-x series of the chain (`SmallXSeries`),
+generated from the link data of `_links(n)` to order 9 (lower beyond six
+links) and cut at the least order K whose first dropped term is below
+1e-13; `init_from_asymptotics` gives it for small-x data (gamma, rho) at
+the largest x0 2^-j where it has converged.
 
 Globally smooth solutions decay at infinity, but the linearization around
-w = 0 carries growing modes exp(+2 sqrt(2) x) and exp(+4 x), so a plain
-forward integration seeded at small x0 loses the connecting orbit once
-the seed truncation error is amplified to order one.  This module
-recovers the orbit to near machine precision with the standard two-sided
-strategy:
+w = 0 carries growing modes exp(+2 sqrt(2) x) and exp(+4 x) at n = 3, so a
+plain forward integration seeded at small x0 loses the connecting orbit
+once the seed truncation error is amplified to order one.  This module
+recovers the n = 3 orbit to near machine precision with the standard
+two-sided strategy:
 
-  1. forward shooting from the small-x series of the chain, generated to
-     order K <= 8 from the link data (`SmallXSeries`) and started at the
-     largest x0 2^-j where it has converged, with a Newton refinement of
+  1. forward shooting from the series seed, started at the largest
+     x0 2^-j where the series has converged, with a Newton refinement of
      the seed offsets in rho, driving the growing-mode components to zero
      at the station x = 4.95; the Jacobian in rho comes exactly from
      tangent-linear columns carried by the probe;
@@ -36,12 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_maps import global_rho
+from .data_maps import AsymptoticData, check_genericity, global_rho
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                UnsupportedConfigError, _integrate_raw, _links,
                                reg_density)
 
-__all__ = ["GlobalSolveError", "GlobalSolution", "solve_global",
+__all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve_global",
            "make_backward_basis", "fit_tail_amplitude"]
 
 _SQ8 = 2.0 * math.sqrt(2.0)
@@ -77,14 +83,12 @@ def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
     return _mode_residual(traj.sample_state(x_p), x_p)
 
 
-# the links e^{4 w0}, e^{2(w1 - w0)}, e^{-4 w1} of the n = 3 chain
-# (`hamiltonian_flow._links`): their exponent rows A over (w0, w1), their
-# weights c in H = ... - x sum c_l e^link and the force matrix
-# D = (c A)^T, D[i, l] = 2 (delta_{l,i} - delta_{l,i+1})
-_ROWS, _WEIGHTS = _links(3)
-_FORCE = (_WEIGHTS[:, None] * _ROWS).T
-# the series' highest order, and the first dropped term a lower one must reach
-_K_MAX, _SERIES_TOL = 8, 1e-13
+# the first dropped term a cut series must reach
+_SERIES_TOL = 1e-13
+# the series' top order: the largest order <= 9 whose multi-indices number
+# at most 5005, the count at order 9 over 6 links (n <= 10); 3 links (n = 3)
+# keep order 9 and their tables
+_TOP_ORDER, _MAX_ROWS = 9, 5005
 # the Newton step in rho (max norm) that ends the shooting
 _STEP_TOL = 1e-14
 # the lowest shooting start: a(gamma) = 0.2 starts from 0.08 2^-19 = 1.53e-7
@@ -93,74 +97,85 @@ _X_START_MIN = 1e-8
 
 @functools.cache
 def _series_tables(n_links: int):
-    """Multi-indices k over n_links links, |k| <= _K_MAX + 1, by order (n
-    from row first[n]), then k descending; shift[k, l]: row k - e_l, link
-    l, of a flat (rows + 1, n_links) array, its zero last row where
-    k_l = 0; the pairs k = j + m, j != 0: (pk, pj, pm) sorted by k, those
-    of k from pfirst[k] on, with |j| in jn."""
-    N = _K_MAX + 1
-    ks = np.array(sorted((k for k in itertools.product(range(N + 1), repeat=n_links)
-                          if sum(k) <= N), key=lambda k: (sum(k), [-v for v in k])))
-    links = np.arange(n_links)
-    code = (N + 1) ** links
-    lookup = np.zeros((N + 1) ** n_links, dtype=int)
-    lookup[ks @ code] = np.arange(len(ks))
-    shift = n_links * np.where(ks > 0, lookup[(ks[:, None] - np.eye(n_links, dtype=int)) @ code],
-                               len(ks)) + links
-    pk, pj = np.nonzero(np.all(ks[None] <= ks[:, None], axis=2) & (ks.sum(1) > 0))
-    pm = lookup[(ks[pk] - ks[pj]) @ code]
+    """Multi-indices k over n_links links, |k| <= N (the top order), by
+    order (order d from row first[d]), then k descending; shift[k, l]: row
+    k - e_l, link l, of a flat (rows + 1, n_links) array, its zero last row
+    where k_l = 0; the pairs k = j + m, j != 0: (pk, pj, pm) sorted by k,
+    those of k from pfirst[k] on, with |j| in jn.  A multi-index is
+    enumerated as the sorted tuple of its links, one entry per unit, which
+    combinations_with_replacement gives in the order above."""
+    N = max(d for d in range(1, _TOP_ORDER + 1) if math.comb(d + n_links, n_links) <= _MAX_ROWS)
+    combos = [c for d in range(N + 1)
+              for c in itertools.combinations_with_replacement(range(n_links), d)]
+    row = {c: i for i, c in enumerate(combos)}
+    ks = np.array([[c.count(l) for l in range(n_links)] for c in combos])
     first = np.searchsorted(ks.sum(1), np.arange(N + 2))
-    return (ks, first, shift, pk, pj, pm, np.searchsorted(pk, np.arange(len(ks) + 1)),
-            ks.sum(1)[pj, None].astype(float))
+    # every j != 0 with every m of |m| <= N - |j|, a prefix of the rows
+    pairs = np.array([(row[tuple(sorted(cj + cm))], j, row[cm]) for j, cj in enumerate(combos)
+                      if cj for cm in combos[:first[N + 1 - len(cj)]]]).T
+    pk, pj, pm = pairs[:, np.lexsort(pairs[1::-1])]
+    # row k - e_l is the m of the pair j = e_l, row l + 1
+    shift = np.full(ks.shape, len(ks))
+    unit = pj <= n_links
+    shift[pk[unit], pj[unit] - 1] = pm[unit]
+    return (ks, first, n_links * shift + np.arange(n_links), pk, pj, pm,
+            np.searchsorted(pk, np.arange(len(ks) + 1)), ks.sum(1)[pj, None].astype(float))
 
 
 class SmallXSeries:
-    """The small-x series of the chain, 1 <= |k| <= order, in the link terms
-    P_l = exp((A rho)_l/2) x^{s_l}, s_l = 2 + (A gamma)_l/2 (McCoy-Tracy-Wu,
-    J. Math. Phys. 18 (1977)).  On 2w = gamma log x + rho + 2 dw, in log x,
-    dw_i'' = sum_l D_il P_l e^{(A dw)_l}: dw = sum_k c_k P^k order by order,
-    c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by the Euler
-    recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of x (H - q/x) =
-    gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l}, q = |gamma|^2/8.
-    A solve computes them once (a constant shares them with its solve), cuts
-    them at its start and keeps the cut in its diagnostics["series"], so its
-    endcap uses the seed's own K."""
+    """The small-x series of chain n, 1 <= |k| <= order, in the link terms
+    P_l = exp((A rho)_l/2) x^{s_l}, s_l = 2 + (A gamma)_l/2, with the link
+    rows A and weights c of `_links(n)` (McCoy-Tracy-Wu, J. Math. Phys. 18
+    (1977); at n = 1 the sinh-Gordon case of Tracy, CMP 142 (1991)).  On
+    2w = gamma log x + rho + 2 dw, in log x, dw_i'' = sum_l D_il P_l
+    e^{(A dw)_l} with the force matrix D = (c A)^T: dw = sum_k c_k P^k
+    order by order, c_k = [sum_l D_il P_l e^{(A dw)_l}]_k / (k.s)^2, e^u by
+    the Euler recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of
+    x (H - q/x) = gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l},
+    q = |gamma|^2/8.  The order is 9 up to 6 links (n <= 10) and lower
+    beyond (`_series_tables`).  A solve computes them once (a constant
+    shares them with its solve), cuts them at its start and keeps the cut
+    in its diagnostics["series"], so its endcap uses the seed's own K."""
 
-    def __init__(self, gamma):
-        m, L = _ROWS.shape
+    def __init__(self, n: int, gamma):
+        self.rows, self.weights = _links(n)
+        m, L = self.rows.shape
         ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables(m)
+        force = (self.weights[:, None] * self.rows).T
         self.gamma = np.asarray(gamma, dtype=float)
-        self.s = 2.0 + 0.5 * (_ROWS @ self.gamma)
+        self.s = 2.0 + 0.5 * (self.rows @ self.gamma)
         ks_s = ks @ self.s
         c, u, E = np.zeros((len(ks), L)), np.zeros((len(ks), m)), np.zeros((len(ks) + 1, m))
         E[0] = 1.0
-        for n in range(1, _K_MAX + 2):   # np.take: a fancy index costs 4x more here
-            a, b = first[n], first[n + 1]
-            c[a:b] = (E.take(shift[a:b]) @ _FORCE.T) / ks_s[a:b, None] ** 2
-            u[a:b] = c[a:b] @ _ROWS.T
+        for d in range(1, len(first) - 1):   # np.take: a fancy index costs 4x more here
+            a, b = first[d], first[d + 1]
+            c[a:b] = (E.take(shift[a:b]) @ force.T) / ks_s[a:b, None] ** 2
+            u[a:b] = c[a:b] @ self.rows.T
             p = slice(pfirst[a], pfirst[b])
             E[a:b] = np.add.reduceat(jn[p] * u.take(pj[p], 0) * E.take(pm[p], 0),
-                                     pfirst[a:b] - pfirst[a]) / n
+                                     pfirst[a:b] - pfirst[a]) / d
         dw = ks_s[:, None] * c   # the series of dw'
         two = pm > 0
-        f = (dw @ (0.5 * self.gamma) - E.take(shift) @ _WEIGHTS + 0.5 * np.bincount(
+        f = (dw @ (0.5 * self.gamma) - E.take(shift) @ self.weights + 0.5 * np.bincount(
             pk[two], np.sum(dw.take(pj[two], 0) * dw.take(pm[two], 0), 1), len(ks)))
         self.ks, self.ks_s, self.c, self.f = ks[1:], ks_s[1:], c[1:], f[1:]
-        self.order, self.error, self._first = _K_MAX + 1, math.inf, first - 1
+        self.order, self.error, self._first = len(first) - 2, math.inf, first - 1
 
     def terms(self, rho, x: float) -> np.ndarray:
         """Rows (c_k, (k.s) c_k, -f_k/(k.s)) P^k at (rho, x): the terms of
         dw, dw' and the endcap."""
-        P = np.exp(self.ks @ (0.5 * (_ROWS @ np.asarray(rho, dtype=float))))
+        P = np.exp(self.ks @ (0.5 * (self.rows @ np.asarray(rho, dtype=float))))
         return (np.column_stack([self.c, self.ks_s[:, None] * self.c, -self.f / self.ks_s])
                 * (P * x ** self.ks_s)[:, None])
 
     def cut(self, rho, x: float) -> SmallXSeries:
-        """The series to the least order K <= _K_MAX whose first dropped term
-        at (rho, x), the largest order-(K + 1) part of (dw, dw'), is below
-        _SERIES_TOL, or to _K_MAX; `error` is that term."""
+        """The series to the least order K below its top order whose first
+        dropped term at (rho, x), the largest order-(K + 1) part of (dw,
+        dw'), is below _SERIES_TOL, or to one below the top order; `error`
+        is that term."""
         by_order = np.abs(np.add.reduceat(self.terms(rho, x)[:, :-1], self._first[1:-1])).max(1)
-        K = next((n for n in range(1, _K_MAX) if by_order[n] < _SERIES_TOL), _K_MAX)
+        top = len(by_order) - 1
+        K = next((d for d in range(1, top) if by_order[d] < _SERIES_TOL), top)
         out, rows = copy.copy(self), self._first[K + 1]
         out.ks, out.ks_s, out.c, out.f = (v[:rows] for v in (self.ks, self.ks_s, self.c, self.f))
         out.order, out.error = K, float(by_order[K])
@@ -178,7 +193,7 @@ class SmallXSeries:
         y = [*(0.5 * g * math.log(x0) + 0.5 * r + t[:, :L].sum(0)),
              *(0.5 * g + t[:, L:-1].sum(0)), 0.0]
         if tangents:
-            cols = (0.5 * (self.ks @ _ROWS)).T @ t[:, :-1]
+            cols = (0.5 * (self.ks @ self.rows)).T @ t[:, :-1]
             cols[:, :L] += 0.5 * np.eye(L)
             y += [*cols.ravel()]
         return [float(v) for v in y]
@@ -208,9 +223,24 @@ def _converged_start(series: SmallXSeries, rho, x0: float) -> tuple[float, Small
         if x < _X_START_MIN:
             raise GlobalSolveError(
                 f"the small-x series has not converged above x = {_X_START_MIN:g}: "
-                f"first dropped term {cut.error:.3e} at a(gamma) = {min(series.s):.6g}, "
+                f"first dropped term {cut.error:.3e} at a(gamma) = {float(min(series.s))!r}, "
                 f"gamma = {tuple(series.gamma.tolist())}")
     return x, cut
+
+
+def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
+    """The seed of chain a.n from its small-x data a = (gamma, rho): (w, wt)
+    of `SmallXSeries(a.n, a.gamma)` at rho, cut where it has converged, at
+    the start `_converged_start` gives from x0 in (0, 0.1] (PhasePoint.x:
+    the largest x0 2^-j where the first dropped term is below 1e-13, x0
+    itself where the series has converged there).  A series not converged
+    above 1e-8 raises GlobalSolveError naming a(gamma)."""
+    check_genericity(a.n, a.gamma)
+    if not 0.0 < x0 <= 0.1:
+        raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
+    x, cut = _converged_start(SmallXSeries(a.n, a.gamma), a.rho, x0)
+    y, L = cut.seed(a.rho, x), len(a.gamma)
+    return PhasePoint(x=x, w=y[:L], wt=y[L:2 * L])
 
 
 def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict, Trajectory]:
@@ -433,7 +463,7 @@ def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None =
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    series = SmallXSeries(gamma) if _series is None else _series
+    series = SmallXSeries(3, gamma) if _series is None else _series
     rho_seed, info, fwd = _refine_rho(series, rho_f, x0)
     bs, bd = basis or _default_basis()
     A, D, resid = _match(fwd, bs, bd)

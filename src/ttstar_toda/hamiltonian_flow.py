@@ -44,6 +44,10 @@ product.  Through the q channel trajectories accumulate the regularized
 integral of H against the trivial background -2x as they go.  Blow-up
 (sup-norm of w beyond a threshold, or step underflow) flags and returns
 the partial trajectory instead of raising.
+
+A run starts from any PhasePoint; the seed of the chain from its small-x
+data (gamma, rho), for every n, is the series of
+`global_solutions.init_from_asymptotics`.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_maps import AsymptoticData, check_genericity, reduced_length
+from .data_maps import reduced_length
 
 __all__ = [
     "UnsupportedConfigError",
@@ -66,7 +70,6 @@ __all__ = [
     "hamiltonian",
     "reg_density",
     "vector_field",
-    "init_from_asymptotics",
     "integrate",
     "tail_amplitude_s1",
     "check_quasihomogeneity",
@@ -247,23 +250,6 @@ def reg_density(x, y: np.ndarray, n: int):
     without trivial-background cancellation."""
     f, L = _make_rhs(n, n % 2 == 0)
     return f(x, y)[2 * L]
-
-
-def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
-    """Leading-order seed w_i = (gamma_i/2) log x0 + rho_i/2, wt_i = gamma_i/2.
-
-    It drops the O(x0^{s_l}) terms of the links.  Global solutions shoot
-    from the small-x series carried to order K, which lives in
-    `global_solutions` (`SmallXSeries`); this one is the plain leading
-    order, for `ttstar solve` and callers of `integrate`.
-    """
-    check_genericity(a.n, a.gamma)
-    if not 0.0 < x0 <= 0.1:
-        raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
-    lx = math.log(x0)
-    w = tuple(0.5 * g * lx + 0.5 * r for g, r in zip(a.gamma, a.rho))
-    wt = tuple(0.5 * g for g in a.gamma)
-    return PhasePoint(x=x0, w=w, wt=wt)
 
 
 # ----------------------------------------------------------------------

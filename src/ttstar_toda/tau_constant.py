@@ -151,10 +151,10 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     g0, g1 = float(gamma[0]), float(gamma[1])
     if not _X1_MIN < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({_X1_MIN}, {GlobalSolution.x_right}], got {x2}")
-    series = SmallXSeries((g0, g1))
+    series = SmallXSeries(3, (g0, g1))
     a = float(min(series.s))
     if a < _A_MIN:
-        raise GenericityError(f"a(gamma) = min_l s_l = {a:.6g} is below a_min = {_A_MIN} "
+        raise GenericityError(f"a(gamma) = min_l s_l = {a!r} is below a_min = {_A_MIN} "
                               f"for gamma={(g0, g1)}")
     rho_f = global_rho(3, (g0, g1))
     x1 = _X1_MAX

@@ -14,11 +14,11 @@ from ttstar_toda.data_maps import (AsymptoticData, GenericityError,
                                    global_rho, monodromy_to_asymptotic,
                                    reduced_length, verify_generating_function,
                                    verify_symplectic)
-from ttstar_toda.global_solutions import fit_tail_amplitude
+from ttstar_toda.global_solutions import fit_tail_amplitude, init_from_asymptotics
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           check_quasihomogeneity, hamiltonian,
-                                          init_from_asymptotics, integrate,
-                                          tail_amplitude_s1, vector_field)
+                                          integrate, tail_amplitude_s1,
+                                          vector_field)
 from ttstar_toda.special_functions import (log_barnes_g, log_gamma, psi_m2,
                                            psi_m2_oracle)
 from ttstar_toda.tau_constant import (classical_action, constant_numeric,

@@ -69,6 +69,37 @@ class TestSolve:
             vals = [float(v) for v in line.split(",")]
             assert abs(vals[1]) <= 1e-9 and abs(vals[2]) <= 1e-9
 
+    @pytest.mark.parametrize("n, gamma", [("1", "0.3"), ("2", "0.3"), ("3", "0.3,0.1")])
+    def test_series_seed_runs_to_x1_8(self, n, gamma, tmp_path):
+        # from the series seed at x0 = 0.01 a forward run holds the orbit
+        # until the growing modes take over, but blows up before x = 8 on
+        # none of these
+        out = tmp_path / "s.csv"
+        assert run(["solve", "--n", n, "--gamma", gamma, "--x0", "0.01", "--x1", "8",
+                    "--out", str(out)]) == 0
+        assert float(out.read_text().strip().split("\n")[-1].split(",")[0]) == 8.0
+
+    def test_rows_follow_the_global_solution(self, sol_031, tmp_path):
+        # at (0.3, 0.1) the rows up to x = 4 stay within 1e-6 of the
+        # shooting solution's w and wt (3.7e-8 in w, 5.0e-7 in wt)
+        out = tmp_path / "g.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--x0", "0.01", "--x1", "8",
+                    "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().strip().split("\n")[1:]]
+        near = [r for r in rows if r[0] <= 4.0]
+        assert near[-1][0] > 3.9
+        for r in near:
+            st = sol_031.state(r[0])
+            assert max(abs(a - b) for a, b in zip(r[1:5], st.w + st.wt)) <= 1e-6
+
+    def test_unconverged_series_exit_2(self, tmp_path, capsys):
+        # a(0, 0.95) = 0.1: the series has not converged above 1e-8
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0,0.95", "--out", str(out)]) == 2
+        assert "a(gamma) = 0.10000000000000009" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exit_3(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--rho", "1,1",
@@ -132,9 +163,12 @@ class TestConstant:
         assert run(["constant", "--gamma", "1.9,0"]) == 2
 
     def test_below_domain_floor_exit_2(self, capsys):
-        # a(gamma) = 0.05 < 0.2: refused before any solve
+        # a(gamma) = 0.05 < 0.2: refused before any solve; a is printed
+        # exactly, so a = 2 - 1.8 = 0.19999999999999996 does not read 0.2
         assert run(["constant", "--gamma=-0.975,0.075"]) == 2
         assert "a_min" in capsys.readouterr().err
+        assert run(["constant", "--gamma=-0.9,0.9"]) == 2
+        assert "a(gamma) = min_l s_l = 0.19999999999999996 is below" in capsys.readouterr().err
 
 
 class TestFlags:

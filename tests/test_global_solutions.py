@@ -1,15 +1,15 @@
 import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ttstar_toda import constant_numeric, global_solutions
-from ttstar_toda.data_maps import AsymptoticData, global_rho
+from ttstar_toda import constant_numeric, global_solutions, init_from_asymptotics
+from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
 from ttstar_toda.global_solutions import (GlobalSolveError, SmallXSeries, fit_tail_amplitude,
                                           solve_global)
-from ttstar_toda.hamiltonian_flow import (IntegratorConfig, init_from_asymptotics,
-                                          tail_amplitude_s1)
+from ttstar_toda.hamiltonian_flow import IntegratorConfig, tail_amplitude_s1
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -103,9 +103,10 @@ class TestSolveGlobal:
         assert sol_031.forward.x_final == d["station"] == 4.95
 
     def test_unconverged_series_raises_naming_a(self, tail_basis):
-        # a = 0.1: the series' first dropped term is still 6e-9 near 1e-8,
-        # the lowest start
-        with pytest.raises(GlobalSolveError, match=r"6\.0\d*e-09 at a\(gamma\) = 0\.1\b"):
+        # a = 2 - 1.9 = 0.10000000000000009, named exactly: the series' first
+        # dropped term is still 6e-9 near 1e-8, the lowest start
+        with pytest.raises(GlobalSolveError,
+                           match=r"6\.0\d*e-09 at a\(gamma\) = 0\.10000000000000009,"):
             solve_global((-0.95, 0.0), 0.01, basis=tail_basis)
 
     def test_x0_validation(self, tail_basis):
@@ -135,7 +136,7 @@ class TestShootingJacobian:
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals",
                                "tangent_rhs_evals"), 0)
-        series = SmallXSeries(gamma).cut(rho, x0)
+        series = SmallXSeries(3, gamma).cut(rho, x0)
         traj = global_solutions._forward(series, rho, x0, x_p, cfg, tally, tangents=True)
         J = np.column_stack([global_solutions._mode_residual(col, x_p)
                              for col in traj.tangent.T])
@@ -150,7 +151,48 @@ class TestShootingJacobian:
 
 
 def _cut(gamma, rho, x):
-    return SmallXSeries(gamma).cut(rho, x)
+    return SmallXSeries(3, gamma).cut(rho, x)
+
+
+def series_tables_mask(n_links, N=9):
+    """The series' index tables as first built, from a dense (N + 1)^n_links
+    lookup of every multi-index and an (R, R, n_links) mask of the pairs
+    j <= k: the oracle of `_series_tables` over the few links where these
+    arrays stay small."""
+    ks = np.array(sorted((k for k in itertools.product(range(N + 1), repeat=n_links)
+                          if sum(k) <= N), key=lambda k: (sum(k), [-v for v in k])))
+    links = np.arange(n_links)
+    code = (N + 1) ** links
+    lookup = np.zeros((N + 1) ** n_links, dtype=int)
+    lookup[ks @ code] = np.arange(len(ks))
+    shift = n_links * np.where(ks > 0, lookup[(ks[:, None] - np.eye(n_links, dtype=int)) @ code],
+                               len(ks)) + links
+    pk, pj = np.nonzero(np.all(ks[None] <= ks[:, None], axis=2) & (ks.sum(1) > 0))
+    pm = lookup[(ks[pk] - ks[pj]) @ code]
+    first = np.searchsorted(ks.sum(1), np.arange(N + 2))
+    return (ks, first, shift, pk, pj, pm, np.searchsorted(pk, np.arange(len(ks) + 1)),
+            ks.sum(1)[pj, None].astype(float))
+
+
+class TestSeriesTables:
+    @pytest.mark.parametrize("n_links", [2, 3, 4, 5])
+    def test_equal_to_the_mask_tables(self, n_links):
+        got, want = global_solutions._series_tables(n_links), series_tables_mask(n_links)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, top", [(10, 9), (12, 7), (41, 3)])
+    def test_top_order_from_the_link_count(self, n, top):
+        # the largest order <= 9 with at most 5005 multi-indices: 9 up to
+        # 6 links (n <= 10), 7 at 7 links, 3 at the 22 links of n = 41
+        gamma = 0.4 * np.cos(np.arange(reduced_length(n)))
+        series = SmallXSeries(n, gamma)
+        m = reduced_length(n) + 1
+        assert series.rows.shape == (m, m - 1) and series.order == top
+        assert len(series.ks) == math.comb(top + m, m) - 1
+        cut = series.cut(np.zeros(m - 1), 1e-3)
+        assert cut.order < top and cut.error < 1e-13
 
 
 class TestCorrectedSeed:
@@ -182,7 +224,7 @@ class TestCorrectedSeed:
         # sum_l 2 c_l P_l/s_l^2, c = (1/2, 1, 1/2)
         A = np.array([[4.0, 0.0], [-2.0, 2.0], [0.0, -4.0]])
         g, rho = np.array(gamma), np.array(global_rho(3, gamma))
-        K1 = copy.copy(SmallXSeries(gamma))
+        K1 = copy.copy(SmallXSeries(3, gamma))
         K1.ks, K1.ks_s, K1.c, K1.f = (v[:3] for v in (K1.ks, K1.ks_s, K1.c, K1.f))
         for x in (2.5e-3, 6.25e-4):
             s = 2.0 + 0.5 * A @ g
@@ -203,7 +245,7 @@ class TestCorrectedSeed:
         # below 1e-13 at x, and `error` is that part
         gamma = (0.3, 0.1)
         rho = np.array(global_rho(3, gamma))
-        series = SmallXSeries(gamma)
+        series = SmallXSeries(3, gamma)
         terms, orders = series.terms(rho, x), series.ks.sum(1)
         part = [float(np.max(np.abs(terms[orders == n].sum(0)))) for n in range(10)]
         cut = series.cut(rho, x)
@@ -211,24 +253,32 @@ class TestCorrectedSeed:
         assert cut.error == pytest.approx(part[K + 1], rel=1e-12, abs=0.0)
         assert cut.error < 1e-13 <= min(part[2:K + 1])
 
-    def test_closer_to_the_orbit_than_leading_order(self):
+    @pytest.mark.parametrize("n, gamma", [(1, (0.3,)), (2, (0.3,)), (3, (0.3, 0.1)),
+                                          (4, (0.3, 0.1)), (5, (0.3, 0.2, 0.1))],
+                             ids=[f"n{n}" for n in range(1, 6)])
+    def test_closer_to_the_orbit_than_leading_order(self, n, gamma):
         # a tight run from each seed at 1e-3 to 2e-3 against the same
         # seed formula at 2e-3: the series seed drops terms below 1e-13,
-        # the leading-order one O(x^a) terms
-        gamma, x0, x1 = (0.3, 0.1), 1e-3, 2e-3
-        rho = tuple(global_rho(3, gamma))
+        # the leading-order one, w = gamma/2 log x + rho/2 and wt = gamma/2,
+        # O(x^a) terms
+        x0, x1, L = 1e-3, 2e-3, len(gamma)
+        g, rho = np.array(gamma), np.array(global_rho(n, gamma))
         cfg = IntegratorConfig(rel_tol=1e-14, abs_tol=1e-16)
 
         def miss(seed):
-            traj = global_solutions._integrate_raw(3, seed(x0), x0, x1, cfg)
-            return float(np.max(np.abs(traj.ys[:4, -1] - np.array(seed(x1)[:4]))))
+            traj = global_solutions._integrate_raw(n, seed(x0), x0, x1, cfg)
+            return float(np.max(np.abs(traj.ys[:2 * L, -1] - np.array(seed(x1)[:2 * L]))))
 
         def leading(x):
-            p = init_from_asymptotics(AsymptoticData(3, gamma, rho), x)
-            return list(p.w + p.wt) + [0.0]
+            return [*(0.5 * g * math.log(x) + 0.5 * rho), *(0.5 * g), 0.0]
 
-        corrected = miss(lambda x: _cut(gamma, rho, x).seed(rho, x))
-        assert corrected <= 1e-3 * miss(leading)
+        def series(x):
+            p = init_from_asymptotics(AsymptoticData(n, gamma, tuple(rho)), x)
+            assert p.x == x
+            return [*p.w, *p.wt, 0.0]
+
+        corrected = miss(series)
+        assert corrected <= 1e-13 and corrected <= 1e-3 * miss(leading)
 
     # the ids name the first station of an earlier ladder (3); kept, so
     # that the test ids stay stable
@@ -248,7 +298,7 @@ class TestCorrectedSeed:
             return forward(series, rho, x0, x_end, *args, **kwargs)
 
         monkeypatch.setattr(global_solutions, "_forward", recorded)
-        global_solutions._refine_rho(SmallXSeries(gamma), global_rho(3, gamma), x0)
+        global_solutions._refine_rho(SmallXSeries(3, gamma), global_rho(3, gamma), x0)
         assert ends[0] == first
 
 
@@ -272,7 +322,7 @@ class TestLastStationStop:
         gamma = (0.42223887, -0.69539036)
         rep = constant_numeric(gamma, basis=tail_basis)
         assert rep.x1 == 0.02 and rep.integrator_stats["integrations"] == 2
-        series, rho = SmallXSeries(gamma), np.array(global_rho(3, gamma))
+        series, rho = SmallXSeries(3, gamma), np.array(global_rho(3, gamma))
         for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:
             nudged = [r + k * math.ulp(r) for r, k in zip(rho, ulps)]
             _rho, info, _traj = global_solutions._refine_rho(series, nudged, 0.02)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar_toda import hamiltonian_flow
+from ttstar_toda import hamiltonian_flow, init_from_asymptotics
 from ttstar_toda.data_maps import (AsymptoticData, expand_reduced, global_rho,
                                    reduced_length)
+from ttstar_toda.global_solutions import SmallXSeries
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           UnsupportedConfigError,
                                           check_quasihomogeneity, hamiltonian,
-                                          init_from_asymptotics, integrate,
-                                          reg_density, tail_amplitude_s1,
+                                          integrate, reg_density, tail_amplitude_s1,
                                           trajectory_to_csv, vector_field)
 
 SQ8 = 2.0 * math.sqrt(2.0)
@@ -445,7 +445,7 @@ def assert_same_run(n, y0, x0, x_end, cfg, even=False, abs_tol_vec=None):
 
 
 def near_blowup_seed():
-    # the n = 3 leading-order seed at rho shifted off the global one: it
+    # the n = 3 series seed at rho shifted off the global one: it
     # leaves the orbit and w diverges near x = 0.73
     rho = tuple(r + d for r, d in zip(global_rho(3, (0.3, 0.1)), (0.5, 0.0)))
     p = init_from_asymptotics(AsymptoticData(3, (0.3, 0.1), rho), 0.01)
@@ -495,12 +495,19 @@ class TestInit:
         p = init_from_asymptotics(a, 0.05)
         assert p.w == (0.0, 0.0) and p.wt == (0.0, 0.0)
 
-    def test_formula(self):
-        a = AsymptoticData(3, (0.3, 0.1), (1.0, -1.0))
-        p = init_from_asymptotics(a, 0.01)
-        lx = math.log(0.01)
-        assert p.w == pytest.approx((0.15 * lx + 0.5, 0.05 * lx - 0.5), rel=1e-15)
-        assert p.wt == (0.15, 0.05)
+    @pytest.mark.parametrize("n, gamma, x0, start", [(3, (0.3, 0.1), 0.01, 0.01),
+                                                     (3, (0.0, 0.8), 0.1, 0.1 * 2.0 ** -8),
+                                                     (1, (0.3,), 0.01, 0.01)])
+    def test_seed_is_the_cut_series(self, n, gamma, x0, start):
+        # the seed of the series cut where it has converged: at x0 itself,
+        # or at a = 0.4 halved from 0.1 down to 3.9e-4
+        rho = tuple(global_rho(n, gamma))
+        p = init_from_asymptotics(AsymptoticData(n, gamma, rho), x0)
+        series = SmallXSeries(n, gamma)
+        cut = series.cut(rho, start)
+        assert p.x == start and cut.error < 1e-13
+        assert start == x0 or series.cut(rho, 2.0 * start).error >= 1e-13
+        assert list(p.w + p.wt) == cut.seed(rho, start)[:-1]
 
     def test_x0_range(self):
         a = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))

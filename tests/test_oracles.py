@@ -98,19 +98,41 @@ def _chain_theta_mp(theta, y):
     return [t0, t1, 2 * x2 * (mp.exp(4 * w0) - mid), 2 * x2 * (mid - mp.exp(-4 * w1))]
 
 
-@pytest.mark.parametrize("gamma, tol", [((0.3, 0.1), 1e-15), ((0.0, 0.8), 1e-11)])
-def test_series_seed_against_the_ode(gamma, tol):
+def _chain1_theta_mp(theta, y):
+    """The n = 1 chain (sinh-Gordon) in theta = log x: w' = wt and
+    wt' = 2 x^2 (e^{4w} - e^{-4w})."""
+    w, t = y
+    return [t, 2 * mp.exp(2 * theta) * (mp.exp(4 * w) - mp.exp(-4 * w))]
+
+
+def _chain2_theta_mp(theta, y):
+    """The n = 2 chain in theta = log x, v = (w, 0, -w): w' = wt and
+    wt' = 2 x^2 (e^{4w} - e^{-2w})."""
+    w, t = y
+    return [t, 2 * mp.exp(2 * theta) * (mp.exp(4 * w) - mp.exp(-2 * w))]
+
+
+_CHAINS_MP = {1: _chain1_theta_mp, 2: _chain2_theta_mp, 3: _chain_theta_mp}
+
+
+# the ids of the n = 3 cases are kept from before n was a parameter
+@pytest.mark.parametrize("n, gamma, tol", [(3, (0.3, 0.1), 1e-15), (3, (0.0, 0.8), 1e-11),
+                                           (1, (0.3,), 1e-15), (2, (-0.8,), 1e-11)],
+                         ids=["gamma0-1e-15", "gamma1-1e-11", "n1", "n2"])
+def test_series_seed_against_the_ode(n, gamma, tol):
     # mpmath's Taylor-series ODE solver at 18 digits carries the series
     # state at x = 1e-6, where its first dropped term is far below the
     # rounding of the start, to 1e-3, and meets the seed there: order 2
     # at (0.3, 0.1), 6e-17 off (the first-order seed: 6e-12), and order 8
     # at (0.0, 0.8), a = 0.4, whose first dropped term at 1e-3 is 2.7e-12,
-    # 2.9e-12 off (the first-order seed: 1e-3)
-    rho = global_rho(3, gamma)
-    series = SmallXSeries(gamma)
-    start = series.cut(rho, 1e-6).seed(rho, 1e-6)[:4]
-    seed = series.cut(rho, 1e-3).seed(rho, 1e-3)[:4]
+    # 2.9e-12 off (the first-order seed: 1e-3); at n = 1, order 3 at
+    # gamma = 0.3, 0 off, and at n = 2, order 8 at gamma = -0.8, a = 0.4,
+    # first dropped term 2.6e-12, 2.7e-12 off
+    rho = global_rho(n, gamma)
+    series, L = SmallXSeries(n, gamma), len(gamma)
+    start = series.cut(rho, 1e-6).seed(rho, 1e-6)[:2 * L]
+    seed = series.cut(rho, 1e-3).seed(rho, 1e-3)[:2 * L]
     with mp.workdps(18):
-        y = mp.odefun(_chain_theta_mp, mp.log(1e-6), [mp.mpf(v) for v in start])
+        y = mp.odefun(_CHAINS_MP[n], mp.log(1e-6), [mp.mpf(v) for v in start])
         end = y(mp.log(1e-3))
     assert max(abs(float(e) - v) for e, v in zip(end, seed)) <= tol

@@ -7,11 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from ttstar_toda import global_solutions, tau_constant
+from ttstar_toda import global_solutions, init_from_asymptotics, tau_constant
 from ttstar_toda.data_maps import AsymptoticData, GenericityError, global_rho
-from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
-                                          hamiltonian, init_from_asymptotics,
-                                          integrate)
+from ttstar_toda.hamiltonian_flow import IntegratorConfig, PhasePoint, hamiltonian, integrate
 from ttstar_toda.tau_constant import (ConstantReport, classical_action,
                                       constant_closed, constant_numeric,
                                       log_tau)
@@ -74,7 +72,7 @@ class TestLogTau:
         # series integral over (0, x1), is the constant to the x2 tail
         # (~1e-15 at x2 = 6): 5e-15 to 1e-14 off
         x1, x2, rho = 0.01, 6.0, global_rho(3, gamma)
-        endcap = global_solutions.SmallXSeries(gamma).cut(rho, x1).endcap(rho, x1)
+        endcap = global_solutions.SmallXSeries(3, gamma).cut(rho, x1).endcap(rho, x1)
         c = (log_tau(gamma, x1, x2) + x2 * x2
              + (gamma[0] ** 2 + gamma[1] ** 2) / 8.0 * math.log(x1) - endcap)
         assert abs(c - constant_closed(gamma)) <= 1e-12
@@ -261,9 +259,9 @@ class TestConstantNumeric:
         init = global_solutions.SmallXSeries.__init__
         solve_global = tau_constant.solve_global
 
-        def counted(self, gamma):
+        def counted(self, n, gamma):
             built.append(1)
-            init(self, gamma)
+            init(self, n, gamma)
 
         def recorded(gamma, x0, *args, **kwargs):
             solved.append(x0)
