@@ -23,8 +23,7 @@ import json
 import sys
 import time
 
-from ttstar_toda import (BlowupError, GenericityError, GlobalSolveError,
-                        constant_numeric, make_backward_basis)
+from ttstar_toda import BlowupError, GenericityError, GlobalSolveError, constant_numeric
 
 EXIT_VERIFY = 4
 ABS_DIFF_MAX = 1e-3
@@ -41,7 +40,6 @@ def main() -> int:
 
     pairs = [tuple(float(t) for t in chunk.split(","))
              for chunk in args.gammas.split(";") if chunk]
-    basis = make_backward_basis()
     sink = open(args.out, "w") if args.out else None
 
     print(f"{'gamma':>16s} {'c_numeric':>15s} {'c_closed':>15s} "
@@ -51,7 +49,7 @@ def main() -> int:
     for g in pairs:
         t0 = time.perf_counter()
         try:
-            rep = constant_numeric(g, x2=args.x2, basis=basis)
+            rep = constant_numeric(g, x2=args.x2)
         except (BlowupError, GenericityError, GlobalSolveError) as exc:
             failed.append(g)
             print(f"{str(g):>16s} failed: {type(exc).__name__}: {exc}")

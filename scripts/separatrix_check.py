@@ -10,11 +10,12 @@ reversed data, plus the small-gamma slope (log 2 + euler_gamma) gamma
 forced by matching the decaying Bessel mode of the linearized equation.
 Each run starts from the small-x series seed (`init_from_asymptotics`),
 which misses the orbit by less than 1e-13, so the measured rho* is set by
-the integrator's tolerance (1e-10) alone.  It exits 1 if |measured - closed|
-exceeds MAX_GAP at any gamma0 (the worst at the defaults is 1.9e-12, at
-gamma0 = 0.5), or if a bracket end has no converged seed: for
-gamma0 >= 0.7 the series at rho = -4 has not converged above x = 1e-8.
-It exits 0 otherwise.
+the integrator's tolerance (1e-10) alone.  The bisection brackets rho* by
+global_rho(1, (gamma0,)) +- 1.  It exits 1 if |measured - closed| exceeds
+MAX_GAP at any gamma0 (the worst at the defaults is about 2e-12), or if a
+bracket end has no converged seed.  That is still so at gamma0 = 0.9
+(a = 0.2): the series at the lower end has not converged above x = 1e-8,
+and the script says so and exits 1.  It exits 0 otherwise.
 
 Usage:
     python scripts/separatrix_check.py
@@ -44,7 +45,9 @@ def blow_sign(gamma0: float, rho0: float, x0: float) -> int:
     return 1 if traj.points[-1].w[0] > 0 else -1
 
 
-def separatrix(gamma0: float, x0: float, lo=-4.0, hi=4.0) -> float:
+def separatrix(gamma0: float, x0: float) -> float:
+    centre = global_rho(1, (gamma0,))[0]
+    lo, hi = centre - 1.0, centre + 1.0
     s_lo, s_hi = blow_sign(gamma0, lo, x0), blow_sign(gamma0, hi, x0)
     if s_lo == s_hi:
         raise RuntimeError("bracketing failed")
@@ -62,7 +65,7 @@ def separatrix(gamma0: float, x0: float, lo=-4.0, hi=4.0) -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--gammas", default="0.1,0.3,0.5")
+    ap.add_argument("--gammas", default="0.1,0.3,0.5,0.7")
     ap.add_argument("--x0", type=float, default=1e-4)
     args = ap.parse_args()
 
@@ -75,7 +78,7 @@ def main() -> int:
         try:
             meas = separatrix(g, args.x0)
         except GlobalSolveError as exc:
-            print(f"{g:>8.3f} no seed in the bracket [-4, 4]: {exc}")
+            print(f"{g:>8.3f} no seed in the bracket global_rho +- 1: {exc}")
             worst = math.inf
             continue
         closed = global_rho(1, (g,))[0]

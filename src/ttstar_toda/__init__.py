@@ -19,8 +19,8 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                hamiltonian, integrate, tail_amplitude_s1,
                                trajectory_to_csv, vector_field)
 from .global_solutions import (GlobalSolution, GlobalSolveError,
-                               fit_tail_amplitude, init_from_asymptotics,
-                               make_backward_basis, solve_global)
+                               init_from_asymptotics, make_backward_basis,
+                               solve_global)
 from .tau_constant import (BlowupError, ConstantReport, classical_action,
                            constant_closed, constant_numeric, log_tau)
 

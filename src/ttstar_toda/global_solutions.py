@@ -19,17 +19,22 @@ two-sided strategy:
      the seed offsets in rho, driving the growing-mode components to zero
      at the station x = 4.95; the Jacobian in rho comes exactly from
      tangent-linear columns carried by the probe;
-  2. a backward-integrated two-mode tail basis (rates 2 sqrt 2 and 4,
-     mode vectors (1, 1) and (1, -1)) seeded far out at x = 9, which is
-     numerically stable in the decreasing-x direction;
-  3. a least-squares match of the forward trajectory against the basis
-     on the overlap window [3.9, 4.6], yielding tail amplitudes (A, D).
+  2. the tail in closed form: beyond x ~ 3.9 the orbit is the chain
+     linearised at w = 0, which x (x w')' = (r x)^2 w solves exactly mode
+     by mode, K0(r x) v decaying and I0(r x) v growing, with rates r = 2
+     sqrt 2 and 4 and vectors v = (1, 1) and (1, -1) (`_modes`; K and I by
+     fixed quadratures, no scipy);
+  3. a least-squares match of the forward trajectory on the overlap window
+     [3.9, 4.6] against the two decaying and the two growing modes, which
+     keeps the decaying amplitudes (A, D) and drops the growing content
+     the integrator's error leaves in the run.
 
 The composite object evaluates states on [x0, 9], forward up to x = 4.2
-and tail beyond, and accumulates the regularized integral of (H + 2x),
-forward part from the augmented integrator state and tail part by
-fixed-panel Gauss-Legendre quadrature of the matched tail.  The series
-also gives `tau_constant` the integral of H near x = 0 (the endcap).
+and A K0(2 sqrt 2 x) (1, 1) + D K0(4 x) (1, -1) beyond, and accumulates
+the regularized integral of (H + 2x), forward part from the augmented
+integrator state and tail part by fixed-panel Gauss-Legendre quadrature
+of the matched tail.  The series also gives `tau_constant` the integral
+of H near x = 0 (the endcap).
 """
 
 from __future__ import annotations
@@ -48,19 +53,21 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve_global",
-           "make_backward_basis", "fit_tail_amplitude"]
+           "make_backward_basis"]
 
 _SQ8 = 2.0 * math.sqrt(2.0)
 _RATE_FAST = 4.0
 
 # the one solve geometry: the shooting station, the match window, the
-# forward/tail switch and the right end of the tail basis.  The station and
-# window keep the floats they were first written as, offsets from 4.7:
+# forward/tail switch and the right end of the composite orbit.  The station
+# and window keep the floats they were first written as, offsets from 4.7:
 # (3.9, 4.6) as literals moves the matched amplitudes by a few ulps.
 _STATION = 4.7 + 0.25
 _WINDOW = (4.7 - 0.8, 4.7 - 0.1)
 _X_SWITCH = 4.2
 _X_RIGHT = 9.0
+# the largest match residual a solve accepts
+_MATCH_TOL = 1e-5
 
 
 class GlobalSolveError(RuntimeError):
@@ -325,48 +332,79 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     return rho, info, traj
 
 
-def _mode_seed(x: float, vec, rate: float) -> np.ndarray:
-    amp = x ** -0.5 * math.exp(-rate * x)
-    damp = (-rate * x ** 0.5 - 0.5 * x ** -0.5) * math.exp(-rate * x)
-    w = np.array(vec) * amp
-    wt = np.array(vec) * damp
-    return np.concatenate([w, wt, [0.0]])
+# the tail's modes at n = 3, the chain linearised at w = 0: rates r_k and
+# vectors v_k (rows), K0(r_k x) v_k decaying and I0(r_k x) v_k growing
+_RATES = np.array([_SQ8, _RATE_FAST])
+_VECTORS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_RATES.flags.writeable = _VECTORS.flags.writeable = False
+
+# K_nu and I_nu (nu = 0, 1) by two fixed rules, one node set each: e^z K_nu(z)
+# = int_0^inf e^{-z (cosh t - 1)} cosh(nu t) dt by the trapezoid rule, h = 1/8
+# over 24 nodes, and e^{-z} I_nu(z) = (1/pi) int_0^pi e^{z (cos t - 1)}
+# cos(nu t) dt by the 24-node midpoint rule; nodes are the exponents over z,
+# and a weight column per nu.  Within 1e-15 of mpmath for K on z in [10, 40]
+# and for I on z <= 19; the tail reads K up to z = 4 x_right = 36 and the
+# match I up to 4 * 4.6 = 18.4.
+_KT, _IT = np.arange(24) / 8.0, (np.arange(24) + 0.5) * (math.pi / 24.0)
+_K_RULE = (1.0 - np.cosh(_KT), np.column_stack([np.ones(24), np.cosh(_KT)])
+           * np.r_[0.0625, np.full(23, 0.125)][:, None])
+_I_RULE = (np.cos(_IT) - 1.0, np.column_stack([np.ones(24), np.cos(_IT)]) / 24.0)
 
 
-def make_backward_basis() -> tuple[Trajectory, Trajectory]:
-    """The two-mode backward tail basis, integrated from x = 9 down to 3.5;
-    it depends on neither gamma nor x0, so solves may share one."""
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-22, blowup_threshold=5.0)
-    atv = np.array([1e-22] * 4 + [1e-12])  # loose on q: unused for the basis
-    bs = _integrate_raw(3, _mode_seed(_X_RIGHT, (1.0, 1.0), _SQ8),
-                        _X_RIGHT, 3.5, cfg, abs_tol_vec=atv)
-    bd = _integrate_raw(3, _mode_seed(_X_RIGHT, (1.0, -1.0), _RATE_FAST),
-                        _X_RIGHT, 3.5, cfg, abs_tol_vec=atv)
-    if bs.stop_reason != "completed" or bd.stop_reason != "completed":
-        raise GlobalSolveError("backward basis integration failed")
-    return bs, bd
+def _bessel(z, growing: bool = False) -> np.ndarray:
+    """K_0(z), K_1(z) on a new last axis, or I_0(z), I_1(z) with `growing`:
+    one exp over (..., 24) and one product."""
+    nodes, weights = _I_RULE if growing else _K_RULE
+    z = np.asarray(z, dtype=float)[..., None]
+    return np.exp(z if growing else -z) * (np.exp(z * nodes) @ weights)
 
 
-@functools.cache
-def _default_basis() -> tuple[Trajectory, Trajectory]:
-    """The basis of every solve given none, built on first use."""
-    return make_backward_basis()
+def _modes(x, amps, growing: bool = False) -> np.ndarray:
+    """[w, wt] of sum_k amps_k v_k K0(r_k x), components on axis 0 as in
+    `Trajectory.sample_state`, with wt = x dw/dx = -sum_k amps_k v_k r_k x
+    K1(r_k x); with `growing`, I0 and +r_k x I1.  `amps` broadcasts against
+    the modes on its last axis: amps = eye(2) at x[..., None] gives the
+    modes one by one, on a last axis."""
+    z = _RATES * np.asarray(x, dtype=float)[..., None]
+    b, amps = _bessel(z, growing), np.asarray(amps, dtype=float)
+    w = (amps * b[..., 0]) @ _VECTORS
+    wt = (amps * (z if growing else -z) * b[..., 1]) @ _VECTORS
+    return np.moveaxis(np.concatenate([w, wt], axis=-1), -1, 0)
 
 
-def _match(fwd: Trajectory, bs: Trajectory, bd: Trajectory) -> tuple[float, float, float]:
+def make_backward_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The tail's mode table (rates, vectors), which `_modes` reads.  The
+    tail is closed-form, so nothing is integrated; the name and the
+    `basis=` parameters that take its value are kept only because the
+    benchmark (perfbench/workloads.py) calls and passes them."""
+    return _RATES, _VECTORS
+
+
+def _match(fwd: Trajectory) -> tuple[float, float, float]:
+    """Decaying amplitudes (A, D) of the forward run on the window [3.9,
+    4.6], and the fit's residual relative to the run's largest entry.
+
+    The fit is least squares against the two decaying and the two growing
+    modes (Beyn's projection of the unstable part, IMA J. Numer. Anal. 10,
+    1990), each column scaled to unit max: the column sizes span 1e11.
+    The growing amplitudes, the integrator's error amplified along the
+    run, are dropped."""
     xs = np.linspace(*_WINDOW, 9)
     wgt = np.ones((4, xs.size))
     wgt[2:] = 1.0 / (3.0 * xs)
     # one row per (x, component), x-major
-    t, col_s, col_d = ((traj.sample_state(xs)[:4] * wgt).T.ravel()
-                       for traj in (fwd, bs, bd))
-    M = np.column_stack([col_s, col_d])
+    t = (fwd.sample_state(xs)[:4] * wgt).T.ravel()
     scale = float(np.max(np.abs(t)))
     if scale == 0.0:
         return 0.0, 0.0, 0.0  # identically-zero forward solution
+    M = np.hstack([(_modes(xs[:, None], np.eye(2), growing) * wgt[..., None])
+                   .transpose(1, 0, 2).reshape(-1, 2) for growing in (False, True)])
+    col = np.max(np.abs(M), axis=0)
+    M /= col
     coef, *_ = np.linalg.lstsq(M, t, rcond=None)
     resid = float(np.max(np.abs(M @ coef - t)) / scale)
-    return float(coef[0]), float(coef[1]), resid
+    A, D = coef[:2] / col[:2]
+    return float(A), float(D), resid
 
 
 _GL12 = np.polynomial.legendre.leggauss(12)
@@ -385,8 +423,6 @@ class GlobalSolution:
     rho_seed: tuple[float, float]
     x0: float
     forward: Trajectory
-    basis_sum: Trajectory
-    basis_diff: Trajectory
     amp_sum: float
     amp_diff: float
     diagnostics: dict
@@ -396,9 +432,9 @@ class GlobalSolution:
         start = float(self.forward.xs[0])
         self._offset = self.forward.reg_integral_to(self.x0) if start < self.x0 else 0.0
 
-    def tail_state(self, x: float) -> np.ndarray:
-        return (self.amp_sum * self.basis_sum.sample_state(x)
-                + self.amp_diff * self.basis_diff.sample_state(x))
+    def tail_state(self, x) -> np.ndarray:
+        """[w, wt] of the matched tail at x, a scalar or an array."""
+        return _modes(x, (self.amp_sum, self.amp_diff))
 
     def state(self, x: float) -> PhasePoint:
         if x <= self.x_switch:
@@ -430,8 +466,8 @@ class GlobalSolution:
                 + self._tail_reg_integral(self.x_switch, x2))
 
 
-def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None = None,
-                 *, _series: SmallXSeries | None = None) -> GlobalSolution:
+def solve_global(gamma, x0: float, basis=None, *,
+                 _series: SmallXSeries | None = None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
     The seed is the small-x series (`SmallXSeries`) cut at order K <= 8,
@@ -444,20 +480,21 @@ def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None =
     from x0 either way.  Genericity is checked once, by `global_rho`.
     The shooting ends at station 4.95, the forward run is matched to the
     tail on [3.9, 4.6], and the solution switches from one to the other
-    at 4.2.  The backward `basis` (`make_backward_basis`) is independent
-    of gamma and x0: without one, a basis built on first use is reused.
+    at 4.2; a match residual above 1e-5 (diagnostics["match_residual"])
+    raises GlobalSolveError.  The tail is closed-form, so `basis` is
+    unused: it is kept for the benchmark (`make_backward_basis`).
     A solve has one tolerance set: its shooting probes run at rel_tol
     1e-12 and abs_tol 1e-14 (`_refine_rho`), and the forward trajectory
     is the probe of lowest residual, the very run diagnostics["residual"]
     was measured on: the match reacts to ulp-level changes of rho, so it
     is not integrated again.  The diagnostics sum the work of every
     forward run of the solve in "integrator_stats", with the RHS calls that
-    carried tangent columns also in "tangent_rhs_evals"; a basis is built
-    once and not counted there.  diagnostics["series"] is the seed's cut
-    series, which also gives the endcap at the start.  `_series` is
-    private: a caller that already built the uncut `SmallXSeries` of
-    gamma (`constant_numeric`, which chooses x1 from it) passes it, so
-    its coefficients are computed once per constant.
+    carried tangent columns also in "tangent_rhs_evals".
+    diagnostics["series"] is the seed's cut series, which also gives the
+    endcap at the start.  `_series` is private: a caller that already
+    built the uncut `SmallXSeries` of gamma (`constant_numeric`, which
+    chooses x1 from it) passes it, so its coefficients are computed once
+    per constant.
     """
     gamma = (float(gamma[0]), float(gamma[1]))
     if not 0.0 < x0 <= 0.1:
@@ -465,26 +502,10 @@ def solve_global(gamma, x0: float, basis: tuple[Trajectory, Trajectory] | None =
     rho_f = tuple(global_rho(3, gamma))
     series = SmallXSeries(3, gamma) if _series is None else _series
     rho_seed, info, fwd = _refine_rho(series, rho_f, x0)
-    bs, bd = basis or _default_basis()
-    A, D, resid = _match(fwd, bs, bd)
+    A, D, resid = _match(fwd)
+    if resid > _MATCH_TOL:
+        raise GlobalSolveError(f"tail match residual {resid:.3e} above {_MATCH_TOL:g}")
     return GlobalSolution(gamma=gamma, rho_formula=rho_f,
                           rho_seed=(float(rho_seed[0]), float(rho_seed[1])),
-                          x0=x0, forward=fwd, basis_sum=bs, basis_diff=bd,
-                          amp_sum=A, amp_diff=D,
+                          x0=x0, forward=fwd, amp_sum=A, amp_diff=D,
                           diagnostics={**info, "match_residual": resid})
-
-
-def fit_tail_amplitude(sol: GlobalSolution,
-                       window: tuple[float, float] = (5.0, 7.0)) -> float:
-    """Fit w_0(x) sqrt(x) exp(2 sqrt 2 x) = a + b/x at 41 points of the
-    window; return a.
-
-    For the decaying family the constant a estimates the tail coefficient
-    -s1 * 2^(-7/4) / sqrt(pi).
-    """
-    xs = np.linspace(window[0], window[1], 41)
-    vals = np.array([sol.state(x).w[0] * math.sqrt(x) * math.exp(_SQ8 * x)
-                     for x in xs])
-    M = np.vstack([np.ones_like(xs), 1.0 / xs]).T
-    (a_fit, _b), *_ = np.linalg.lstsq(M, vals, rcond=None)
-    return float(a_fit)

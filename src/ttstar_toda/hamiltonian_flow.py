@@ -423,9 +423,6 @@ class Trajectory:
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
         self.tangent = tangent
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
-        # sign * xs increases in either direction of integration
-        self._sign = math.copysign(1.0, xs[-1] - xs[0])
-        self._key = self._sign * xs
         self._points: list[PhasePoint] | None = None
 
     @property
@@ -446,10 +443,10 @@ class Trajectory:
         if not len(self.hs):
             raise ValueError("trajectory carries no dense output")
         xa = np.asarray(x, dtype=float)
-        lo, hi = sorted((float(self.xs[0]), float(self.xs[-1])))
+        lo, hi = float(self.xs[0]), float(self.xs[-1])
         if not np.all((lo <= xa) & (xa <= hi)):
             raise ValueError(f"x={x!r} outside covered range [{lo}, {hi}]")
-        k = np.clip(np.searchsorted(self._key, self._sign * xa), 1, len(self.hs)) - 1
+        k = np.clip(np.searchsorted(self.xs, xa), 1, len(self.hs)) - 1
         h = self.hs[k]
         th = (xa - self.xs[k]) / h
         # th, ..., th^7 by a running product, not pow: products are rounded
@@ -477,13 +474,13 @@ def _rms(v, sc) -> float:
     return math.sqrt(acc / len(sc))
 
 
-def _initial_step(f, x0, y0, f0, direction, rel_tol, abs_tol):
+def _initial_step(f, x0, y0, f0, rel_tol, abs_tol):
     sc = [abs_tol + rel_tol * abs(v) for v in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = [a + direction * h0 * b for a, b in zip(y0, f0)]
-    f1 = f(x0 + direction * h0, y1)
+    y1 = [a + h0 * b for a, b in zip(y0, f0)]
+    f1 = f(x0 + h0, y1)
     if not h0 > 0.0:
         # the derivative dwarfs the state; f1 is made all the same, since
         # the stepper counts two calls here, and it then flags an underflow
@@ -501,8 +498,8 @@ def _make_stepper(dim: int, size: int):
     """The DOP853 stepping loop for states of `size` components, the first
     `dim` of them the state [w, wt, q] and the rest tangent columns.
 
-    `run(f, x, x_end, h, direction, y, k1, atol, rtol, threshold, xs, ys,
-    hs, ks)` steps from x with the first trial step h until x_end, a
+    `run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks)`
+    steps forward from x with the first trial step h until x_end, a
     blow-up or a step underflow.  It appends the accepted abscissae, steps,
     states and their 13 stages (state components only) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
@@ -514,7 +511,7 @@ def _make_stepper(dim: int, size: int):
     stage's argument is one list literal, the error norm and blow-up test
     are written out per component.  It keeps the float operations of
     loops over the components in their order (`dop853_loops` in the
-    tests), so it matches them bit for bit: no product hd * a_ij is
+    tests), so it matches them bit for bit: no product h * a_ij is
     formed, and every sum runs over the stages in tableau order.
     """
     L = (dim - 1) // 2
@@ -530,24 +527,22 @@ def _make_stepper(dim: int, size: int):
         return ", ".join(f"{prefix}{i}" for i in range(n))
 
     lines = [
-        "def run(f, x, x_end, h, direction, y, k1, atol, rtol, threshold, xs, ys, hs, ks):",
+        "def run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks):",
         f"    {names('y')}, = y",
         f"    {names('k1_')}, = k1",
-        f"    {names('atol', dim)}, = atol",
         "    n_steps = n_rejected = 0",
         "    err_prev = 1e-4",
         "    stop = 'completed'",
-        "    while (x_end - x) * direction > 0.0:",
-        "        h = min(h, abs(x_end - x))",
+        "    while x < x_end:",
+        "        h = min(h, x_end - x)",
         "        if h < 1e-14 * max(1.0, abs(x)):",
         "            stop = 'step_underflow'",
         "            break",
-        "        hd = direction * h",
     ]
     for s in range(2, 13):   # stage s from row s - 1 of _A, at node _C[s - 1]
         ws = terms(_A[s - 1])
-        node = "x + hd" if s == 12 else f"x + {_C[s - 1]!r} * hd"
-        arg = ", ".join(f"y{i} + hd * ({comb(ws, i)})" for i in comps)
+        node = "x + h" if s == 12 else f"x + {_C[s - 1]!r} * h"
+        arg = ", ".join(f"y{i} + h * ({comb(ws, i)})" for i in comps)
         lines.append(f"        {names(f'k{s}_')}, = f({node}, [{arg}])")
     # Hairer's error norm: the 5th-order estimate, damped where the
     # 3rd-order one is much larger, over the state only
@@ -556,11 +551,11 @@ def _make_stepper(dim: int, size: int):
     lines.append("        e3 = e5 = 0.0")
     for i in comps:
         lines += [f"        d = {comb(b, i)}",
-                  f"        z{i} = y{i} + hd * d"]
+                  f"        z{i} = y{i} + h * d"]
         if i < dim:
             lines += [
                 f"        u, v = abs(y{i}), abs(z{i})",
-                f"        sc = atol{i} + rtol * (u if u > v else v)",
+                "        sc = atol + rtol * (u if u > v else v)",
                 f"        r = (d - {bhh1!r} * k1_{i} - {bhh2!r} * k9_{i} - {bhh3!r} * k12_{i}) / sc",
                 "        e3 += r * r",
                 f"        r = ({comb(e5, i)}) / sc",
@@ -572,15 +567,15 @@ def _make_stepper(dim: int, size: int):
         f"        err = h * e5 / sqrt({dim} * (e5 + 0.01 * e3)) if e5 != 0.0 else 0.0",
         "        if err <= 1.0:",
         # FSAL: stage 13 is the next step's k1
-        f"            {names('k13_')}, = f(x + hd, [{names('z')}])",
+        f"            {names('k13_')}, = f(x + h, [{names('z')}])",
         "            ks.extend(({}))".format(
             ", ".join(names(f"k{s}_", dim) for s in range(1, 14))),
-        "            x = x + hd",
+        "            x = x + h",
         f"            {names('y')}, = {names('z')},",
         f"            {names('k1_')}, = {names('k13_')},",
         "            xs.append(x)",
         f"            ys.extend(({names('y', dim)},))",
-        "            hs.append(hd)",
+        "            hs.append(h)",
         "            n_steps += 1",
         f"            if {blowup}:",
         "                stop = 'blowup'",
@@ -599,15 +594,13 @@ def _make_stepper(dim: int, size: int):
 
 
 def _integrate_raw(n: int, y0, x0: float, x_end: float,
-                   cfg: IntegratorConfig, abs_tol_vec=None) -> Trajectory:
-    """DOP853 from x0 to x_end on plain floats; direction inferred from
-    x_end - x0.
+                   cfg: IntegratorConfig) -> Trajectory:
+    """DOP853 forward from x0 > 0 to x_end > x0 on plain floats.
 
     `y0` is any sequence of floats: the state [w, wt, q], optionally
     followed by tangent columns (see `_make_rhs`).  Step control (error
     norm, initial step, blow-up) and the dense output cover the state
     only; the tangent columns ride along and are kept at the end node.
-    `abs_tol_vec`, if given, replaces cfg.abs_tol component by component.
     The steps run in the generated loop of `_make_stepper`, with the
     kernel of `_make_rhs` looked up here on every call.
     """
@@ -615,19 +608,17 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     y = [float(v) for v in y0]
     dim = 2 * L + 1
     tangent = len(y) > dim
-    atol = [cfg.abs_tol] * dim if abs_tol_vec is None else [float(v) for v in abs_tol_vec]
-    direction = 1.0 if x_end > x0 else -1.0
     x = float(x0)
     k1 = f(x, y)
-    h = _initial_step(f, x, y[:dim], k1[:dim], direction, cfg.rel_tol, cfg.abs_tol)
+    h = _initial_step(f, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
     # near x = 0 the seed's w ~ (gamma/2) log x varies on the scale of x
     # itself: a first step past about 0.2 x0 is rejected at rel_tol 1e-10,
     # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0
-    h = min(h, 0.15 * abs(x0), abs(x_end - x0))
+    h = min(h, 0.15 * x0, x_end - x0)
 
     xs, ys, hs, ks = array("d", [x]), array("d", y[:dim]), array("d"), array("d")
     x, y, n_steps, n_rejected, stop = _make_stepper(dim, len(y))(
-        f, x, x_end, h, direction, y, k1, atol, cfg.rel_tol, cfg.blowup_threshold,
+        f, x, x_end, h, y, k1, cfg.abs_tol, cfg.rel_tol, cfg.blowup_threshold,
         xs, ys, hs, ks)
     # 11 stages per attempt and the FSAL stage per accepted step, all with
     # the tangent columns, after k1 (with them) and the initial step's

@@ -143,8 +143,8 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     from there, the first x1 at which the series cut at the smooth
     family's rho drops a first term below 1e-13, so the solve starts at
     its x0.  A gamma with a below 0.2 raises GenericityError before any
-    solve.  A backward tail basis may be shared across constants; without
-    one, the solve reuses solve_global's default basis.
+    solve.  `basis` is passed on to solve_global, which does not use it
+    (the tail is closed-form); it is kept for the benchmark.
     `integrator_stats` is the work of the solve's forward runs.
     """
     check_genericity(3, gamma)

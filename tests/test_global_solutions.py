@@ -7,8 +7,7 @@ import pytest
 
 from ttstar_toda import constant_numeric, global_solutions, init_from_asymptotics
 from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
-from ttstar_toda.global_solutions import (GlobalSolveError, SmallXSeries, fit_tail_amplitude,
-                                          solve_global)
+from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
 from ttstar_toda.hamiltonian_flow import IntegratorConfig, tail_amplitude_s1
 
 SQ8 = 2.0 * math.sqrt(2.0)
@@ -18,7 +17,7 @@ class TestSolveGlobal:
     def test_diagnostics(self, sol_031):
         d = sol_031.diagnostics
         assert d["residual"] < 1e-4
-        assert d["match_residual"] < 0.05
+        assert d["match_residual"] < 1e-6
         assert sol_031.forward.stop_reason == "completed"
 
     def test_seed_offset_is_small(self, sol_031):
@@ -40,11 +39,53 @@ class TestSolveGlobal:
             assert w[0] < 0.0 and w[1] < 0.0
         assert abs(sol_031.state(7.0).w[0]) < abs(sol_031.state(5.0).w[0])
 
-    def test_tail_amplitude_matches_formula(self, sol_031):
-        s1 = tail_amplitude_s1((0.3, 0.1))
-        pred = -s1 * 2.0 ** -1.75 / math.sqrt(math.pi)
-        fitted = fit_tail_amplitude(sol_031)
-        assert abs(fitted - pred) / abs(pred) <= 0.05
+    def test_amp_sum_is_the_closed_form(self, tail_basis):
+        # w_0 ~ amp_sum K0(2 sqrt 2 x) ~ -s1 2^(-7/4) (pi x)^(-1/2)
+        # exp(-2 sqrt 2 x), so amp_sum = -s1 / (sqrt 2 pi): over the
+        # acceptance gammas off the antidiagonal (s1 = 0 there) and the
+        # a = 0.24 edge pair, 2e-9 to 2.4e-8 off
+        for gamma in [(0.3, 0.1), (0.5, 0.2), (-0.2, 0.4), (0.25, -0.35),
+                      (-0.88, 0.3), (0.3, 0.88)]:
+            pred = -tail_amplitude_s1(gamma) / (math.sqrt(2.0) * math.pi)
+            sol = solve_global(gamma, 0.01, basis=tail_basis)
+            assert abs(sol.amp_sum - pred) <= 1e-7 * abs(pred), gamma
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (-0.88, 0.3)])
+    def test_amplitudes_do_not_depend_on_x0(self, gamma, tail_basis):
+        # the growing modes take up the integrator's error, so the
+        # decaying amplitudes are the orbit's own: 3e-11 to 1.4e-9 apart
+        sols = [solve_global(gamma, x0, basis=tail_basis) for x0 in (0.08, 0.01, 1e-3)]
+        for sol in sols[1:]:
+            assert abs(sol.amp_sum - sols[0].amp_sum) <= 1e-8
+            assert abs(sol.amp_diff - sols[0].amp_diff) <= 1e-8
+
+    def test_match_recovers_known_amplitudes(self):
+        # a run that is exactly the tail plus growing content as large as
+        # its fast mode (3%-5% of the run): the match returns the decaying
+        # amplitudes
+        amps, growing = (-0.3, 0.7), (2e-13, -5e-15)
+
+        class Run:
+            @staticmethod
+            def sample_state(x):
+                return (global_solutions._modes(x, amps)
+                        + global_solutions._modes(x, growing, growing=True))
+
+        A, D, resid = global_solutions._match(Run())
+        assert abs(A - amps[0]) <= 1e-12 * abs(amps[0])
+        assert abs(D - amps[1]) <= 1e-12 * abs(amps[1])
+        assert resid <= 1e-14
+
+    def test_match_residual_gate(self, tail_basis, monkeypatch):
+        match = global_solutions._match
+
+        def loose(fwd):
+            A, D, _resid = match(fwd)
+            return A, D, 1e-4
+
+        monkeypatch.setattr(global_solutions, "_match", loose)
+        with pytest.raises(GlobalSolveError, match=r"match residual 1\.000e-04 above 1e-05"):
+            solve_global((0.3, 0.1), 0.01, basis=tail_basis)
 
     def test_trivial_gamma(self, tail_basis):
         sol = solve_global((0.0, 0.0), 0.01, basis=tail_basis)
@@ -63,8 +104,8 @@ class TestSolveGlobal:
         assert abs(sol_031.reg_integral(7.0) - sol_031.reg_integral(6.0)) <= 1e-9
 
     def test_default_basis_gives_the_shared_basis_numbers(self, sol_031):
-        # the default basis is make_backward_basis() built once, so a solve
-        # given none matches one given a shared basis bit for bit
+        # the tail is closed-form and `basis` unused, so a solve given none
+        # matches one given make_backward_basis() bit for bit
         sol = solve_global((0.3, 0.1), 0.01)
         assert sol.amp_sum == sol_031.amp_sum
         assert sol.amp_diff == sol_031.amp_diff
@@ -119,10 +160,11 @@ class TestAntidiagonal:
         # on gamma1 = -gamma0 the slow tail coefficient vanishes and the
         # fast exp(-4x) mode carries the decay; the solve must still work
         sol = solve_global((0.1, -0.1), 0.01, basis=tail_basis)
-        # the overlap signal is only the residual fast mode here, so the
-        # relative match is coarse; the slow amplitude must still be tiny
-        assert sol.diagnostics["match_residual"] < 0.5
-        assert abs(sol.amp_sum) < 0.01
+        # the overlap signal is only the fast mode here; the growing modes
+        # take up the run's error, so the match is as tight as elsewhere
+        # and the slow amplitude vanishes (2e-20)
+        assert sol.diagnostics["match_residual"] < 1e-6
+        assert abs(sol.amp_sum) < 1e-12
         w5 = sol.state(5.0).w
         assert abs(w5[0]) < 1e-6
 

@@ -1,5 +1,5 @@
-"""Special functions, the closed-form constant and the small-x series
-against mpmath.
+"""Special functions, the tail's Bessel functions, the closed-form constant
+and the small-x series against mpmath.
 
 mpmath shares no code with the library: Barnes G, log Gamma, the
 quadrature and the ODE solver below are its own.  It serves the tests only, and the module
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ttstar_toda.data_maps import global_rho
-from ttstar_toda.global_solutions import SmallXSeries
+from ttstar_toda.global_solutions import SmallXSeries, _bessel
 from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2
 from ttstar_toda.tau_constant import constant_closed
 
@@ -43,6 +43,20 @@ def test_psi_m2(z):
     with mp.workdps(30):
         ref = _psi_m2_mp(mp.mpf(z))
         assert abs(psi_m2(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("growing, lo, hi", [(False, 10.0, 40.0), (True, 10.0, 19.0)],
+                         ids=["K", "I"])
+def test_tail_bessel_functions(growing, lo, hi):
+    # K_0, K_1 (or I_0, I_1) by the tail's fixed rules, on the ranges the
+    # tail (z up to 36) and the match (I up to 18.4) read
+    z = np.linspace(lo, hi, 121)
+    got = _bessel(z, growing)
+    fn = mp.besseli if growing else mp.besselk
+    with mp.workdps(30):
+        for nu in (0, 1):
+            ref = np.array([float(fn(nu, mp.mpf(v))) for v in z])
+            assert np.max(np.abs(got[:, nu] / ref - 1.0)) <= 2e-15
 
 
 def test_series_tail_coefficients():

@@ -77,25 +77,6 @@ class TestLogTau:
              + (gamma[0] ** 2 + gamma[1] ** 2) / 8.0 * math.log(x1) - endcap)
         assert abs(c - constant_closed(gamma)) <= 1e-12
 
-    def test_default_basis_built_once(self, monkeypatch):
-        # log_tau passes no basis; the tail basis depends on neither gamma
-        # nor x1, so a second call reuses the first one's
-        built = []
-        make_backward_basis = global_solutions.make_backward_basis
-
-        def counted():
-            built.append(1)
-            return make_backward_basis()
-
-        monkeypatch.setattr(global_solutions, "make_backward_basis", counted)
-        global_solutions._default_basis.cache_clear()
-        try:
-            log_tau((0.0, 0.0), 0.01, 6.0)
-            log_tau((0.3, 0.1), 0.05, 6.0)
-        finally:
-            global_solutions._default_basis.cache_clear()
-        assert len(built) == 1
-
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             log_tau((0.3, 0.1), 2.0, 1.0)
@@ -315,7 +296,7 @@ class TestConstantNumeric:
         assert abs(r6.c_numeric - r7.c_numeric) <= 1e-5
 
     def test_x2_beyond_tail_rejected_before_solving(self, monkeypatch):
-        # the tail basis ends at 9; x2 = 9.5 was clamped to 9 after solving
+        # the composite orbit ends at 9; x2 = 9.5 was clamped to 9 after solving
         monkeypatch.setattr(tau_constant, "solve_global", _no_solve)
         with pytest.raises(ValueError, match="9.0"):
             constant_numeric((0.3, 0.1), x2=9.5)
