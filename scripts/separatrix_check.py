@@ -10,12 +10,15 @@ reversed data, plus the small-gamma slope (log 2 + euler_gamma) gamma
 forced by matching the decaying Bessel mode of the linearized equation.
 Each run starts from the small-x series seed (`init_from_asymptotics`),
 which misses the orbit by less than 1e-13, so the measured rho* is set by
-the integrator's tolerance (1e-10) alone.  The bisection brackets rho* by
-global_rho(1, (gamma0,)) +- 1.  It exits 1 if |measured - closed| exceeds
-MAX_GAP at any gamma0 (the worst at the defaults is about 2e-12), or if a
-bracket end has no converged seed.  That is still so at gamma0 = 0.9
-(a = 0.2): the series at the lower end has not converged above x = 1e-8,
-and the script says so and exits 1.  It exits 0 otherwise.
+the integrator's tolerance (1e-10) alone.  Near the domain floor the seed
+starts far out, |w0| ~ gamma0/2 |log x| (5.8 at gamma0 = 0.9, a = 0.2,
+from x ~ 2e-7), so a run counts as blown up only past max(5, 1 + |seed
+w0|).  The bisection brackets rho* by global_rho(1, (gamma0,)) +- h,
+halving h from 1 until the series has converged above x = 1e-8 at both
+ends (h = 0.25 at gamma0 = 0.9).  It exits 1 if |measured - closed|
+exceeds MAX_GAP at any gamma0 (the worst at the defaults, 0.9 included,
+is about 5e-12), or if no bracket down to h = 2^-10 has converged seeds
+at both ends.  It exits 0 otherwise.
 
 Usage:
     python scripts/separatrix_check.py
@@ -32,23 +35,34 @@ from ttstar_toda import (AsymptoticData, GlobalSolveError, IntegratorConfig, glo
                          init_from_asymptotics, integrate)
 
 # bound on |measured - closed|: runs at rel_tol 1e-10 from the series seed
-# leave about 2e-12 at the defaults
+# leave about 5e-12 at the defaults
 MAX_GAP = 1e-9
+# the narrowest bracket half-width tried before giving up on a gamma0
+MIN_HALF_WIDTH = 2.0 ** -10
 
 
 def blow_sign(gamma0: float, rho0: float, x0: float) -> int:
-    a = AsymptoticData(1, (gamma0,), (rho0,))
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, blowup_threshold=5.0)
-    traj = integrate(init_from_asymptotics(a, x0), 14.0, cfg, 1)
+    seed = init_from_asymptotics(AsymptoticData(1, (gamma0,), (rho0,)), x0)
+    # the seed has |w0| ~ gamma0/2 |log x|: a fixed threshold stops it at once
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
+                           blowup_threshold=max(5.0, 1.0 + abs(seed.w[0])))
+    traj = integrate(seed, 14.0, cfg, 1)
     if traj.stop_reason != "blowup":
         return 0
     return 1 if traj.points[-1].w[0] > 0 else -1
 
 
 def separatrix(gamma0: float, x0: float) -> float:
-    centre = global_rho(1, (gamma0,))[0]
-    lo, hi = centre - 1.0, centre + 1.0
-    s_lo, s_hi = blow_sign(gamma0, lo, x0), blow_sign(gamma0, hi, x0)
+    centre, half = global_rho(1, (gamma0,))[0], 1.0
+    while True:
+        lo, hi = centre - half, centre + half
+        try:
+            s_lo, s_hi = blow_sign(gamma0, lo, x0), blow_sign(gamma0, hi, x0)
+            break
+        except GlobalSolveError:
+            if half <= MIN_HALF_WIDTH:
+                raise
+            half *= 0.5
     if s_lo == s_hi:
         raise RuntimeError("bracketing failed")
     for _ in range(55):
@@ -65,7 +79,7 @@ def separatrix(gamma0: float, x0: float) -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--gammas", default="0.1,0.3,0.5,0.7")
+    ap.add_argument("--gammas", default="0.1,0.3,0.5,0.7,0.9")
     ap.add_argument("--x0", type=float, default=1e-4)
     args = ap.parse_args()
 
@@ -78,7 +92,8 @@ def main() -> int:
         try:
             meas = separatrix(g, args.x0)
         except GlobalSolveError as exc:
-            print(f"{g:>8.3f} no seed in the bracket global_rho +- 1: {exc}")
+            print(f"{g:>8.3f} no converged seed at both ends of global_rho +- "
+                  f"{MIN_HALF_WIDTH:g}: {exc}")
             worst = math.inf
             continue
         closed = global_rho(1, (g,))[0]

@@ -55,8 +55,15 @@ from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
 __all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve_global",
            "make_backward_basis"]
 
-_SQ8 = 2.0 * math.sqrt(2.0)
-_RATE_FAST = 4.0
+# the chain linearised at w = 0, n = 3: rates r_k and vectors v_k (rows),
+# K0(r_k x) v_k decaying and I0(r_k x) v_k growing; the one definition of
+# the tail's modes, which the shooting, the tail, the match and the tail
+# bound all read.  2 sqrt 2 is kept as written: 4 sin(pi/4) differs in the
+# last bit.
+_RATES = np.array([2.0 * math.sqrt(2.0), 4.0])
+_VECTORS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_RATES.flags.writeable = _VECTORS.flags.writeable = False
+_L = len(_RATES)
 
 # the one solve geometry: the shooting station, the match window, the
 # forward/tail switch and the right end of the composite orbit.  The station
@@ -75,19 +82,12 @@ class GlobalSolveError(RuntimeError):
 
 
 def _mode_residual(y, x_p: float) -> np.ndarray:
-    """Growing-mode combinations of (w, wt) = y[:4] at x_p; linear in y, so
-    it maps tangent columns to Jacobian columns too."""
-    w, wt = y[:2], y[2:4]
-    u, v = w[0] + w[1], w[0] - w[1]
-    ut, vt = wt[0] + wt[1], wt[0] - wt[1]
-    r1 = ut / x_p + (_SQ8 + 0.5 / x_p) * u
-    r2 = vt / x_p + (_RATE_FAST + 0.5 / x_p) * v
-    return np.array([r1, r2])
-
-
-def _growing_mode_residual(traj: Trajectory, x_p: float) -> np.ndarray:
-    """Stable-subspace violation of (w, wt) at x_p; zero for pure decay."""
-    return _mode_residual(traj.sample_state(x_p), x_p)
+    """Growing-mode content of (w, wt) = y[:2L] at x_p, one entry per mode
+    k: (v_k . wt)/x_p + (r_k + 1/(2 x_p)) (v_k . w), small for the decaying
+    K0(r_k x) v_k and of the mode's size for the growing I0(r_k x) v_k.
+    Linear in y, so it maps tangent columns to Jacobian columns too."""
+    w, wt = y[:_L], y[_L:2 * _L]
+    return (_VECTORS @ wt) / x_p + (_RATES + 0.5 / x_p) * (_VECTORS @ w)
 
 
 # the first dropped term a cut series must reach
@@ -282,7 +282,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     rho = np.array(rho, dtype=float)
     start, series = _converged_start(series, rho, x0)
     # the seed has |w_i| ~ |gamma_i|/2 |log x|: a fixed threshold stops it at once
-    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, start)[:2]))
+    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, start)[:_L]))
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0,
              "tangent_rhs_evals": 0}
@@ -298,7 +298,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
         if traj.stop_reason != "completed":
             raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
                                    f"({traj.stop_reason}) at x = {traj.x_final:.6g}")
-        r = _growing_mode_residual(traj, _STATION)
+        r = _mode_residual(traj.sample_state(_STATION), _STATION)
         rnorm = float(np.max(np.abs(r)))
         if best is None or rnorm < best[0]:
             best = (rnorm, rho, traj)
@@ -331,12 +331,6 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
         raise GlobalSolveError(f"shooting stalled at residual {rnorm:.3e}")
     return rho, info, traj
 
-
-# the tail's modes at n = 3, the chain linearised at w = 0: rates r_k and
-# vectors v_k (rows), K0(r_k x) v_k decaying and I0(r_k x) v_k growing
-_RATES = np.array([_SQ8, _RATE_FAST])
-_VECTORS = np.array([[1.0, 1.0], [1.0, -1.0]])
-_RATES.flags.writeable = _VECTORS.flags.writeable = False
 
 # K_nu and I_nu (nu = 0, 1) by two fixed rules, one node set each: e^z K_nu(z)
 # = int_0^inf e^{-z (cosh t - 1)} cosh(nu t) dt by the trapezoid rule, h = 1/8
@@ -390,20 +384,20 @@ def _match(fwd: Trajectory) -> tuple[float, float, float]:
     The growing amplitudes, the integrator's error amplified along the
     run, are dropped."""
     xs = np.linspace(*_WINDOW, 9)
-    wgt = np.ones((4, xs.size))
-    wgt[2:] = 1.0 / (3.0 * xs)
+    wgt = np.ones((2 * _L, xs.size))
+    wgt[_L:] = 1.0 / (3.0 * xs)
     # one row per (x, component), x-major
-    t = (fwd.sample_state(xs)[:4] * wgt).T.ravel()
+    t = (fwd.sample_state(xs)[:2 * _L] * wgt).T.ravel()
     scale = float(np.max(np.abs(t)))
     if scale == 0.0:
         return 0.0, 0.0, 0.0  # identically-zero forward solution
-    M = np.hstack([(_modes(xs[:, None], np.eye(2), growing) * wgt[..., None])
-                   .transpose(1, 0, 2).reshape(-1, 2) for growing in (False, True)])
+    M = np.hstack([(_modes(xs[:, None], np.eye(_L), growing) * wgt[..., None])
+                   .transpose(1, 0, 2).reshape(-1, _L) for growing in (False, True)])
     col = np.max(np.abs(M), axis=0)
     M /= col
     coef, *_ = np.linalg.lstsq(M, t, rcond=None)
     resid = float(np.max(np.abs(M @ coef - t)) / scale)
-    A, D = coef[:2] / col[:2]
+    A, D = coef[:_L] / col[:_L]
     return float(A), float(D), resid
 
 
@@ -440,7 +434,7 @@ class GlobalSolution:
         if x <= self.x_switch:
             return self.forward.sample(x)
         y = self.tail_state(x)
-        return PhasePoint(x=x, w=tuple(y[:2]), wt=tuple(y[2:4]))
+        return PhasePoint(x=x, w=tuple(y[:_L]), wt=tuple(y[_L:2 * _L]))
 
     def _tail_reg_integral(self, a: float, b: float) -> float:
         # fixed-panel Gauss-Legendre of H + 2x along the matched tail

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
-from .global_solutions import (GlobalSolution, GlobalSolveError, SmallXSeries,
+from .global_solutions import (_RATES, GlobalSolution, GlobalSolveError, SmallXSeries,
                                _converged_start, solve_global)
 from .hamiltonian_flow import Trajectory, reg_density, tail_amplitude_s1
 from .special_functions import psi_m2
@@ -170,7 +170,7 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
              - cut.endcap(sol.rho_formula, x1))
     c_closed = constant_closed((g0, g1))
     s1 = tail_amplitude_s1((g0, g1))
-    tail = abs(s1) * math.sqrt(x2) * math.exp(-2.0 * math.sqrt(2.0) * x2)
+    tail = abs(s1) * math.sqrt(x2) * math.exp(-_RATES.min() * x2)
     return ConstantReport(
         gamma=(g0, g1), c_numeric=float(c_num), c_closed=float(c_closed),
         abs_diff=abs(float(c_num) - float(c_closed)), x1=x1, x2_used=float(x2),

@@ -8,7 +8,7 @@ import pytest
 from ttstar_toda import constant_numeric, global_solutions, init_from_asymptotics
 from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
-from ttstar_toda.hamiltonian_flow import IntegratorConfig, tail_amplitude_s1
+from ttstar_toda.hamiltonian_flow import IntegratorConfig, _links, tail_amplitude_s1
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -139,7 +139,8 @@ class TestSolveGlobal:
 
     def test_residual_is_measured_on_the_kept_trajectory(self, sol_031):
         d = sol_031.diagnostics
-        r = global_solutions._growing_mode_residual(sol_031.forward, d["station"])
+        r = global_solutions._mode_residual(sol_031.forward.sample_state(d["station"]),
+                                            d["station"])
         assert float(np.max(np.abs(r))) == d["residual"]
         assert sol_031.forward.x_final == d["station"] == 4.95
 
@@ -185,11 +186,35 @@ class TestShootingJacobian:
         h = 1e-4
         for j in range(2):
             e = np.eye(2)[j] * h
-            rp, rm = (global_solutions._growing_mode_residual(
-                global_solutions._forward(series, rho + s, x0, x_p, cfg, tally), x_p)
-                for s in (e, -e))
+            rp, rm = (global_solutions._mode_residual(
+                global_solutions._forward(series, rho + s, x0, x_p, cfg, tally)
+                .sample_state(x_p), x_p) for s in (e, -e))
             fd = (rp - rm) / (2 * h)
             assert np.all(np.abs(J[:, j] - fd) <= 1e-6 * np.max(np.abs(fd)))
+
+
+class TestModeTable:
+    def test_table_is_the_linearised_link_data(self):
+        # w = 0 is an equilibrium of the n = 3 chain (A^T c = 0), and the
+        # table's rows are the eigenvectors of its linearisation A^T diag(c) A
+        # with eigenvalues r_k^2: a change to either table alone fails here
+        A, c = _links(3)
+        assert np.all(A.T @ c == 0.0)
+        M = A.T @ np.diag(c) @ A
+        for r, v in zip(global_solutions._RATES, global_solutions._VECTORS):
+            np.testing.assert_allclose(M @ v, r * r * v, rtol=1e-15, atol=0.0)
+
+    def test_mode_residual_detects_growing_modes(self):
+        # the exact modes at the station: the decaying ones leave a residual
+        # small against their size, the growing ones one of their size, and
+        # each mode shows only in its own component
+        x = global_solutions._STATION
+        for growing, lo, hi in ((False, 0.0, 1e-3), (True, 0.5, math.inf)):
+            for k, e in enumerate(np.eye(2)):
+                y = global_solutions._modes(x, e, growing)
+                r = global_solutions._mode_residual(y, x)
+                assert lo <= abs(r[k]) / np.max(np.abs(y)) <= hi
+                assert r[1 - k] == 0.0
 
 
 def _cut(gamma, rho, x):
