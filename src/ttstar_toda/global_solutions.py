@@ -29,12 +29,13 @@ two-sided strategy:
      keeps the decaying amplitudes (A, D) and drops the growing content
      the integrator's error leaves in the run.
 
-The composite object evaluates states on [x0, 9], forward up to x = 4.2
-and A K0(2 sqrt 2 x) (1, 1) + D K0(4 x) (1, -1) beyond, and accumulates
-the regularized integral of (H + 2x), forward part from the augmented
+The composite object starts where the shooting does (its x0, the start
+of step 1) and evaluates states on [x0, 9], forward up to x = 4.2 and
+A K0(2 sqrt 2 x) (1, 1) + D K0(4 x) (1, -1) beyond; it accumulates the
+regularized integral of (H + 2x) from x0, forward part from the augmented
 integrator state and tail part by fixed-panel Gauss-Legendre quadrature
-of the matched tail.  The series also gives `tau_constant` the integral
-of H near x = 0 (the endcap).
+of the matched tail.  Its cut series (diagnostics["series"]) also gives
+`tau_constant` the integral of H over (0, x0) (the endcap).
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ class SmallXSeries:
     the Euler recurrence |k| E_k = sum_{0<j<=k} |j| u_j E_{k-j}; f_k of
     x (H - q/x) = gamma/2 . dw' + |dw'|^2/2 - sum_l c_l P_l e^{(A dw)_l},
     q = |gamma|^2/8.  The order is 9 up to 6 links (n <= 10) and lower
-    beyond (`_series_tables`).  A solve computes them once (a constant
-    shares them with its solve), cuts them at its start and keeps the cut
-    in its diagnostics["series"], so its endcap uses the seed's own K."""
+    beyond (`_series_tables`).  A solve computes them once, cuts them at
+    its start and keeps the cut in its diagnostics["series"], so the
+    endcap a constant reads from it uses the seed's own K."""
 
     def __init__(self, n: int, gamma):
+        self.n = n
         self.rows, self.weights = _links(n)
         m, L = self.rows.shape
         ks, first, shift, pk, pj, pm, pfirst, jn = _series_tables(m)
@@ -210,7 +212,7 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
              tally: dict, tangents: bool = False) -> Trajectory:
     """Forward run from the seed of `series`; its work is added to `tally`.
     With `tangents`, the run carries d(w, wt)/d(rho) to its end node."""
-    traj = _integrate_raw(3, series.seed(rho, x0, tangents), x0, x_end, cfg)
+    traj = _integrate_raw(series.n, series.seed(rho, x0, tangents), x0, x_end, cfg)
     st = traj.stats
     tally["integrations"] += 1
     tally["steps"] += st.n_steps
@@ -223,9 +225,10 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
 def _converged_start(series: SmallXSeries, rho, x0: float) -> tuple[float, SmallXSeries]:
     """The largest x0 2^-j (j >= 0) at which the series cut at rho drops a
     first term below _SERIES_TOL, with that cut; below _X_START_MIN the
-    GlobalSolveError names a(gamma) and the term."""
+    GlobalSolveError names a(gamma) and the term (a NaN term never
+    converges)."""
     x = x0
-    while (cut := series.cut(rho, x)).error >= _SERIES_TOL:
+    while not (cut := series.cut(rho, x)).error < _SERIES_TOL:
         x *= 0.5
         if x < _X_START_MIN:
             raise GlobalSolveError(
@@ -241,10 +244,13 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     the start `_converged_start` gives from x0 in (0, 0.1] (PhasePoint.x:
     the largest x0 2^-j where the first dropped term is below 1e-13, x0
     itself where the series has converged there).  A series not converged
-    above 1e-8 raises GlobalSolveError naming a(gamma)."""
+    above 1e-8 raises GlobalSolveError naming a(gamma); a non-finite rho
+    or an x0 outside (0, 0.1] raises UnsupportedConfigError."""
     check_genericity(a.n, a.gamma)
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
+    if not all(math.isfinite(r) for r in a.rho):
+        raise UnsupportedConfigError(f"rho must be finite, got {a.rho}")
     x, cut = _converged_start(SmallXSeries(a.n, a.gamma), a.rho, x0)
     y, L = cut.seed(a.rho, x), len(a.gamma)
     return PhasePoint(x=x, w=y[:L], wt=y[L:2 * L])
@@ -407,24 +413,21 @@ _GL12 = np.polynomial.legendre.leggauss(12)
 @dataclass
 class GlobalSolution:
     """Matched composite global solution on [x0, x_right] (n = 3): the
-    forward trajectory up to x_switch, the matched tail beyond."""
+    forward trajectory from its start x0 up to x_switch, the matched tail
+    beyond, whose slowest decay rate is tail_rate (2 sqrt 2)."""
 
     x_switch = _X_SWITCH
     x_right = _X_RIGHT
+    tail_rate = float(_RATES.min())
 
-    gamma: tuple[float, float]
-    rho_formula: tuple[float, float]
-    rho_seed: tuple[float, float]
+    gamma: tuple[float, ...]
+    rho_formula: tuple[float, ...]
+    rho_seed: tuple[float, ...]
     x0: float
     forward: Trajectory
     amp_sum: float
     amp_diff: float
     diagnostics: dict
-
-    def __post_init__(self):
-        # the shooting may start below x0; reg_integral stays measured from x0
-        start = float(self.forward.xs[0])
-        self._offset = self.forward.reg_integral_to(self.x0) if start < self.x0 else 0.0
 
     def tail_state(self, x) -> np.ndarray:
         """[w, wt] of the matched tail at x, a scalar or an array."""
@@ -445,33 +448,34 @@ class GlobalSolution:
         edges = np.linspace(a, b, npanels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
-        terms = weights * half * reg_density(x, self.tail_state(x), 3)
+        terms = weights * half * reg_density(x, self.tail_state(x), self.forward.n)
         # summed left to right, panel by panel: a pairwise sum would move
         # the constant in its last bits
         return float(np.cumsum(terms)[-1])
 
     def reg_integral(self, x2: float) -> float:
-        """integral (H + 2x) dx from x0 to x2 along the composite orbit."""
-        if not self.x0 < x2 <= self.x_right:
-            raise ValueError(f"x2 must lie in ({self.x0}, {self.x_right}]")
+        """integral (H + 2x) dx from x0, the orbit's start, to x2 along the
+        composite orbit; 0.0 at x0."""
+        if not self.x0 <= x2 <= self.x_right:
+            raise ValueError(f"x2 must lie in [{self.x0}, {self.x_right}]")
         if x2 <= self.x_switch:
-            return self.forward.reg_integral_to(x2) - self._offset
-        return (self.forward.reg_integral_to(self.x_switch) - self._offset
+            return self.forward.reg_integral_to(x2)
+        return (self.forward.reg_integral_to(self.x_switch)
                 + self._tail_reg_integral(self.x_switch, x2))
 
 
-def solve_global(gamma, x0: float, basis=None, *,
-                 _series: SmallXSeries | None = None) -> GlobalSolution:
+def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
 
     The seed is the small-x series (`SmallXSeries`) cut at order K <= 8,
     at the smooth family's rho plus a Newton-refined offset that
     compensates the terms it drops; the large-x side is the matched tail.
     The shooting starts at the largest x0 2^-j where the series' first
-    dropped term is below 1e-13 (diagnostics["x_start"]), at x0 itself
-    where it has converged there; a series not converged above 1e-8
-    raises GlobalSolveError naming a(gamma).  reg_integral is measured
-    from x0 either way.  Genericity is checked once, by `global_rho`.
+    dropped term is below 1e-13, at x0 itself where it has converged
+    there; a series not converged above 1e-8 raises GlobalSolveError
+    naming a(gamma).  That start is the solution's x0 (also
+    diagnostics["x_start"]), from which reg_integral is measured.
+    Genericity and the length of gamma are checked once, by `global_rho`.
     The shooting ends at station 4.95, the forward run is matched to the
     tail on [3.9, 4.6], and the solution switches from one to the other
     at 4.2; a match residual above 1e-5 (diagnostics["match_residual"])
@@ -484,22 +488,17 @@ def solve_global(gamma, x0: float, basis=None, *,
     is not integrated again.  The diagnostics sum the work of every
     forward run of the solve in "integrator_stats", with the RHS calls that
     carried tangent columns also in "tangent_rhs_evals".
-    diagnostics["series"] is the seed's cut series, which also gives the
-    endcap at the start.  `_series` is private: a caller that already
-    built the uncut `SmallXSeries` of gamma (`constant_numeric`, which
-    chooses x1 from it) passes it, so its coefficients are computed once
-    per constant.
+    diagnostics["series"] is the seed's cut series, with its order and
+    first dropped term, which also gives the endcap over (0, x0).
     """
-    gamma = (float(gamma[0]), float(gamma[1]))
+    gamma = tuple(float(g) for g in gamma)
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
-    series = SmallXSeries(3, gamma) if _series is None else _series
-    rho_seed, info, fwd = _refine_rho(series, rho_f, x0)
+    rho_seed, info, fwd = _refine_rho(SmallXSeries(3, gamma), rho_f, x0)
     A, D, resid = _match(fwd)
     if resid > _MATCH_TOL:
         raise GlobalSolveError(f"tail match residual {resid:.3e} above {_MATCH_TOL:g}")
-    return GlobalSolution(gamma=gamma, rho_formula=rho_f,
-                          rho_seed=(float(rho_seed[0]), float(rho_seed[1])),
-                          x0=x0, forward=fwd, amp_sum=A, amp_diff=D,
+    return GlobalSolution(gamma=gamma, rho_formula=rho_f, rho_seed=tuple(rho_seed.tolist()),
+                          x0=info["x_start"], forward=fwd, amp_sum=A, amp_diff=D,
                           diagnostics={**info, "match_residual": resid})

@@ -1,14 +1,9 @@
 import pytest
 
-from ttstar_toda import make_backward_basis, solve_global
+from ttstar_toda import solve_global
 
 
 @pytest.fixture(scope="session")
-def tail_basis():
-    return make_backward_basis()
-
-
-@pytest.fixture(scope="session")
-def sol_031(tail_basis):
+def sol_031():
     """Shared global solution at gamma = (0.3, 0.1), the workhorse test point."""
-    return solve_global((0.3, 0.1), 0.01, basis=tail_basis)
+    return solve_global((0.3, 0.1), 0.01)

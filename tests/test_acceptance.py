@@ -43,21 +43,21 @@ def random_generic(rng, n, scale=0.45, margin=5e-3):
             continue
 
 
-def test_criterion_1_constant_trivial(tail_basis):
+def test_criterion_1_constant_trivial():
     t0 = time.perf_counter()
-    rep = constant_numeric((0.0, 0.0), basis=tail_basis)
+    rep = constant_numeric((0.0, 0.0))
     dt = time.perf_counter() - t0
     ok = abs(rep.c_numeric) <= 1e-6 and abs(rep.c_closed) <= 1e-12 and dt <= 5.0
     _report(1, ok, f"c_numeric={rep.c_numeric:.3e} (<=1e-6), "
                    f"c_closed={rep.c_closed:.3e} (<=1e-12), runtime={dt:.1f}s (<=5s)")
 
 
-def test_criterion_2_constant_generic(tail_basis):
+def test_criterion_2_constant_generic():
     worst = 0.0
     details = []
     for g in GENERIC_GAMMAS:
         t0 = time.perf_counter()
-        rep = constant_numeric(g, basis=tail_basis)
+        rep = constant_numeric(g)
         dt = time.perf_counter() - t0
         worst = max(worst, rep.abs_diff)
         details.append(f"{g}: diff={rep.abs_diff:.2e} in {dt:.0f}s")

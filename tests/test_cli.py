@@ -100,6 +100,19 @@ class TestSolve:
         assert "a(gamma) = 0.10000000000000009" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, gamma, rho", [("3", "0.3,0.1", "nan,0"),
+                                                ("3", "0.3,0.1", "inf,0"),
+                                                ("3", "0.3,0.1", "-inf,0"),
+                                                ("1", "0.3", "nan")])
+    def test_non_finite_rho_exit_2(self, n, gamma, rho, tmp_path, capsys):
+        # a NaN rho made a NaN first dropped term, which passed as
+        # converged: a row of NaNs and a blow-up at x0, exit 3
+        out = tmp_path / "r.csv"
+        assert run(["solve", "--n", n, "--gamma", gamma, f"--rho={rho}",
+                    "--out", str(out)]) == 2
+        assert "rho must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exit_3(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--rho", "1,1",

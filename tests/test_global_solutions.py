@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ttstar_toda import constant_numeric, global_solutions, init_from_asymptotics
-from ttstar_toda.data_maps import AsymptoticData, global_rho, reduced_length
+from ttstar_toda import (constant_numeric, global_solutions, init_from_asymptotics,
+                         make_backward_basis)
+from ttstar_toda.data_maps import AsymptoticData, ShapeError, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
 from ttstar_toda.hamiltonian_flow import IntegratorConfig, _links, tail_amplitude_s1
 
@@ -39,7 +40,7 @@ class TestSolveGlobal:
             assert w[0] < 0.0 and w[1] < 0.0
         assert abs(sol_031.state(7.0).w[0]) < abs(sol_031.state(5.0).w[0])
 
-    def test_amp_sum_is_the_closed_form(self, tail_basis):
+    def test_amp_sum_is_the_closed_form(self):
         # w_0 ~ amp_sum K0(2 sqrt 2 x) ~ -s1 2^(-7/4) (pi x)^(-1/2)
         # exp(-2 sqrt 2 x), so amp_sum = -s1 / (sqrt 2 pi): over the
         # acceptance gammas off the antidiagonal (s1 = 0 there) and the
@@ -47,14 +48,14 @@ class TestSolveGlobal:
         for gamma in [(0.3, 0.1), (0.5, 0.2), (-0.2, 0.4), (0.25, -0.35),
                       (-0.88, 0.3), (0.3, 0.88)]:
             pred = -tail_amplitude_s1(gamma) / (math.sqrt(2.0) * math.pi)
-            sol = solve_global(gamma, 0.01, basis=tail_basis)
+            sol = solve_global(gamma, 0.01)
             assert abs(sol.amp_sum - pred) <= 1e-7 * abs(pred), gamma
 
     @pytest.mark.parametrize("gamma", [(0.3, 0.1), (-0.88, 0.3)])
-    def test_amplitudes_do_not_depend_on_x0(self, gamma, tail_basis):
+    def test_amplitudes_do_not_depend_on_x0(self, gamma):
         # the growing modes take up the integrator's error, so the
         # decaying amplitudes are the orbit's own: 3e-11 to 1.4e-9 apart
-        sols = [solve_global(gamma, x0, basis=tail_basis) for x0 in (0.08, 0.01, 1e-3)]
+        sols = [solve_global(gamma, x0) for x0 in (0.08, 0.01, 1e-3)]
         for sol in sols[1:]:
             assert abs(sol.amp_sum - sols[0].amp_sum) <= 1e-8
             assert abs(sol.amp_diff - sols[0].amp_diff) <= 1e-8
@@ -76,7 +77,7 @@ class TestSolveGlobal:
         assert abs(D - amps[1]) <= 1e-12 * abs(amps[1])
         assert resid <= 1e-14
 
-    def test_match_residual_gate(self, tail_basis, monkeypatch):
+    def test_match_residual_gate(self, monkeypatch):
         match = global_solutions._match
 
         def loose(fwd):
@@ -85,10 +86,10 @@ class TestSolveGlobal:
 
         monkeypatch.setattr(global_solutions, "_match", loose)
         with pytest.raises(GlobalSolveError, match=r"match residual 1\.000e-04 above 1e-05"):
-            solve_global((0.3, 0.1), 0.01, basis=tail_basis)
+            solve_global((0.3, 0.1), 0.01)
 
-    def test_trivial_gamma(self, tail_basis):
-        sol = solve_global((0.0, 0.0), 0.01, basis=tail_basis)
+    def test_trivial_gamma(self):
+        sol = solve_global((0.0, 0.0), 0.01)
         assert abs(sol.amp_sum) <= 1e-9
         assert abs(sol.amp_diff) <= 1e-9
         assert abs(sol.state(5.0).w[0]) <= 1e-9
@@ -104,15 +105,16 @@ class TestSolveGlobal:
         assert abs(sol_031.reg_integral(7.0) - sol_031.reg_integral(6.0)) <= 1e-9
 
     def test_default_basis_gives_the_shared_basis_numbers(self, sol_031):
-        # the tail is closed-form and `basis` unused, so a solve given none
-        # matches one given make_backward_basis() bit for bit
-        sol = solve_global((0.3, 0.1), 0.01)
+        # the tail is closed-form and `basis` unused, so a solve given
+        # make_backward_basis() (the benchmark's call) matches one given
+        # none bit for bit
+        sol = solve_global((0.3, 0.1), 0.01, basis=make_backward_basis())
         assert sol.amp_sum == sol_031.amp_sum
         assert sol.amp_diff == sol_031.amp_diff
         assert sol.reg_integral(7.0) == sol_031.reg_integral(7.0)
         assert sol.state(6.0) == sol_031.state(6.0)
 
-    def test_stats_count_every_integration(self, tail_basis, monkeypatch):
+    def test_stats_count_every_integration(self, monkeypatch):
         # shooting, Jacobian and final runs, counted where the solve
         # enters the stepper: the series has converged at x0 = 0.01, so a
         # tangent probe and a plain one, both at 4.95
@@ -125,7 +127,7 @@ class TestSolveGlobal:
             return traj
 
         monkeypatch.setattr(global_solutions, "_integrate_raw", counted)
-        sol = solve_global((0.3, 0.1), 0.01, basis=tail_basis)
+        sol = solve_global((0.3, 0.1), 0.01)
         stats = sol.diagnostics["integrator_stats"]
         assert stats["integrations"] == len(runs) == 2
         assert stats["rhs_evals"] == sum(st.n_rhs_evals for st in runs)
@@ -144,23 +146,45 @@ class TestSolveGlobal:
         assert float(np.max(np.abs(r))) == d["residual"]
         assert sol_031.forward.x_final == d["station"] == 4.95
 
-    def test_unconverged_series_raises_naming_a(self, tail_basis):
+    def test_unconverged_series_raises_naming_a(self):
         # a = 2 - 1.9 = 0.10000000000000009, named exactly: the series' first
         # dropped term is still 6e-9 near 1e-8, the lowest start
         with pytest.raises(GlobalSolveError,
                            match=r"6\.0\d*e-09 at a\(gamma\) = 0\.10000000000000009,"):
-            solve_global((-0.95, 0.0), 0.01, basis=tail_basis)
+            solve_global((-0.95, 0.0), 0.01)
 
-    def test_x0_validation(self, tail_basis):
+    def test_nan_first_dropped_term_is_not_converged(self):
+        # NaN < 1e-13 is false, so the start search halves to its floor
+        series = SmallXSeries(3, (0.3, 0.1))
+        with pytest.raises(GlobalSolveError, match="first dropped term nan"):
+            global_solutions._converged_start(series, (math.nan, 0.0), 0.01)
+
+    def test_x0_validation(self):
         with pytest.raises(Exception):
-            solve_global((0.3, 0.1), 0.5, basis=tail_basis)
+            solve_global((0.3, 0.1), 0.5)
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1, 0.7), [0.3]])
+    def test_gamma_of_the_wrong_length_is_refused(self, gamma):
+        # a third entry was dropped, and a single one raised IndexError
+        with pytest.raises(ShapeError, match="length 2"):
+            solve_global(gamma, 0.01)
+
+    def test_x0_is_the_orbit_start(self):
+        # at (0.0, 0.8), a = 0.4, the series has not converged at 0.1, so
+        # the orbit starts below it, and reg_integral is measured from there
+        sol = solve_global((0.0, 0.8), 0.1)
+        assert sol.x0 == sol.diagnostics["x_start"] == 0.1 * 2.0 ** -8
+        assert sol.x0 == float(sol.forward.xs[0])
+        assert sol.reg_integral(sol.x0) == 0.0
+        with pytest.raises(ValueError):
+            sol.reg_integral(0.5 * sol.x0)
 
 
 class TestAntidiagonal:
-    def test_s1_zero_case_solves(self, tail_basis):
+    def test_s1_zero_case_solves(self):
         # on gamma1 = -gamma0 the slow tail coefficient vanishes and the
         # fast exp(-4x) mode carries the decay; the solve must still work
-        sol = solve_global((0.1, -0.1), 0.01, basis=tail_basis)
+        sol = solve_global((0.1, -0.1), 0.01)
         # the overlap signal is only the fast mode here; the growing modes
         # take up the run's error, so the match is as tight as elsewhere
         # and the slow amplitude vanishes (2e-20)
@@ -373,21 +397,21 @@ class TestLastStationStop:
     @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "step"),
                                                  ((0.0, 0.0), 0.08, "residual"),
                                                  ((-0.9, -0.56), 0.08, "noise_floor")])
-    def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop, tail_basis):
+    def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop):
         # a converged series ends on the Newton step, the trivial orbit on
         # a vanishing residual; at a = 0.2, shot from 1.53e-7, the third
         # probe's residual falls by less than 4
-        sol = solve_global(gamma, x0, basis=tail_basis)
+        sol = solve_global(gamma, x0)
         assert sol.diagnostics["stop"] == stop
         assert sol.diagnostics["station"] == 4.95
 
-    def test_probes_do_not_depend_on_the_noise_floor(self, tail_basis):
+    def test_probes_do_not_depend_on_the_noise_floor(self):
         # at (0.42223887, -0.69539036) the one solve is at x1 = 0.02, K = 8.
         # Nudging the starting rho by a few ulps moves the last station's
         # residual at random between 5e-9 and 2e-7, but the Newton step
         # there is always below 1e-14: two probes each time
         gamma = (0.42223887, -0.69539036)
-        rep = constant_numeric(gamma, basis=tail_basis)
+        rep = constant_numeric(gamma)
         assert rep.x1 == 0.02 and rep.integrator_stats["integrations"] == 2
         series, rho = SmallXSeries(3, gamma), np.array(global_rho(3, gamma))
         for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:

@@ -19,8 +19,27 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("solved before the input was checked")
 
 
+def _record_solves_and_series(monkeypatch):
+    """Record every solve constant_numeric makes and count every
+    SmallXSeries built."""
+    solves, built = [], []
+    solve_global, init = tau_constant.solve_global, global_solutions.SmallXSeries.__init__
+
+    def recorded(*args, **kwargs):
+        solves.append(solve_global(*args, **kwargs))
+        return solves[-1]
+
+    def counted(self, n, gamma):
+        built.append(1)
+        init(self, n, gamma)
+
+    monkeypatch.setattr(tau_constant, "solve_global", recorded)
+    monkeypatch.setattr(global_solutions.SmallXSeries, "__init__", counted)
+    return solves, built
+
+
 class TestLogTau:
-    def test_trivial_solution(self, tail_basis):
+    def test_trivial_solution(self):
         # tau of the trivial solution is exp(x1^2 - x2^2)
         for x1, x2 in ((0.01, 4.0), (0.05, 7.0)):
             val = log_tau((0.0, 0.0), x1, x2)
@@ -47,15 +66,15 @@ class TestLogTau:
         parts = log_tau((0.3, 0.1), a, b) + log_tau((0.3, 0.1), b, c)
         assert full == pytest.approx(parts, abs=1e-10)
 
-    def test_starts_where_the_series_has_converged(self, tail_basis):
+    def test_starts_where_the_series_has_converged(self):
         # at (0.0, 0.8), a = 0.4, the series has not converged at x1 = 0.1,
         # so the solve shoots from below it; log tau from x1 is the run
         # over [x1, x2] of a solve started there (a station ladder from
         # x1 itself left it 5.9e-6 off)
         gamma = (0.0, 0.8)
         solve = global_solutions.solve_global
-        start = solve(gamma, 0.1, basis=tail_basis).diagnostics["x_start"]
-        ref = solve(gamma, start, basis=tail_basis)
+        start = solve(gamma, 0.1).diagnostics["x_start"]
+        ref = solve(gamma, start)
         assert start < 0.1 and ref.diagnostics["x_start"] == start
         want = ref.reg_integral(7.0) - ref.reg_integral(0.1) - (7.0 ** 2 - 0.1 ** 2)
         assert abs(log_tau(gamma, 0.1, 7.0) - want) <= 1e-13
@@ -123,7 +142,7 @@ class TestConstantClosed:
 
 
 class TestConstantNumeric:
-    def test_trivial(self, tail_basis):
+    def test_trivial(self):
         # the trivial solution's C(x1) is x1^2, which the endcap removes:
         # the series cuts at order 1, where the seed cancels to 0 and,
         # with an exact pow(x, 2.0), the endcap is x1^2, so one solve
@@ -133,32 +152,32 @@ class TestConstantNumeric:
         assert rep.c_numeric == 0.0
         assert abs(rep.c_closed) <= 1e-12
 
-    def test_generic_point(self, tail_basis):
+    def test_generic_point(self):
         rep = constant_numeric((0.3, 0.1))
         assert rep.abs_diff <= 1e-3
         assert rep.tail_bound >= 0.0
         assert rep.x2_used == 7.0
 
-    def test_large_seed_solves(self, tail_basis):
+    def test_large_seed_solves(self):
         # |w| of the seed at x0 = 2.5e-3 exceeds 2; probes stop relative to it
-        rep = constant_numeric((0.9, -0.4), basis=tail_basis)
+        rep = constant_numeric((0.9, -0.4))
         assert rep.abs_diff <= 1e-3
 
-    def test_high_gamma1_solves(self, tail_basis):
+    def test_high_gamma1_solves(self):
         # abs_diff 4.1e-3 on the grid (1e-2, 5e-3, 2.5e-3); the default
         # grid two halvings further down reaches the closed form
-        rep = constant_numeric((0.0, 0.8), basis=tail_basis)
+        rep = constant_numeric((0.0, 0.8))
         assert rep.abs_diff <= 1e-3
 
-    def test_edge_work_ceiling(self, tail_basis):
+    def test_edge_work_ceiling(self):
         # a = 0.72: the series has converged at x1 = 0.02, where one solve
         # takes 2 forward runs and 249 steps
-        rep = constant_numeric((0.87, 0.51), basis=tail_basis)
+        rep = constant_numeric((0.87, 0.51))
         assert rep.abs_diff <= 1e-3
         assert rep.integrator_stats["integrations"] <= 3
         assert rep.integrator_stats["steps"] <= 32000
 
-    def test_seed_work_ceiling(self, tail_basis):
+    def test_seed_work_ceiling(self):
         # machine-independent: the series has converged up to x1 = 0.08,
         # where it cuts at K = 5, so one solve from its seed there, shot
         # at 4.95, takes 2 forward runs and 2,312 RHS calls (4,025 with a
@@ -167,7 +186,7 @@ class TestConstantNumeric:
         # from the leading-order one); with the first step capped by the
         # scale of x0, the solves reject fewer steps than they run
         # integrations (two per run before the cap)
-        st = constant_numeric((0.3, 0.1), basis=tail_basis).integrator_stats
+        st = constant_numeric((0.3, 0.1)).integrator_stats
         assert st["integrations"] <= 6
         assert st["rhs_evals"] <= 5000
         assert st["rejected"] <= st["integrations"]
@@ -176,7 +195,7 @@ class TestConstantNumeric:
                                            ((0.5, 0.2), 0.08), ((-0.2, 0.4), 0.04),
                                            ((0.25, -0.35), 0.08)],
                              ids=[f"gamma{i}" for i in range(5)])
-    def test_endcapped_sequence_converges_at_2a(self, gamma, x1, tail_basis):
+    def test_endcapped_sequence_converges_at_2a(self, gamma, x1):
         # endcapped at order K, C(x1) is flat to the first dropped term,
         # O(x1^{(K+1) a}): at the acceptance gammas (a >= 1.2) that term is
         # below 1e-13 up to x1 = 0.04-0.08 at K = 5-8, so one solve there
@@ -188,7 +207,7 @@ class TestConstantNumeric:
         # (-2, 2) of A gamma does: (2 + g1) - g0 misses 1.8 by an ulp at
         # (0.1, -0.1)
         a = min(2 + 2 * g0, 2 + (g1 - g0), 2 - 2 * g1)
-        rep = constant_numeric(gamma, basis=tail_basis)
+        rep = constant_numeric(gamma)
         assert rep.a == a
         assert rep.x1 == x1
         assert rep.series_order <= 8 and rep.series_error < 1e-13
@@ -196,103 +215,84 @@ class TestConstantNumeric:
 
     @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.1, -0.1), (0.5, 0.2),
                                        (-0.2, 0.4), (0.25, -0.35)])
-    def test_one_solve_independent_of_x1(self, gamma, tail_basis):
+    def test_one_solve_independent_of_x1(self, gamma):
         # the one solve's C(x1) does not depend on where the series hands
         # over to the integration: a solve at the smallest grid point
         # gives the same constant to 1e-14
         x1 = 6.25e-4
-        sol = global_solutions.solve_global(gamma, x1, basis=tail_basis)
+        sol = global_solutions.solve_global(gamma, x1)
         c_small = (sol.reg_integral(7.0) + x1 * x1 + sum(g * g for g in gamma) / 8.0 * math.log(x1)
                    - sol.diagnostics["series"].endcap(sol.rho_formula, x1))
-        rep = constant_numeric(gamma, basis=tail_basis)
+        rep = constant_numeric(gamma)
         assert rep.x1 > x1
         assert abs(rep.c_numeric - c_small) <= 1e-13
 
     @pytest.mark.parametrize("gamma, x1, order", [((0.3, 0.1), 0.08, 5),
                                                   ((-0.675, 0.3), 0.005, 8)])
-    def test_one_solve_at_largest_converged_x1(self, gamma, x1, order, tail_basis,
+    def test_one_solve_at_largest_converged_x1(self, gamma, x1, order,
                                                monkeypatch):
         # x1 halves from 0.08 until the series' first dropped term is
         # below 1e-13: at once at a = 1.8, to 0.005 at a = 0.65, where the
         # order-9 part at 0.01 is 4.1e-13
-        solved = []
-        solve_global = tau_constant.solve_global
-
-        def recorded(gamma, x0, *args, **kwargs):
-            solved.append(x0)
-            return solve_global(gamma, x0, *args, **kwargs)
-
-        monkeypatch.setattr(tau_constant, "solve_global", recorded)
-        rep = constant_numeric(gamma, basis=tail_basis)
-        assert solved == [x1] and rep.x1 == x1
+        solves, built = _record_solves_and_series(monkeypatch)
+        rep = constant_numeric(gamma)
+        assert len(solves) == len(built) == 1
+        assert solves[0].x0 == rep.x1 == x1
         assert rep.series_order == order and rep.series_error < 1e-13
         assert rep.abs_diff <= 1e-13
 
-    def test_one_solve_x1_below_x2(self, tail_basis):
+    def test_default_basis_gives_the_shared_basis_numbers(self):
+        # the benchmark's call form, basis=make_backward_basis(), gives the
+        # constant and its report bit for bit
+        rep = constant_numeric((0.3, 0.1))
+        assert constant_numeric((0.3, 0.1), basis=global_solutions.make_backward_basis()) == rep
+
+    def test_one_solve_x1_below_x2(self):
         # a short x2 lowers the top: x1 = 0.08 would start past it
-        rep = constant_numeric((0.3, 0.1), x2=0.05, basis=tail_basis)
+        rep = constant_numeric((0.3, 0.1), x2=0.05)
         assert rep.x1 == 0.04
 
-    def test_series_built_once_per_constant(self, tail_basis, monkeypatch):
-        # at a = 0.35 the one solve shares the series that chose its x1,
-        # 0.08 halved ten times to 7.8125e-5
-        built, solved = [], []
-        init = global_solutions.SmallXSeries.__init__
-        solve_global = tau_constant.solve_global
-
-        def counted(self, n, gamma):
-            built.append(1)
-            init(self, n, gamma)
-
-        def recorded(gamma, x0, *args, **kwargs):
-            solved.append(x0)
-            return solve_global(gamma, x0, *args, **kwargs)
-
-        monkeypatch.setattr(global_solutions.SmallXSeries, "__init__", counted)
-        monkeypatch.setattr(tau_constant, "solve_global", recorded)
-        rep = constant_numeric((-0.825, 0.075), basis=tail_basis)
+    def test_series_built_once_per_constant(self, monkeypatch):
+        # at a = 0.35 the one solve builds the one series, and its start,
+        # 0.08 halved ten times to 7.8125e-5, is x1
+        solves, built = _record_solves_and_series(monkeypatch)
+        rep = constant_numeric((-0.825, 0.075))
         assert len(built) == 1
-        assert solved == [rep.x1] == [7.8125e-5]
+        assert [sol.x0 for sol in solves] == [rep.x1] == [7.8125e-5]
 
     @pytest.mark.parametrize("gamma", [(-0.825, 0.075), (0.675, 0.825), (0.825, -0.825),
                                        (-0.88, 0.3), (0.3, 0.88)])
-    def test_edge_band_accuracy(self, gamma, tail_basis, monkeypatch):
+    def test_edge_band_accuracy(self, gamma, monkeypatch):
         # a(gamma) = 0.35 and 0.24: 2.1e-3 to 3.8e-3 from the
         # leading-order seed, 4e-5 to 8e-5 from the first-order seed and
         # endcap; the order-8 series has converged only at x1 = 7.8e-5 to
         # 2.4e-6, and one solve from there lands within 3e-13 (a fit over
         # three solves at x1 = 2.5e-3 to 6.25e-4 left 3.2e-13 at a = 0.35
         # and 9.5e-11 at a = 0.24)
-        solved = []
-        solve_global = tau_constant.solve_global
-
-        def recorded(gamma, x0, *args, **kwargs):
-            solved.append(x0)
-            return solve_global(gamma, x0, *args, **kwargs)
-
-        monkeypatch.setattr(tau_constant, "solve_global", recorded)
-        rep = constant_numeric(gamma, basis=tail_basis)
-        assert solved == [rep.x1] and rep.x1 < 6.25e-4
+        solves, built = _record_solves_and_series(monkeypatch)
+        rep = constant_numeric(gamma)
+        assert len(solves) == len(built) == 1
+        assert solves[0].x0 == rep.x1 and rep.x1 < 6.25e-4
         assert rep.series_order == 8 and rep.series_error < 1e-13
         assert rep.integrator_stats["integrations"] <= 3
         assert rep.abs_diff <= 1e-12
 
     @pytest.mark.parametrize("gamma", [(0.5, 0.2), (-0.825, 0.075), (0.0, 0.8)])
-    def test_mirror_symmetry(self, gamma, tail_basis):
+    def test_mirror_symmetry(self, gamma):
         # (g0, g1) -> (-g1, -g0) swaps the outer links and keeps the middle
         # one, so the constant is unchanged.  The closed form agrees to
         # rounding, and the mirrored numeric solves, which differ only in
         # the last bits of their float operations, to 1.1e-16
         mirror = (-gamma[1], -gamma[0])
         assert abs(constant_closed(gamma) - constant_closed(mirror)) <= 1e-13
-        c, c_m = (constant_numeric(g, basis=tail_basis).c_numeric for g in (gamma, mirror))
+        c, c_m = (constant_numeric(g).c_numeric for g in (gamma, mirror))
         assert abs(c - c_m) <= 1e-12
 
-    def test_tail_negligibility(self, tail_basis):
+    def test_tail_negligibility(self):
         # moving x2 from 6 to 7 changes the extrapolated constant by far
         # less than 1e-5: the regularized integrand decays ~ exp(-4 sqrt2 x)
-        r6 = constant_numeric((0.3, 0.1), x2=6.0, basis=tail_basis)
-        r7 = constant_numeric((0.3, 0.1), x2=7.0, basis=tail_basis)
+        r6 = constant_numeric((0.3, 0.1), x2=6.0)
+        r7 = constant_numeric((0.3, 0.1), x2=7.0)
         assert abs(r6.c_numeric - r7.c_numeric) <= 1e-5
 
     def test_x2_beyond_tail_rejected_before_solving(self, monkeypatch):
