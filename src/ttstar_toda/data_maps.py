@@ -187,9 +187,10 @@ def log_x_k(k: int, full_values, n: int) -> float:
     full_values = list(full_values)
     if len(full_values) != N:
         raise ShapeError(f"full list must have length {N}, got {len(full_values)}")
+    v_k, two_N = full_values[k % N], 2.0 * N
     acc = 0.0
     for j in range(1, n + 1):
-        arg = (full_values[k % N] - full_values[(k + j) % N] + 2.0 * j) / (2.0 * N)
+        arg = (v_k - full_values[(k + j) % N] + 2.0 * j) / two_N
         if arg <= 0.0:
             raise GenericityError(
                 f"nonpositive Gamma argument {arg:.6g} in X_k at (k={k}, j={j})")
@@ -197,10 +198,11 @@ def log_x_k(k: int, full_values, n: int) -> float:
     return acc
 
 
-def _log_ratio(n: int, gamma_reduced, i: int) -> float:
-    """log X_{n-i} - log X_i on the negated full extension of gamma."""
+def _log_ratios(n: int, gamma_reduced) -> list[float]:
+    """log X_{n-i} - log X_i, i < L, on the negated full extension of gamma."""
     neg_full = [-v for v in expand_reduced(n, gamma_reduced)]
-    return log_x_k(n - i, neg_full, n) - log_x_k(i, neg_full, n)
+    return [log_x_k(n - i, neg_full, n) - log_x_k(i, neg_full, n)
+            for i in range(reduced_length(n))]
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +214,8 @@ def asymptotic_to_monodromy(a: AsymptoticData) -> MonodromyData:
     check_genericity(a.n, a.gamma)
     ln_np1 = math.log(a.n + 1)
     m = [-0.5 * g for g in a.gamma]
-    log_e = [a.rho[i] + a.gamma[i] * ln_np1 + _log_ratio(a.n, a.gamma, i)
-             for i in range(len(a.gamma))]
+    log_e = [r + g * ln_np1 + x
+             for r, g, x in zip(a.rho, a.gamma, _log_ratios(a.n, a.gamma))]
     return MonodromyData(n=a.n, m=tuple(m), log_e=tuple(log_e))
 
 
@@ -222,8 +224,8 @@ def monodromy_to_asymptotic(md: MonodromyData) -> AsymptoticData:
     gamma = [-2.0 * v for v in md.m]
     check_genericity(md.n, gamma)
     ln_np1 = math.log(md.n + 1)
-    rho = [md.log_e[i] - gamma[i] * ln_np1 - _log_ratio(md.n, gamma, i)
-           for i in range(len(gamma))]
+    rho = [e - g * ln_np1 - x
+           for e, g, x in zip(md.log_e, gamma, _log_ratios(md.n, gamma))]
     return AsymptoticData(n=md.n, gamma=tuple(gamma), rho=tuple(rho))
 
 
@@ -231,8 +233,7 @@ def global_rho(n: int, gamma) -> list[float]:
     """The unique rho with log e_i = 0: the globally smooth solutions."""
     check_genericity(n, gamma)
     ln_np1 = math.log(n + 1)
-    return [-float(gamma[i]) * ln_np1 - _log_ratio(n, gamma, i)
-            for i in range(reduced_length(n))]
+    return [-float(g) * ln_np1 - x for g, x in zip(gamma, _log_ratios(n, gamma))]
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +247,13 @@ def gen_fun_F(n: int, rho, m) -> float:
     m; every psi_m2 argument is positive exactly when the full m gaps lie
     in (-1, 1), the image of genericity under m = -gamma/2.
     """
+    return _gen_fun_F(n, rho, m, {})
+
+
+def _gen_fun_F(n: int, rho, m, psi: dict) -> float:
+    """`gen_fun_F` with `psi` the memo of psi_m2 by argument, which callers
+    evaluating F at nearby m share: it is keyed by the exact float, so each
+    sum adds the same terms in the same order as with a fresh memo."""
     L = reduced_length(n)
     rho = [float(v) for v in rho]
     m = [float(v) for v in m]
@@ -256,7 +264,7 @@ def gen_fun_F(n: int, rho, m) -> float:
     acc = -sum(rho[i] * m[i] for i in range(L))
     acc += math.log(N) * sum(v * v for v in m)
     ssum = 0.0
-    psi = {}  # the extension repeats arguments: 8 distinct of 12 at n = 3
+    # psi: the extension repeats arguments, 8 distinct of 12 at n = 3
     for k in range(N):
         for j in range(1, n + 1):
             arg = (mf[(k - j) % N] - mf[k] + j) / N
@@ -305,10 +313,11 @@ def verify_generating_function(n: int, gamma, rho=None,
     m = [-0.5 * g for g in gamma]
     log_e = asymptotic_to_monodromy(AsymptoticData(n, tuple(gamma), tuple(rho))).log_e
     residuals = []
+    psi = {}  # perturbing m_i moves only the arguments with full entries i, n - i
     for i in range(L):
         mp = list(m); mp[i] += h
         mm = list(m); mm[i] -= h
-        dF = (gen_fun_F(n, rho, mp) - gen_fun_F(n, rho, mm)) / (2.0 * h)
+        dF = (_gen_fun_F(n, rho, mp, psi) - _gen_fun_F(n, rho, mm, psi)) / (2.0 * h)
         residuals.append(abs(dF + log_e[i]))
     return GradientCheckReport(n=n, h=h, residuals=tuple(residuals),
                                max_residual=max(residuals))
@@ -327,9 +336,8 @@ def verify_symplectic(n: int, gamma, h: float = 1e-4) -> SymplecticCheckReport:
     except GenericityError as exc:
         raise ValueError(f"step h={h:g} too large for genericity margin: {exc}") from exc
 
-    def g(gm):
-        full = expand_reduced(n, gm)
-        return [log_x_k(n - i, full, n) - log_x_k(i, full, n) for i in range(L)]
+    def g(gm):   # the ratios on the full extension of gm itself
+        return _log_ratios(n, [-v for v in gm])
 
     # column j from one evaluation of the vector g at each of gamma +- h e_j
     cols = []

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_maps import reduced_length
+from .data_maps import expand_reduced, reduced_length
 
 __all__ = [
     "UnsupportedConfigError",
@@ -665,8 +665,10 @@ def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
 
 def tail_amplitude_s1(gamma) -> float:
     """Leading tail coefficient s1 for the n=3 chain:
-    w_i(x) ~ -s1 * 2^(-7/4) (pi x)^(-1/2) exp(-2 sqrt(2) x)."""
-    g0, g1 = float(gamma[0]), float(gamma[1])
+    w_i(x) ~ -s1 * 2^(-7/4) (pi x)^(-1/2) exp(-2 sqrt(2) x).
+
+    Raises ShapeError unless gamma has the two entries of n = 3."""
+    g0, g1 = expand_reduced(3, gamma)[:2]
     return (-2.0 * math.cos(math.pi / 4.0 * (g0 + 1.0))
             - 2.0 * math.cos(math.pi / 4.0 * (g1 + 3.0)))
 

@@ -13,7 +13,7 @@ from ttstar_toda.data_maps import (AsymptoticData, GenericityError,
                                    global_rho, log_x_k, monodromy_to_asymptotic,
                                    reduced_length, verify_generating_function,
                                    verify_symplectic)
-from ttstar_toda.special_functions import psi_m2
+from ttstar_toda.special_functions import log_gamma, psi_m2
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
@@ -304,6 +304,58 @@ class TestVerifyOps:
                     (0.0, 0.8): ("-0x1.3c7df901729c0p-4", "0x1.9e483e26c18a1p+0")}
         for gamma, bits in recorded.items():
             assert tuple(v.hex() for v in global_rho(3, gamma)) == bits
+
+
+def log_ratio(n, gamma, i):
+    """log X_{n-i} - log X_i on the negated full extension of gamma, for one
+    i, with each X_k a loop over j as in the module docstring's formula."""
+    v, N = [-x for x in expand_reduced(n, gamma)], n + 1
+
+    def log_x(k):
+        acc = 0.0
+        for j in range(1, N):
+            acc += log_gamma((v[k % N] - v[(k + j) % N] + 2.0 * j) / (2.0 * N))
+        return acc
+
+    return log_x(n - i) - log_x(i)
+
+
+class TestOnePassOracles:
+    # one Gamma-product pass for all i, and one psi_m2 memo across the
+    # central differences, against the per-i and per-call forms, bit for bit
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_maps_equal_per_i_ratios(self, n):
+        rng = np.random.default_rng(900 + n)
+        L, ln_np1 = reduced_length(n), math.log(n + 1)
+        for _ in range(30):
+            g = random_generic(rng, n, scale=0.45, margin=5e-3)
+            rho = tuple(rng.uniform(-1.0, 1.0, L))
+            ratios = [log_ratio(n, g, i) for i in range(L)]
+            log_e = asymptotic_to_monodromy(AsymptoticData(n, g, rho)).log_e
+            back = monodromy_to_asymptotic(MonodromyData(n, tuple(-0.5 * v for v in g), log_e))
+            for i in range(L):
+                assert global_rho(n, g)[i].hex() == (-g[i] * ln_np1 - ratios[i]).hex()
+                assert log_e[i].hex() == (rho[i] + g[i] * ln_np1 + ratios[i]).hex()
+                assert back.rho[i].hex() == (log_e[i] - back.gamma[i] * ln_np1
+                                             - log_ratio(n, back.gamma, i)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_residuals_are_central_differences(self, n):
+        rng = np.random.default_rng(950 + n)
+        L, h = reduced_length(n), 1e-4
+        for _ in range(10):
+            g = random_generic(rng, n, scale=0.45, margin=5e-3)
+            rho = tuple(rng.uniform(-1.0, 1.0, L))
+            m = [-0.5 * v for v in g]
+            log_e = asymptotic_to_monodromy(AsymptoticData(n, g, rho)).log_e
+            expected = []
+            for i in range(L):
+                mp = list(m); mp[i] += h
+                mm = list(m); mm[i] -= h
+                dF = (gen_fun_F(n, rho, mp) - gen_fun_F(n, rho, mm)) / (2.0 * h)
+                expected.append(abs(dF + log_e[i]).hex())
+            rep = verify_generating_function(n, g, rho, h=h)
+            assert [r.hex() for r in rep.residuals] == expected
 
 
 class TestJson:

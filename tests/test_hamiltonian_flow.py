@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttstar_toda import hamiltonian_flow, init_from_asymptotics
-from ttstar_toda.data_maps import (AsymptoticData, expand_reduced, global_rho,
-                                   reduced_length)
+from ttstar_toda.data_maps import (AsymptoticData, ShapeError, expand_reduced,
+                                   global_rho, reduced_length)
 from ttstar_toda.global_solutions import SmallXSeries
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
                                           UnsupportedConfigError,
@@ -794,6 +794,12 @@ class TestTailAmplitude:
         ref = (-2.0 * math.cos(0.325 * math.pi) - 2.0 * math.cos(0.775 * math.pi))
         assert tail_amplitude_s1((0.3, 0.1)) == pytest.approx(ref, rel=1e-15)
         assert ref == pytest.approx(0.4758148, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1, 0.7), [0.3]])
+    def test_wrong_length(self, gamma):
+        # a third entry was ignored and a missing one raised IndexError
+        with pytest.raises(ShapeError):
+            tail_amplitude_s1(gamma)
 
 
 class TestCsv:

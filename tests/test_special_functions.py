@@ -5,11 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar_toda.special_functions import (_SERIES_TAIL, DomainError, _zeta_int,
+from ttstar_toda import special_functions
+from ttstar_toda.special_functions import (_LANCZOS_C, _SERIES_TAIL, _SERIES_Y1,
+                                           _SERIES_Y2, DomainError, _zeta_int,
                                            log_barnes_g, log_gamma, psi_m2,
                                            psi_m2_oracle)
 
 LN_2PI = math.log(2.0 * math.pi)
+
+
+def log_gamma_loops(z):
+    """log Gamma as the Lanczos sum over the coefficients in a loop, and
+    z < 1/2 by the downward recursion; `log_gamma` writes both out."""
+    if z < 0.5:
+        return log_gamma_loops(z + 1.0) - math.log(z)
+    acc = _LANCZOS_C[0]
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        acc += c / (z - 1.0 + i)
+    t = z + 7.0 - 0.5
+    return 0.5 * special_functions.LN_2PI + (z - 0.5) * math.log(t) - t + math.log(acc)
+
+
+def log_barnes_g_series_loops(y):
+    """log G(1+y), |y| <= 1/2, with the Horner sum over `_SERIES_TAIL` as a
+    loop; `_log_barnes_g_series` is generated from the same coefficients."""
+    tail = 0.0
+    for c in _SERIES_TAIL:
+        tail = tail * y + c
+    return (y * (_SERIES_Y1 + _SERIES_Y2 * y) + math.log1p(y) + 2.0 * math.log1p(0.5 * y)
+            + tail * y * y * y)
+
+
+class TestLoopOracles:
+    # the loop-free log Gamma and series against their loop versions, bit
+    # for bit, also inside log_barnes_g and psi_m2
+    def test_log_gamma(self):
+        zs = np.random.default_rng(801).uniform(0.0, 50.0, 10_000)
+        for z in [*zs.tolist(), 0.5, 1.0, 2.0, 50.0, 0.49999999999999994, 5e-324]:
+            assert log_gamma(z).hex() == log_gamma_loops(z).hex()
+
+    def test_barnes_and_psi(self, monkeypatch):
+        zs = np.random.default_rng(802).uniform(0.0, 3.0, 10_000).tolist()
+        zs += [0.5, 1.0, 1.5, 2.5, 3.0, 1.5000000000000002]
+        fast = [(log_barnes_g(z), psi_m2(z)) for z in zs]
+        monkeypatch.setattr(special_functions, "log_gamma", log_gamma_loops)
+        monkeypatch.setattr(special_functions, "_log_barnes_g_series",
+                            log_barnes_g_series_loops)
+        for z, (g, p) in zip(zs, fast):
+            assert (g.hex(), p.hex()) == (log_barnes_g(z).hex(), psi_m2(z).hex())
 
 
 class TestLogGamma:
@@ -26,8 +69,9 @@ class TestLogGamma:
             ref = math.lgamma(z)
             assert abs(log_gamma(float(z)) - ref) <= 1e-13 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain(self, bad):
+        # inf once reached the Lanczos body, which returned inf - inf = nan
         with pytest.raises(DomainError):
             log_gamma(bad)
 
