@@ -235,6 +235,8 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from "
               f"{sorted(_SUITE_THRESHOLDS)}", file=sys.stderr)
         return EXIT_INPUT
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     n = args.n
     rng = np.random.default_rng(args.seed)
     if args.suite == "specfun":

@@ -433,7 +433,13 @@ class GlobalSolution:
         """[w, wt] of the matched tail at x, a scalar or an array."""
         return _modes(x, (self.amp_sum, self.amp_diff))
 
+    def _check_range(self, name: str, x: float) -> None:
+        if not self.x0 <= x <= self.x_right:
+            raise ValueError(f"{name} must lie in [{self.x0}, {self.x_right}]")
+
     def state(self, x: float) -> PhasePoint:
+        """The composite orbit's phase point at x in [x0, x_right]."""
+        self._check_range("x", x)
         if x <= self.x_switch:
             return self.forward.sample(x)
         y = self.tail_state(x)
@@ -456,8 +462,7 @@ class GlobalSolution:
     def reg_integral(self, x2: float) -> float:
         """integral (H + 2x) dx from x0, the orbit's start, to x2 along the
         composite orbit; 0.0 at x0."""
-        if not self.x0 <= x2 <= self.x_right:
-            raise ValueError(f"x2 must lie in [{self.x0}, {self.x_right}]")
+        self._check_range("x2", x2)
         if x2 <= self.x_switch:
             return self.forward.reg_integral_to(x2)
         return (self.forward.reg_integral_to(self.x_switch)

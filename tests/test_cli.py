@@ -249,6 +249,16 @@ class TestVerify:
     def test_unknown_suite_exit_2(self):
         assert run(["verify", "--suite", "nope"]) == 2
 
+    @pytest.mark.parametrize("suite", ["specfun", "genfun", "symplectic", "dynamics"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_exit_2(self, suite, samples, capsys):
+        # zero samples once passed with max_residual 0.0, and specfun with
+        # -1 failed on numpy's "negative dimensions are not allowed"
+        assert run(["verify", "--suite", suite, "--samples", samples, "--reproducible"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--samples must be at least 1, got {samples}" in out.err
+
     def test_verify_determinism(self, capsys):
         args = ["verify", "--suite", "genfun", "--n", "3", "--samples", "5",
                 "--seed", "11", "--reproducible"]

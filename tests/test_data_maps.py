@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar_toda import data_maps
+from ttstar_toda import data_maps, special_functions
 from ttstar_toda.data_maps import (AsymptoticData, GenericityError,
                                    MonodromyData, ShapeError,
                                    asymptotic_to_monodromy, check_genericity,
@@ -274,6 +274,20 @@ class TestVerifyOps:
                 g = random_generic(rng, n, margin=0.01)
                 rep = verify_symplectic(n, g, h=1e-4)
                 assert rep.max_asymmetry <= 1e-7
+
+    @pytest.mark.parametrize("gamma", [(0.31, 0.12, -0.27), (0.2, -0.1, 0.05)])
+    def test_symplectic_evaluates_each_log_gamma_argument_once(self, gamma, monkeypatch):
+        # its 2L Gamma-product passes at gamma +- h e_j share most arguments;
+        # the log_gamma memo evaluates each distinct one once
+        args, evaluated = [], []
+        lanczos = special_functions._log_gamma_lanczos
+        monkeypatch.setattr(special_functions, "_LOG_GAMMA_MEMO", {})
+        monkeypatch.setattr(special_functions, "_log_gamma_lanczos",
+                            lambda z: evaluated.append(z) or lanczos(z))
+        monkeypatch.setattr(data_maps, "log_gamma", lambda z: args.append(z) or log_gamma(z))
+        verify_symplectic(5, gamma)
+        assert len(set(args)) < len(args)
+        assert sorted(evaluated) == sorted(set(args))
 
     @pytest.mark.parametrize("n, gamma", [(3, (0.3, 0.1)), (5, (0.2, -0.1, 0.15))])
     def test_symplectic_matrix_is_the_central_difference(self, n, gamma):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ class TestSolveGlobal:
         assert sol.reg_integral(sol.x0) == 0.0
         with pytest.raises(ValueError):
             sol.reg_integral(0.5 * sol.x0)
+
+    @pytest.mark.parametrize("outside", [lambda s: 0.5 * s.x0, lambda s: s.x_right + 1e-9,
+                                         lambda s: 200.0])
+    def test_state_outside_the_orbit_is_refused(self, sol_031, outside):
+        # beyond x_right the tail was read unchecked (w ~ -1.5e-248 at 200),
+        # and below x0 the forward run's error named its own covered range
+        span = f"[{sol_031.x0}, {sol_031.x_right}]"
+        with pytest.raises(ValueError, match=re.escape(f"x must lie in {span}")):
+            sol_031.state(outside(sol_031))
+        with pytest.raises(ValueError, match=re.escape(f"x2 must lie in {span}")):
+            sol_031.reg_integral(outside(sol_031))
+
+    def test_state_at_both_ends(self, sol_031):
+        assert sol_031.state(sol_031.x0).x == sol_031.x0
+        assert sol_031.state(sol_031.x_right).x == sol_031.x_right
 
 
 class TestAntidiagonal:

@@ -36,23 +36,74 @@ def log_barnes_g_series_loops(y):
             + tail * y * y * y)
 
 
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Empty log_gamma and psi_m2 memos for one test; the module's own are
+    put back after it."""
+    monkeypatch.setattr(special_functions, "_LOG_GAMMA_MEMO", {})
+    monkeypatch.setattr(special_functions, "_PSI_M2_MEMO", {})
+
+
 class TestLoopOracles:
     # the loop-free log Gamma and series against their loop versions, bit
-    # for bit, also inside log_barnes_g and psi_m2
+    # for bit, also inside log_barnes_g and psi_m2; each value is read once
+    # evaluated and once from the warm memo
     def test_log_gamma(self):
         zs = np.random.default_rng(801).uniform(0.0, 50.0, 10_000)
         for z in [*zs.tolist(), 0.5, 1.0, 2.0, 50.0, 0.49999999999999994, 5e-324]:
-            assert log_gamma(z).hex() == log_gamma_loops(z).hex()
+            assert log_gamma(z).hex() == log_gamma(z).hex() == log_gamma_loops(z).hex()
 
     def test_barnes_and_psi(self, monkeypatch):
         zs = np.random.default_rng(802).uniform(0.0, 3.0, 10_000).tolist()
         zs += [0.5, 1.0, 1.5, 2.5, 3.0, 1.5000000000000002]
-        fast = [(log_barnes_g(z), psi_m2(z)) for z in zs]
+        fast = [(log_barnes_g(z), psi_m2(z), psi_m2(z)) for z in zs]
+        # the loops evaluate afresh: psi_m2 must not answer from the fast run
+        monkeypatch.setattr(special_functions, "_PSI_M2_MEMO", {})
         monkeypatch.setattr(special_functions, "log_gamma", log_gamma_loops)
         monkeypatch.setattr(special_functions, "_log_barnes_g_series",
                             log_barnes_g_series_loops)
-        for z, (g, p) in zip(zs, fast):
-            assert (g.hex(), p.hex()) == (log_barnes_g(z).hex(), psi_m2(z).hex())
+        for z, (g, p, p_warm) in zip(zs, fast):
+            assert (g.hex(), p.hex(), p_warm.hex()) == (
+                log_barnes_g(z).hex(), psi_m2(z).hex(), psi_m2(z).hex())
+
+
+class TestMemo:
+    @pytest.mark.parametrize("f, memo", [(log_gamma, "_LOG_GAMMA_MEMO"),
+                                         (psi_m2, "_PSI_M2_MEMO")])
+    def test_repeated_call_same_bits(self, empty_memos, f, memo):
+        for z in (0.3, 1.0, 1.7, 2.5):
+            first = f(z)
+            assert getattr(special_functions, memo)[z] is first
+            assert f(z).hex() == first.hex()
+
+    @pytest.mark.parametrize("f, evaluate", [
+        (log_gamma, special_functions._log_gamma_lanczos),
+        (psi_m2, special_functions._psi_m2_closed)])
+    @pytest.mark.parametrize("z, as_float", [(2, 2.0), (np.float64(0.3), 0.3),
+                                             ("0.3", 0.3), ("1.7", 1.7)])
+    def test_inputs_give_the_floats_bits(self, empty_memos, f, evaluate, z, as_float):
+        # a miss and then a hit, each with the bits of the float's evaluation
+        ref = evaluate(as_float).hex()
+        assert f(z).hex() == f(z).hex() == f(as_float).hex() == ref
+        memo = special_functions._PSI_M2_MEMO if f is psi_m2 else special_functions._LOG_GAMMA_MEMO
+        assert all(type(key) is float for key in memo)
+
+    @pytest.mark.parametrize("f", [log_gamma, psi_m2])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_domain_errors_are_never_stored(self, empty_memos, f, bad):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                f(bad)
+        assert not special_functions._LOG_GAMMA_MEMO
+        assert not special_functions._PSI_M2_MEMO
+
+    def test_bounded(self, empty_memos):
+        size = special_functions._MEMO_SIZE
+        for z in np.linspace(0.001, 3.0, size + 100):
+            log_gamma(z)
+            psi_m2(z)
+        assert 0 < len(special_functions._LOG_GAMMA_MEMO) <= size
+        assert 0 < len(special_functions._PSI_M2_MEMO) <= size
 
 
 class TestLogGamma:
