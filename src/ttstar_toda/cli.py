@@ -7,12 +7,13 @@ Subcommands:
   constant  numeric vs closed-form connection constant
   verify    randomized residual suites (specfun, genfun, symplectic, dynamics)
 
-Exit codes: 0 success, 2 input/domain error (for solve also a small-x
-series not converged above x = 1e-8), 3 blow-up, 4 verification
-failure.  All floats are serialized with 17 significant digits and a
-decimal point or exponent; passing --reproducible suppresses the
-timestamp field so identical flags (and verify's --seed) give
-byte-identical output.  Set TTSTAR_LOG=debug for diagnostics on
+Exit codes: 0 success; 2 input or domain error, for solve also a small-x
+series not converged above x = 1e-8; 3 blow-up: a solve run that stops
+before x1, or a global solve that fails in tau or constant; 4
+verification failure.  All floats are serialized with 17 significant
+digits and a decimal point or exponent; passing --reproducible
+suppresses the timestamp field so identical flags (and verify's --seed)
+give byte-identical output.  Set TTSTAR_LOG=debug for diagnostics on
 stderr.
 """
 
@@ -92,29 +93,23 @@ def _parse_list(text: str) -> tuple[float, ...]:
         raise DomainError(f"could not parse comma-separated reals from {text!r}") from exc
 
 
-def _cfg_from(args) -> hf.IntegratorConfig:
-    """`solve`'s integrator tolerances: those given on the command line, a
-    missing one at its IntegratorConfig default."""
-    given = {k: v for k, v in (("rel_tol", args.rel_tol), ("abs_tol", args.abs_tol))
-             if v is not None}
-    return hf.IntegratorConfig(**given)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 def cmd_maps(args) -> int:
     gamma = _parse_list(args.gamma)
-    rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
-    a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
+    # a given rho is checked against gamma before global_rho checks gamma
+    given = args.rho and dm.AsymptoticData(n=args.n, gamma=gamma, rho=_parse_list(args.rho))
+    rho_g = tuple(dm.global_rho(args.n, gamma))
+    a = given or dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho_g)
     md = dm.asymptotic_to_monodromy(a)
     fg, fr = dm.expand_full(a)
     fm, fe = dm.expand_full(md)
     doc = {
         "asymptotic": a.to_json_dict(),
         "monodromy": md.to_json_dict(),
-        "global_rho": list(dm.global_rho(args.n, gamma)),
+        "global_rho": list(rho_g),
         "full": {"gamma": fg, "rho": fr, "m": fm, "log_e": fe},
     }
     _emit(doc, args)
@@ -126,7 +121,8 @@ def cmd_solve(args) -> int:
     rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
     a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
     start = gs.init_from_asymptotics(a, args.x0)
-    traj = hf.integrate(start, args.x1, _cfg_from(args), args.n)
+    cfg = hf.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    traj = hf.integrate(start, args.x1, cfg, args.n)
     _log(f"integrated to x={traj.x_final:.6g} ({traj.stats.n_steps} steps, "
          f"stop={traj.stop_reason})")
     out = args.out or "trajectory.csv"
@@ -139,27 +135,18 @@ def cmd_solve(args) -> int:
 
 def cmd_tau(args) -> int:
     gamma = _parse_list(args.gamma)
-    try:
-        val = tc.log_tau(gamma, args.x1, args.x2)
-    except tc.BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    val = tc.log_tau(gamma, args.x1, args.x2)
     _emit({"gamma": list(gamma), "x1": args.x1, "x2": args.x2, "log_tau": val}, args)
     return EXIT_OK
 
 
 def cmd_constant(args) -> int:
-    gamma = _parse_list(args.gamma)
-    try:
-        rep = tc.constant_numeric(gamma, x2=args.x2)
-    except tc.BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    rep = tc.constant_numeric(_parse_list(args.gamma), x2=args.x2)
     _emit(rep.to_json_dict(), args)
     return EXIT_OK if rep.abs_diff <= args.threshold else EXIT_VERIFY
 
 
-def _suite_specfun(rng, samples):
+def _suite_specfun(rng, samples, n):
     worst = 0.0
     for z in rng.uniform(0.01, 2.0, samples):
         worst = max(worst, abs(psi_m2(z) - psi_m2_oracle(z)))
@@ -222,33 +209,24 @@ def _suite_dynamics(rng, samples, n):
     return worst
 
 
-_SUITE_THRESHOLDS = {
-    "specfun": 1e-10,
-    "genfun": 1e-6,
-    "symplectic": 1e-7,
-    "dynamics": 1e-8,
+# each suite's function of (rng, samples, n) and its default threshold
+_SUITES = {
+    "specfun": (_suite_specfun, 1e-10),
+    "genfun": (_suite_genfun, 1e-6),
+    "symplectic": (_suite_symplectic, 1e-7),
+    "dynamics": (_suite_dynamics, 1e-8),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITE_THRESHOLDS:
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{sorted(_SUITE_THRESHOLDS)}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.suite not in _SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    n = args.n
-    rng = np.random.default_rng(args.seed)
-    if args.suite == "specfun":
-        worst = _suite_specfun(rng, args.samples)
-    elif args.suite == "genfun":
-        worst = _suite_genfun(rng, args.samples, n)
-    elif args.suite == "symplectic":
-        worst = _suite_symplectic(rng, args.samples, n)
-    else:
-        worst = _suite_dynamics(rng, args.samples, n)
-    thr = args.threshold if args.threshold is not None else _SUITE_THRESHOLDS[args.suite]
-    doc = {"suite": args.suite, "n": n, "samples": args.samples, "seed": args.seed,
+    suite, default = _SUITES[args.suite]
+    worst = suite(np.random.default_rng(args.seed), args.samples, args.n)
+    thr = args.threshold if args.threshold is not None else default
+    doc = {"suite": args.suite, "n": args.n, "samples": args.samples, "seed": args.seed,
            "max_residual": worst, "threshold": thr, "pass": bool(worst <= thr)}
     _emit(doc, args)
     return EXIT_OK if worst <= thr else EXIT_VERIFY
@@ -283,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="integrate and write a CSV trajectory")
     common(p, n=True)
     p.add_argument("--rho", type=str, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=hf.IntegratorConfig.rel_tol)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=hf.IntegratorConfig.abs_tol)
     p.add_argument("--x0", type=float, default=1e-2)
     p.add_argument("--x1", type=float, default=8.0)
     p.set_defaults(func=cmd_solve)
@@ -316,10 +294,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, dm.GenericityError, dm.ShapeError, gs.GlobalSolveError,
-            hf.UnsupportedConfigError, ValueError) as exc:
+    except (ValueError, gs.GlobalSolveError, tc.BlowupError) as exc:
+        # ValueError covers DomainError, GenericityError, ShapeError and
+        # UnsupportedConfigError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_BLOWUP if isinstance(exc, tc.BlowupError) else EXIT_INPUT
 
 
 def entrypoint() -> None:

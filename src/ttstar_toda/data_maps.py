@@ -294,22 +294,28 @@ class SymplecticCheckReport:
     max_asymmetry: float
 
 
-def verify_generating_function(n: int, gamma, rho=None,
-                               h: float = 1e-4) -> GradientCheckReport:
-    """Central-difference check that dF/dm_i reproduces -log e_i.
-
-    Perturbing m_i by h moves full gamma gaps by up to 4h, so genericity is
-    required with that margin; violating it is a parameter error.
-    """
-    L = reduced_length(n)
+def _check_step(n: int, gamma, h: float) -> list[float]:
+    """gamma as floats, once h is a central-difference step the checks can
+    take there: 0 < h < inf, and genericity with margin 4h, since a step of
+    h in m_i or gamma_i moves full gamma gaps by up to 4h.  Either failing
+    is a parameter error (ValueError)."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     gamma = [float(v) for v in gamma]
-    if rho is None:
-        rho = [0.0] * L
-    rho = [float(v) for v in rho]
     try:
         check_genericity(n, gamma, margin=4.0 * h + DEFAULT_MARGIN)
     except GenericityError as exc:
         raise ValueError(f"step h={h:g} too large for genericity margin: {exc}") from exc
+    return gamma
+
+
+def verify_generating_function(n: int, gamma, rho=None,
+                               h: float = 1e-4) -> GradientCheckReport:
+    """Central-difference check that dF/dm_i reproduces -log e_i, with the
+    step h of `_check_step`."""
+    L = reduced_length(n)
+    gamma = _check_step(n, gamma, h)
+    rho = [0.0] * L if rho is None else [float(v) for v in rho]
     m = [-0.5 * g for g in gamma]
     log_e = asymptotic_to_monodromy(AsymptoticData(n, tuple(gamma), tuple(rho))).log_e
     residuals = []
@@ -327,14 +333,11 @@ def verify_symplectic(n: int, gamma, h: float = 1e-4) -> SymplecticCheckReport:
     """Symmetry check of A_ij = d/dgamma_j [log X_{n-i} - log X_i](full gamma).
 
     Symmetry of A is equivalent to preservation of the pairing
-    -1/2 sum dgamma ^ drho = sum dm ^ dlog e under the chart change.
+    -1/2 sum dgamma ^ drho = sum dm ^ dlog e under the chart change.  The
+    step h is checked by `_check_step`.
     """
     L = reduced_length(n)
-    gamma = [float(v) for v in gamma]
-    try:
-        check_genericity(n, gamma, margin=4.0 * h + DEFAULT_MARGIN)
-    except GenericityError as exc:
-        raise ValueError(f"step h={h:g} too large for genericity margin: {exc}") from exc
+    gamma = _check_step(n, gamma, h)
 
     def g(gm):   # the ratios on the full extension of gm itself
         return _log_ratios(n, [-v for v in gm])

@@ -252,8 +252,7 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     if not all(math.isfinite(r) for r in a.rho):
         raise UnsupportedConfigError(f"rho must be finite, got {a.rho}")
     x, cut = _converged_start(SmallXSeries(a.n, a.gamma), a.rho, x0)
-    y, L = cut.seed(a.rho, x), len(a.gamma)
-    return PhasePoint(x=x, w=y[:L], wt=y[L:2 * L])
+    return PhasePoint.from_state(x, cut.seed(a.rho, x))
 
 
 def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict, Trajectory]:
@@ -442,8 +441,7 @@ class GlobalSolution:
         self._check_range("x", x)
         if x <= self.x_switch:
             return self.forward.sample(x)
-        y = self.tail_state(x)
-        return PhasePoint(x=x, w=tuple(y[:_L]), wt=tuple(y[_L:2 * _L]))
+        return PhasePoint.from_state(x, self.tail_state(x))
 
     def _tail_reg_integral(self, a: float, b: float) -> float:
         # fixed-panel Gauss-Legendre of H + 2x along the matched tail

@@ -92,10 +92,18 @@ class PhasePoint:
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
         object.__setattr__(self, "wt", tuple(float(v) for v in self.wt))
-        if not self.x > 0.0:
-            raise UnsupportedConfigError(f"x must be positive, got {self.x!r}")
+        if not 0.0 < self.x < math.inf:
+            raise UnsupportedConfigError(f"x must be positive and finite, got {self.x!r}")
         if len(self.w) != len(self.wt):
             raise UnsupportedConfigError("w and wt must have equal length")
+        if not all(map(math.isfinite, self.w + self.wt)):
+            raise UnsupportedConfigError(f"w and wt must be finite, got {self.w}, {self.wt}")
+
+    @classmethod
+    def from_state(cls, x: float, y) -> PhasePoint:
+        """The point at x of a state row y = [w, wt] or [w, wt, q]."""
+        L = len(y) // 2
+        return cls(x=x, w=y[:L], wt=y[L:2 * L])
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,9 @@ class IntegratorConfig:
     blowup_threshold: float = 5.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise UnsupportedConfigError("tolerances must be positive")
+        for name, value in vars(self).items():
+            if not 0.0 < value < math.inf:
+                raise UnsupportedConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -423,15 +432,10 @@ class Trajectory:
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
         self.tangent = tangent
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
-        self._points: list[PhasePoint] | None = None
 
-    @property
+    @functools.cached_property
     def points(self) -> list[PhasePoint]:
-        if self._points is None:
-            L = reduced_length(self.n)
-            self._points = [PhasePoint(x=x, w=tuple(y[:L]), wt=tuple(y[L:2 * L]))
-                            for x, y in zip(self.xs.tolist(), self.ys.T)]
-        return self._points
+        return [PhasePoint.from_state(x, y) for x, y in zip(self.xs.tolist(), self.ys.T.tolist())]
 
     @property
     def x_final(self) -> float:
@@ -457,9 +461,7 @@ class Trajectory:
         return self.ys[:, k] + h * np.moveaxis(Qp, -1, 0)
 
     def sample(self, x: float) -> PhasePoint:
-        L = reduced_length(self.n)
-        y = self.sample_state(x)
-        return PhasePoint(x=x, w=tuple(y[:L]), wt=tuple(y[L:2 * L]))
+        return PhasePoint.from_state(x, self.sample_state(x))
 
     def reg_integral_to(self, x: float) -> float:
         """integral (H + 2x) dx from the start point up to x."""
@@ -655,6 +657,9 @@ def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
     _check_n(n, L)
     if not x_end > start.x:
         raise UnsupportedConfigError("x_end must exceed start.x")
+    if not x_end < math.inf:
+        # the steps would grow to inf and be rejected forever
+        raise UnsupportedConfigError(f"x_end must be finite, got {x_end!r}")
     y0 = np.concatenate([start.w, start.wt, [0.0]])
     return _integrate_raw(n, y0, start.x, x_end, cfg)
 
@@ -675,8 +680,8 @@ def tail_amplitude_s1(gamma) -> float:
 
 def check_quasihomogeneity(p: PhasePoint, lam: float, n: int) -> float:
     """|H(w, lam*wt; lam*x) - lam*H(w, wt; x)|, which vanishes identically."""
-    if lam <= 0.0:
-        raise UnsupportedConfigError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise UnsupportedConfigError(f"lambda must be positive and finite, got {lam!r}")
     scaled = PhasePoint(x=lam * p.x, w=p.w, wt=tuple(lam * v for v in p.wt))
     return abs(hamiltonian(scaled, n) - lam * hamiltonian(p, n))
 

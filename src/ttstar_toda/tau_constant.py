@@ -34,7 +34,7 @@ import numpy as np
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
 from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
-from .hamiltonian_flow import Trajectory, reg_density, tail_amplitude_s1
+from .hamiltonian_flow import Trajectory, _links, reg_density, tail_amplitude_s1
 from .special_functions import psi_m2
 
 __all__ = [
@@ -151,9 +151,7 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     g0, g1 = float(gamma[0]), float(gamma[1])
     if not _X1_MIN < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({_X1_MIN}, {GlobalSolution.x_right}], got {x2}")
-    # s_l = 2 + (A gamma)_l/2 over the links (4, 0), (-2, 2) and (0, -4),
-    # rounded as SmallXSeries.s is
-    a = 2.0 + min(2.0 * g0, g1 - g0, -2.0 * g1)
+    a = float(min(2.0 + 0.5 * (_links(3)[0] @ np.array((g0, g1)))))   # as SmallXSeries.s
     if a < _A_MIN:
         raise GenericityError(f"a(gamma) = min_l s_l = {a!r} is below a_min = {_A_MIN} "
                               f"for gamma={(g0, g1)}")

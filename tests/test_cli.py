@@ -113,6 +113,24 @@ class TestSolve:
         assert "rho must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_2(self, flag, value, tmp_path, capsys):
+        # these stopped on step_underflow at x0 and exited 3
+        out = tmp_path / "t.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0.3,0.1", f"{flag}={value}",
+                    "--out", str(out)]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_x1_exit_2(self, tmp_path, capsys):
+        # the stepper never returned
+        out = tmp_path / "i.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0,0", "--x1", "inf",
+                    "--out", str(out)]) == 2
+        assert "x_end must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exit_3(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--rho", "1,1",
@@ -183,6 +201,14 @@ class TestConstant:
         assert run(["constant", "--gamma=-0.9,0.9"]) == 2
         assert "a(gamma) = min_l s_l = 0.19999999999999996 is below" in capsys.readouterr().err
 
+    def test_blowup_exit_3(self, monkeypatch, capsys):
+        # main maps tau_constant's BlowupError to 3 for every command
+        def blown(gamma, x2):
+            raise cli.tc.BlowupError("global solve failed")
+        monkeypatch.setattr(cli.tc, "constant_numeric", blown)
+        assert run(["constant", "--gamma", "0.3,0.1"]) == 3
+        assert capsys.readouterr().err == "error: global solve failed\n"
+
 
 class TestFlags:
     # a flag is registered only where it is read; argparse exits 2 on the rest
@@ -206,6 +232,11 @@ class TestFlags:
         assert parse_error_code(["tau", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
         assert parse_error_code(["maps", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
         assert parse_error_code(["solve", "--seed", "5", "--gamma", "0.3,0.1"]) == 2
+
+    def test_solve_tolerance_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["solve", "--gamma", "0.3,0.1"])
+        cfg = cli.hf.IntegratorConfig()
+        assert (args.rel_tol, args.abs_tol) == (cfg.rel_tol, cfg.abs_tol)
 
     def test_verify_rejects_tolerances(self):
         assert parse_error_code(["verify", "--suite", "specfun", "--rel-tol", "1e-9"]) == 2
@@ -246,8 +277,10 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 4 and doc["pass"] is True
 
-    def test_unknown_suite_exit_2(self):
+    def test_unknown_suite_exit_2(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2
+        assert capsys.readouterr().err == ("error: unknown suite 'nope'; choose from "
+                                           "['dynamics', 'genfun', 'specfun', 'symplectic']\n")
 
     @pytest.mark.parametrize("suite", ["specfun", "genfun", "symplectic", "dynamics"])
     @pytest.mark.parametrize("samples", ["0", "-1"])

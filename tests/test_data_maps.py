@@ -263,6 +263,19 @@ class TestVerifyOps:
         with pytest.raises(ValueError, match="margin"):
             verify_generating_function(3, (0.999, 0.0), h=1e-3)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        # h = 0 raised a bare ZeroDivisionError, and h < 0 ran with a
+        # negative genericity margin 4h + 1e-9
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            verify_generating_function(3, (0.3, 0.1), h=h)
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            verify_symplectic(3, (0.3, 0.1), h=h)
+
+    def test_symplectic_margin_error(self):
+        with pytest.raises(ValueError, match="margin"):
+            verify_symplectic(3, (0.999, 0.0), h=1e-3)
+
     def test_symplectic_n1_exact(self):
         rep = verify_symplectic(1, (0.4,))
         assert rep.max_asymmetry <= 1e-12

@@ -537,6 +537,45 @@ class TestIntegrate:
         with pytest.raises(UnsupportedConfigError):
             integrate(p, 0.5, IntegratorConfig(), 3)
 
+    def test_x_end_must_be_finite(self):
+        # x_end = inf grew the step to inf, whose stages are NaN, and the
+        # stepper then rejected it forever
+        p = PhasePoint(x=0.01, w=(0.0, 0.0), wt=(0.0, 0.0))
+        with pytest.raises(UnsupportedConfigError, match="x_end must be finite"):
+            integrate(p, math.inf, IntegratorConfig(), 3)
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "blowup_threshold"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_config_must_be_finite_and_positive(self, field, value):
+        # NaN or inf tolerances stopped on step_underflow at x0, and a NaN
+        # threshold turned the blow-up test off
+        with pytest.raises(UnsupportedConfigError, match=field):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("x, w, wt", [(math.inf, (0.0, 0.0), (0.0, 0.0)),
+                                          (math.nan, (0.0, 0.0), (0.0, 0.0)),
+                                          (1.0, (math.nan, 0.0), (0.0, 0.0)),
+                                          (1.0, (0.0, math.inf), (0.0, 0.0)),
+                                          (1.0, (0.0, 0.0), (-math.inf, 0.0)),
+                                          (1.0, (0.0, 0.0), (0.0, math.nan))])
+    def test_phase_point_must_be_finite(self, x, w, wt):
+        # w = (nan, 0) integrated to a 0-step step_underflow trajectory, and
+        # hamiltonian at x = inf was NaN
+        with pytest.raises(UnsupportedConfigError, match="finite"):
+            PhasePoint(x=x, w=w, wt=wt)
+
+    def test_from_state(self):
+        # a state row [w, wt] or [w, wt, q], as a list or an array
+        for y in ([0.1, 0.2, 0.3, 0.4], np.array([0.1, 0.2, 0.3, 0.4, 9.0])):
+            assert PhasePoint.from_state(1.5, y) == PhasePoint(1.5, (0.1, 0.2), (0.3, 0.4))
+
+    def test_points_are_built_once(self):
+        a = AsymptoticData(1, (0.2,), tuple(global_rho(1, (0.2,))))
+        traj = integrate(init_from_asymptotics(a, 0.01), 1.5, IntegratorConfig(), 1)
+        assert traj.points is traj.points
+        assert [p.x for p in traj.points] == traj.xs.tolist()
+        assert [list(p.w + p.wt) for p in traj.points] == traj.ys[:2].T.tolist()
+
     def test_dense_output_consistency(self):
         a = AsymptoticData(1, (0.2,), tuple(global_rho(1, (0.2,))))
         traj = integrate(init_from_asymptotics(a, 0.01), 1.5, IntegratorConfig(), 1)
@@ -780,6 +819,13 @@ class TestQuasihomogeneity:
         res = check_quasihomogeneity(p, lam, 3)
         scale = 1.0 + abs(lam * hamiltonian(p, 3))
         assert res <= 1e-12 * scale
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        # lam = inf returned NaN
+        p = PhasePoint(x=1.3, w=(0.2, -0.1), wt=(0.4, 0.5))
+        with pytest.raises(UnsupportedConfigError, match="lambda"):
+            check_quasihomogeneity(p, lam, 3)
 
 
 class TestTailAmplitude:
