@@ -12,13 +12,13 @@ Each run starts from the small-x series seed (`init_from_asymptotics`),
 which misses the orbit by less than 1e-13, so the measured rho* is set by
 the integrator's tolerance (1e-10) alone.  Near the domain floor the seed
 starts far out, |w0| ~ gamma0/2 |log x| (5.8 at gamma0 = 0.9, a = 0.2,
-from x ~ 2e-7), so a run counts as blown up only past max(5, 1 + |seed
-w0|).  The bisection brackets rho* by global_rho(1, (gamma0,)) +- h,
-halving h from 1 until the series has converged above x = 1e-8 at both
-ends (h = 0.25 at gamma0 = 0.9).  It exits 1 if |measured - closed|
-exceeds MAX_GAP at any gamma0 (the worst at the defaults, 0.9 included,
-is about 5e-12), or if no bracket down to h = 2^-10 has converged seeds
-at both ends.  It exits 0 otherwise.
+from x ~ 2e-7); the integrator judges blow-up against each run's own
+start, past max(5, 1 + |seed w0|).  The bisection brackets rho* by
+global_rho(1, (gamma0,)) +- h, halving h from 1 until the series has
+converged above x = 1e-8 at both ends (h = 0.25 at gamma0 = 0.9).  It
+exits 1 if |measured - closed| exceeds MAX_GAP at any gamma0 (the worst
+at the defaults, 0.9 included, is about 5e-12), or if no bracket down to
+h = 2^-10 has converged seeds at both ends.  It exits 0 otherwise.
 
 Usage:
     python scripts/separatrix_check.py
@@ -43,10 +43,7 @@ MIN_HALF_WIDTH = 2.0 ** -10
 
 def blow_sign(gamma0: float, rho0: float, x0: float) -> int:
     seed = init_from_asymptotics(AsymptoticData(1, (gamma0,), (rho0,)), x0)
-    # the seed has |w0| ~ gamma0/2 |log x|: a fixed threshold stops it at once
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
-                           blowup_threshold=max(5.0, 1.0 + abs(seed.w[0])))
-    traj = integrate(seed, 14.0, cfg, 1)
+    traj = integrate(seed, 14.0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12), 1)
     if traj.stop_reason != "blowup":
         return 0
     return 1 if traj.points[-1].w[0] > 0 else -1

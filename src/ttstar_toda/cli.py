@@ -86,6 +86,14 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_threshold(value: float) -> float:
+    """The --threshold of verify and constant, refused unless non-negative:
+    against NaN or a negative value every run would fail verification."""
+    if not value >= 0.0:
+        raise ValueError(f"--threshold must be non-negative, got {value!r}")
+    return value
+
+
 def _parse_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -141,9 +149,10 @@ def cmd_tau(args) -> int:
 
 
 def cmd_constant(args) -> int:
+    thr = _check_threshold(args.threshold)
     rep = tc.constant_numeric(_parse_list(args.gamma), x2=args.x2)
     _emit(rep.to_json_dict(), args)
-    return EXIT_OK if rep.abs_diff <= args.threshold else EXIT_VERIFY
+    return EXIT_OK if rep.abs_diff <= thr else EXIT_VERIFY
 
 
 def _suite_specfun(rng, samples, n):
@@ -219,13 +228,14 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    dm.reduced_length(args.n)   # refuses n < 1, which specfun never reads
     if args.suite not in _SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     suite, default = _SUITES[args.suite]
+    thr = _check_threshold(default if args.threshold is None else args.threshold)
     worst = suite(np.random.default_rng(args.seed), args.samples, args.n)
-    thr = args.threshold if args.threshold is not None else default
     doc = {"suite": args.suite, "n": args.n, "samples": args.samples, "seed": args.seed,
            "max_residual": worst, "threshold": thr, "pass": bool(worst <= thr)}
     _emit(doc, args)

@@ -105,6 +105,21 @@ def check_genericity(n: int, gamma, margin: float = DEFAULT_MARGIN) -> None:
                 f"violates (-2, 2) with margin {margin:g}")
 
 
+def _check_record(record, *names: str) -> None:
+    """Set the reduced fields `names` of a chart record to float tuples,
+    each of length reduced_length(n) (else ShapeError) with finite entries
+    (else ValueError)."""
+    L = reduced_length(record.n)
+    for name in names:
+        v = tuple(map(float, getattr(record, name)))
+        if len(v) != L:
+            raise ShapeError(f"{' and '.join(names)} must have length {L} for n={record.n}")
+        # a finite sum has finite terms: only one that overflows needs each entry read
+        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
+            raise ValueError(f"{name} must be finite, got {v}")
+        object.__setattr__(record, name, v)
+
+
 @dataclass(frozen=True)
 class AsymptoticData:
     """Reduced coordinates (gamma_i, rho_i) of the x -> 0 expansion
@@ -115,17 +130,7 @@ class AsymptoticData:
     rho: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
-        object.__setattr__(self, "rho", tuple(float(v) for v in self.rho))
-        L = reduced_length(self.n)
-        if len(self.gamma) != L or len(self.rho) != L:
-            raise ShapeError(f"gamma and rho must have length {L} for n={self.n}")
-
-    def full_gamma(self) -> list[float]:
-        return expand_reduced(self.n, self.gamma)
-
-    def full_rho(self) -> list[float]:
-        return expand_reduced(self.n, self.rho)
+        _check_record(self, "gamma", "rho")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gamma": list(self.gamma), "rho": list(self.rho)}
@@ -144,17 +149,7 @@ class MonodromyData:
     log_e: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "log_e", tuple(float(v) for v in self.log_e))
-        L = reduced_length(self.n)
-        if len(self.m) != L or len(self.log_e) != L:
-            raise ShapeError(f"m and log_e must have length {L} for n={self.n}")
-
-    def full_m(self) -> list[float]:
-        return expand_reduced(self.n, self.m)
-
-    def full_log_e(self) -> list[float]:
-        return expand_reduced(self.n, self.log_e)
+        _check_record(self, "m", "log_e")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "m": list(self.m), "log_e": list(self.log_e)}
@@ -171,10 +166,12 @@ def expand_full(data):
     full_log_e) for MonodromyData.
     """
     if isinstance(data, AsymptoticData):
-        return data.full_gamma(), data.full_rho()
-    if isinstance(data, MonodromyData):
-        return data.full_m(), data.full_log_e()
-    raise TypeError(f"expected AsymptoticData or MonodromyData, got {type(data)!r}")
+        fields = data.gamma, data.rho
+    elif isinstance(data, MonodromyData):
+        fields = data.m, data.log_e
+    else:
+        raise TypeError(f"expected AsymptoticData or MonodromyData, got {type(data)!r}")
+    return tuple(expand_reduced(data.n, v) for v in fields)
 
 
 # ----------------------------------------------------------------------

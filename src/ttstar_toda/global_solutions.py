@@ -244,13 +244,12 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     the start `_converged_start` gives from x0 in (0, 0.1] (PhasePoint.x:
     the largest x0 2^-j where the first dropped term is below 1e-13, x0
     itself where the series has converged there).  A series not converged
-    above 1e-8 raises GlobalSolveError naming a(gamma); a non-finite rho
-    or an x0 outside (0, 0.1] raises UnsupportedConfigError."""
+    above 1e-8 raises GlobalSolveError naming a(gamma), and an x0 outside
+    (0, 0.1] UnsupportedConfigError; `AsymptoticData` has refused a
+    non-finite rho."""
     check_genericity(a.n, a.gamma)
     if not 0.0 < x0 <= 0.1:
         raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
-    if not all(math.isfinite(r) for r in a.rho):
-        raise UnsupportedConfigError(f"rho must be finite, got {a.rho}")
     x, cut = _converged_start(SmallXSeries(a.n, a.gamma), a.rho, x0)
     return PhasePoint.from_state(x, cut.seed(a.rho, x))
 
@@ -276,9 +275,10 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     probe); "noise_floor", after two Newton steps the residual fell by
     less than 4 (a few solves near the edge of the domain, started below
     1e-5, one to three probes sooner than the step rule would end them,
-    with the same probe kept).  A probe that blows up, or 12 probes
-    without a stop, raise GlobalSolveError.  The probes run at rel_tol
-    1e-12 and abs_tol 1e-14, and the probe of lowest residual is
+    with the same probe kept).  A probe that blows up, by the integrator's
+    rule against its own seed (`_integrate_raw`), or 12 probes without a
+    stop, raise GlobalSolveError.  The probes run at rel_tol 1e-12 and
+    abs_tol 1e-14, and the probe of lowest residual is
     returned with its rho; info["residual"] is the residual measured on
     it.  The work of every
     probe is summed in info["integrator_stats"], and the cut series, with
@@ -286,9 +286,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     """
     rho = np.array(rho, dtype=float)
     start, series = _converged_start(series, rho, x0)
-    # the seed has |w_i| ~ |gamma_i|/2 |log x|: a fixed threshold stops it at once
-    threshold = max(2.0, 1.0 + max(abs(v) for v in series.seed(rho, start)[:_L]))
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, blowup_threshold=threshold)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0,
              "tangent_rhs_evals": 0}
     info = {"iterations": 0, "residual": math.inf, "station": _STATION, "x_start": start,

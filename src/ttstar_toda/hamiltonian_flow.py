@@ -42,8 +42,11 @@ extra dense-output stages of all steps take three batch calls of the
 kernel, and the power-basis coefficients of the whole trajectory one
 product.  Through the q channel trajectories accumulate the regularized
 integral of H against the trivial background -2x as they go.  Blow-up
-(sup-norm of w beyond a threshold, or step underflow) flags and returns
-the partial trajectory instead of raising.
+flags and returns the partial trajectory instead of raising: a step
+underflow, or an accepted state whose sup-norm of w exceeds the run's
+threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw` sets for
+every run.  It follows the start because the small-x seed has |w_i| ~
+|gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) = 0.2.
 
 A run starts from any PhasePoint; the seed of the chain from its small-x
 data (gamma, rho), for every n, is the series of
@@ -110,7 +113,6 @@ class PhasePoint:
 class IntegratorConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-12
-    blowup_threshold: float = 5.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -595,6 +597,10 @@ def _make_stepper(dim: int, size: int):
     return scope["run"]
 
 
+# the least blow-up threshold of a run, on the sup-norm of w
+_BLOWUP_FLOOR = 5.0
+
+
 def _integrate_raw(n: int, y0, x0: float, x_end: float,
                    cfg: IntegratorConfig) -> Trajectory:
     """DOP853 forward from x0 > 0 to x_end > x0 on plain floats.
@@ -604,12 +610,15 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     norm, initial step, blow-up) and the dense output cover the state
     only; the tangent columns ride along and are kept at the end node.
     The steps run in the generated loop of `_make_stepper`, with the
-    kernel of `_make_rhs` looked up here on every call.
+    kernel of `_make_rhs` looked up here on every call.  The run blows up
+    where the sup-norm of w exceeds max(_BLOWUP_FLOOR, 1 + max_i
+    |w_i(x0)|), read off the state's w at x0, never off tangent columns.
     """
     f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
     dim = 2 * L + 1
     tangent = len(y) > dim
+    threshold = max(_BLOWUP_FLOOR, 1.0 + max(map(abs, y[:L])))
     x = float(x0)
     k1 = f(x, y)
     h = _initial_step(f, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
@@ -620,7 +629,7 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
 
     xs, ys, hs, ks = array("d", [x]), array("d", y[:dim]), array("d"), array("d")
     x, y, n_steps, n_rejected, stop = _make_stepper(dim, len(y))(
-        f, x, x_end, h, y, k1, cfg.abs_tol, cfg.rel_tol, cfg.blowup_threshold,
+        f, x, x_end, h, y, k1, cfg.abs_tol, cfg.rel_tol, threshold,
         xs, ys, hs, ks)
     # 11 stages per attempt and the FSAL stage per accepted step, all with
     # the tangent columns, after k1 (with them) and the initial step's

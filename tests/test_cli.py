@@ -41,6 +41,14 @@ class TestMaps:
         assert run(["maps", "--n", "3", "--gamma", "1.9,0"]) == 2
         assert "gap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", ["nan,0", "0,inf"])
+    def test_non_finite_rho_exit_2(self, rho, capsys):
+        # a NaN rho was written out as "log_e": ["nan", ...] with exit 0
+        assert run(["maps", "--n", "3", "--gamma", "0.3,0.1", f"--rho={rho}",
+                    "--reproducible"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "rho must be finite" in out.err
+
     def test_determinism(self, capsys):
         run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"])
         out1 = capsys.readouterr().out
@@ -78,6 +86,14 @@ class TestSolve:
         assert run(["solve", "--n", n, "--gamma", gamma, "--x0", "0.01", "--x1", "8",
                     "--out", str(out)]) == 0
         assert float(out.read_text().strip().split("\n")[-1].split(",")[0]) == 8.0
+
+    def test_domain_floor_runs_to_x1(self, tmp_path):
+        # a(0.9) = 0.2: the seed starts at x = 1.5e-7 with |w0| = 5.93, and
+        # a fixed blow-up threshold of 5 stopped it at the first step, exit 3
+        out = tmp_path / "e.csv"
+        assert run(["solve", "--n", "1", "--gamma", "0.9", "--x1", "6",
+                    "--out", str(out), "--reproducible"]) == 0
+        assert float(out.read_text().strip().split("\n")[-1].split(",")[0]) == 6.0
 
     def test_rows_follow_the_global_solution(self, sol_031, tmp_path):
         # at (0.3, 0.1) the rows up to x = 4 stay within 1e-6 of the
@@ -238,6 +254,18 @@ class TestFlags:
         cfg = cli.hf.IntegratorConfig()
         assert (args.rel_tol, args.abs_tol) == (cfg.rel_tol, cfg.abs_tol)
 
+    @pytest.mark.parametrize("argv", [["constant", "--gamma", "0.3,0.1"],
+                                      ["verify", "--suite", "specfun", "--samples", "2"],
+                                      ["verify", "--suite", "dynamics", "--samples", "2"]])
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_bad_threshold_exit_2(self, argv, threshold, monkeypatch, capsys):
+        # NaN read as a verification failure (exit 4) and a negative
+        # threshold failed every run: both are refused before any solve
+        monkeypatch.setattr(cli.tc, "constant_numeric", None)
+        assert run(argv + [f"--threshold={threshold}", "--reproducible"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--threshold must be non-negative" in out.err
+
     def test_verify_rejects_tolerances(self):
         assert parse_error_code(["verify", "--suite", "specfun", "--rel-tol", "1e-9"]) == 2
         assert parse_error_code(["verify", "--suite", "specfun", "--abs-tol", "1e-9"]) == 2
@@ -291,6 +319,15 @@ class TestVerify:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"--samples must be at least 1, got {samples}" in out.err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_1_exit_2(self, n, capsys):
+        # specfun never reads n, and reported "n": 0 with exit 0
+        for suite in cli._SUITES:
+            assert run(["verify", "--suite", suite, "--n", n, "--samples", "2",
+                        "--reproducible"]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and f"n must be a positive integer, got {n}" in out.err
 
     def test_verify_determinism(self, capsys):
         args = ["verify", "--suite", "genfun", "--n", "3", "--samples", "5",

@@ -56,6 +56,19 @@ class TestExpand:
         for i in range(n + 1):
             assert full[i] + full[(n - i) % (n + 1)] == 0.0
 
+    @pytest.mark.parametrize("cls, fields", [(AsymptoticData, ("gamma", "rho")),
+                                             (MonodromyData, ("m", "log_e"))])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_records_refuse_non_finite_entries(self, cls, fields, bad):
+        # a NaN rho mapped to a NaN log e without complaint; finite entries
+        # whose sum overflows pass
+        cls(3, **{f: (1e308, 1e308) for f in fields})
+        for name in fields:
+            values = {f: (0.1, 0.2) for f in fields}
+            values[name] = (0.1, bad)
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cls(3, **values)
+
     def test_expand_full_dispatch(self):
         a = AsymptoticData(3, (0.1, 0.2), (0.3, 0.4))
         fg, fr = expand_full(a)

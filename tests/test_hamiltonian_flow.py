@@ -293,10 +293,11 @@ class TestTangentColumns:
             (tang.stats.n_steps, tang.stats.n_rejected, tang.stats.n_rhs_evals)
 
 
-def dop853_loops(n, y0, x0, x_end, cfg, even=False):
+def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     """DOP853 as plain loops over the components, each stage's argument
     written into one reused list: the stepper before it was generated as
     straight-line code, kept as the generated loop's byte-for-byte oracle.
+    The run blows up where |w_i| exceeds max(floor, 1 + max_i |w_i(x0)|).
     Returns (xs, ys, hs, Q, tangent, (n_steps, n_rejected, n_rhs_evals),
     stop_reason)."""
     fl = hamiltonian_flow
@@ -318,6 +319,7 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False):
     tangent = len(y) > dim
     comps = range(len(y))
     atol, rtol = cfg.abs_tol, cfg.rel_tol
+    threshold = max(floor, 1.0 + max(abs(v) for v in y[:L]))
     x = float(x0)
     n_steps = n_rejected = 0
     k1 = f(x, y)
@@ -400,7 +402,7 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False):
             ys.extend(y[:dim])
             hs.append(h)
             n_steps += 1
-            if max(map(abs, y[:L])) > cfg.blowup_threshold:
+            if max(map(abs, y[:L])) > threshold:
                 stop = "blowup"
                 break
             fac = 0.9 * err ** -0.0875 * err_prev ** 0.05 if err > 0 else 5.0
@@ -423,11 +425,11 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False):
             (n_steps, n_rejected, n_rhs + 3), stop)
 
 
-def assert_same_run(n, y0, x0, x_end, cfg, even=False):
+def assert_same_run(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     """The generated stepper against `dop853_loops`, bit for bit; returns
     the trajectory."""
     traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg)
-    xs, ys, hs, Q, tangent, counts, stop = dop853_loops(n, y0, x0, x_end, cfg, even)
+    xs, ys, hs, Q, tangent, counts, stop = dop853_loops(n, y0, x0, x_end, cfg, even, floor)
     for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q)):
         got = getattr(traj, name)
         assert got.shape == ref.shape and bits(got) == bits(ref), name
@@ -459,7 +461,7 @@ class TestStepperOracle:
         rng = np.random.default_rng(800 + 10 * n + ncols)
         y0 = (rng.normal(0.0, 0.1, L).tolist() + rng.normal(0.0, 0.3, L).tolist() + [0.0]
               + rng.normal(0.0, 1.0, 2 * L * ncols).tolist())
-        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, blowup_threshold=3.0)
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
         traj = assert_same_run(n, y0, 0.05, 2.5, cfg, even)
         assert traj.stats.n_steps > 10
 
@@ -468,13 +470,14 @@ class TestStepperOracle:
         traj = assert_same_run(3, near_blowup_seed(), 0.01, 8.0, cfg)
         assert traj.stop_reason == "blowup" and traj.stats.n_rejected > 0
 
-    def test_step_underflow_after_rejections(self):
+    def test_step_underflow_after_rejections(self, monkeypatch):
         # no blow-up threshold: the steps shrink into the singularity,
         # through rejected non-finite trial states, until they underflow
-        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, blowup_threshold=1e300)
+        monkeypatch.setattr(hamiltonian_flow, "_BLOWUP_FLOOR", math.inf)
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
         y0 = list(near_blowup_seed()) + [1.0, 0.0, 0.0, 1.0]
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = assert_same_run(3, y0, 0.01, 8.0, cfg)
+            traj = assert_same_run(3, y0, 0.01, 8.0, cfg, floor=math.inf)
         assert traj.stop_reason == "step_underflow" and traj.stats.n_rejected > 20
 
 
@@ -520,6 +523,16 @@ class TestIntegrate:
         assert traj.stop_reason == "blowup"
         assert traj.x_final < 6.0
 
+    @pytest.mark.parametrize("n, gamma", [(1, (0.9,)), (1, (-0.9,)), (2, (-0.91,))])
+    def test_seed_at_the_domain_floor_runs_to_6(self, n, gamma):
+        # near a(gamma) = 0.2 the seed starts below x = 2e-7 with |w0| > 5,
+        # and a fixed blow-up threshold of 5 stopped it there, before 1e-5
+        a = AsymptoticData(n, gamma, tuple(global_rho(n, gamma)))
+        p = init_from_asymptotics(a, 0.01)
+        assert max(map(abs, p.w)) > 5.0
+        traj = integrate(p, 6.0, IntegratorConfig(), n)
+        assert traj.stop_reason == "completed" and traj.x_final == 6.0
+
     def test_tolerance_robustness(self):
         # halving tolerances barely moves the state where the unstable
         # mode has not yet amplified integration error (x = 1.5 here; at
@@ -544,11 +557,10 @@ class TestIntegrate:
         with pytest.raises(UnsupportedConfigError, match="x_end must be finite"):
             integrate(p, math.inf, IntegratorConfig(), 3)
 
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "blowup_threshold"])
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_config_must_be_finite_and_positive(self, field, value):
-        # NaN or inf tolerances stopped on step_underflow at x0, and a NaN
-        # threshold turned the blow-up test off
+        # NaN or inf tolerances stopped on step_underflow at x0
         with pytest.raises(UnsupportedConfigError, match=field):
             IntegratorConfig(**{field: value})
 
