@@ -143,8 +143,9 @@ def cmd_solve(args) -> int:
 
 def cmd_tau(args) -> int:
     gamma = _parse_list(args.gamma)
-    val = tc.log_tau(gamma, args.x1, args.x2)
-    _emit({"gamma": list(gamma), "x1": args.x1, "x2": args.x2, "log_tau": val}, args)
+    val, shooting = tc.log_tau(gamma, args.x1, args.x2, return_shooting=True)
+    _emit({"gamma": list(gamma), "x1": args.x1, "x2": args.x2, "log_tau": val,
+           "shooting": shooting}, args)
     return EXIT_OK
 
 

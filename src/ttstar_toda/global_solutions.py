@@ -18,7 +18,8 @@ two-sided strategy:
      x0 2^-j where the series has converged, with a Newton refinement of
      the seed offsets in rho, driving the growing-mode components to zero
      at the station x = 4.95; the Jacobian in rho comes exactly from
-     tangent-linear columns carried by the probe;
+     tangent-linear columns carried by the probe, and a small Newton step
+     is taken along them instead of by a second probe, up to x = 3;
   2. the tail in closed form: beyond x ~ 3.9 the orbit is the chain
      linearised at w = 0, which x (x w')' = (r x)^2 w solves exactly mode
      by mode, K0(r x) v decaying and I0(r x) v growing, with rates r = 2
@@ -99,6 +100,14 @@ _SERIES_TOL = 1e-13
 _TOP_ORDER, _MAX_ROWS = 9, 5005
 # the Newton step in rho (max norm) that ends the shooting
 _STEP_TOL = 1e-14
+# the largest Newton step off a tangent probe that the probe's linear
+# prediction takes instead of a new probe: the term the prediction drops
+# grows with the step squared, and the first steps of 1,248 seeded solves
+# were at most 1.55e-12
+_LINEAR_STEP = 1e-11
+# where a linear prediction hands over to a plain run: the dropped term
+# grows like exp(8x) along the growing modes
+_X_RELAUNCH = 3.0
 # the lowest shooting start: a(gamma) = 0.2 starts from 0.08 2^-19 = 1.53e-7
 _X_START_MIN = 1e-8
 
@@ -196,23 +205,24 @@ class SmallXSeries:
 
     def seed(self, rho, x0: float, tangents: bool = False) -> list[float]:
         """[w, wt, q] at x0, w = gamma/2 log x0 + rho/2 + dw, wt = gamma/2 + dw';
-        with `tangents`, d(w, wt)/d(rho_j) from dP^k/d(rho_j) = P^k (k.A_j)/2."""
+        with `tangents`, the columns d(w, wt, q)/d(rho_j) from dP^k/d(rho_j)
+        = P^k (k.A_j)/2, with dq = 0: q starts at 0 whatever rho."""
         t = self.terms(rho, x0)
         g, r, L = self.gamma, np.asarray(rho, dtype=float), len(self.gamma)
         y = [*(0.5 * g * math.log(x0) + 0.5 * r + t[:, :L].sum(0)),
              *(0.5 * g + t[:, L:-1].sum(0)), 0.0]
         if tangents:
-            cols = (0.5 * (self.ks @ self.rows)).T @ t[:, :-1]
+            cols = np.zeros((L, 2 * L + 1))
+            cols[:, :-1] = (0.5 * (self.ks @ self.rows)).T @ t[:, :-1]
             cols[:, :L] += 0.5 * np.eye(L)
             y += [*cols.ravel()]
         return [float(v) for v in y]
 
 
-def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: IntegratorConfig,
-             tally: dict, tangents: bool = False) -> Trajectory:
-    """Forward run from the seed of `series`; its work is added to `tally`.
-    With `tangents`, the run carries d(w, wt)/d(rho) to its end node."""
-    traj = _integrate_raw(series.n, series.seed(rho, x0, tangents), x0, x_end, cfg)
+def _run(n: int, y0, x0: float, x_end: float, cfg: IntegratorConfig,
+         tally: dict) -> Trajectory:
+    """`_integrate_raw`, with the run's work added to `tally`."""
+    traj = _integrate_raw(n, y0, x0, x_end, cfg)
     st = traj.stats
     tally["integrations"] += 1
     tally["steps"] += st.n_steps
@@ -220,6 +230,13 @@ def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: Integrator
     tally["rhs_evals"] += st.n_rhs_evals
     tally["tangent_rhs_evals"] += st.n_tangent_rhs
     return traj
+
+
+def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: IntegratorConfig,
+             tally: dict, tangents: bool = False) -> Trajectory:
+    """Forward run from the seed of `series`; its work is added to `tally`.
+    With `tangents`, the run carries the columns d(w, wt, q)/d(rho)."""
+    return _run(series.n, series.seed(rho, x0, tangents), x0, x_end, cfg, tally)
 
 
 def _converged_start(series: SmallXSeries, rho, x0: float) -> tuple[float, SmallXSeries]:
@@ -263,26 +280,36 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     x0 2^-j where the series' first dropped term is below 1e-13, so the
     seed misses the orbit by less than that (info["x_start"]).  The
     Jacobian in rho is exact: the first probe carries the tangent-linear
-    flow (two columns d(w, wt)/d(rho_j), seeded with the seed's own
+    flow (two columns d(w, wt, q)/d(rho_j), seeded with the seed's own
     derivative) and maps its end node through the same linear residual;
     it is taken again only when a Newton step fails to contract, every
-    other probe is a plain run.  The first of three rules ends the
+    other probe is a plain run.  The first of four rules ends the
     iteration, and info["stop"] names it: "residual", the residual is
     below 2e-11 (the trivial orbit); "step", the Newton step just solved
-    for moves rho by less than 1e-14 (max norm), so the residual is at its
-    noise floor, where ulp-level changes of rho move it at random, and the
-    next probe would buy nothing (most solves end here on their second
-    probe); "noise_floor", after two Newton steps the residual fell by
-    less than 4 (a few solves near the edge of the domain, started below
-    1e-5, one to three probes sooner than the step rule would end them,
-    with the same probe kept).  A probe that blows up, by the integrator's
-    rule against its own seed (`_integrate_raw`), or 12 probes without a
-    stop, raise GlobalSolveError.  The probes run at rel_tol 1e-12 and
-    abs_tol 1e-14, and the probe of lowest residual is
-    returned with its rho; info["residual"] is the residual measured on
-    it.  The work of every
-    probe is summed in info["integrator_stats"], and the cut series, with
-    its order and first dropped term, is info["series"].
+    for moves rho by less than 1e-14 (max norm), so the residual is at
+    its noise floor, where ulp-level changes of rho move it at random,
+    and the next probe would buy nothing; "linear", the step off a probe
+    with tangent columns is below _LINEAR_STEP = 1e-11 (nearly every
+    solve, on its first probe); "noise_floor", after two Newton steps the
+    residual fell by less than 4 (one to three probes sooner than the
+    step rule would end them, with the same probe kept; only a solve
+    whose first step is above _LINEAR_STEP gets there, none of 1,248
+    seeded ones).
+
+    On "linear" no probe is run from rho - step.  The kept orbit is the
+    probe shifted by -step along its columns up to its last node at or
+    below _X_RELAUNCH = 3, and a plain run from there to the station:
+    the columns grow like exp(4x), and the second-order term the shift
+    drops reaches 5e-12 in the regularized integral at 4.2, 1e-15 at 3.
+    info["residual"] is measured on the kept orbit, info["probe_residual"]
+    on the last probe's run; on the other rules the probe of lowest
+    residual is kept and the two are one.  A probe that blows up, by the
+    integrator's rule against its own seed (`_integrate_raw`), or 12
+    probes without a stop, raise GlobalSolveError.  Every run is at
+    rel_tol 1e-12 and abs_tol 1e-14, and the kept orbit is returned with
+    its rho.  The work of every run is summed in info["integrator_stats"],
+    and the cut series, with its order and first dropped term, is
+    info["series"].
     """
     rho = np.array(rho, dtype=float)
     start, series = _converged_start(series, rho, x0)
@@ -321,6 +348,15 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
         if nrm < _STEP_TOL:
             info["stop"] = "step"
             break
+        if traj.tangent is not None and nrm < _LINEAR_STEP:
+            # the probe moved by the step along its columns up to its last
+            # node at or below _X_RELAUNCH, and a plain run on from there
+            info["stop"] = "linear"
+            head = traj.shifted(-step)
+            k = int(np.searchsorted(head.xs, _X_RELAUNCH, side="right")) - 1
+            tail = _run(head.n, head.ys[:, k], float(head.xs[k]), _STATION, cfg, tally)
+            best = (rnorm, rho - step, head.joined(tail))
+            break
         if nrm > 0.5:
             step *= 0.5 / nrm
         rho = rho - step
@@ -329,6 +365,9 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
         raise GlobalSolveError(f"shooting did not converge in 12 probes: "
                                f"residual {rnorm:.3e}")
     rnorm, rho, traj = best
+    info["probe_residual"] = rnorm
+    if info["stop"] == "linear":   # measured on the kept orbit's plain run
+        rnorm = float(np.max(np.abs(_mode_residual(traj.sample_state(_STATION), _STATION))))
     info["residual"] = rnorm
     if rnorm > 1e-4:
         raise GlobalSolveError(f"shooting stalled at residual {rnorm:.3e}")
@@ -455,6 +494,18 @@ class GlobalSolution:
         # the constant in its last bits
         return float(np.cumsum(terms)[-1])
 
+    @property
+    def shooting(self) -> dict:
+        """What the shooting did: its probes ("iterations"), the rule that
+        ended it ("stop"), its start, the growing-mode residual at the
+        station measured on the kept orbit ("residual") and on the last
+        probe's run ("probe_residual"), the match residual, and the max
+        norm of the Newton correction rho_seed - rho_formula."""
+        d = self.diagnostics
+        return {**{k: d[k] for k in ("iterations", "stop", "x_start", "residual",
+                                      "probe_residual", "match_residual")},
+                "correction": max(abs(a - b) for a, b in zip(self.rho_seed, self.rho_formula))}
+
     def reg_integral(self, x2: float) -> float:
         """integral (H + 2x) dx from x0, the orbit's start, to x2 along the
         composite orbit; 0.0 at x0."""
@@ -482,13 +533,17 @@ def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     at 4.2; a match residual above 1e-5 (diagnostics["match_residual"])
     raises GlobalSolveError.  The tail is closed-form, so `basis` is
     unused: it is kept for the benchmark (`make_backward_basis`).
-    A solve has one tolerance set: its shooting probes run at rel_tol
-    1e-12 and abs_tol 1e-14 (`_refine_rho`), and the forward trajectory
-    is the probe of lowest residual, the very run diagnostics["residual"]
-    was measured on: the match reacts to ulp-level changes of rho, so it
-    is not integrated again.  The diagnostics sum the work of every
-    forward run of the solve in "integrator_stats", with the RHS calls that
-    carried tangent columns also in "tangent_rhs_evals".
+    A solve has one tolerance set: its runs are at rel_tol 1e-12 and
+    abs_tol 1e-14 (`_refine_rho`), and the forward trajectory is the
+    orbit the shooting kept, the one diagnostics["residual"] was measured
+    on: on the "linear" stop the tangent probe shifted by the Newton step
+    up to x = 3 and a plain run beyond, else the probe of lowest residual
+    (diagnostics["probe_residual"] is the last probe's own).  The match
+    reacts to ulp-level changes of rho, so the kept orbit is not
+    integrated again.  The diagnostics sum the work of every forward run
+    of the solve in "integrator_stats", with the RHS calls that carried
+    tangent columns also in "tangent_rhs_evals"; `shooting` sums up the
+    shooting.
     diagnostics["series"] is the seed's cut series, with its order and
     first dropped term, which also gives the endcap over (0, x0).
     """

@@ -33,20 +33,26 @@ calls on 5-vectors cost more than the arithmetic.  The stepping loop is
 straight-line source generated once per state size (`_make_stepper`):
 the 12 stages, update and error norm are written out per component on
 locals, in the order of loops over the components, so they give the
-same bits.  On a shooting probe at gamma = (0.3, 0.1) a step takes 24 us,
-49 us with two tangent columns, against 29 and 62 us for the loops
-(kernel calls and dense output included; x86-64, Python 3.11, fastest
-of 40 interleaved runs).  Accepted states and their 13
-stages go into flat array('d') buffers; at the end of a run the three
+same bits; the q entries of the stage arguments, which the kernel never
+reads, are 0.0.  On a shooting probe at gamma = (0.3, 0.1) from x0 =
+0.01 a step takes 23 us, 59 us with two tangent columns and their dense
+output (kernel calls and dense output included; x86-64, Python 3.11,
+fastest of 40 interleaved runs).
+Accepted states and the 9 of their 13 stages that the dense output
+reads go into flat array('d') buffers; at the end of a run the three
 extra dense-output stages of all steps take three batch calls of the
 kernel, and the power-basis coefficients of the whole trajectory one
-product.  Through the q channel trajectories accumulate the regularized
-integral of H against the trivial background -2x as they go.  Blow-up
-flags and returns the partial trajectory instead of raising: a step
-underflow, or an accepted state whose sup-norm of w exceeds the run's
-threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw` sets for
-every run.  It follows the start because the small-x seed has |w_i| ~
-|gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) = 0.2.
+product.  Tangent columns [dw, dwt, dq] ride the state's steps without
+entering its error control, and get their own nodes and coefficients,
+so that `Trajectory.shifted` moves a run along them to first order.
+Through the q channel trajectories accumulate the regularized integral
+of H against the trivial background -2x as they go.  Blow-up flags and
+returns the partial trajectory instead of raising: a step underflow
+(below 1e-14 x), or an accepted state whose sup-norm of w exceeds the
+run's threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw`
+sets for every run.  It follows the start because the small-x seed has
+|w_i| ~ |gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) =
+0.2.
 
 A run starts from any PhasePoint; the seed of the chain from its small-x
 data (gamma, rho), for every n, is the series of
@@ -167,22 +173,26 @@ def _make_rhs(n: int, even: bool):
     stay relatively accurate down to vanishing amplitudes (the
     trivial-background cancellation is done in closed form).
 
-    Components past the 2L + 1 of the state are tangent columns [dw, dwt]
-    (2L each) of the tangent-linear flow, and f returns their linearised
-    derivatives after the state's: with T_l = E_l + 1 the exponential of
-    link l, dE_l = T_l times the derivative of the link's exponent.
+    Components past the 2L + 1 of the state are tangent columns [dw, dwt,
+    dq] (2L + 1 each, the state's layout) of the tangent-linear flow, and
+    f returns their linearised derivatives after the state's: with E_l + 1
+    the exponential of link l, dE_l = k_l (E_l + 1) times the column's
+    u_l, and dq' = d(H + 2x) = (wt . dwt)/x - x sum_l c_l dE_l.  A
+    column's own dq enters nothing, nor does the state's q.
 
     f is straight-line code over the L + 1 links of `_links(n)`, written
     out as source once per chain and compiled: the stepper calls it 12
-    times per step, and loops over the links took twice as long (n = 3 on
-    Python 3.11: 2.1 against 1.1 us a call, 4.1 against 2.5 us with two
-    tangent columns).  Link l has exponent k_l u_l, read off its row of A:
-    u_l is w_0 or w_{L-1} on a row with one entry k_l, and w_l - w_{l-1}
-    on a row (..., -k_l, k_l, ...); E_l = expm1(k_l u_l).  The density
-    groups the weights as x (E_1 + ... + E_{L-1}) and c_0 x (c_L/c_0 E_L +
-    E_0), with q_const x = (2 - sum c) x against the +2x term.  Sums start
-    from 0.0 and run in link order, as in the plain loops over the links
-    (`eom_loops` in the tests), which f matches bit for bit.
+    times per step, and loops over the links took two to three times as
+    long (n = 3 on Python 3.11: 2.7 against 0.9 us a call, 6.0 against
+    2.4 us with two tangent columns).  Link l has exponent k_l u_l, read
+    off its row of A: u_l is w_0 or w_{L-1} on a row with one entry k_l,
+    and w_l - w_{l-1} on a row (..., -k_l, k_l, ...); E_l = expm1(k_l
+    u_l).  The density groups the weights as x (E_1 + ... + E_{L-1}) and
+    c_0 x (c_L/c_0 E_L + E_0), with q_const x = (2 - sum c) x against the
+    +2x term, and its sums start from 0.0; dq' sums c_l dE_l as dE_1 +
+    ... + dE_{L-1} + c_0 (c_L/c_0 dE_L + dE_0).  Sums run in link order,
+    as in the plain loops over the links (`eom_loops` in the tests), which
+    f matches bit for bit.
 
     `even` is n % 2 == 0, which n already decides; it stays a second
     positional parameter because perfbench/smoke.py wraps this function in
@@ -207,10 +217,17 @@ def _make_rhs(n: int, even: bool):
     def force(v):   # -2x (dE_{i+1} - dE_i), i < L
         return [f"m2x * ({v}{i + 1} - {v}{i})" for i in range(L)]
 
+    def rates(wt, e, q):   # [w, wt, q]' from momenta wt and links e
+        return ", ".join([f"{wt}{i} / x" for i in range(L)] + force(e) + [q])
+
     ww = " + ".join(["0.0"] + [f"wt{i} * wt{i}" for i in range(L)])
     e_inner = " + ".join(["0.0"] + [f"E{i}" for i in range(1, L)])
     density = (f"({ww}) / (2.0 * x) - x * ({e_inner}) + {q_const!r} * x"
                f" - {c[0]!r} * x * ({c[L] / c[0]!r} * E{L} + E0)")
+    # its derivative along a column: x sum_l c_l dE_l, the inner links first
+    dww = " + ".join(f"wt{i} * dt{i}" for i in range(L))
+    ends = f"{c[0]!r} * ({'' if c[L] == c[0] else f'{c[L] / c[0]!r} * '}dE{L} + dE0)"
+    d_density = f"({dww}) / x - x * ({' + '.join([f'dE{i}' for i in range(1, L)] + [ends])})"
     src = "\n".join([
         "def f(x, y):",
         "    batch = isinstance(y, ndarray)",
@@ -223,13 +240,13 @@ def _make_rhs(n: int, even: bool):
         "        # that the stepper rejects the step as it rejects any non-finite one",
         "        return f(x, array(y)).tolist()",
         "    m2x = -2.0 * x",
-        f"    out = [{', '.join([f'wt{i} / x' for i in range(L)] + force('E') + [density])}]",
+        f"    out = [{rates('wt', 'E', density)}]",
         f"    if len(y) > {dim}:",
         *(f"        T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1)),
-        f"        for c in range({dim}, len(y), {2 * L}):",
+        f"        for c in range({dim}, len(y), {dim}):",
         f"            {names('d', 'dt')}, = y[c:c + {2 * L}]",
         *(f"            dE{i} = T{i} * {a}" for i, a in enumerate(u("d"))),
-        f"            out += [{', '.join([f'dt{i} / x' for i in range(L)] + force('dE'))}]",
+        f"            out += [{rates('dt', 'dE', d_density)}]",
         "    return array(out) if batch else out",
     ])
     scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
@@ -406,6 +423,10 @@ def _dense_maps() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DENSE_F, _DENSE_T = _dense_maps()
+# the stages of a step that its dense output reads, directly or through the
+# three extra stages: b, _D and rows 13-15 of _A weigh stages 1-4 by zero
+_KEPT = tuple(s for s in range(13)
+              if _DENSE_F[s].any() or any(_A[t][s] for t in (13, 14, 15)))
 
 
 class Trajectory:
@@ -418,13 +439,15 @@ class Trajectory:
     Q (N-1, dim, 7) holds the power-basis coefficients of th, ..., th^7.
     `reg_integral` is integral (H + 2x) dx over the covered range.  Phase
     points are materialized lazily from `ys`.
-    A run that carried tangent columns keeps them at its end node only:
-    `tangent` (2L, ncols), else None.
+    A run that carried tangent columns [dw, dwt, dq] keeps them on the same
+    steps: `tangent_ys` (ncols, dim, N) at the nodes and `tangent_Q`
+    (ncols, N-1, dim, 7) their coefficients, and `tangent` (dim, ncols) is
+    their end node; a plain run has None for all three.
     """
 
     def __init__(self, n: int, xs: np.ndarray, ys: np.ndarray, hs: np.ndarray,
                  Q: np.ndarray, stats: IntegrationStats, stop_reason: str,
-                 tangent: np.ndarray | None = None):
+                 tangent_ys: np.ndarray | None = None, tangent_Q: np.ndarray | None = None):
         self.n = n
         self.xs = xs
         self.ys = ys
@@ -432,8 +455,39 @@ class Trajectory:
         self.Q = Q
         self.stats = stats
         self.stop_reason = stop_reason  # "completed" | "blowup" | "step_underflow"
-        self.tangent = tangent
+        self.tangent_ys = tangent_ys
+        self.tangent_Q = tangent_Q
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
+
+    @property
+    def tangent(self) -> np.ndarray | None:
+        return None if self.tangent_ys is None else self.tangent_ys[:, :, -1].T
+
+    def shifted(self, delta) -> Trajectory:
+        """The plain trajectory ys + sum_j delta_j Y_j, Q + sum_j delta_j Q_j
+        over the tangent columns j, on the same steps and with the same
+        stats: to first order in delta, the run from the seed moved by
+        delta along the columns' parameters."""
+        delta = [float(d) for d in delta]
+        if self.tangent_ys is None or len(delta) != len(self.tangent_ys):
+            raise ValueError(f"need one shift per tangent column, got {len(delta)}")
+        ys, Q = self.ys, self.Q
+        for d, Y, QY in zip(delta, self.tangent_ys, self.tangent_Q):
+            ys, Q = ys + d * Y, Q + d * QY
+        return Trajectory(self.n, self.xs, ys, self.hs, Q, self.stats, self.stop_reason)
+
+    def joined(self, tail: Trajectory) -> Trajectory:
+        """This run up to its node where the plain run `tail` starts, then
+        `tail`, with the work of both in the stats."""
+        k = int(np.searchsorted(self.xs, tail.xs[0]))
+        if not (k < len(self.xs) and self.xs[k] == tail.xs[0]):
+            raise ValueError(f"tail start {tail.xs[0]!r} is not a node of this run")
+        stats = IntegrationStats(**{f: v + getattr(tail.stats, f)
+                                    for f, v in vars(self.stats).items()})
+        return Trajectory(self.n, np.concatenate([self.xs[:k + 1], tail.xs[1:]]),
+                          np.hstack([self.ys[:, :k + 1], tail.ys[:, 1:]]),
+                          np.concatenate([self.hs[:k], tail.hs]),
+                          np.concatenate([self.Q[:k], tail.Q]), stats, tail.stop_reason)
 
     @functools.cached_property
     def points(self) -> list[PhasePoint]:
@@ -504,8 +558,9 @@ def _make_stepper(dim: int, size: int):
 
     `run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks)`
     steps forward from x with the first trial step h until x_end, a
-    blow-up or a step underflow.  It appends the accepted abscissae, steps,
-    states and their 13 stages (state components only) to the array('d')
+    blow-up or a step underflow, h below 1e-14 |x|.  It appends the
+    accepted abscissae, steps, states and the stages `_KEPT` of their 13
+    (all `size` components, tangent columns included) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
     stop) at its end.  The kernel f is an argument, looked up per
     integration, never kept here.
@@ -520,6 +575,9 @@ def _make_stepper(dim: int, size: int):
     """
     L = (dim - 1) // 2
     comps = range(size)
+    # the kernel never reads the q entries of its argument, so the stages
+    # pass 0.0 there
+    q_entry = [i % dim == dim - 1 for i in comps]
 
     def terms(weights):   # the nonzero weights, with their stages 1, 2, ...
         return [(w, s + 1) for s, w in enumerate(weights) if w != 0.0]
@@ -527,8 +585,8 @@ def _make_stepper(dim: int, size: int):
     def comb(ws, i):
         return " + ".join(f"{w!r} * k{s}_{i}" for w, s in ws)
 
-    def names(prefix, n=size):
-        return ", ".join(f"{prefix}{i}" for i in range(n))
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in comps)
 
     lines = [
         "def run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks):",
@@ -539,14 +597,14 @@ def _make_stepper(dim: int, size: int):
         "    stop = 'completed'",
         "    while x < x_end:",
         "        h = min(h, x_end - x)",
-        "        if h < 1e-14 * max(1.0, abs(x)):",
+        "        if h < 1e-14 * abs(x):",
         "            stop = 'step_underflow'",
         "            break",
     ]
     for s in range(2, 13):   # stage s from row s - 1 of _A, at node _C[s - 1]
         ws = terms(_A[s - 1])
         node = "x + h" if s == 12 else f"x + {_C[s - 1]!r} * h"
-        arg = ", ".join(f"y{i} + h * ({comb(ws, i)})" for i in comps)
+        arg = ", ".join("0.0" if q_entry[i] else f"y{i} + h * ({comb(ws, i)})" for i in comps)
         lines.append(f"        {names(f'k{s}_')}, = f({node}, [{arg}])")
     # Hairer's error norm: the 5th-order estimate, damped where the
     # 3rd-order one is much larger, over the state only
@@ -572,13 +630,13 @@ def _make_stepper(dim: int, size: int):
         "        if err <= 1.0:",
         # FSAL: stage 13 is the next step's k1
         f"            {names('k13_')}, = f(x + h, [{names('z')}])",
-        "            ks.extend(({}))".format(
-            ", ".join(names(f"k{s}_", dim) for s in range(1, 14))),
+        "            ks.fromlist([{}])".format(
+            ", ".join(names(f"k{s + 1}_") for s in _KEPT)),
         "            x = x + h",
         f"            {names('y')}, = {names('z')},",
         f"            {names('k1_')}, = {names('k13_')},",
         "            xs.append(x)",
-        f"            ys.extend(({names('y', dim)},))",
+        f"            ys.fromlist([{names('y')}])",
         "            hs.append(h)",
         "            n_steps += 1",
         f"            if {blowup}:",
@@ -606,18 +664,23 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     """DOP853 forward from x0 > 0 to x_end > x0 on plain floats.
 
     `y0` is any sequence of floats: the state [w, wt, q], optionally
-    followed by tangent columns (see `_make_rhs`).  Step control (error
-    norm, initial step, blow-up) and the dense output cover the state
-    only; the tangent columns ride along and are kept at the end node.
-    The steps run in the generated loop of `_make_stepper`, with the
-    kernel of `_make_rhs` looked up here on every call.  The run blows up
-    where the sup-norm of w exceeds max(_BLOWUP_FLOOR, 1 + max_i
-    |w_i(x0)|), read off the state's w at x0, never off tangent columns.
+    followed by tangent columns [dw, dwt, dq] (see `_make_rhs`).  Step
+    control (error norm, initial step, blow-up) covers the state only, so
+    the state's steps and dense output are those of a plain run bit for
+    bit; the tangent columns ride along on the same steps, with their own
+    nodes and dense-output coefficients.  The steps run in the generated
+    loop of `_make_stepper`, with the kernel of `_make_rhs` looked up here
+    on every call.  The run blows up where the sup-norm of w exceeds
+    max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's w at x0,
+    never off tangent columns.
     """
     f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
-    dim = 2 * L + 1
-    tangent = len(y) > dim
+    dim, size = 2 * L + 1, len(y)
+    if size % dim:
+        raise UnsupportedConfigError(
+            f"{size} components are not the state and columns of {dim} each")
+    tangent = size > dim
     threshold = max(_BLOWUP_FLOOR, 1.0 + max(map(abs, y[:L])))
     x = float(x0)
     k1 = f(x, y)
@@ -627,30 +690,42 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0
     h = min(h, 0.15 * x0, x_end - x0)
 
-    xs, ys, hs, ks = array("d", [x]), array("d", y[:dim]), array("d"), array("d")
-    x, y, n_steps, n_rejected, stop = _make_stepper(dim, len(y))(
+    xs, ys, hs, ks = array("d", [x]), array("d", y), array("d"), array("d")
+    x, y, n_steps, n_rejected, stop = _make_stepper(dim, size)(
         f, x, x_end, h, y, k1, cfg.abs_tol, cfg.rel_tol, threshold,
         xs, ys, hs, ks)
-    # 11 stages per attempt and the FSAL stage per accepted step, all with
-    # the tangent columns, after k1 (with them) and the initial step's
-    # trial call (without)
-    n_loop = 12 * n_steps + 11 * n_rejected
+    # 11 stages per attempt, the FSAL stage per accepted step and the three
+    # dense-output calls, all with the tangent columns, and k1 (with them)
+    # and the initial step's trial call (without)
+    n_with = 1 + 12 * n_steps + 11 * n_rejected + 3
     stats = IntegrationStats(n_steps=n_steps, n_rejected=n_rejected,
-                             n_rhs_evals=2 + n_loop + 3,
-                             n_tangent_rhs=1 + n_loop if tangent else 0)
+                             n_rhs_evals=n_with + 1,
+                             n_tangent_rhs=n_with if tangent else 0)
 
-    # the three extra stages of the dense output, for all steps at once
+    # the three extra stages of the dense output, for all steps at once:
+    # the state's arguments are formed as in a plain run and the columns'
+    # apart, and one kernel call takes both
     x_old, h_old = np.frombuffer(xs)[:-1], np.frombuffer(hs)
-    y_old = np.frombuffer(ys).reshape(-1, dim)[:-1]
-    K = np.empty((len(h_old), 16, dim))
-    K[:, :13] = np.frombuffer(ks).reshape(-1, 13, dim)
+    nodes = np.frombuffer(ys).reshape(-1, size)
+    parts = (slice(0, dim), slice(dim, size)) if tangent else (slice(0, dim),)
+    Ks = [np.zeros((len(h_old), 16, p.stop - p.start)) for p in parts]
+    for p, K in zip(parts, Ks):
+        K[:, _KEPT] = np.frombuffer(ks).reshape(-1, len(_KEPT), size)[..., p]
     for s in (13, 14, 15):
-        dy = np.matmul(np.array(_A[s]), K[:, :s])
-        K[:, s] = f(x_old + _C[s] * h_old, (y_old + h_old[:, None] * dy).T).T
-    return Trajectory(n=n, xs=np.frombuffer(xs), ys=np.frombuffer(ys).reshape(-1, dim).T,
-                      hs=h_old, Q=K.transpose(0, 2, 1) @ _DENSE_F @ _DENSE_T,
+        args = [(nodes[:-1, p] + h_old[:, None] * np.matmul(np.array(_A[s]), K[:, :s])).T
+                for p, K in zip(parts, Ks)]
+        out = f(x_old + _C[s] * h_old, np.vstack(args) if tangent else args[0]).T
+        for p, K in zip(parts, Ks):
+            K[:, s] = out[:, p]
+    Q, *QT = (K.transpose(0, 2, 1) @ _DENSE_F @ _DENSE_T for K in Ks)
+    tangent_ys = tangent_Q = None
+    if tangent:
+        ncols = size // dim - 1
+        tangent_ys = nodes[:, dim:].reshape(-1, ncols, dim).transpose(1, 2, 0)
+        tangent_Q = QT[0].reshape(len(h_old), ncols, dim, 7).transpose(1, 0, 2, 3)
+    return Trajectory(n=n, xs=np.frombuffer(xs), ys=nodes[:, :dim].T, hs=h_old, Q=Q,
                       stats=stats, stop_reason=stop,
-                      tangent=np.array(y[dim:]).reshape(-1, 2 * L).T if tangent else None)
+                      tangent_ys=tangent_ys, tangent_Q=tangent_Q)
 
 
 def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,

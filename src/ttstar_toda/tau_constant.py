@@ -82,6 +82,7 @@ class ConstantReport:
     integrator_stats: dict = field(default_factory=dict)
     series_order: int = 0  # K of the small-x series at x1
     series_error: float = math.inf  # its first dropped term there
+    shooting: dict = field(default_factory=dict)  # GlobalSolution.shooting of the solve
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,20 +94,22 @@ class ConstantReport:
             "x2_used": self.x2_used,
             "tail_bound": self.tail_bound,
             "integrator_stats": dict(self.integrator_stats),
+            "shooting": dict(self.shooting),
             "a": self.a,
             "series_order": self.series_order,
             "series_error": self.series_error,
         }
 
 
-def log_tau(gamma, x1: float, x2: float) -> float:
+def log_tau(gamma, x1: float, x2: float, return_shooting: bool = False):
     """log tau(x1, x2) = integral of H along the global solution.
 
     rho is pinned to the smooth family; the value is reg_integral(x2) -
     reg_integral(x1) - (x2^2 - x1^2) on the one solve from x1, which
     starts at x1 or, where the series has not converged there, below it.
     So x1 lies in (0, 0.1] like solve_global's x0, and x2 may reach
-    GlobalSolution.x_right.
+    GlobalSolution.x_right.  With `return_shooting`, the pair (log tau,
+    the solve's `GlobalSolution.shooting`).
     """
     if not (0.0 < x1 <= 0.1 and x1 < x2 <= GlobalSolution.x_right):
         raise ValueError(f"need 0 < x1 <= 0.1 and x1 < x2 <= {GlobalSolution.x_right}, "
@@ -115,7 +118,8 @@ def log_tau(gamma, x1: float, x2: float) -> float:
         sol = solve_global(gamma, x1)
     except GlobalSolveError as exc:
         raise BlowupError(f"global solve failed for gamma={tuple(gamma)}: {exc}") from exc
-    return sol.reg_integral(x2) - sol.reg_integral(x1) - (x2 * x2 - x1 * x1)
+    value = sol.reg_integral(x2) - sol.reg_integral(x1) - (x2 * x2 - x1 * x1)
+    return (value, sol.shooting) if return_shooting else value
 
 
 def constant_closed(gamma) -> float:
@@ -145,7 +149,8 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     1e-13.  A gamma with a = min_l s_l below 0.2 raises GenericityError
     before any solve.  `basis` is passed on to solve_global, which does
     not use it (the tail is closed-form); it is kept for the benchmark.
-    `integrator_stats` is the work of the solve's forward runs.
+    `integrator_stats` is the work of the solve's forward runs, and
+    `shooting` what its shooting did (`GlobalSolution.shooting`).
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])
@@ -172,7 +177,7 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
         gamma=(g0, g1), c_numeric=float(c_num), c_closed=float(c_closed),
         abs_diff=abs(float(c_num) - float(c_closed)), x1=x1, x2_used=float(x2),
         tail_bound=float(tail), a=a, integrator_stats=dict(sol.diagnostics["integrator_stats"]),
-        series_order=cut.order, series_error=cut.error)
+        series_order=cut.order, series_error=cut.error, shooting=sol.shooting)
 
 
 _GL6 = np.polynomial.legendre.leggauss(6)

@@ -95,6 +95,18 @@ class TestSolve:
                     "--out", str(out), "--reproducible"]) == 0
         assert float(out.read_text().strip().split("\n")[-1].split(",")[0]) == 6.0
 
+    def test_tiny_x0_runs_to_x1(self, tmp_path):
+        # the first step is capped at 0.15 x0 = 1.5e-31, and an underflow
+        # test absolute below x = 1 stopped the run at x0 itself, exit 3.
+        # From 1e-30 the run leaves the orbit sooner than from 0.01 and
+        # meets a singularity near x = 7.17, so it runs to 6
+        out = tmp_path / "tiny.csv"
+        assert run(["solve", "--n", "1", "--gamma", "0.3", "--x0", "1e-30", "--x1", "6",
+                    "--out", str(out), "--reproducible"]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert float(lines[1].split(",")[0]) == 1e-30
+        assert float(lines[-1].split(",")[0]) == 6.0
+
     def test_rows_follow_the_global_solution(self, sol_031, tmp_path):
         # at (0.3, 0.1) the rows up to x = 4 stay within 1e-6 of the
         # shooting solution's w and wt (3.7e-8 in w, 5.0e-7 in wt)
@@ -163,6 +175,19 @@ class TestTau:
         doc = json.loads(capsys.readouterr().out)
         assert doc["log_tau"] == pytest.approx(0.01 ** 2 - 25.0, abs=1e-9)
         assert isinstance(doc["x2"], float)
+        assert list(doc) == ["gamma", "x1", "x2", "log_tau", "shooting"]
+
+    def test_shooting_block(self, capsys):
+        # the solve's shooting summary, as ttstar constant writes it
+        assert run(["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6",
+                    "--reproducible"]) == 0
+        shooting = json.loads(capsys.readouterr().out)["shooting"]
+        assert list(shooting) == ["iterations", "stop", "x_start", "residual",
+                                  "probe_residual", "match_residual", "correction"]
+        assert (shooting["iterations"], shooting["stop"], shooting["x_start"]) == \
+            (1, "linear", 0.01)
+        assert shooting["residual"] < shooting["probe_residual"] < 1e-4
+        assert 0.0 < shooting["correction"] < 1e-11
 
     def test_default_tolerances_are_the_library_defaults(self, capsys):
         rc = run(["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6",
@@ -188,8 +213,11 @@ class TestConstant:
         assert doc["abs_diff"] <= 1e-6
         assert list(doc.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                     "x1", "x2_used", "tail_bound",
-                                    "integrator_stats", "a", "series_order",
+                                    "integrator_stats", "shooting", "a", "series_order",
                                     "series_error"]
+        # the trivial orbit ends on its residual, on its one probe
+        assert doc["shooting"]["stop"] == "residual"
+        assert doc["shooting"]["residual"] == doc["shooting"]["probe_residual"] == 0.0
         # a(0, 0) = 2: written "2.0", like x2_used "7.0", so both load as floats
         assert doc["a"] == 2.0
         assert isinstance(doc["a"], float) and isinstance(doc["x2_used"], float)
@@ -203,8 +231,10 @@ class TestConstant:
         stats = json.loads(first)["integrator_stats"]
         assert list(stats) == ["integrations", "steps", "rejected", "rhs_evals",
                                "tangent_rhs_evals"]
-        # one solve at x1 = 0.08 from a converged series: two probes at 4.95
+        # one solve at x1 = 0.08 from a converged series: one tangent probe
+        # at 4.95 and the plain run on from its last node at or below 3
         assert stats["integrations"] == 2 and stats["rhs_evals"] > stats["steps"] > 0
+        assert json.loads(first)["shooting"]["iterations"] == 1
 
     def test_genericity_exit_2(self):
         assert run(["constant", "--gamma", "1.9,0"]) == 2

@@ -116,29 +116,35 @@ class TestSolveGlobal:
         assert sol.state(6.0) == sol_031.state(6.0)
 
     def test_stats_count_every_integration(self, monkeypatch):
-        # shooting, Jacobian and final runs, counted where the solve
-        # enters the stepper: the series has converged at x0 = 0.01, so a
-        # tangent probe and a plain one, both at 4.95
+        # every run, counted where the solve enters the stepper: the series
+        # has converged at x0 = 0.01, so one tangent probe to 4.95 and the
+        # plain run on from its last node at or below 3 to 4.95
         runs = []
         integrate_raw = global_solutions._integrate_raw
 
-        def counted(*args, **kwargs):
-            traj = integrate_raw(*args, **kwargs)
-            runs.append(traj.stats)
+        def counted(n, y0, x0, x_end, cfg):
+            traj = integrate_raw(n, y0, x0, x_end, cfg)
+            runs.append((x0, x_end, traj))
             return traj
 
         monkeypatch.setattr(global_solutions, "_integrate_raw", counted)
         sol = solve_global((0.3, 0.1), 0.01)
         stats = sol.diagnostics["integrator_stats"]
         assert stats["integrations"] == len(runs) == 2
-        assert stats["rhs_evals"] == sum(st.n_rhs_evals for st in runs)
-        assert stats["steps"] == sum(st.n_steps for st in runs)
-        assert stats["rejected"] == sum(st.n_rejected for st in runs)
+        assert stats["rhs_evals"] == sum(t.stats.n_rhs_evals for _, _, t in runs)
+        assert stats["steps"] == sum(t.stats.n_steps for _, _, t in runs)
+        assert stats["rejected"] == sum(t.stats.n_rejected for _, _, t in runs)
         # the tangent probe's calls with columns, all but its initial-step
-        # trial call and the three dense-output batch calls
-        tangent, plain = runs
-        assert plain.n_tangent_rhs == 0
-        assert stats["tangent_rhs_evals"] == tangent.n_tangent_rhs == tangent.n_rhs_evals - 4
+        # trial call
+        (x0, end, tangent), (x_on, end_on, plain) = runs
+        assert plain.stats.n_tangent_rhs == 0
+        assert stats["tangent_rhs_evals"] == tangent.stats.n_tangent_rhs \
+            == tangent.stats.n_rhs_evals - 1
+        assert x0 == 0.01 and end == end_on == 4.95
+        assert x_on == tangent.xs[tangent.xs <= 3.0][-1]
+        # the kept orbit is the shifted probe up to x_on, then the plain run
+        assert np.array_equal(sol.forward.xs, np.concatenate(
+            [tangent.xs[tangent.xs <= x_on], plain.xs[1:]]))
 
     def test_residual_is_measured_on_the_kept_trajectory(self, sol_031):
         d = sol_031.diagnostics
@@ -194,6 +200,38 @@ class TestSolveGlobal:
     def test_state_at_both_ends(self, sol_031):
         assert sol_031.state(sol_031.x0).x == sol_031.x0
         assert sol_031.state(sol_031.x_right).x == sol_031.x_right
+
+
+CI_GAMMAS = [(0.3, 0.1), (0.9, -0.4), (0.0, 0.8), (-0.825, 0.075), (0.0, 0.0),
+             (-0.875, 0.4), (0.42223887, -0.69539036), (-0.88, 0.3)]
+
+
+class TestLinearPrediction:
+    @pytest.mark.parametrize("gamma", CI_GAMMAS, ids=[f"gamma{i}" for i in range(8)])
+    def test_kept_orbit_against_a_plain_probe(self, gamma):
+        # the kept orbit (the tangent probe moved by the Newton step up to
+        # its last node at or below 3, a plain run beyond) against a plain
+        # probe from the seed at rho_seed = rho_formula - step.  Measured
+        # worst over these gammas, reached at (-0.88, 0.3): reg_integral(4.2)
+        # 6.8e-14; w, wt at 0.5 3.9e-14, at 3 1.6e-9 and at 4.2 2.2e-7, the
+        # plain probe's own growing content (its residual at 4.95 reaches
+        # 3.9e-6, the kept orbit's 2.6e-10); amp_sum and amp_diff 8.2e-10.
+        # The trivial orbit ends on its residual with the probe kept, so
+        # there the two runs are one.
+        sol = solve_global(gamma, 0.01)
+        d = sol.diagnostics
+        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals",
+                               "tangent_rhs_evals"), 0)
+        plain = global_solutions._forward(d["series"], np.array(sol.rho_seed), sol.x0, 4.95,
+                                          IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14), tally)
+        assert d["stop"] == ("residual" if gamma == (0.0, 0.0) else "linear")
+        kept = sol.forward
+        assert abs(kept.reg_integral_to(4.2) - plain.reg_integral_to(4.2)) <= 2e-13
+        for x, bound in ((0.5, 1e-13), (3.0, 5e-9), (4.2, 6e-7)):
+            assert np.max(np.abs(kept.sample_state(x) - plain.sample_state(x))[:4]) <= bound
+        A, D, _resid = global_solutions._match(plain)
+        assert abs(A - sol.amp_sum) <= 3e-9 and abs(D - sol.amp_diff) <= 3e-9
+        assert d["residual"] <= 1e-9
 
 
 class TestAntidiagonal:
@@ -312,13 +350,14 @@ class TestCorrectedSeed:
             series = _cut(gamma, rho, x0)
             assert series.order == K
             y = series.seed(rho, x0, tangents=True)
-            cols = np.array(y[5:]).reshape(2, 4)
+            cols = np.array(y[5:]).reshape(2, 5)
+            assert np.all(cols[:, 4] == 0.0)   # q starts at 0 whatever rho
             h = 1e-6
             for j in range(2):
                 e = np.eye(2)[j] * h
                 fd = (np.array(series.seed(rho + e, x0)[:4])
                       - np.array(series.seed(rho - e, x0)[:4])) / (2 * h)
-                assert np.all(np.abs(cols[j] - fd) <= 1e-9)
+                assert np.all(np.abs(cols[j, :4] - fd) <= 1e-9)
 
     @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.0, 0.8), (-0.825, 0.075)])
     def test_first_order_is_the_closed_form(self, gamma):
@@ -339,7 +378,7 @@ class TestCorrectedSeed:
             w = 0.5 * g * math.log(x) + 0.5 * rho - 2.0 * np.diff(P / s ** 2)
             wt = 0.5 * g - 2.0 * np.diff(P / s)
             cols = [np.concatenate([0.5 * np.eye(2)[j] - np.diff(A[:, j] * P / s ** 2),
-                                    -np.diff(A[:, j] * P / s)]) for j in range(2)]
+                                    -np.diff(A[:, j] * P / s), [0.0]]) for j in range(2)]
             want = np.concatenate([w, wt, [0.0], *cols])
             got = np.array(K1.seed(rho, x, tangents=True))
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -410,27 +449,43 @@ class TestCorrectedSeed:
 
 
 class TestLastStationStop:
-    @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "step"),
+    @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "linear"),
                                                  ((0.0, 0.0), 0.08, "residual"),
-                                                 ((-0.9, -0.56), 0.08, "noise_floor")])
+                                                 ((-0.9, -0.56), 0.08, "linear")])
     def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop):
-        # a converged series ends on the Newton step, the trivial orbit on
-        # a vanishing residual; at a = 0.2, shot from 1.53e-7, the third
-        # probe's residual falls by less than 4
+        # a converged series ends on the tangent probe's linear prediction,
+        # its Newton step 2.5e-14 at (0.3, 0.1) and 1.1e-12 at a = 0.2,
+        # shot from 1.53e-7; the trivial orbit on a vanishing residual
         sol = solve_global(gamma, x0)
         assert sol.diagnostics["stop"] == stop
         assert sol.diagnostics["station"] == 4.95
 
+    @pytest.mark.parametrize("gamma, x0, stop, probes", [((0.3, 0.1), 0.01, "step", 2),
+                                                         ((-0.9, -0.56), 0.08, "noise_floor", 3)])
+    def test_probe_loop_without_the_linear_rule(self, gamma, x0, stop, probes, monkeypatch):
+        # the loop that a Newton step above the linear rule's bound runs:
+        # plain probes until the step is below 1e-14 or, at a = 0.2, the
+        # third probe's residual falls by less than 4; the residual is
+        # measured on the kept probe
+        monkeypatch.setattr(global_solutions, "_LINEAR_STEP", 0.0)
+        sol = solve_global(gamma, x0)
+        d = sol.diagnostics
+        assert (d["stop"], d["iterations"], d["integrator_stats"]["integrations"]) == \
+            (stop, probes, probes)
+        assert d["residual"] == d["probe_residual"]
+
     def test_probes_do_not_depend_on_the_noise_floor(self):
         # at (0.42223887, -0.69539036) the one solve is at x1 = 0.02, K = 8.
-        # Nudging the starting rho by a few ulps moves the last station's
-        # residual at random between 5e-9 and 2e-7, but the Newton step
-        # there is always below 1e-14: two probes each time
+        # Nudging the starting rho by a few ulps moves the probe's residual
+        # (1.72e-5 to 1.76e-5), but its Newton step stays 4.3e-14 to 4.4e-14,
+        # above 1e-14 and far below the linear rule's bound: one probe each
+        # time, and the plain run from 3 on
         gamma = (0.42223887, -0.69539036)
         rep = constant_numeric(gamma)
         assert rep.x1 == 0.02 and rep.integrator_stats["integrations"] == 2
+        assert (rep.shooting["iterations"], rep.shooting["stop"]) == (1, "linear")
         series, rho = SmallXSeries(3, gamma), np.array(global_rho(3, gamma))
         for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:
             nudged = [r + k * math.ulp(r) for r, k in zip(rho, ulps)]
             _rho, info, _traj = global_solutions._refine_rho(series, nudged, 0.02)
-            assert info["iterations"] == 2 and info["stop"] == "step"
+            assert info["iterations"] == 1 and info["stop"] == "linear"

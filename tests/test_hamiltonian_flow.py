@@ -165,10 +165,11 @@ class TestKernelForms:
 
 
 def eom_loops(x, y, n, even):
-    """The equations of motion of [w, wt, q] and of tangent columns after
-    it, as plain loops over the links: link 0 has exponent 4 w_0, link i
-    2 (w_i - w_{i-1}), the last -4 w_{L-1} (odd n) or -2 w_{L-1} (even n,
-    weight 2); a list is evaluated with math.expm1, an array with np.expm1."""
+    """The equations of motion of [w, wt, q] and of tangent columns [dw,
+    dwt, dq] after it, as plain loops over the links: link 0 has exponent
+    4 w_0, link i 2 (w_i - w_{i-1}), the last -4 w_{L-1} (odd n) or -2
+    w_{L-1} (even n, weight 2); a list is evaluated with math.expm1, an
+    array with np.expm1."""
     L = reduced_length(n)
     dim = 2 * L + 1
     last, last_weight = (-2.0, 2.0) if even else (-4.0, 1.0)
@@ -194,7 +195,7 @@ def eom_loops(x, y, n, even):
         e_inner = e_inner + E[i]
     out.append(ww / (2.0 * x) - x * e_inner + q_const * x
                - 0.5 * x * (last_weight * E[L] + E[0]))
-    for c in range(dim, len(y), 2 * L):
+    for c in range(dim, len(y), dim):
         dE = [4.0 * (E[0] + 1.0) * y[c]]
         for i in range(1, L):
             dE.append(2.0 * (E[i] + 1.0) * (y[c + i] - y[c + i - 1]))
@@ -203,6 +204,15 @@ def eom_loops(x, y, n, even):
             out.append(y[c + L + i] / x)
         for i in range(L):
             out.append(-2.0 * x * (dE[i + 1] - dE[i]))
+        # dq' = (wt . dwt)/x - x sum_l c_l dE_l, the inner links first
+        dww = y[L] * y[c + L]
+        for i in range(1, L):
+            dww = dww + y[L + i] * y[c + L + i]
+        links = dE[1:L] + [0.5 * (last_weight * dE[L] + dE[0])]
+        total = links[0]
+        for v in links[1:]:
+            total = total + v
+        out.append(dww / x - x * total)
     return np.array(out) if batch else out
 
 
@@ -225,7 +235,7 @@ class TestKernelOracle:
             for _ in range(25):
                 x = float(rng.uniform(1e-3, 9.0))
                 y = (rng.normal(0.0, scale, 2 * L + 1).tolist()
-                     + rng.normal(0.0, 1.0, 2 * L * ncols).tolist())
+                     + rng.normal(0.0, 1.0, (2 * L + 1) * ncols).tolist())
                 out = f(x, y)
                 assert isinstance(out, list)
                 assert bits(out) == bits(eom_loops(x, y, n, even))
@@ -237,7 +247,7 @@ class TestKernelOracle:
         rng = np.random.default_rng(700 + 10 * n + ncols)
         x = rng.uniform(1e-3, 9.0, 40)
         y = np.vstack([rng.normal(0.0, 0.5, (2 * L + 1, 40)),
-                       rng.normal(0.0, 1.0, (2 * L * ncols, 40))])
+                       rng.normal(0.0, 1.0, ((2 * L + 1) * ncols, 40))])
         out = f(x, y)
         assert out.shape == y.shape
         assert bits(out) == bits(eom_loops(x, y, n, even))
@@ -248,7 +258,7 @@ class TestKernelOracle:
         # math.expm1 raises on the state [300, 0, ...]: the kernel answers
         # with the infinities of the batch path, as the loops do
         f, L = hamiltonian_flow._make_rhs(n, even)
-        y = [300.0] + [0.0] * (2 * L) + [0.5] * (2 * L * ncols)
+        y = [300.0] + [0.0] * (2 * L) + [0.5] * ((2 * L + 1) * ncols)
         with np.errstate(over="ignore", invalid="ignore"):
             out, ref = f(1.0, y), eom_loops(1.0, y, n, even)
         assert isinstance(out, list) and not all(map(math.isfinite, out))
@@ -259,23 +269,53 @@ class TestTangentColumns:
     @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
                                          (2, True), (4, True)])
     def test_linearisation_matches_central_difference(self, n, even):
-        # tangent columns after the state come back as J(y) v, the state's
-        # own derivative unchanged bit for bit
+        # tangent columns [dw, dwt, dq] after the state come back as J(y) v,
+        # dq' included, the state's own derivative unchanged bit for bit
         f, L = hamiltonian_flow._make_rhs(n, even)
+        dim = 2 * L + 1
         rng = np.random.default_rng(500 + n)
         x = 0.7
         y = rng.uniform(-0.4, 0.4, L).tolist() + rng.uniform(-1.0, 1.0, L).tolist() + [0.0]
-        cols = [rng.uniform(-1.0, 1.0, 2 * L).tolist() for _ in range(2)]
+        cols = [rng.uniform(-1.0, 1.0, dim).tolist() for _ in range(2)]
         out = f(x, y + cols[0] + cols[1])
-        assert len(out) == 2 * L + 1 + 4 * L
-        assert out[:2 * L + 1] == f(x, y)
+        assert len(out) == 3 * dim
+        assert out[:dim] == f(x, y)
         h = 1e-6
         for j, v in enumerate(cols):
-            yp = [a + h * b for a, b in zip(y, v)] + [0.0]
-            ym = [a - h * b for a, b in zip(y, v)] + [0.0]
-            fd = (np.array(f(x, yp)) - np.array(f(x, ym)))[:2 * L] / (2 * h)
-            lin = np.array(out[2 * L + 1 + 2 * L * j:2 * L + 1 + 2 * L * (j + 1)])
+            yp = [a + h * b for a, b in zip(y, v)]
+            ym = [a - h * b for a, b in zip(y, v)]
+            fd = (np.array(f(x, yp)) - np.array(f(x, ym))) / (2 * h)
+            lin = np.array(out[dim * (j + 1):dim * (j + 2)])
             assert np.all(np.abs(lin - fd) <= 1e-7 * (1.0 + np.abs(fd)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dq_is_the_complex_step_of_the_density(self, n):
+        # dq' of a column against the complex-step derivative (h = 1e-30)
+        # of H + 2x along it, H summed over the n + 1 gaps of the full
+        # periodic chain with plain exponentials: no code shared with the
+        # kernel
+        f, L = hamiltonian_flow._make_rhs(n, n % 2 == 0)
+        dim = 2 * L + 1
+        rng = np.random.default_rng(900 + n)
+
+        def density(x, w, wt):
+            mid = [0.0] if n % 2 == 0 else []
+            v = list(w) + mid + [-a for a in reversed(w)]
+            gaps = [2.0 * (v[(i + 1) % (n + 1)] - v[i]) for i in range(n + 1)]
+            return sum(a * a for a in wt) / (2.0 * x) - 0.5 * x * np.sum(np.exp(gaps)) + 2.0 * x
+
+        for _ in range(20):
+            x = float(rng.uniform(0.05, 6.0))
+            y = rng.uniform(-0.4, 0.4, L).tolist() + rng.uniform(-1.0, 1.0, L).tolist() + [0.0]
+            cols = [rng.uniform(-1.0, 1.0, dim).tolist() for _ in range(2)]
+            out = f(x, y + cols[0] + cols[1])
+            for j, col in enumerate(cols):
+                h = 1e-30
+                w = np.array(y[:L]) + 1j * h * np.array(col[:L])
+                wt = np.array(y[L:2 * L]) + 1j * h * np.array(col[L:2 * L])
+                ref = density(x, w, wt).imag / h
+                got = out[dim * (j + 2) - 1]
+                assert got == pytest.approx(ref, rel=1e-13, abs=1e-13 * (1.0 + x))
 
     def test_state_steps_ignore_the_tangents(self):
         # error control, dense output and step sequence cover the state only
@@ -284,13 +324,62 @@ class TestTangentColumns:
         y0 = p.w + p.wt + (0.0,)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         plain = hamiltonian_flow._integrate_raw(3, y0, 0.01, 2.0, cfg)
-        tang = hamiltonian_flow._integrate_raw(3, y0 + (0.5, 0, 0, 0, 0, 0.5, 0, 0),
+        tang = hamiltonian_flow._integrate_raw(3, y0 + (0.5, 0, 0, 0, 0, 0, 0.5, 0, 0, 0),
                                                0.01, 2.0, cfg)
-        assert plain.tangent is None and tang.tangent.shape == (4, 2)
+        assert plain.tangent is None and tang.tangent.shape == (5, 2)
         for name in ("xs", "ys", "hs", "Q"):
             assert np.array_equal(getattr(plain, name), getattr(tang, name))
         assert (plain.stats.n_steps, plain.stats.n_rejected, plain.stats.n_rhs_evals) == \
             (tang.stats.n_steps, tang.stats.n_rejected, tang.stats.n_rhs_evals)
+
+
+class TestShiftedAndJoined:
+    @pytest.fixture(scope="class")
+    def probe(self):
+        # a tangent run from the series seed of (0.3, 0.1) and its rho
+        gamma = (0.3, 0.1)
+        rho = np.array(global_rho(3, gamma))
+        series = SmallXSeries(3, gamma).cut(rho, 0.01)
+        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+        traj = hamiltonian_flow._integrate_raw(3, series.seed(rho, 0.01, True), 0.01, 2.5, cfg)
+        return series, rho, cfg, traj
+
+    def test_shift_is_the_run_from_the_moved_seed(self, probe):
+        # to first order: the shifted run against a run from the seed at
+        # rho + delta, on w, wt and q, off the nodes too
+        series, rho, cfg, traj = probe
+        delta = np.array([3e-11, -2e-11])
+        moved = hamiltonian_flow._integrate_raw(3, series.seed(rho + delta, 0.01), 0.01, 2.5, cfg)
+        shifted = traj.shifted(delta)
+        assert shifted.tangent is None and shifted.xs is traj.xs
+        for x in (0.05, 0.7, 1.9, 2.5):
+            change = np.max(np.abs(moved.sample_state(x) - traj.sample_state(x)))
+            miss = np.max(np.abs(moved.sample_state(x) - shifted.sample_state(x)))
+            assert change > 1e-12 and miss <= 1e-3 * change
+        assert shifted.reg_integral == shifted.ys[-1, -1]
+
+    def test_shift_needs_one_entry_per_column(self, probe):
+        _series, _rho, _cfg, traj = probe
+        with pytest.raises(ValueError, match="one shift per tangent column"):
+            traj.shifted([1e-12])
+        with pytest.raises(ValueError, match="one shift per tangent column"):
+            traj.shifted([0.0, 0.0]).shifted([0.0, 0.0])
+
+    def test_joined_runs_on_from_a_node(self, probe):
+        series, rho, cfg, traj = probe
+        head = traj.shifted([0.0, 0.0])
+        k = 40
+        tail = hamiltonian_flow._integrate_raw(3, head.ys[:, k], float(head.xs[k]), 3.0, cfg)
+        whole = head.joined(tail)
+        assert np.array_equal(whole.xs, np.concatenate([head.xs[:k + 1], tail.xs[1:]]))
+        x = float(head.xs[k - 3]) + 1e-3
+        assert np.array_equal(whole.sample_state(x), head.sample_state(x))
+        assert np.array_equal(whole.sample_state(2.9), tail.sample_state(2.9))
+        assert whole.reg_integral == tail.ys[-1, -1]
+        assert whole.stats.n_rhs_evals == head.stats.n_rhs_evals + tail.stats.n_rhs_evals
+        with pytest.raises(ValueError, match="not a node"):
+            head.joined(hamiltonian_flow._integrate_raw(
+                3, head.sample_state(1.0), 1.0, 3.0, cfg))
 
 
 def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
@@ -298,8 +387,10 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     written into one reused list: the stepper before it was generated as
     straight-line code, kept as the generated loop's byte-for-byte oracle.
     The run blows up where |w_i| exceeds max(floor, 1 + max_i |w_i(x0)|).
-    Returns (xs, ys, hs, Q, tangent, (n_steps, n_rejected, n_rhs_evals),
-    stop_reason)."""
+    Tangent columns get their nodes and dense output on the state's steps,
+    their three extra stages from the same kernel calls as the state's.
+    Returns (xs, ys, hs, Q, tangent_ys, tangent_Q, (n_steps, n_rejected,
+    n_rhs_evals), stop_reason)."""
     fl = hamiltonian_flow
     A, C = fl._A, fl._C
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = C[1:11]
@@ -326,13 +417,13 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     h = fl._initial_step(f, x, y[:dim], k1[:dim], rtol, atol)
     n_rhs = 2
     h = min(h, 0.15 * x0, x_end - x0)
-    xs, ys, hs, ks = [x], list(y[:dim]), [], []
+    xs, ys, hs, ks = [x], list(y), [], []
     err_prev = 1e-4
     stop = "completed"
     yt, yn = [0.0] * len(y), [0.0] * len(y)
     while x < x_end:
         h = min(h, x_end - x)
-        if h < 1e-14 * max(1.0, abs(x)):
+        if h < 1e-14 * abs(x):
             stop = "step_underflow"
             break
         for i in comps:
@@ -394,12 +485,12 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
             k13 = f(x + h, yn)
             n_rhs += 1
             for k in (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
-                ks.extend(k[:dim])
+                ks.extend(k)
             x = x + h
             y, yn = yn, y
             k1 = k13
             xs.append(x)
-            ys.extend(y[:dim])
+            ys.extend(y)
             hs.append(h)
             n_steps += 1
             if max(map(abs, y[:L])) > threshold:
@@ -413,15 +504,27 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
             h = h * min(1.0, max(0.2, 0.9 * err ** -0.125))
 
     x_old, h_old = np.array(xs[:-1]), np.array(hs)
-    y_old = np.array(ys).reshape(-1, dim)[:-1]
+    nodes = np.array(ys).reshape(-1, len(y))
+    stages = np.array(ks).reshape(-1, 13, len(y))
     K = np.empty((len(h_old), 16, dim))
-    K[:, :13] = np.array(ks).reshape(-1, 13, dim)
+    K[:, :13] = stages[..., :dim]
+    KT = np.empty((len(h_old), 16, len(y) - dim))
+    KT[:, :13] = stages[..., dim:]
     for s in (13, 14, 15):
-        dy = np.matmul(np.array(A[s]), K[:, :s])
-        K[:, s] = f(x_old + C[s] * h_old, (y_old + h_old[:, None] * dy).T).T
+        arg = (nodes[:-1, :dim] + h_old[:, None] * np.matmul(np.array(A[s]), K[:, :s])).T
+        if tangent:
+            argT = (nodes[:-1, dim:] + h_old[:, None] * np.matmul(np.array(A[s]), KT[:, :s])).T
+            arg = np.vstack([arg, argT])
+        out = f(x_old + C[s] * h_old, arg).T
+        K[:, s], KT[:, s] = out[:, :dim], out[:, dim:]
     Q = K.transpose(0, 2, 1) @ fl._DENSE_F @ fl._DENSE_T
-    return (np.array(xs), np.array(ys).reshape(-1, dim).T, h_old, Q,
-            np.array(y[dim:]).reshape(-1, 2 * L).T if tangent else None,
+    tangent_ys = tangent_Q = None
+    if tangent:
+        ncols = len(y) // dim - 1
+        tangent_ys = nodes[:, dim:].reshape(-1, ncols, dim).transpose(1, 2, 0)
+        QT = KT.transpose(0, 2, 1) @ fl._DENSE_F @ fl._DENSE_T
+        tangent_Q = QT.reshape(len(h_old), ncols, dim, 7).transpose(1, 0, 2, 3)
+    return (np.array(xs), nodes[:, :dim].T, h_old, Q, tangent_ys, tangent_Q,
             (n_steps, n_rejected, n_rhs + 3), stop)
 
 
@@ -429,13 +532,14 @@ def assert_same_run(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     """The generated stepper against `dop853_loops`, bit for bit; returns
     the trajectory."""
     traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg)
-    xs, ys, hs, Q, tangent, counts, stop = dop853_loops(n, y0, x0, x_end, cfg, even, floor)
-    for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q)):
+    xs, ys, hs, Q, tangent_ys, tangent_Q, counts, stop = dop853_loops(
+        n, y0, x0, x_end, cfg, even, floor)
+    for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q),
+                      ("tangent_ys", tangent_ys), ("tangent_Q", tangent_Q)):
         got = getattr(traj, name)
-        assert got.shape == ref.shape and bits(got) == bits(ref), name
-    assert (traj.tangent is None) == (tangent is None)
-    if tangent is not None:
-        assert traj.tangent.shape == tangent.shape and bits(traj.tangent) == bits(tangent)
+        assert (got is None) == (ref is None), name
+        if ref is not None:
+            assert got.shape == ref.shape and bits(got) == bits(ref), name
     st = traj.stats
     assert (st.n_steps, st.n_rejected, st.n_rhs_evals) == counts
     assert traj.stop_reason == stop
@@ -460,7 +564,7 @@ class TestStepperOracle:
         L = reduced_length(n)
         rng = np.random.default_rng(800 + 10 * n + ncols)
         y0 = (rng.normal(0.0, 0.1, L).tolist() + rng.normal(0.0, 0.3, L).tolist() + [0.0]
-              + rng.normal(0.0, 1.0, 2 * L * ncols).tolist())
+              + rng.normal(0.0, 1.0, (2 * L + 1) * ncols).tolist())
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
         traj = assert_same_run(n, y0, 0.05, 2.5, cfg, even)
         assert traj.stats.n_steps > 10
@@ -475,7 +579,7 @@ class TestStepperOracle:
         # through rejected non-finite trial states, until they underflow
         monkeypatch.setattr(hamiltonian_flow, "_BLOWUP_FLOOR", math.inf)
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
-        y0 = list(near_blowup_seed()) + [1.0, 0.0, 0.0, 1.0]
+        y0 = list(near_blowup_seed()) + [1.0, 0.0, 0.0, 1.0, 0.0]
         with np.errstate(over="ignore", invalid="ignore"):
             traj = assert_same_run(3, y0, 0.01, 8.0, cfg, floor=math.inf)
         assert traj.stop_reason == "step_underflow" and traj.stats.n_rejected > 20
@@ -632,7 +736,7 @@ class TestIntegrate:
         a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
         p = init_from_asymptotics(a, 0.01)
         y0 = p.w + p.wt + (0.0,)
-        cols = (0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        cols = (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         for y in (y0, y0 + cols):
             hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg)
@@ -656,7 +760,7 @@ class TestIntegrate:
             st = hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg).stats
             assert st.n_rhs_evals == calls["all"]
             assert st.n_tangent_rhs == calls["tangent"]
-        assert st.n_tangent_rhs == st.n_rhs_evals - 4 > 0
+        assert st.n_tangent_rhs == st.n_rhs_evals - 1 > 0
         info = hamiltonian_flow._make_stepper.cache_info()
         assert (info.hits, info.misses) == (cached.hits + 2, cached.misses)
 

@@ -360,7 +360,7 @@ class TestReportJson:
         d = rep.to_json_dict()
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                   "x1", "x2_used", "tail_bound",
-                                  "integrator_stats", "a", "series_order",
+                                  "integrator_stats", "shooting", "a", "series_order",
                                   "series_error"]
         json.dumps(d)
 
