@@ -100,10 +100,9 @@ _SERIES_TOL = 1e-13
 _TOP_ORDER, _MAX_ROWS = 9, 5005
 # the Newton step in rho (max norm) that ends the shooting
 _STEP_TOL = 1e-14
-# the largest Newton step off a tangent probe that the probe's linear
-# prediction takes instead of a new probe: the term the prediction drops
-# grows with the step squared, and the first steps of 1,248 seeded solves
-# were at most 1.55e-12
+# the largest Newton step the shooting takes along the probe's tangent
+# columns: the term the shift drops grows with the step squared, and the
+# steps of 1,248 seeded solves were at most 1.55e-12
 _LINEAR_STEP = 1e-11
 # where a linear prediction hands over to a plain run: the dropped term
 # grows like exp(8x) along the growing modes
@@ -272,29 +271,24 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
 
 
 def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict, Trajectory]:
-    """Newton on the seed rho, starting from `rho`, driving the growing
-    modes to zero at the station 4.95.
+    """One Newton step on the seed rho, starting from `rho`, driving the
+    growing modes to zero at the station 4.95.
 
-    Each probe integrates from the seed of `series`, cut once at the
-    starting rho, at the start `_converged_start` gives: the largest
-    x0 2^-j where the series' first dropped term is below 1e-13, so the
-    seed misses the orbit by less than that (info["x_start"]).  The
-    Jacobian in rho is exact: the first probe carries the tangent-linear
-    flow (two columns d(w, wt, q)/d(rho_j), seeded with the seed's own
-    derivative) and maps its end node through the same linear residual;
-    it is taken again only when a Newton step fails to contract, every
-    other probe is a plain run.  The first of four rules ends the
-    iteration, and info["stop"] names it: "residual", the residual is
-    below 2e-11 (the trivial orbit); "step", the Newton step just solved
-    for moves rho by less than 1e-14 (max norm), so the residual is at
-    its noise floor, where ulp-level changes of rho move it at random,
-    and the next probe would buy nothing; "linear", the step off a probe
-    with tangent columns is below _LINEAR_STEP = 1e-11 (nearly every
-    solve, on its first probe); "noise_floor", after two Newton steps the
-    residual fell by less than 4 (one to three probes sooner than the
-    step rule would end them, with the same probe kept; only a solve
-    whose first step is above _LINEAR_STEP gets there, none of 1,248
-    seeded ones).
+    The probe integrates from the seed of `series`, cut once at rho, at
+    the start `_converged_start` gives: the largest x0 2^-j where the
+    series' first dropped term is below 1e-13, so the seed misses the
+    orbit by less than that (info["x_start"]).  It carries the
+    tangent-linear flow (two columns d(w, wt, q)/d(rho_j), seeded with
+    the seed's own derivative), which maps its end node through the same
+    linear residual to the exact Jacobian in rho.  One of three rules
+    ends the shooting, and info["stop"] names it: "residual", the
+    probe's residual is below 2e-11 (the trivial orbit); "step", the
+    Newton step moves rho by less than 1e-14 (max norm), so the residual
+    is at its noise floor and the probe is kept; "linear", the step is
+    below _LINEAR_STEP = 1e-11 (nearly every solve).  A larger step,
+    which none of 1,248 seeded solves took, raises GlobalSolveError
+    naming it, as does a probe that blows up, by the integrator's rule
+    against its own seed (`_integrate_raw`).
 
     On "linear" no probe is run from rho - step.  The kept orbit is the
     probe shifted by -step along its columns up to its last node at or
@@ -302,75 +296,53 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     the columns grow like exp(4x), and the second-order term the shift
     drops reaches 5e-12 in the regularized integral at 4.2, 1e-15 at 3.
     info["residual"] is measured on the kept orbit, info["probe_residual"]
-    on the last probe's run; on the other rules the probe of lowest
-    residual is kept and the two are one.  A probe that blows up, by the
-    integrator's rule against its own seed (`_integrate_raw`), or 12
-    probes without a stop, raise GlobalSolveError.  Every run is at
-    rel_tol 1e-12 and abs_tol 1e-14, and the kept orbit is returned with
-    its rho.  The work of every run is summed in info["integrator_stats"],
-    and the cut series, with its order and first dropped term, is
-    info["series"].
+    on the probe, and on the other rules the two are one.  A residual
+    above 1e-4 raises GlobalSolveError.  Every run is at rel_tol 1e-12
+    and abs_tol 1e-14, and the kept orbit is returned with its rho.  The
+    work of every run is summed in info["integrator_stats"], and the cut
+    series, with its order and first dropped term, is info["series"];
+    info["iterations"] counts the probes, one.
     """
     rho = np.array(rho, dtype=float)
     start, series = _converged_start(series, rho, x0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0,
              "tangent_rhs_evals": 0}
-    info = {"iterations": 0, "residual": math.inf, "station": _STATION, "x_start": start,
+    info = {"iterations": 1, "station": _STATION, "x_start": start,
             "integrator_stats": tally, "series": series}
-    r_prev, newton = math.inf, 0
-    J: np.ndarray | None = None
-    best: tuple[float, np.ndarray, Trajectory] | None = None
 
-    for _ in range(12):
-        info["iterations"] += 1
-        traj = _forward(series, rho, start, _STATION, cfg, tally, tangents=J is None)
-        if traj.stop_reason != "completed":
-            raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
-                                   f"({traj.stop_reason}) at x = {traj.x_final:.6g}")
-        r = _mode_residual(traj.sample_state(_STATION), _STATION)
-        rnorm = float(np.max(np.abs(r)))
-        if best is None or rnorm < best[0]:
-            best = (rnorm, rho, traj)
-        if rnorm < 2e-11 or (newton >= 2 and rnorm > 0.25 * r_prev):
-            info["stop"] = "residual" if rnorm < 2e-11 else "noise_floor"
-            break
-        if traj.tangent is not None:
-            J = np.column_stack([_mode_residual(col, _STATION) for col in traj.tangent.T])
-        elif rnorm > 0.6 * r_prev:
-            J = None  # re-probe this rho with tangents
-            continue
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise GlobalSolveError("singular shooting Jacobian") from exc
-        nrm = float(np.max(np.abs(step)))
-        if nrm < _STEP_TOL:
-            info["stop"] = "step"
-            break
-        if traj.tangent is not None and nrm < _LINEAR_STEP:
-            # the probe moved by the step along its columns up to its last
-            # node at or below _X_RELAUNCH, and a plain run on from there
-            info["stop"] = "linear"
-            head = traj.shifted(-step)
-            k = int(np.searchsorted(head.xs, _X_RELAUNCH, side="right")) - 1
-            tail = _run(head.n, head.ys[:, k], float(head.xs[k]), _STATION, cfg, tally)
-            best = (rnorm, rho - step, head.joined(tail))
-            break
-        if nrm > 0.5:
-            step *= 0.5 / nrm
+    traj = _forward(series, rho, start, _STATION, cfg, tally, tangents=True)
+    if traj.stop_reason != "completed":
+        raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
+                               f"({traj.stop_reason}) at x = {traj.x_final:.6g}")
+    r = _mode_residual(traj.sample_state(_STATION), _STATION)
+    info["probe_residual"] = info["residual"] = float(np.max(np.abs(r)))
+    if info["residual"] < 2e-11:
+        info["stop"] = "residual"
+        return rho, info, traj
+    J = np.column_stack([_mode_residual(col, _STATION) for col in traj.tangent.T])
+    try:
+        step = np.linalg.solve(J, r)
+    except np.linalg.LinAlgError as exc:
+        raise GlobalSolveError("singular shooting Jacobian") from exc
+    nrm = float(np.max(np.abs(step)))
+    if nrm < _STEP_TOL:
+        info["stop"] = "step"
+    elif nrm < _LINEAR_STEP:
+        # the probe moved by the step along its columns up to its last
+        # node at or below _X_RELAUNCH, and a plain run on from there
+        info["stop"] = "linear"
+        head = traj.shifted(-step)
+        k = int(np.searchsorted(head.xs, _X_RELAUNCH, side="right")) - 1
+        traj = head.joined(_run(head.n, head.ys[:, k], float(head.xs[k]), _STATION, cfg, tally))
         rho = rho - step
-        r_prev, newton = rnorm, newton + 1
+        info["residual"] = float(np.max(np.abs(
+            _mode_residual(traj.sample_state(_STATION), _STATION))))
     else:
-        raise GlobalSolveError(f"shooting did not converge in 12 probes: "
-                               f"residual {rnorm:.3e}")
-    rnorm, rho, traj = best
-    info["probe_residual"] = rnorm
-    if info["stop"] == "linear":   # measured on the kept orbit's plain run
-        rnorm = float(np.max(np.abs(_mode_residual(traj.sample_state(_STATION), _STATION))))
-    info["residual"] = rnorm
-    if rnorm > 1e-4:
-        raise GlobalSolveError(f"shooting stalled at residual {rnorm:.3e}")
+        raise GlobalSolveError(f"Newton step {nrm:.3e} off the shooting probe is above "
+                               f"{_LINEAR_STEP:g} (probe residual {info['residual']:.3e})")
+    if info["residual"] > 1e-4:
+        raise GlobalSolveError(f"shooting stalled at residual {info['residual']:.3e}")
     return rho, info, traj
 
 
@@ -496,9 +468,9 @@ class GlobalSolution:
 
     @property
     def shooting(self) -> dict:
-        """What the shooting did: its probes ("iterations"), the rule that
-        ended it ("stop"), its start, the growing-mode residual at the
-        station measured on the kept orbit ("residual") and on the last
+        """What the shooting did: its probes ("iterations", one), the rule
+        that ended it ("stop"), its start, the growing-mode residual at
+        the station measured on the kept orbit ("residual") and on the
         probe's run ("probe_residual"), the match residual, and the max
         norm of the Newton correction rho_seed - rho_formula."""
         d = self.diagnostics
@@ -537,8 +509,8 @@ def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     abs_tol 1e-14 (`_refine_rho`), and the forward trajectory is the
     orbit the shooting kept, the one diagnostics["residual"] was measured
     on: on the "linear" stop the tangent probe shifted by the Newton step
-    up to x = 3 and a plain run beyond, else the probe of lowest residual
-    (diagnostics["probe_residual"] is the last probe's own).  The match
+    up to x = 3 and a plain run beyond, else the probe itself
+    (diagnostics["probe_residual"] is the probe's own).  The match
     reacts to ulp-level changes of rho, so the kept orbit is not
     integrated again.  The diagnostics sum the work of every forward run
     of the solve in "integrator_stats", with the RHS calls that carried

@@ -33,16 +33,14 @@ calls on 5-vectors cost more than the arithmetic.  The stepping loop is
 straight-line source generated once per state size (`_make_stepper`):
 the 12 stages, update and error norm are written out per component on
 locals, in the order of loops over the components, so they give the
-same bits; the q entries of the stage arguments, which the kernel never
-reads, are 0.0.  On a shooting probe at gamma = (0.3, 0.1) from x0 =
-0.01 a step takes 23 us, 59 us with two tangent columns and their dense
-output (kernel calls and dense output included; x86-64, Python 3.11,
-fastest of 40 interleaved runs).
-Accepted states and the 9 of their 13 stages that the dense output
-reads go into flat array('d') buffers; at the end of a run the three
-extra dense-output stages of all steps take three batch calls of the
-kernel, and the power-basis coefficients of the whole trajectory one
-product.  Tangent columns [dw, dwt, dq] ride the state's steps without
+same bits.  On a shooting probe at gamma = (0.3, 0.1) from x0 = 0.01 a
+step takes 19 us, 49 us with two tangent columns and their dense output
+(kernel calls and dense output included; x86-64, Python 3.11, fastest of
+40 interleaved runs).  Accepted states and the 9 of their 13 stages
+that the dense output reads go into flat array('d') buffers; at the end
+of a run the three extra dense-output stages of all steps take three
+batch calls of the kernel, and the power-basis coefficients of the whole
+trajectory one product.  Tangent columns [dw, dwt, dq] ride the state's steps without
 entering its error control, and get their own nodes and coefficients,
 so that `Trajectory.shifted` moves a run along them to first order.
 Through the q channel trajectories accumulate the regularized integral
@@ -468,9 +466,6 @@ class Trajectory:
         over the tangent columns j, on the same steps and with the same
         stats: to first order in delta, the run from the seed moved by
         delta along the columns' parameters."""
-        delta = [float(d) for d in delta]
-        if self.tangent_ys is None or len(delta) != len(self.tangent_ys):
-            raise ValueError(f"need one shift per tangent column, got {len(delta)}")
         ys, Q = self.ys, self.Q
         for d, Y, QY in zip(delta, self.tangent_ys, self.tangent_Q):
             ys, Q = ys + d * Y, Q + d * QY
@@ -480,8 +475,6 @@ class Trajectory:
         """This run up to its node where the plain run `tail` starts, then
         `tail`, with the work of both in the stats."""
         k = int(np.searchsorted(self.xs, tail.xs[0]))
-        if not (k < len(self.xs) and self.xs[k] == tail.xs[0]):
-            raise ValueError(f"tail start {tail.xs[0]!r} is not a node of this run")
         stats = IntegrationStats(**{f: v + getattr(tail.stats, f)
                                     for f, v in vars(self.stats).items()})
         return Trajectory(self.n, np.concatenate([self.xs[:k + 1], tail.xs[1:]]),
@@ -575,9 +568,6 @@ def _make_stepper(dim: int, size: int):
     """
     L = (dim - 1) // 2
     comps = range(size)
-    # the kernel never reads the q entries of its argument, so the stages
-    # pass 0.0 there
-    q_entry = [i % dim == dim - 1 for i in comps]
 
     def terms(weights):   # the nonzero weights, with their stages 1, 2, ...
         return [(w, s + 1) for s, w in enumerate(weights) if w != 0.0]
@@ -604,7 +594,7 @@ def _make_stepper(dim: int, size: int):
     for s in range(2, 13):   # stage s from row s - 1 of _A, at node _C[s - 1]
         ws = terms(_A[s - 1])
         node = "x + h" if s == 12 else f"x + {_C[s - 1]!r} * h"
-        arg = ", ".join("0.0" if q_entry[i] else f"y{i} + h * ({comb(ws, i)})" for i in comps)
+        arg = ", ".join(f"y{i} + h * ({comb(ws, i)})" for i in comps)
         lines.append(f"        {names(f'k{s}_')}, = f({node}, [{arg}])")
     # Hairer's error norm: the 5th-order estimate, damped where the
     # 3rd-order one is much larger, over the state only
@@ -630,13 +620,13 @@ def _make_stepper(dim: int, size: int):
         "        if err <= 1.0:",
         # FSAL: stage 13 is the next step's k1
         f"            {names('k13_')}, = f(x + h, [{names('z')}])",
-        "            ks.fromlist([{}])".format(
+        "            ks.extend(({}))".format(
             ", ".join(names(f"k{s + 1}_") for s in _KEPT)),
         "            x = x + h",
         f"            {names('y')}, = {names('z')},",
         f"            {names('k1_')}, = {names('k13_')},",
         "            xs.append(x)",
-        f"            ys.fromlist([{names('y')}])",
+        f"            ys.extend(({names('y')},))",
         "            hs.append(h)",
         "            n_steps += 1",
         f"            if {blowup}:",
@@ -677,9 +667,6 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
     dim, size = 2 * L + 1, len(y)
-    if size % dim:
-        raise UnsupportedConfigError(
-            f"{size} components are not the state and columns of {dim} each")
     tangent = size > dim
     threshold = max(_BLOWUP_FLOOR, 1.0 + max(map(abs, y[:L])))
     x = float(x0)

@@ -460,19 +460,14 @@ class TestLastStationStop:
         assert sol.diagnostics["stop"] == stop
         assert sol.diagnostics["station"] == 4.95
 
-    @pytest.mark.parametrize("gamma, x0, stop, probes", [((0.3, 0.1), 0.01, "step", 2),
-                                                         ((-0.9, -0.56), 0.08, "noise_floor", 3)])
-    def test_probe_loop_without_the_linear_rule(self, gamma, x0, stop, probes, monkeypatch):
-        # the loop that a Newton step above the linear rule's bound runs:
-        # plain probes until the step is below 1e-14 or, at a = 0.2, the
-        # third probe's residual falls by less than 4; the residual is
-        # measured on the kept probe
-        monkeypatch.setattr(global_solutions, "_LINEAR_STEP", 0.0)
-        sol = solve_global(gamma, x0)
-        d = sol.diagnostics
-        assert (d["stop"], d["iterations"], d["integrator_stats"]["integrations"]) == \
-            (stop, probes, probes)
-        assert d["residual"] == d["probe_residual"]
+    def test_a_step_beyond_the_linear_rule_raises(self):
+        # started 1e-9 off the global rho, the probe's Newton step is about
+        # that large, far above the 1e-11 that a shift along the columns
+        # may take: one probe, and an error naming the step
+        gamma = (0.3, 0.1)
+        rho = np.array(global_rho(3, gamma)) + 1e-9
+        with pytest.raises(GlobalSolveError, match=r"Newton step 1\.\d+e-09 off the shooting"):
+            global_solutions._refine_rho(SmallXSeries(3, gamma), rho, 0.01)
 
     def test_probes_do_not_depend_on_the_noise_floor(self):
         # at (0.42223887, -0.69539036) the one solve is at x1 = 0.02, K = 8.
