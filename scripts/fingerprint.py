@@ -4,7 +4,7 @@
 Prints one JSON line holding two SHA-256 digests over `float.hex` values:
 - `constants`: `c_numeric` and the work counts of `integrator_stats`
   (integrations, steps, rejected steps, RHS calls) of `constant_numeric`
-  at the 8 gammas of the CI constant sweep and at 40
+  at the 8 gammas of the CI constant gate (`cli.ACCEPTANCE_GAMMAS`) and at 40
   draws from |gamma_i| <= 0.9 (numpy seed 12345); a draw that raises a
   typed error hashes the error's name instead;
 - `solves`: `reg_integral` at three x2 and `state` at three x of
@@ -29,9 +29,7 @@ import numpy as np
 
 from ttstar_toda import (BlowupError, GenericityError, GlobalSolveError,
                          constant_numeric, solve_global)
-
-CI_GAMMAS = ((0.3, 0.1), (0.9, -0.4), (0.0, 0.8), (-0.825, 0.075), (0.0, 0.0),
-             (-0.875, 0.4), (0.42223887, -0.69539036), (-0.88, 0.3))
+from ttstar_toda.cli import ACCEPTANCE_GAMMAS
 DRAWS, DRAW_SEED, DRAW_RADIUS = 40, 12345, 0.9
 STATS_KEYS = ("integrations", "steps", "rejected", "rhs_evals")
 SOLVE_GAMMAS = ((0.3, 0.1), (0.1, -0.1), (-0.2, 0.4))
@@ -51,7 +49,7 @@ def main() -> int:
     draws = [tuple(float(v) for v in rng.uniform(-DRAW_RADIUS, DRAW_RADIUS, 2))
              for _ in range(DRAWS)]
     failed, h = 0, digests["constants"]
-    for gamma in CI_GAMMAS + tuple(draws):
+    for gamma in ACCEPTANCE_GAMMAS + tuple(draws):
         put(h, *gamma)
         try:
             rep = constant_numeric(gamma)
@@ -70,7 +68,7 @@ def main() -> int:
             put(h, *p.w, *p.wt)
 
     print(json.dumps({**{k: d.hexdigest() for k, d in digests.items()},
-                      "constants_n": len(CI_GAMMAS) + DRAWS, "failed": failed,
+                      "constants_n": len(ACCEPTANCE_GAMMAS) + DRAWS, "failed": failed,
                       "solves_n": len(SOLVE_GAMMAS)}))
     return 0
 

@@ -5,16 +5,19 @@ Subcommands:
   solve     integrate from the small-x series seed and write a CSV trajectory
   tau       log tau over [x1, x2] along a global solution
   constant  numeric vs closed-form connection constant
-  verify    randomized residual suites (specfun, genfun, symplectic, dynamics)
+  verify    residual suites: specfun, genfun, symplectic and dynamics on
+            seeded draws; constant (C against its closed form, n = 3) and
+            separatrix (bisected rho* against global_rho, n = 1, 2) on a
+            fixed list first, then seeded draws
 
 Exit codes: 0 success; 2 input or domain error, for solve also a small-x
 series not converged above x = 1e-8; 3 blow-up: a solve run that stops
 before x1, or a global solve that fails in tau or constant; 4
-verification failure.  All floats are serialized with 17 significant
-digits and a decimal point or exponent; passing --reproducible
-suppresses the timestamp field so identical flags (and verify's --seed)
-give byte-identical output.  Set TTSTAR_LOG=debug for diagnostics on
-stderr.
+verification failure; an --out path that cannot be written exits 2.
+All floats are serialized with 17 significant digits and a decimal
+point or exponent; passing --reproducible suppresses the timestamp
+field so identical flags (and verify's --seed) give byte-identical
+output.  Set TTSTAR_LOG=debug for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -108,7 +111,8 @@ def _parse_list(text: str) -> tuple[float, ...]:
 def cmd_maps(args) -> int:
     gamma = _parse_list(args.gamma)
     # a given rho is checked against gamma before global_rho checks gamma
-    given = args.rho and dm.AsymptoticData(n=args.n, gamma=gamma, rho=_parse_list(args.rho))
+    given = None if args.rho is None else dm.AsymptoticData(
+        n=args.n, gamma=gamma, rho=_parse_list(args.rho))
     rho_g = tuple(dm.global_rho(args.n, gamma))
     a = given or dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho_g)
     md = dm.asymptotic_to_monodromy(a)
@@ -126,7 +130,7 @@ def cmd_maps(args) -> int:
 
 def cmd_solve(args) -> int:
     gamma = _parse_list(args.gamma)
-    rho = _parse_list(args.rho) if args.rho else tuple(dm.global_rho(args.n, gamma))
+    rho = tuple(dm.global_rho(args.n, gamma)) if args.rho is None else _parse_list(args.rho)
     a = dm.AsymptoticData(n=args.n, gamma=gamma, rho=rho)
     start = gs.init_from_asymptotics(a, args.x0)
     cfg = hf.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
@@ -219,12 +223,93 @@ def _suite_dynamics(rng, samples, n):
     return worst
 
 
-# each suite's function of (rng, samples, n) and its default threshold
+# the gammas of the CI constant gate, also read by the fingerprint script
+# and the tests; three have a(gamma) <= 0.35, near the domain floor 0.2
+ACCEPTANCE_GAMMAS = ((0.3, 0.1), (0.9, -0.4), (0.0, 0.8), (-0.825, 0.075), (0.0, 0.0),
+                     (-0.875, 0.4), (0.42223887, -0.69539036), (-0.88, 0.3))
+# the separatrix suite's gamma0, up to the n = 1 domain floor a = 0.2
+SEPARATRIX_GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _fixed_then_drawn(fixed, samples, draw):
+    """The first `samples` of `fixed`, then draw() for the rest, so that a
+    run of at most len(fixed) samples does not depend on the seed."""
+    return [fixed[i] if i < len(fixed) else draw() for i in range(samples)]
+
+
+def _suite_constant(rng, samples, n):
+    if n != 3:
+        raise ValueError(f"the constant suite takes n = 3, got n = {n}")
+    worst = 0.0
+    for g in _fixed_then_drawn(ACCEPTANCE_GAMMAS, samples,
+                               lambda: tuple(rng.uniform(-0.9, 0.9, 2))):
+        try:
+            worst = max(worst, tc.constant_numeric(g).abs_diff)
+        except (tc.BlowupError, dm.GenericityError, gs.GlobalSolveError):
+            return math.inf
+    return worst
+
+
+def _blow_sign(n, gamma0, rho0):
+    """+1 or -1 as the run from the series seed at x0 = 1e-4 blows up to
+    +inf or -inf, else 0."""
+    seed = gs.init_from_asymptotics(dm.AsymptoticData(n, (gamma0,), (rho0,)), 1e-4)
+    traj = hf.integrate(seed, 14.0, hf.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12), n)
+    if traj.stop_reason != "blowup":
+        return 0
+    return 1 if traj.points[-1].w[0] > 0 else -1
+
+
+def _separatrix_gap(n, gamma0):
+    """|rho* - global_rho| for a one-entry chain, rho* bisected between runs
+    that blow up to opposite signs; inf if no bracket is found.
+
+    The bracket is global_rho +- h, h halved from 1 until the series has
+    converged above x = 1e-8 at both ends (h = 0.25 at gamma0 = 0.9), down
+    to h = 2^-10.  Runs at rel_tol 1e-10 leave about 5e-12 at n = 1."""
+    closed, half = dm.global_rho(n, (gamma0,))[0], 1.0
+    while True:
+        lo, hi = closed - half, closed + half
+        try:
+            s_lo, s_hi = _blow_sign(n, gamma0, lo), _blow_sign(n, gamma0, hi)
+            break
+        except gs.GlobalSolveError:
+            if half <= 2.0 ** -10:
+                return math.inf
+            half *= 0.5
+    if s_lo == s_hi:
+        return math.inf
+    for _ in range(55):
+        mid = 0.5 * (lo + hi)
+        s = _blow_sign(n, gamma0, mid)
+        if s == 0:
+            return abs(mid - closed)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return abs(0.5 * (lo + hi) - closed)
+
+
+def _suite_separatrix(rng, samples, n):
+    if dm.reduced_length(n) != 1:
+        raise ValueError(f"the separatrix suite takes n = 1 or 2, got n = {n}")
+    worst = 0.0
+    for g in _fixed_then_drawn(SEPARATRIX_GAMMAS, samples,
+                               lambda: float(rng.uniform(-0.9, 0.9))):
+        worst = max(worst, _separatrix_gap(n, g))
+    return worst
+
+
+# each suite's function of (rng, samples, n) and its default threshold; the
+# worst constant over 1,129 seeded gammas is 3.4e-13
 _SUITES = {
     "specfun": (_suite_specfun, 1e-10),
     "genfun": (_suite_genfun, 1e-6),
     "symplectic": (_suite_symplectic, 1e-7),
     "dynamics": (_suite_dynamics, 1e-8),
+    "constant": (_suite_constant, 1e-11),
+    "separatrix": (_suite_separatrix, 1e-9),
 }
 
 
@@ -305,9 +390,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, gs.GlobalSolveError, tc.BlowupError) as exc:
+    except (ValueError, OSError, gs.GlobalSolveError, tc.BlowupError) as exc:
         # ValueError covers DomainError, GenericityError, ShapeError and
-        # UnsupportedConfigError
+        # UnsupportedConfigError; OSError an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP if isinstance(exc, tc.BlowupError) else EXIT_INPUT
 

@@ -49,6 +49,20 @@ class TestMaps:
         out = capsys.readouterr()
         assert out.out == "" and "rho must be finite" in out.err
 
+    def test_empty_rho_exit_2(self, capsys):
+        # an empty --rho was read as absent and replaced by global_rho
+        assert run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--rho", "",
+                    "--reproducible"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "could not parse comma-separated reals from ''" in out.err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # an OSError left main as a traceback with exit 1
+        out = tmp_path / "missing" / "x.json"
+        assert run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+
     def test_determinism(self, capsys):
         run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"])
         out1 = capsys.readouterr().out
@@ -158,6 +172,22 @@ class TestSolve:
                     "--out", str(out)]) == 2
         assert "x_end must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_rho_exit_2(self, tmp_path, capsys):
+        # an empty --rho was read as absent and replaced by global_rho
+        out = tmp_path / "e.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--rho", "",
+                    "--out", str(out)]) == 2
+        assert "could not parse comma-separated reals from ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # an OSError left main as a traceback with exit 1
+        out = tmp_path / "missing" / "t.csv"
+        assert run(["solve", "--n", "3", "--gamma", "0,0", "--x1", "1",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
 
     def test_blowup_exit_3(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -335,12 +365,46 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 4 and doc["pass"] is True
 
+    def test_constant_acceptance_gammas(self, capsys):
+        # eight samples are the eight acceptance gammas, whatever the seed;
+        # their worst is 2.2e-13
+        assert run(["verify", "--suite", "constant", "--samples", "8", "--seed", "3",
+                    "--reproducible"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["threshold"] == 1e-11 and doc["max_residual"] <= 1e-11
+
+    def test_constant_typed_failure_is_inf(self, monkeypatch, capsys):
+        def blown(gamma):
+            raise cli.tc.BlowupError("global solve failed")
+        monkeypatch.setattr(cli.tc, "constant_numeric", blown)
+        assert run(["verify", "--suite", "constant", "--samples", "2",
+                    "--reproducible"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_residual"] == "inf" and doc["pass"] is False
+
+    def test_constant_rejects_n(self, capsys):
+        assert run(["verify", "--suite", "constant", "--n", "4", "--samples", "1"]) == 2
+        assert "the constant suite takes n = 3, got n = 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_separatrix(self, n, capsys):
+        assert run(["verify", "--suite", "separatrix", "--n", n, "--samples", "2",
+                    "--reproducible"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["threshold"] == 1e-9 and doc["max_residual"] <= 1e-9
+
+    def test_separatrix_rejects_n(self, capsys):
+        assert run(["verify", "--suite", "separatrix", "--n", "3", "--samples", "1"]) == 2
+        assert "the separatrix suite takes n = 1 or 2, got n = 3" in capsys.readouterr().err
+
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2
-        assert capsys.readouterr().err == ("error: unknown suite 'nope'; choose from "
-                                           "['dynamics', 'genfun', 'specfun', 'symplectic']\n")
+        assert capsys.readouterr().err == (
+            "error: unknown suite 'nope'; choose from ['constant', 'dynamics', "
+            "'genfun', 'separatrix', 'specfun', 'symplectic']\n")
 
-    @pytest.mark.parametrize("suite", ["specfun", "genfun", "symplectic", "dynamics"])
+    @pytest.mark.parametrize("suite", ["specfun", "genfun", "symplectic", "dynamics",
+                                       "constant", "separatrix"])
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_no_samples_exit_2(self, suite, samples, capsys):
         # zero samples once passed with max_residual 0.0, and specfun with

@@ -8,6 +8,7 @@ import pytest
 
 from ttstar_toda import (constant_numeric, global_solutions, init_from_asymptotics,
                          make_backward_basis)
+from ttstar_toda.cli import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, ShapeError, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
 from ttstar_toda.hamiltonian_flow import IntegratorConfig, _links, tail_amplitude_s1
@@ -202,12 +203,9 @@ class TestSolveGlobal:
         assert sol_031.state(sol_031.x_right).x == sol_031.x_right
 
 
-CI_GAMMAS = [(0.3, 0.1), (0.9, -0.4), (0.0, 0.8), (-0.825, 0.075), (0.0, 0.0),
-             (-0.875, 0.4), (0.42223887, -0.69539036), (-0.88, 0.3)]
-
-
 class TestLinearPrediction:
-    @pytest.mark.parametrize("gamma", CI_GAMMAS, ids=[f"gamma{i}" for i in range(8)])
+    @pytest.mark.parametrize("gamma", ACCEPTANCE_GAMMAS,
+                             ids=[f"gamma{i}" for i in range(len(ACCEPTANCE_GAMMAS))])
     def test_kept_orbit_against_a_plain_probe(self, gamma):
         # the kept orbit (the tangent probe moved by the Newton step up to
         # its last node at or below 3, a plain run beyond) against a plain

@@ -308,16 +308,6 @@ class TestConstantNumeric:
         with pytest.raises(GenericityError, match=r"a\(gamma\).*0\.05.*a_min = 0\.2"):
             constant_numeric((-0.975, 0.075))
 
-    def test_sweep_prints_domain_error_as_failed_row(self):
-        # the sweep script reports the refusal as a failed row and exits 4
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        out = subprocess.run([sys.executable, os.path.join(root, "scripts", "constant_sweep.py"),
-                              "--gammas=-0.975,0.075"], capture_output=True, text=True, env=env)
-        assert out.returncode == 4, out.stderr
-        assert "failed: GenericityError" in out.stdout
-        assert "Traceback" not in out.stderr
-
 
 class TestClassicalAction:
     def test_trivial_value(self):
