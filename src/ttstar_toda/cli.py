@@ -82,7 +82,7 @@ def _emit(doc: dict, args) -> None:
     if not getattr(args, "reproducible", False):
         doc = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **doc}
     text = dumps17(doc)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -137,8 +137,7 @@ def cmd_solve(args) -> int:
     traj = hf.integrate(start, args.x1, cfg, args.n)
     _log(f"integrated to x={traj.x_final:.6g} ({traj.stats.n_steps} steps, "
          f"stop={traj.stop_reason})")
-    out = args.out or "trajectory.csv"
-    with open(out, "w") as fh:
+    with open("trajectory.csv" if args.out is None else args.out, "w") as fh:
         hf.trajectory_to_csv(traj, fh)
     if traj.stop_reason != "completed":
         return EXIT_BLOWUP
@@ -257,7 +256,7 @@ def _blow_sign(n, gamma0, rho0):
     traj = hf.integrate(seed, 14.0, hf.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12), n)
     if traj.stop_reason != "blowup":
         return 0
-    return 1 if traj.points[-1].w[0] > 0 else -1
+    return 1 if traj.ys[0, -1] > 0 else -1
 
 
 def _separatrix_gap(n, gamma0):

@@ -18,8 +18,10 @@ two-sided strategy:
      x0 2^-j where the series has converged, with a Newton refinement of
      the seed offsets in rho, driving the growing-mode components to zero
      at the station x = 4.95; the Jacobian in rho comes exactly from
-     tangent-linear columns carried by the probe, and a small Newton step
-     is taken along them instead of by a second probe, up to x = 3;
+     tangent-linear columns carried by the probe, and every solve takes
+     its Newton step along them up to x = 3 instead of by a second
+     probe, then relaunches a plain run from there: one tangent probe
+     and one relaunch;
   2. the tail in closed form: beyond x ~ 3.9 the orbit is the chain
      linearised at w = 0, which x (x w')' = (r x)^2 w solves exactly mode
      by mode, K0(r x) v decaying and I0(r x) v growing, with rates r = 2
@@ -98,8 +100,6 @@ _SERIES_TOL = 1e-13
 # at most 5005, the count at order 9 over 6 links (n <= 10); 3 links (n = 3)
 # keep order 9 and their tables
 _TOP_ORDER, _MAX_ROWS = 9, 5005
-# the Newton step in rho (max norm) that ends the shooting
-_STEP_TOL = 1e-14
 # the largest Newton step the shooting takes along the probe's tangent
 # columns: the term the shift drops grows with the step squared, and the
 # steps of 1,248 seeded solves were at most 1.55e-12
@@ -218,31 +218,13 @@ class SmallXSeries:
         return [float(v) for v in y]
 
 
-def _run(n: int, y0, x0: float, x_end: float, cfg: IntegratorConfig,
-         tally: dict) -> Trajectory:
-    """`_integrate_raw`, with the run's work added to `tally`."""
-    traj = _integrate_raw(n, y0, x0, x_end, cfg)
-    st = traj.stats
-    tally["integrations"] += 1
-    tally["steps"] += st.n_steps
-    tally["rejected"] += st.n_rejected
-    tally["rhs_evals"] += st.n_rhs_evals
-    tally["tangent_rhs_evals"] += st.n_tangent_rhs
-    return traj
-
-
-def _forward(series: SmallXSeries, rho, x0: float, x_end: float, cfg: IntegratorConfig,
-             tally: dict, tangents: bool = False) -> Trajectory:
-    """Forward run from the seed of `series`; its work is added to `tally`.
-    With `tangents`, the run carries the columns d(w, wt, q)/d(rho)."""
-    return _run(series.n, series.seed(rho, x0, tangents), x0, x_end, cfg, tally)
-
-
 def _converged_start(series: SmallXSeries, rho, x0: float) -> tuple[float, SmallXSeries]:
     """The largest x0 2^-j (j >= 0) at which the series cut at rho drops a
-    first term below _SERIES_TOL, with that cut; below _X_START_MIN the
-    GlobalSolveError names a(gamma) and the term (a NaN term never
-    converges)."""
+    first term below _SERIES_TOL, with that cut.  An x0 outside (0, 0.1]
+    raises UnsupportedConfigError; below _X_START_MIN the GlobalSolveError
+    names a(gamma) and the term (a NaN term never converges)."""
+    if not 0.0 < x0 <= 0.1:
+        raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     x = x0
     while not (cut := series.cut(rho, x)).error < _SERIES_TOL:
         x *= 0.5
@@ -264,8 +246,6 @@ def init_from_asymptotics(a: AsymptoticData, x0: float) -> PhasePoint:
     (0, 0.1] UnsupportedConfigError; `AsymptoticData` has refused a
     non-finite rho."""
     check_genericity(a.n, a.gamma)
-    if not 0.0 < x0 <= 0.1:
-        raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     x, cut = _converged_start(SmallXSeries(a.n, a.gamma), a.rho, x0)
     return PhasePoint.from_state(x, cut.seed(a.rho, x))
 
@@ -280,70 +260,57 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     orbit by less than that (info["x_start"]).  It carries the
     tangent-linear flow (two columns d(w, wt, q)/d(rho_j), seeded with
     the seed's own derivative), which maps its end node through the same
-    linear residual to the exact Jacobian in rho.  One of three rules
-    ends the shooting, and info["stop"] names it: "residual", the
-    probe's residual is below 2e-11 (the trivial orbit); "step", the
-    Newton step moves rho by less than 1e-14 (max norm), so the residual
-    is at its noise floor and the probe is kept; "linear", the step is
-    below _LINEAR_STEP = 1e-11 (nearly every solve).  A larger step,
-    which none of 1,248 seeded solves took, raises GlobalSolveError
-    naming it, as does a probe that blows up, by the integrator's rule
-    against its own seed (`_integrate_raw`).
+    linear residual to the exact Jacobian in rho.  A Newton step of
+    _LINEAR_STEP = 1e-11 or more (max norm), which none of 1,248 seeded
+    solves took, raises GlobalSolveError naming it, as does a probe that
+    blows up, by the integrator's rule against its own seed
+    (`_integrate_raw`).
 
-    On "linear" no probe is run from rho - step.  The kept orbit is the
-    probe shifted by -step along its columns up to its last node at or
-    below _X_RELAUNCH = 3, and a plain run from there to the station:
-    the columns grow like exp(4x), and the second-order term the shift
-    drops reaches 5e-12 in the regularized integral at 4.2, 1e-15 at 3.
-    info["residual"] is measured on the kept orbit, info["probe_residual"]
-    on the probe, and on the other rules the two are one.  A residual
-    above 1e-4 raises GlobalSolveError.  Every run is at rel_tol 1e-12
-    and abs_tol 1e-14, and the kept orbit is returned with its rho.  The
-    work of every run is summed in info["integrator_stats"], and the cut
+    Every solve then ends by one rule, and no probe is run from rho -
+    step.  The kept orbit is the probe shifted by -step along its columns
+    up to its last node at or below _X_RELAUNCH = 3, and a plain run from
+    there to the station: the columns grow like exp(4x), and the
+    second-order term the shift drops reaches 5e-12 in the regularized
+    integral at 4.2, 1e-15 at 3.  The trivial orbit takes it too, with a
+    step of 0.  info["residual"] is measured on the kept orbit (9.6e-15
+    to 1.0e-9 over 1,129 seeded solves, 0 on the trivial orbit) and
+    info["probe_residual"] on the probe; a kept residual above 1e-4
+    raises GlobalSolveError.  Every run is at rel_tol 1e-12 and abs_tol
+    1e-14, and the kept orbit is returned with its rho.
+    info["integrator_stats"] is read off the kept orbit's
+    `IntegrationStats`, which count the work of both runs, and the cut
     series, with its order and first dropped term, is info["series"];
     info["iterations"] counts the probes, one.
     """
     rho = np.array(rho, dtype=float)
     start, series = _converged_start(series, rho, x0)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    tally = {"integrations": 0, "steps": 0, "rejected": 0, "rhs_evals": 0,
-             "tangent_rhs_evals": 0}
-    info = {"iterations": 1, "station": _STATION, "x_start": start,
-            "integrator_stats": tally, "series": series}
-
-    traj = _forward(series, rho, start, _STATION, cfg, tally, tangents=True)
-    if traj.stop_reason != "completed":
+    probe = _integrate_raw(series.n, series.seed(rho, start, tangents=True), start, _STATION, cfg)
+    if probe.stop_reason != "completed":
         raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
-                               f"({traj.stop_reason}) at x = {traj.x_final:.6g}")
-    r = _mode_residual(traj.sample_state(_STATION), _STATION)
-    info["probe_residual"] = info["residual"] = float(np.max(np.abs(r)))
-    if info["residual"] < 2e-11:
-        info["stop"] = "residual"
-        return rho, info, traj
-    J = np.column_stack([_mode_residual(col, _STATION) for col in traj.tangent.T])
+                               f"({probe.stop_reason}) at x = {probe.x_final:.6g}")
+    r = _mode_residual(probe.sample_state(_STATION), _STATION)
+    J = np.column_stack([_mode_residual(col, _STATION) for col in probe.tangent.T])
     try:
         step = np.linalg.solve(J, r)
     except np.linalg.LinAlgError as exc:
         raise GlobalSolveError("singular shooting Jacobian") from exc
-    nrm = float(np.max(np.abs(step)))
-    if nrm < _STEP_TOL:
-        info["stop"] = "step"
-    elif nrm < _LINEAR_STEP:
-        # the probe moved by the step along its columns up to its last
-        # node at or below _X_RELAUNCH, and a plain run on from there
-        info["stop"] = "linear"
-        head = traj.shifted(-step)
-        k = int(np.searchsorted(head.xs, _X_RELAUNCH, side="right")) - 1
-        traj = head.joined(_run(head.n, head.ys[:, k], float(head.xs[k]), _STATION, cfg, tally))
-        rho = rho - step
-        info["residual"] = float(np.max(np.abs(
-            _mode_residual(traj.sample_state(_STATION), _STATION))))
-    else:
+    nrm, probe_residual = float(np.max(np.abs(step))), float(np.max(np.abs(r)))
+    if not nrm < _LINEAR_STEP:
         raise GlobalSolveError(f"Newton step {nrm:.3e} off the shooting probe is above "
-                               f"{_LINEAR_STEP:g} (probe residual {info['residual']:.3e})")
-    if info["residual"] > 1e-4:
-        raise GlobalSolveError(f"shooting stalled at residual {info['residual']:.3e}")
-    return rho, info, traj
+                               f"{_LINEAR_STEP:g} (probe residual {probe_residual:.3e})")
+    head = probe.shifted(-step)
+    k = int(np.searchsorted(head.xs, _X_RELAUNCH, side="right")) - 1
+    traj = head.joined(_integrate_raw(head.n, head.ys[:, k], float(head.xs[k]), _STATION, cfg))
+    residual = float(np.max(np.abs(_mode_residual(traj.sample_state(_STATION), _STATION))))
+    if residual > 1e-4:
+        raise GlobalSolveError(f"shooting residual {residual:.3e} on the kept orbit above 1e-4")
+    st = traj.stats
+    stats = {"integrations": st.n_integrations, "steps": st.n_steps, "rejected": st.n_rejected,
+             "rhs_evals": st.n_rhs_evals, "tangent_rhs_evals": st.n_tangent_rhs}
+    return rho - step, {"iterations": 1, "station": _STATION, "x_start": start,
+                        "residual": residual, "probe_residual": probe_residual,
+                        "integrator_stats": stats, "series": series}, traj
 
 
 # K_nu and I_nu (nu = 0, 1) by two fixed rules, one node set each: e^z K_nu(z)
@@ -468,14 +435,14 @@ class GlobalSolution:
 
     @property
     def shooting(self) -> dict:
-        """What the shooting did: its probes ("iterations", one), the rule
-        that ended it ("stop"), its start, the growing-mode residual at
-        the station measured on the kept orbit ("residual") and on the
-        probe's run ("probe_residual"), the match residual, and the max
-        norm of the Newton correction rho_seed - rho_formula."""
+        """What the shooting did: its probes ("iterations", one), its
+        start, the growing-mode residual at the station measured on the
+        kept orbit ("residual") and on the probe's run ("probe_residual"),
+        the match residual, and the max norm of the Newton correction
+        rho_seed - rho_formula."""
         d = self.diagnostics
-        return {**{k: d[k] for k in ("iterations", "stop", "x_start", "residual",
-                                      "probe_residual", "match_residual")},
+        return {**{k: d[k] for k in ("iterations", "x_start", "residual", "probe_residual",
+                                      "match_residual")},
                 "correction": max(abs(a - b) for a, b in zip(self.rho_seed, self.rho_formula))}
 
     def reg_integral(self, x2: float) -> float:
@@ -497,7 +464,8 @@ def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     The shooting starts at the largest x0 2^-j where the series' first
     dropped term is below 1e-13, at x0 itself where it has converged
     there; a series not converged above 1e-8 raises GlobalSolveError
-    naming a(gamma).  That start is the solution's x0 (also
+    naming a(gamma), and an x0 outside (0, 0.1] UnsupportedConfigError
+    (`_converged_start`).  That start is the solution's x0 (also
     diagnostics["x_start"]), from which reg_integral is measured.
     Genericity and the length of gamma are checked once, by `global_rho`.
     The shooting ends at station 4.95, the forward run is matched to the
@@ -508,20 +476,18 @@ def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     A solve has one tolerance set: its runs are at rel_tol 1e-12 and
     abs_tol 1e-14 (`_refine_rho`), and the forward trajectory is the
     orbit the shooting kept, the one diagnostics["residual"] was measured
-    on: on the "linear" stop the tangent probe shifted by the Newton step
-    up to x = 3 and a plain run beyond, else the probe itself
-    (diagnostics["probe_residual"] is the probe's own).  The match
-    reacts to ulp-level changes of rho, so the kept orbit is not
-    integrated again.  The diagnostics sum the work of every forward run
-    of the solve in "integrator_stats", with the RHS calls that carried
-    tangent columns also in "tangent_rhs_evals"; `shooting` sums up the
+    on: the tangent probe shifted by the Newton step up to x = 3 and a
+    plain run beyond (diagnostics["probe_residual"] is the probe's own).
+    The match reacts to ulp-level changes of rho, so the kept orbit is
+    not integrated again.  diagnostics["integrator_stats"] is read off the
+    kept orbit's `IntegrationStats`, the work of both runs: integrations,
+    steps, rejected steps, RHS calls and, of those, the ones that carried
+    tangent columns ("tangent_rhs_evals"); `shooting` sums up the
     shooting.
     diagnostics["series"] is the seed's cut series, with its order and
     first dropped term, which also gives the endcap over (0, x0).
     """
     gamma = tuple(float(g) for g in gamma)
-    if not 0.0 < x0 <= 0.1:
-        raise UnsupportedConfigError(f"x0 must lie in (0, 0.1], got {x0!r}")
     rho_f = tuple(global_rho(3, gamma))
     rho_seed, info, fwd = _refine_rho(SmallXSeries(3, gamma), rho_f, x0)
     A, D, resid = _match(fwd)

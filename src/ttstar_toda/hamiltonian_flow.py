@@ -126,6 +126,12 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
+    """The work of a run: one integration, its accepted and rejected steps
+    and its RHS calls.  `Trajectory.joined` sums every field, so a joined
+    orbit counts the runs it is made of, and `Trajectory.shifted` keeps
+    them; a global solve reports its kept orbit's."""
+
+    n_integrations: int = 1
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs_evals: int = 0

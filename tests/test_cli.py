@@ -63,6 +63,12 @@ class TestMaps:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
 
+    def test_empty_out_exit_2(self, capsys):
+        # an empty --out was read as absent: exit 0, the JSON on stdout
+        assert run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--out", ""]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
     def test_determinism(self, capsys):
         run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"])
         out1 = capsys.readouterr().out
@@ -189,6 +195,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
 
+    def test_empty_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an empty --out was read as absent: exit 0 and a trajectory.csv
+        # in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", "--n", "3", "--gamma", "0,0", "--x1", "1", "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_blowup_exit_3(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = run(["solve", "--n", "3", "--gamma", "0.3,0.1", "--rho", "1,1",
@@ -212,10 +226,9 @@ class TestTau:
         assert run(["tau", "--gamma", "0.3,0.1", "--x1", "0.01", "--x2", "6",
                     "--reproducible"]) == 0
         shooting = json.loads(capsys.readouterr().out)["shooting"]
-        assert list(shooting) == ["iterations", "stop", "x_start", "residual",
-                                  "probe_residual", "match_residual", "correction"]
-        assert (shooting["iterations"], shooting["stop"], shooting["x_start"]) == \
-            (1, "linear", 0.01)
+        assert list(shooting) == ["iterations", "x_start", "residual", "probe_residual",
+                                  "match_residual", "correction"]
+        assert (shooting["iterations"], shooting["x_start"]) == (1, 0.01)
         assert shooting["residual"] < shooting["probe_residual"] < 1e-4
         assert 0.0 < shooting["correction"] < 1e-11
 
@@ -245,8 +258,9 @@ class TestConstant:
                                     "x1", "x2_used", "tail_bound",
                                     "integrator_stats", "shooting", "a", "series_order",
                                     "series_error"]
-        # the trivial orbit ends on its residual, on its one probe
-        assert doc["shooting"]["stop"] == "residual"
+        # the trivial orbit takes the one rule too, with a step of 0: one
+        # probe and one relaunch, both identically zero
+        assert doc["integrator_stats"]["integrations"] == 2
         assert doc["shooting"]["residual"] == doc["shooting"]["probe_residual"] == 0.0
         # a(0, 0) = 2: written "2.0", like x2_used "7.0", so both load as floats
         assert doc["a"] == 2.0

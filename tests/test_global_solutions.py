@@ -11,7 +11,8 @@ from ttstar_toda import (constant_numeric, global_solutions, init_from_asymptoti
 from ttstar_toda.cli import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, ShapeError, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
-from ttstar_toda.hamiltonian_flow import IntegratorConfig, _links, tail_amplitude_s1
+from ttstar_toda.hamiltonian_flow import (IntegratorConfig, UnsupportedConfigError, _links,
+                                          tail_amplitude_s1)
 
 SQ8 = 2.0 * math.sqrt(2.0)
 
@@ -168,7 +169,7 @@ class TestSolveGlobal:
             global_solutions._converged_start(series, (math.nan, 0.0), 0.01)
 
     def test_x0_validation(self):
-        with pytest.raises(Exception):
+        with pytest.raises(UnsupportedConfigError, match=r"x0 must lie in \(0, 0\.1\]"):
             solve_global((0.3, 0.1), 0.5)
 
     @pytest.mark.parametrize("gamma", [(0.3, 0.1, 0.7), [0.3]])
@@ -214,15 +215,12 @@ class TestLinearPrediction:
         # 6.8e-14; w, wt at 0.5 3.9e-14, at 3 1.6e-9 and at 4.2 2.2e-7, the
         # plain probe's own growing content (its residual at 4.95 reaches
         # 3.9e-6, the kept orbit's 2.6e-10); amp_sum and amp_diff 8.2e-10.
-        # The trivial orbit ends on its residual with the probe kept, so
-        # there the two runs are one.
+        # On the trivial orbit both runs are identically zero.
         sol = solve_global(gamma, 0.01)
         d = sol.diagnostics
-        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals",
-                               "tangent_rhs_evals"), 0)
-        plain = global_solutions._forward(d["series"], np.array(sol.rho_seed), sol.x0, 4.95,
-                                          IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14), tally)
-        assert d["stop"] == ("residual" if gamma == (0.0, 0.0) else "linear")
+        plain = global_solutions._integrate_raw(
+            3, d["series"].seed(np.array(sol.rho_seed), sol.x0), sol.x0, 4.95,
+            IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
         kept = sol.forward
         assert abs(kept.reg_integral_to(4.2) - plain.reg_integral_to(4.2)) <= 2e-13
         for x, bound in ((0.5, 1e-13), (3.0, 5e-9), (4.2, 6e-7)):
@@ -253,18 +251,20 @@ class TestShootingJacobian:
         gamma, x0, x_p = (0.3, 0.1), 0.01, 1.0
         rho = np.array(global_rho(3, gamma))
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-        tally = dict.fromkeys(("integrations", "steps", "rejected", "rhs_evals",
-                               "tangent_rhs_evals"), 0)
         series = SmallXSeries(3, gamma).cut(rho, x0)
-        traj = global_solutions._forward(series, rho, x0, x_p, cfg, tally, tangents=True)
+
+        def probe(rho, tangents=False):
+            return global_solutions._integrate_raw(3, series.seed(rho, x0, tangents),
+                                                   x0, x_p, cfg)
+
+        traj = probe(rho, tangents=True)
         J = np.column_stack([global_solutions._mode_residual(col, x_p)
                              for col in traj.tangent.T])
         h = 1e-4
         for j in range(2):
             e = np.eye(2)[j] * h
-            rp, rm = (global_solutions._mode_residual(
-                global_solutions._forward(series, rho + s, x0, x_p, cfg, tally)
-                .sample_state(x_p), x_p) for s in (e, -e))
+            rp, rm = (global_solutions._mode_residual(probe(rho + s).sample_state(x_p), x_p)
+                      for s in (e, -e))
             fd = (rp - rm) / (2 * h)
             assert np.all(np.abs(J[:, j] - fd) <= 1e-6 * np.max(np.abs(fd)))
 
@@ -435,28 +435,48 @@ class TestCorrectedSeed:
         # series has converged: at (0.3, 0.1) by order 2 at x0 = 2.5e-3
         # and by order 3 at 0.01
         ends = []
-        forward = global_solutions._forward
+        integrate_raw = global_solutions._integrate_raw
 
-        def recorded(series, rho, x0, x_end, *args, **kwargs):
+        def recorded(n, y0, x0, x_end, cfg):
             ends.append(x_end)
-            return forward(series, rho, x0, x_end, *args, **kwargs)
+            return integrate_raw(n, y0, x0, x_end, cfg)
 
-        monkeypatch.setattr(global_solutions, "_forward", recorded)
+        monkeypatch.setattr(global_solutions, "_integrate_raw", recorded)
         global_solutions._refine_rho(SmallXSeries(3, gamma), global_rho(3, gamma), x0)
         assert ends[0] == first
 
 
 class TestLastStationStop:
-    @pytest.mark.parametrize("gamma, x0, stop", [((0.3, 0.1), 0.01, "linear"),
-                                                 ((0.0, 0.0), 0.08, "residual"),
-                                                 ((-0.9, -0.56), 0.08, "linear")])
-    def test_stop_rule_reaches_the_diagnostics(self, gamma, x0, stop):
-        # a converged series ends on the tangent probe's linear prediction,
-        # its Newton step 2.5e-14 at (0.3, 0.1) and 1.1e-12 at a = 0.2,
-        # shot from 1.53e-7; the trivial orbit on a vanishing residual
+    # the ids' last part names the rule that ended each solve when there
+    # were three; kept, so that the test ids stay stable
+    @pytest.mark.parametrize("gamma, x0", [((0.3, 0.1), 0.01), ((0.0, 0.0), 0.08),
+                                           ((-0.9, -0.56), 0.08)],
+                             ids=["gamma0-0.01-linear", "gamma1-0.08-residual",
+                                  "gamma2-0.08-linear"])
+    def test_stop_rule_reaches_the_diagnostics(self, gamma, x0):
+        # every solve ends on one rule: one tangent probe, its Newton step
+        # (2.5e-14 at (0.3, 0.1), 1.1e-12 at a = 0.2, shot from 1.53e-7, and
+        # 0 on the trivial orbit) and one relaunch from x = 3
         sol = solve_global(gamma, x0)
-        assert sol.diagnostics["stop"] == stop
-        assert sol.diagnostics["station"] == 4.95
+        d = sol.diagnostics
+        assert (d["iterations"], d["integrator_stats"]["integrations"]) == (1, 2)
+        assert d["station"] == 4.95
+
+    @pytest.mark.parametrize("gamma", [
+        (0.12595764089719053, -0.036345506116953086),
+        (-0.07942979256751737, 0.030824547484363585),
+        (-0.15049706355329584, -0.36157201972442965),
+        (0.32441796679765633, -0.05589800706265402),
+        (0.6026678376829728, 0.2904286989281688),
+        (-0.20696159349945153, -0.35950309998708607),
+        (0.0977723385275513, -0.050626816674590014),
+        (0.04648736246320362, 0.025224071063725706),
+        (-0.02844556670367271, -0.05612868467317833)])
+    def test_small_steps_relaunch_too(self, gamma):
+        # these 9 of 1,248 seeded gammas take a Newton step below 1e-14.
+        # Kept as probes, their residuals were 5.8e-8 to 2.3e-6; shifted
+        # and relaunched, they are 1.0e-14 to 5.5e-14
+        assert constant_numeric(gamma).shooting["residual"] <= 1e-12
 
     def test_a_step_beyond_the_linear_rule_raises(self):
         # started 1e-9 off the global rho, the probe's Newton step is about
@@ -470,15 +490,14 @@ class TestLastStationStop:
     def test_probes_do_not_depend_on_the_noise_floor(self):
         # at (0.42223887, -0.69539036) the one solve is at x1 = 0.02, K = 8.
         # Nudging the starting rho by a few ulps moves the probe's residual
-        # (1.72e-5 to 1.76e-5), but its Newton step stays 4.3e-14 to 4.4e-14,
-        # above 1e-14 and far below the linear rule's bound: one probe each
-        # time, and the plain run from 3 on
+        # (1.72e-5 to 1.76e-5) and its Newton step (4.3e-14 to 4.4e-14),
+        # but not the rule: one probe and the plain run from 3 on each time
         gamma = (0.42223887, -0.69539036)
         rep = constant_numeric(gamma)
         assert rep.x1 == 0.02 and rep.integrator_stats["integrations"] == 2
-        assert (rep.shooting["iterations"], rep.shooting["stop"]) == (1, "linear")
+        assert rep.shooting["iterations"] == 1
         series, rho = SmallXSeries(3, gamma), np.array(global_rho(3, gamma))
         for ulps in [(0, 0), (1, 0), (-1, 0), (0, 2), (-3, 2), (2, -2), (3, 0)]:
             nudged = [r + k * math.ulp(r) for r, k in zip(rho, ulps)]
             _rho, info, _traj = global_solutions._refine_rho(series, nudged, 0.02)
-            assert info["iterations"] == 1 and info["stop"] == "linear"
+            assert info["iterations"] == 1 and info["integrator_stats"]["integrations"] == 2

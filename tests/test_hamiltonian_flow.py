@@ -370,6 +370,8 @@ class TestShiftedAndJoined:
         assert np.array_equal(whole.sample_state(2.9), tail.sample_state(2.9))
         assert whole.reg_integral == tail.ys[-1, -1]
         assert whole.stats.n_rhs_evals == head.stats.n_rhs_evals + tail.stats.n_rhs_evals
+        assert (head.stats.n_integrations, tail.stats.n_integrations,
+                whole.stats.n_integrations) == (1, 1, 2)
 
 
 def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
