@@ -21,10 +21,10 @@ links, their exponents and weights, are written once, in `_links`.
 The chain's energy and force are written once, in `_make_rhs`, the vector
 field of the augmented state [w, wt, q] with q' = H + 2x; the stepper,
 `hamiltonian`, `vector_field` and `reg_density` evaluate it.  Its code is
-generated from `_links(n)` once per n, straight through the links without
-loops.  It takes one state as a sequence of floats (math.expm1, a list
-back) or a batch as an array (dim, ...) with the components on axis 0
-(np.expm1, an array back).
+generated from `_links(n)` once per n and input length, straight through
+the links and tangent columns without loops.  It takes one state as a
+sequence of floats (math.expm1, a list back) or a batch as an array
+(dim, ...) with the components on axis 0 (np.expm1, an array back).
 
 `integrate` is the Dormand-Prince 8(5,3) pair DOP853 with PI step-size
 control and its degree-7 dense output (Hairer, Norsett and Wanner, Solving
@@ -33,16 +33,18 @@ calls on 5-vectors cost more than the arithmetic.  The stepping loop is
 straight-line source generated once per state size (`_make_stepper`):
 the 12 stages, update and error norm are written out per component on
 locals, in the order of loops over the components, so they give the
-same bits.  On a shooting probe at gamma = (0.3, 0.1) from x0 = 0.01 a
-step takes 19 us, 49 us with two tangent columns and their dense output
-(kernel calls and dense output included; x86-64, Python 3.11, fastest of
-40 interleaved runs).  Accepted states and the 9 of their 13 stages
-that the dense output reads go into flat array('d') buffers; at the end
-of a run the three extra dense-output stages of all steps take three
-batch calls of the kernel, and the power-basis coefficients of the whole
-trajectory one product.  Tangent columns [dw, dwt, dq] ride the state's steps without
-entering its error control, and get their own nodes and coefficients,
-so that `Trajectory.shifted` moves a run along them to first order.
+same bits; a stage argument's q entries are 0.0, since the kernel reads
+none.  On a shooting probe at gamma = (0.3, 0.1) from x0 = 0.01 to 4.95
+a step takes 20.5 us, 43 us with two tangent columns and their dense
+output (kernel calls and dense output included; x86-64, Python 3.11,
+fastest of 40 interleaved runs).  Accepted states and the 9 of their 13
+stages that the dense output reads go into flat array('d') buffers,
+appended by array.fromlist; at the end of a run the three extra
+dense-output stages of all steps take three batch calls of the kernel,
+and the power-basis coefficients of the whole trajectory one product.
+Tangent columns [dw, dwt, dq] ride the state's steps without entering
+its error control, and get their own nodes and coefficients, so that
+`Trajectory.shifted` moves a run along them to first order.
 Through the q channel trajectories accumulate the regularized integral
 of H against the trivial background -2x as they go.  Blow-up flags and
 returns the partial trajectory instead of raising: a step underflow
@@ -165,6 +167,18 @@ def _links(n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, c
 
 
+class _Bodies(dict):
+    """Generated code by input length, each body made on its first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, size):
+        body = self[size] = self.make(size)
+        return body
+
+
 @functools.cache
 def _make_rhs(n: int, even: bool):
     """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
@@ -182,21 +196,28 @@ def _make_rhs(n: int, even: bool):
     f returns their linearised derivatives after the state's: with E_l + 1
     the exponential of link l, dE_l = k_l (E_l + 1) times the column's
     u_l, and dq' = d(H + 2x) = (wt . dwt)/x - x sum_l c_l dE_l.  A
-    column's own dq enters nothing, nor does the state's q.
+    column's own dq enters nothing, nor does the state's q, so the stepper
+    passes 0.0 there.  The input may also be the bare [w, wt] (2L
+    components, no q), as `hamiltonian`, `vector_field` and the matched
+    tail pass it; any other length raises UnsupportedConfigError.
 
     f is straight-line code over the L + 1 links of `_links(n)`, written
-    out as source once per chain and compiled: the stepper calls it 12
-    times per step, and loops over the links took two to three times as
-    long (n = 3 on Python 3.11: 2.7 against 0.9 us a call, 6.0 against
-    2.4 us with two tangent columns).  Link l has exponent k_l u_l, read
-    off its row of A: u_l is w_0 or w_{L-1} on a row with one entry k_l,
-    and w_l - w_{l-1} on a row (..., -k_l, k_l, ...); E_l = expm1(k_l
-    u_l).  The density groups the weights as x (E_1 + ... + E_{L-1}) and
-    c_0 x (c_L/c_0 E_L + E_0), with q_const x = (2 - sum c) x against the
-    +2x term, and its sums start from 0.0; dq' sums c_l dE_l as dE_1 +
-    ... + dE_{L-1} + c_0 (c_L/c_0 dE_L + dE_0).  Sums run in link order,
-    as in the plain loops over the links (`eom_loops` in the tests), which
-    f matches bit for bit.
+    out as source and compiled once per chain and input length (2L, 2L +
+    1, or (2L + 1)(1 + m) with m tangent columns), on first use: a body
+    unpacks the whole of y into locals, writes every column's block out
+    and returns one list literal, and f only picks the body by len(y).
+    The stepper calls it 12 times per step, and loops over the links and
+    columns took three to four times as long (n = 3, x86-64, Python 3.11,
+    fastest of 40 interleaved runs: 1.7 against 0.62 us a call, 4.8
+    against 1.16 us with two tangent columns).  Link l has exponent k_l
+    u_l, read off its row of A: u_l is w_0 or w_{L-1} on a row with one
+    entry k_l, and w_l - w_{l-1} on a row (..., -k_l, k_l, ...); E_l =
+    expm1(k_l u_l).  The density groups the weights as x (E_1 + ... +
+    E_{L-1}) and c_0 x (c_L/c_0 E_L + E_0), with q_const x = (2 - sum c) x
+    against the +2x term, and its sums start from 0.0; dq' sums c_l dE_l
+    as dE_1 + ... + dE_{L-1} + c_0 (c_L/c_0 dE_L + dE_0).  Sums run in
+    link order, as in the plain loops over the links (`eom_loops` in the
+    tests), which f matches bit for bit.
 
     `even` is n % 2 == 0, which n already decides; it stays a second
     positional parameter because perfbench/smoke.py wraps this function in
@@ -216,47 +237,65 @@ def _make_rhs(n: int, even: bool):
                 for j in nonzero]
 
     def names(*prefixes):
-        return ", ".join(f"{p}{i}" for p in prefixes for i in range(L))
+        return [f"{p}{i}" for p in prefixes for i in range(L)]
 
     def force(v):   # -2x (dE_{i+1} - dE_i), i < L
         return [f"m2x * ({v}{i + 1} - {v}{i})" for i in range(L)]
 
     def rates(wt, e, q):   # [w, wt, q]' from momenta wt and links e
-        return ", ".join([f"{wt}{i} / x" for i in range(L)] + force(e) + [q])
+        return [f"{wt}{i} / x" for i in range(L)] + force(e) + [q]
+
+    def d_density(dt, dE):   # x sum_l c_l dE_l along a column, the inner links first
+        dww = " + ".join(f"wt{i} * {dt}{i}" for i in range(L))
+        ends = f"{c[0]!r} * ({'' if c[L] == c[0] else f'{c[L] / c[0]!r} * '}{dE}{L} + {dE}0)"
+        return f"({dww}) / x - x * ({' + '.join([f'{dE}{i}' for i in range(1, L)] + [ends])})"
 
     ww = " + ".join(["0.0"] + [f"wt{i} * wt{i}" for i in range(L)])
     e_inner = " + ".join(["0.0"] + [f"E{i}" for i in range(1, L)])
     density = (f"({ww}) / (2.0 * x) - x * ({e_inner}) + {q_const!r} * x"
                f" - {c[0]!r} * x * ({c[L] / c[0]!r} * E{L} + E0)")
-    # its derivative along a column: x sum_l c_l dE_l, the inner links first
-    dww = " + ".join(f"wt{i} * dt{i}" for i in range(L))
-    ends = f"{c[0]!r} * ({'' if c[L] == c[0] else f'{c[L] / c[0]!r} * '}dE{L} + dE0)"
-    d_density = f"({dww}) / x - x * ({' + '.join([f'dE{i}' for i in range(1, L)] + [ends])})"
-    src = "\n".join([
-        "def f(x, y):",
-        "    batch = isinstance(y, ndarray)",
-        "    expm1 = np_expm1 if batch else math_expm1",
-        f"    {names('w', 'wt')}, = y[:{2 * L}]",
-        "    try:",
-        *(f"        E{i} = expm1({k[i]!r} * {a})" for i, a in enumerate(u("w"))),
-        "    except OverflowError:",
-        "        # a wild trial state: return the infinities np.expm1 gives, so",
-        "        # that the stepper rejects the step as it rejects any non-finite one",
-        "        return f(x, array(y)).tolist()",
-        "    m2x = -2.0 * x",
-        f"    out = [{rates('wt', 'E', density)}]",
-        f"    if len(y) > {dim}:",
-        *(f"        T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1)),
-        f"        for c in range({dim}, len(y), {dim}):",
-        f"            {names('d', 'dt')}, = y[c:c + {2 * L}]",
-        *(f"            dE{i} = T{i} * {a}" for i, a in enumerate(u("d"))),
-        f"            out += [{rates('dt', 'dE', d_density)}]",
-        "    return array(out) if batch else out",
-    ])
-    scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
-             "array": np.array}
-    exec(compile(src, f"<chain kernel n={n}>", "exec"), scope)
-    return scope["f"], L
+
+    def body(size: int):
+        # the kernel for inputs of `size` components: [w, wt] (2L, no q),
+        # or the state [w, wt, q] and size / dim - 1 columns [dw, dwt, dq]
+        if size != 2 * L and (size < dim or size % dim):
+            raise UnsupportedConfigError(
+                f"the n={n} kernel takes {2 * L} or a multiple of {dim} components, got {size}")
+        cols = [f"c{j}_" for j in range(max(size // dim - 1, 0))]
+        unpack = names("w", "wt") + ["_"] * (size > 2 * L)
+        for p in cols:   # a q entry is read by nothing, the dq of a column neither
+            unpack += names(f"d{p}", f"dt{p}") + ["_"]
+        out = rates("wt", "E", density)
+        for p in cols:
+            out += rates(f"dt{p}", f"dE{p}", d_density(f"dt{p}", f"dE{p}"))
+        src = [
+            "def f(x, y):",
+            "    batch = isinstance(y, ndarray)",
+            "    expm1 = np_expm1 if batch else math_expm1",
+            f"    {', '.join(unpack)}, = y",
+            "    try:",
+            *(f"        E{i} = expm1({k[i]!r} * {a})" for i, a in enumerate(u("w"))),
+            "    except OverflowError:",
+            "        # a wild trial state: return the infinities np.expm1 gives, so",
+            "        # that the stepper rejects the step as it rejects any non-finite one",
+            "        return f(x, array(y)).tolist()",
+            "    m2x = -2.0 * x",
+            *(f"    T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1) if cols),
+            *(f"    dE{p}{i} = T{i} * {a}" for p in cols for i, a in enumerate(u(f"d{p}"))),
+            f"    out = [{', '.join(out)}]",
+            "    return array(out) if batch else out",
+        ]
+        scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
+                 "array": np.array}
+        exec(compile("\n".join(src), f"<chain kernel n={n} size={size}>", "exec"), scope)
+        return scope["f"]
+
+    bodies = _Bodies(body)
+
+    def f(x, y):
+        return bodies[len(y)](x, y)
+
+    return f, L
 
 
 def _rhs_at(p: PhasePoint, n: int) -> list[float]:
@@ -566,10 +605,12 @@ def _make_stepper(dim: int, size: int):
 
     The loop is straight-line source, written once per (dim, size) and
     compiled: the state, the stages and the new state are locals, each
-    stage's argument is one list literal, the error norm and blow-up test
-    are written out per component.  It keeps the float operations of
-    loops over the components in their order (`dop853_loops` in the
-    tests), so it matches them bit for bit: no product h * a_ij is
+    stage's argument is one list literal with 0.0 in its q entries (the
+    state's q and each column's dq, which the kernel never reads), the
+    error norm and blow-up test are written out per component, and the
+    buffers grow by array.fromlist of a list.  It keeps the float
+    operations of loops over the components in their order (`dop853_loops`
+    in the tests), so it matches them bit for bit: no product h * a_ij is
     formed, and every sum runs over the stages in tableau order.
     """
     L = (dim - 1) // 2
@@ -600,7 +641,8 @@ def _make_stepper(dim: int, size: int):
     for s in range(2, 13):   # stage s from row s - 1 of _A, at node _C[s - 1]
         ws = terms(_A[s - 1])
         node = "x + h" if s == 12 else f"x + {_C[s - 1]!r} * h"
-        arg = ", ".join(f"y{i} + h * ({comb(ws, i)})" for i in comps)
+        arg = ", ".join("0.0" if i % dim == dim - 1 else f"y{i} + h * ({comb(ws, i)})"
+                        for i in comps)
         lines.append(f"        {names(f'k{s}_')}, = f({node}, [{arg}])")
     # Hairer's error norm: the 5th-order estimate, damped where the
     # 3rd-order one is much larger, over the state only
@@ -626,13 +668,13 @@ def _make_stepper(dim: int, size: int):
         "        if err <= 1.0:",
         # FSAL: stage 13 is the next step's k1
         f"            {names('k13_')}, = f(x + h, [{names('z')}])",
-        "            ks.extend(({}))".format(
+        "            ks.fromlist([{}])".format(
             ", ".join(names(f"k{s + 1}_") for s in _KEPT)),
         "            x = x + h",
         f"            {names('y')}, = {names('z')},",
         f"            {names('k1_')}, = {names('k13_')},",
         "            xs.append(x)",
-        f"            ys.extend(({names('y')},))",
+        f"            ys.fromlist([{names('y')}])",
         "            hs.append(h)",
         "            n_steps += 1",
         f"            if {blowup}:",

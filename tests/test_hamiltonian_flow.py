@@ -154,6 +154,13 @@ class TestKernelForms:
         with pytest.raises(UnsupportedConfigError):
             hamiltonian_flow._make_rhs(4, False)
 
+    def test_other_lengths_are_refused(self):
+        # a length that is neither [w, wt] nor the state and whole columns
+        f, _L = hamiltonian_flow._make_rhs(3, False)
+        for size in (0, 3, 6, 9, 14, 16):
+            with pytest.raises(UnsupportedConfigError, match="components"):
+                f(1.0, [0.0] * size)
+
     def test_overflow_gives_the_batch_infinities(self):
         # math.expm1 raises where np.expm1 returns inf; a wild trial state
         # must come back non-finite, so that the stepper rejects the step
@@ -220,22 +227,38 @@ def bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 
 
+def kernel_layout(L, ncols):
+    """(state entries, tangent columns) of a kernel input: the state [w, wt,
+    q] and ncols columns, "L" columns for a chain of L modes, or for "2L"
+    the bare [w, wt] that `hamiltonian`, `vector_field` and the matched
+    tail's quadrature pass."""
+    if ncols == "2L":
+        return 2 * L, 0
+    return 2 * L + 1, (L if ncols == "L" else ncols)
+
+
 class TestKernelOracle:
-    # the generated straight-line kernel against the loops, bit for bit
+    # the generated straight-line kernel against the loops, bit for bit,
+    # over every input length the library passes
     chains = pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
                                                  (7, False), (2, True), (4, True)])
-    columns = pytest.mark.parametrize("ncols", [0, 1, 2])
+    columns = pytest.mark.parametrize("ncols", [0, 1, 2, "L", "2L"])
+
+    @staticmethod
+    def seed(base, n, ncols):
+        return base + 10 * n + {"L": 7, "2L": 8}.get(ncols, ncols)
 
     @chains
     @columns
     def test_floats(self, n, even, ncols):
         f, L = hamiltonian_flow._make_rhs(n, even)
-        rng = np.random.default_rng(600 + 10 * n + ncols)
+        state, cols = kernel_layout(L, ncols)
+        rng = np.random.default_rng(self.seed(600, n, ncols))
         for scale in (0.0, 1e-9, 0.4, 3.0):
             for _ in range(25):
                 x = float(rng.uniform(1e-3, 9.0))
-                y = (rng.normal(0.0, scale, 2 * L + 1).tolist()
-                     + rng.normal(0.0, 1.0, (2 * L + 1) * ncols).tolist())
+                y = (rng.normal(0.0, scale, state).tolist()
+                     + rng.normal(0.0, 1.0, (2 * L + 1) * cols).tolist())
                 out = f(x, y)
                 assert isinstance(out, list)
                 assert bits(out) == bits(eom_loops(x, y, n, even))
@@ -244,12 +267,13 @@ class TestKernelOracle:
     @columns
     def test_batches(self, n, even, ncols):
         f, L = hamiltonian_flow._make_rhs(n, even)
-        rng = np.random.default_rng(700 + 10 * n + ncols)
+        state, cols = kernel_layout(L, ncols)
+        rng = np.random.default_rng(self.seed(700, n, ncols))
         x = rng.uniform(1e-3, 9.0, 40)
-        y = np.vstack([rng.normal(0.0, 0.5, (2 * L + 1, 40)),
-                       rng.normal(0.0, 1.0, ((2 * L + 1) * ncols, 40))])
+        y = np.vstack([rng.normal(0.0, 0.5, (state, 40)),
+                       rng.normal(0.0, 1.0, ((2 * L + 1) * cols, 40))])
         out = f(x, y)
-        assert out.shape == y.shape
+        assert out.shape == ((2 * L + 1) * (1 + cols), 40)
         assert bits(out) == bits(eom_loops(x, y, n, even))
 
     @chains
@@ -258,11 +282,29 @@ class TestKernelOracle:
         # math.expm1 raises on the state [300, 0, ...]: the kernel answers
         # with the infinities of the batch path, as the loops do
         f, L = hamiltonian_flow._make_rhs(n, even)
-        y = [300.0] + [0.0] * (2 * L) + [0.5] * ((2 * L + 1) * ncols)
+        state, cols = kernel_layout(L, ncols)
+        y = [300.0] + [0.0] * (state - 1) + [0.5] * ((2 * L + 1) * cols)
         with np.errstate(over="ignore", invalid="ignore"):
             out, ref = f(1.0, y), eom_loops(1.0, y, n, even)
         assert isinstance(out, list) and not all(map(math.isfinite, out))
         assert bits(out) == bits(ref)
+
+    @chains
+    def test_q_entries_are_not_read(self, n, even):
+        # the stepper passes 0.0 for the q entry of every stage argument,
+        # the state's q and each column's dq: NaN there changes no bit
+        f, L = hamiltonian_flow._make_rhs(n, even)
+        dim = 2 * L + 1
+        rng = np.random.default_rng(650 + n)
+        for ncols in range(L + 1):
+            x = rng.uniform(1e-3, 9.0, 12)
+            y = rng.normal(0.0, 0.5, (dim * (1 + ncols), 12))
+            nan_q = y.copy()
+            nan_q[dim - 1::dim] = np.nan
+            assert bits(f(x, nan_q)) == bits(f(x, y))
+            for j in range(12):
+                floats = y[:, j].tolist()
+                assert bits(f(float(x[j]), nan_q[:, j].tolist())) == bits(f(float(x[j]), floats))
 
 
 class TestTangentColumns:
