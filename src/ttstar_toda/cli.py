@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -90,10 +91,12 @@ def _emit(doc: dict, args) -> None:
 
 
 def _check_threshold(value: float) -> float:
-    """The --threshold of verify and constant, refused unless non-negative:
-    against NaN or a negative value every run would fail verification."""
-    if not value >= 0.0:
-        raise ValueError(f"--threshold must be non-negative, got {value!r}")
+    """The --threshold of verify and constant, refused unless finite and
+    non-negative: against NaN or a negative value every run would fail
+    verification, and against inf a run whose every solve failed (read as
+    inf) would pass."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"--threshold must be non-negative and finite, got {value!r}")
     return value
 
 
@@ -119,8 +122,8 @@ def cmd_maps(args) -> int:
     fg, fr = dm.expand_full(a)
     fm, fe = dm.expand_full(md)
     doc = {
-        "asymptotic": a.to_json_dict(),
-        "monodromy": md.to_json_dict(),
+        "asymptotic": asdict(a),
+        "monodromy": asdict(md),
         "global_rho": list(rho_g),
         "full": {"gamma": fg, "rho": fr, "m": fm, "log_e": fe},
     }
@@ -155,7 +158,7 @@ def cmd_tau(args) -> int:
 def cmd_constant(args) -> int:
     thr = _check_threshold(args.threshold)
     rep = tc.constant_numeric(_parse_list(args.gamma), x2=args.x2)
-    _emit(rep.to_json_dict(), args)
+    _emit(asdict(rep), args)
     return EXIT_OK if rep.abs_diff <= thr else EXIT_VERIFY
 
 

@@ -132,13 +132,6 @@ class AsymptoticData:
     def __post_init__(self):
         _check_record(self, "gamma", "rho")
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "gamma": list(self.gamma), "rho": list(self.rho)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AsymptoticData":
-        return cls(n=int(d["n"]), gamma=tuple(d["gamma"]), rho=tuple(d["rho"]))
-
 
 @dataclass(frozen=True)
 class MonodromyData:
@@ -150,13 +143,6 @@ class MonodromyData:
 
     def __post_init__(self):
         _check_record(self, "m", "log_e")
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "m": list(self.m), "log_e": list(self.log_e)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MonodromyData":
-        return cls(n=int(d["n"]), m=tuple(d["m"]), log_e=tuple(d["log_e"]))
 
 
 def expand_full(data):

@@ -290,7 +290,7 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
         raise GlobalSolveError(f"shooting probe from x = {start:.6g} stopped "
                                f"({probe.stop_reason}) at x = {probe.x_final:.6g}")
     r = _mode_residual(probe.sample_state(_STATION), _STATION)
-    J = np.column_stack([_mode_residual(col, _STATION) for col in probe.tangent.T])
+    J = np.column_stack([_mode_residual(col, _STATION) for col in probe.tangent_ys[:, :, -1]])
     try:
         step = np.linalg.solve(J, r)
     except np.linalg.LinAlgError as exc:

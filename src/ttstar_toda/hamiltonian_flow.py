@@ -480,12 +480,10 @@ class Trajectory:
     there, and step k runs from xs[k] by hs[k] with the degree-7 dense
     output y = ys[:, k] + hs[k] sum_p Q[k, :, p-1] th^p, th in [0, 1]:
     Q (N-1, dim, 7) holds the power-basis coefficients of th, ..., th^7.
-    `reg_integral` is integral (H + 2x) dx over the covered range.  Phase
-    points are materialized lazily from `ys`.
+    `reg_integral` is integral (H + 2x) dx over the covered range.
     A run that carried tangent columns [dw, dwt, dq] keeps them on the same
     steps: `tangent_ys` (ncols, dim, N) at the nodes and `tangent_Q`
-    (ncols, N-1, dim, 7) their coefficients, and `tangent` (dim, ncols) is
-    their end node; a plain run has None for all three.
+    (ncols, N-1, dim, 7) their coefficients; a plain run has None for both.
     """
 
     def __init__(self, n: int, xs: np.ndarray, ys: np.ndarray, hs: np.ndarray,
@@ -501,10 +499,6 @@ class Trajectory:
         self.tangent_ys = tangent_ys
         self.tangent_Q = tangent_Q
         self.reg_integral = float(ys[-1, -1]) - float(ys[-1, 0])
-
-    @property
-    def tangent(self) -> np.ndarray | None:
-        return None if self.tangent_ys is None else self.tangent_ys[:, :, -1].T
 
     def shifted(self, delta) -> Trajectory:
         """The plain trajectory ys + sum_j delta_j Y_j, Q + sum_j delta_j Q_j
@@ -526,10 +520,6 @@ class Trajectory:
                           np.hstack([self.ys[:, :k + 1], tail.ys[:, 1:]]),
                           np.concatenate([self.hs[:k], tail.hs]),
                           np.concatenate([self.Q[:k], tail.Q]), stats, tail.stop_reason)
-
-    @functools.cached_property
-    def points(self) -> list[PhasePoint]:
-        return [PhasePoint.from_state(x, y) for x, y in zip(self.xs.tolist(), self.ys.T.tolist())]
 
     @property
     def x_final(self) -> float:

@@ -11,18 +11,21 @@ the last form sharing its one log Gamma with G(1+z) = Gamma(z) G(z);
 together with an independent adaptive-quadrature oracle for the integral
 definition.
 
-log_gamma and psi_m2 each keep a memo keyed by the exact float(z), so a
+log_gamma and psi_m2 are functools.lru_cache'd on their argument, so a
 repeated argument is evaluated once and returns the same bits: one sweep
 of the data maps and their checks over n = 1..6 repeats 72% of its log
-Gamma and 23% of its psi_m2 arguments.  The domain is checked on a miss,
-so an argument outside it raises DomainError on every call and is never
-stored.  Each memo is a plain dict cleared when it reaches _MEMO_SIZE
-entries, well above one sweep's few hundred arguments (few repeat across
-sweeps).  psi_m2 and log_barnes_g call the module-level log_gamma and so
-share its memo.  The memos sit inside the function bodies, below the
-names callers import (data_maps.log_gamma, tau_constant.psi_m2), so a
-wrapper on such a name sees every call, however warm the memo.  The
-values are pure functions of z; the memos are the only state.
+Gamma and 23% of its psi_m2 arguments.  The key is the argument as given
+(2 and 2.0, 0.3 and np.float64(0.3) share an entry; "0.3" has its own,
+holding the same float bits); an unhashable argument, such as a 0-d
+np.ndarray, raises TypeError.  A call that raises DomainError is never
+stored.  Each cache holds _CACHE_SIZE entries, well above one sweep's few
+hundred arguments (few repeat across sweeps).  psi_m2 and log_barnes_g
+call the module-level log_gamma and so share its cache.  The caches sit
+on the functions themselves, below the names callers import
+(data_maps.log_gamma, tau_constant.psi_m2), so a wrapper on such a name
+sees every call, however warm the cache; `f.__wrapped__` is the uncached
+evaluation.  The values are pure functions of z; the caches are the only
+state.
 
 log G(1+y) on |y| <= 1/2 is its Taylor series with coefficients
 zeta(k-1), split as zeta(k-1) = 1 + 2^(1-k) + r(k-1): the first two parts
@@ -51,6 +54,7 @@ Accuracy budgets (enforced by the test suite):
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,34 +108,16 @@ _C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8 = _LANCZOS_C
 _HALF_LN_2PI = 0.5 * LN_2PI
 
 
-# Entries a memo holds before it is cleared: one maps sweep needs about 280.
-_MEMO_SIZE = 4096
-_LOG_GAMMA_MEMO: dict[float, float] = {}
-_PSI_M2_MEMO: dict[float, float] = {}
+# Entries each cache holds: one maps sweep needs about 280 arguments.
+_CACHE_SIZE = 1024
 
 
-def _remember(memo: dict, z: float, value: float) -> float:
-    # unlocked: the values are pure, so racing threads can only drop an
-    # entry or overshoot the size by one each
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[z] = value
-    return value
-
-
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def log_gamma(z: float) -> float:
     """log Gamma(z) for finite real z > 0."""
     z = float(z)
-    value = _LOG_GAMMA_MEMO.get(z)
-    if value is None:
-        if not 0.0 < z < math.inf:
-            raise DomainError(f"log_gamma requires finite z > 0, got {z!r}")
-        value = _remember(_LOG_GAMMA_MEMO, z, _log_gamma_lanczos(z))
-    return value
-
-
-def _log_gamma_lanczos(z: float) -> float:
-    """log Gamma(z) by the Lanczos sum, for a float z > 0 (unchecked, no memo)."""
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"log_gamma requires finite z > 0, got {z!r}")
     shift = 0.0
     if z < 0.5:
         # downward recursion avoids the reflection formula entirely
@@ -228,19 +214,12 @@ def log_barnes_g(z: float) -> float:
 # psi^(-2): closed form and quadrature oracle
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def psi_m2(z: float) -> float:
     """integral_0^z log Gamma, closed form via log Gamma and Barnes G."""
     z = float(z)
-    value = _PSI_M2_MEMO.get(z)
-    if value is None:
-        if not 0.0 < z <= 3.0:
-            raise DomainError(f"psi_m2 requires 0 < z <= 3, got {z!r}")
-        value = _remember(_PSI_M2_MEMO, z, _psi_m2_closed(z))
-    return value
-
-
-def _psi_m2_closed(z: float) -> float:
-    """psi_m2(z) by its closed form, for a float z in (0, 3] (unchecked, no memo)."""
+    if not 0.0 < z <= 3.0:
+        raise DomainError(f"psi_m2 requires 0 < z <= 3, got {z!r}")
     head = 0.5 * z * (1.0 - z) + 0.5 * z * LN_2PI
     if z < 0.5:
         return head + z * log_gamma(z) - _log_barnes_g_series(z)

@@ -27,7 +27,7 @@ far below the reported tail bound |s1| sqrt(x2) exp(-2 sqrt 2 x2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +71,9 @@ class ExtrapolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstantReport:
+    """What constant_numeric found, its fields in the order of the CLI's
+    JSON document."""
+
     gamma: tuple[float, float]
     c_numeric: float
     c_closed: float
@@ -78,27 +81,11 @@ class ConstantReport:
     x1: float
     x2_used: float
     tail_bound: float
+    integrator_stats: dict
+    shooting: dict  # GlobalSolution.shooting of the solve
     a: float  # min_l s_l, the smallest small-x exponent
-    integrator_stats: dict = field(default_factory=dict)
-    series_order: int = 0  # K of the small-x series at x1
-    series_error: float = math.inf  # its first dropped term there
-    shooting: dict = field(default_factory=dict)  # GlobalSolution.shooting of the solve
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": list(self.gamma),
-            "c_numeric": self.c_numeric,
-            "c_closed": self.c_closed,
-            "abs_diff": self.abs_diff,
-            "x1": self.x1,
-            "x2_used": self.x2_used,
-            "tail_bound": self.tail_bound,
-            "integrator_stats": dict(self.integrator_stats),
-            "shooting": dict(self.shooting),
-            "a": self.a,
-            "series_order": self.series_order,
-            "series_error": self.series_error,
-        }
+    series_order: int  # K of the small-x series at x1
+    series_error: float  # its first dropped term there
 
 
 def log_tau(gamma, x1: float, x2: float, return_shooting: bool = False):

@@ -173,16 +173,16 @@ def test_criterion_7_dynamics_identities():
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
         traj = integrate(init_from_asymptotics(a, 0.01), 2.2, cfg, 3)
         s_val = classical_action(traj)
-        x1, x2 = traj.points[0].x, traj.x_final
+        x1, x2 = float(traj.xs[0]), traj.x_final
         lt = traj.reg_integral - (x2 ** 2 - x1 ** 2)
-        bd = (x2 * hamiltonian(traj.points[-1], 3)
-              - x1 * hamiltonian(traj.points[0], 3))
+        bd = (x2 * hamiltonian(PhasePoint.from_state(x2, traj.ys[:, -1].tolist()), 3)
+              - x1 * hamiltonian(PhasePoint.from_state(x1, traj.ys[:, 0].tolist()), 3))
         worst_action = max(worst_action, abs(lt - s_val - bd))
 
     # trivial solution pinned at the origin, log tau exactly quadratic
     a0 = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))
     traj0 = integrate(init_from_asymptotics(a0, 0.01), 8.0, IntegratorConfig(), 3)
-    maxw = max(max(abs(v) for v in pt.w) for pt in traj0.points)
+    maxw = float(np.max(np.abs(traj0.ys[:2])))
     lt0 = log_tau((0.0, 0.0), 0.01, 8.0)
     triv_err = abs(lt0 - (0.01 ** 2 - 64.0))
 

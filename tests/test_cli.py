@@ -331,10 +331,11 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [["constant", "--gamma", "0.3,0.1"],
                                       ["verify", "--suite", "specfun", "--samples", "2"],
                                       ["verify", "--suite", "dynamics", "--samples", "2"]])
-    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
     def test_bad_threshold_exit_2(self, argv, threshold, monkeypatch, capsys):
-        # NaN read as a verification failure (exit 4) and a negative
-        # threshold failed every run: both are refused before any solve
+        # NaN read as a verification failure (exit 4), a negative threshold
+        # failed every run and inf passed a run whose every solve failed:
+        # all are refused before any solve
         monkeypatch.setattr(cli.tc, "constant_numeric", None)
         assert run(argv + [f"--threshold={threshold}", "--reproducible"]) == 2
         out = capsys.readouterr()
@@ -444,6 +445,43 @@ class TestVerify:
         out1 = capsys.readouterr().out
         run(args)
         assert out1 == capsys.readouterr().out
+
+
+def key_paths(doc, prefix=""):
+    """Every key path of a JSON object, depth first in document order."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+_MAPS_PATHS = ["asymptotic", "asymptotic.n", "asymptotic.gamma", "asymptotic.rho",
+               "monodromy", "monodromy.n", "monodromy.m", "monodromy.log_e", "global_rho",
+               "full", "full.gamma", "full.rho", "full.m", "full.log_e"]
+_SHOOTING_PATHS = ["shooting", "shooting.iterations", "shooting.x_start", "shooting.residual",
+                   "shooting.probe_residual", "shooting.match_residual", "shooting.correction"]
+
+
+class TestJsonLayout:
+    # every key of each command's document, in the order it is written
+    @pytest.mark.parametrize("argv, paths", [
+        (["maps", "--n", "3", "--gamma", "0.3,0.1"], _MAPS_PATHS),
+        (["maps", "--n", "2", "--gamma", "0.4"], _MAPS_PATHS),
+        (["constant", "--gamma", "0.3,0.1"],
+         ["gamma", "c_numeric", "c_closed", "abs_diff", "x1", "x2_used", "tail_bound",
+          "integrator_stats", "integrator_stats.integrations", "integrator_stats.steps",
+          "integrator_stats.rejected", "integrator_stats.rhs_evals",
+          "integrator_stats.tangent_rhs_evals", *_SHOOTING_PATHS,
+          "a", "series_order", "series_error"]),
+        (["tau", "--gamma", "0.3,0.1"], ["gamma", "x1", "x2", "log_tau", *_SHOOTING_PATHS]),
+        (["verify", "--suite", "specfun", "--samples", "2"],
+         ["suite", "n", "samples", "seed", "max_residual", "threshold", "pass"]),
+    ], ids=["maps-n3", "maps-n2", "constant", "tau", "verify"])
+    def test_key_paths(self, argv, paths, capsys):
+        assert run(argv + ["--reproducible"]) == 0
+        assert key_paths(json.loads(capsys.readouterr().out)) == paths
 
 
 class TestJsonWriter:

@@ -1,11 +1,13 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar_toda import data_maps, special_functions
+from ttstar_toda import data_maps
 from ttstar_toda.data_maps import (AsymptoticData, GenericityError,
                                    MonodromyData, ShapeError,
                                    asymptotic_to_monodromy, check_genericity,
@@ -304,16 +306,15 @@ class TestVerifyOps:
     @pytest.mark.parametrize("gamma", [(0.31, 0.12, -0.27), (0.2, -0.1, 0.05)])
     def test_symplectic_evaluates_each_log_gamma_argument_once(self, gamma, monkeypatch):
         # its 2L Gamma-product passes at gamma +- h e_j share most arguments;
-        # the log_gamma memo evaluates each distinct one once
-        args, evaluated = [], []
-        lanczos = special_functions._log_gamma_lanczos
-        monkeypatch.setattr(special_functions, "_LOG_GAMMA_MEMO", {})
-        monkeypatch.setattr(special_functions, "_log_gamma_lanczos",
-                            lambda z: evaluated.append(z) or lanczos(z))
+        # the log_gamma cache evaluates (misses) each distinct one once
+        args = []
+        log_gamma.cache_clear()
         monkeypatch.setattr(data_maps, "log_gamma", lambda z: args.append(z) or log_gamma(z))
         verify_symplectic(5, gamma)
+        info = log_gamma.cache_info()
         assert len(set(args)) < len(args)
-        assert sorted(evaluated) == sorted(set(args))
+        assert (info.misses, info.currsize) == (len(set(args)), len(set(args)))
+        assert info.hits == len(args) - len(set(args))
 
     @pytest.mark.parametrize("n, gamma", [(3, (0.3, 0.1)), (5, (0.2, -0.1, 0.15))])
     def test_symplectic_matrix_is_the_central_difference(self, n, gamma):
@@ -399,14 +400,15 @@ class TestOnePassOracles:
 
 
 class TestJson:
+    # the CLI writes the records as dataclasses.asdict gives them
     def test_asymptotic_roundtrip_and_order(self):
         a = AsymptoticData(3, (0.3, 0.1), (0.5, -0.2))
-        d = a.to_json_dict()
+        d = asdict(a)
         assert list(d.keys()) == ["n", "gamma", "rho"]
-        assert AsymptoticData.from_json_dict(d) == a
+        assert AsymptoticData(**json.loads(json.dumps(d))) == a
 
     def test_monodromy_roundtrip_and_order(self):
         md = MonodromyData(4, (0.1, 0.2), (0.0, -0.3))
-        d = md.to_json_dict()
+        d = asdict(md)
         assert list(d.keys()) == ["n", "m", "log_e"]
-        assert MonodromyData.from_json_dict(d) == md
+        assert MonodromyData(**json.loads(json.dumps(d))) == md

@@ -259,7 +259,7 @@ class TestShootingJacobian:
 
         traj = probe(rho, tangents=True)
         J = np.column_stack([global_solutions._mode_residual(col, x_p)
-                             for col in traj.tangent.T])
+                             for col in traj.tangent_ys[:, :, -1]])
         h = 1e-4
         for j in range(2):
             e = np.eye(2)[j] * h

@@ -368,7 +368,7 @@ class TestTangentColumns:
         plain = hamiltonian_flow._integrate_raw(3, y0, 0.01, 2.0, cfg)
         tang = hamiltonian_flow._integrate_raw(3, y0 + (0.5, 0, 0, 0, 0, 0, 0.5, 0, 0, 0),
                                                0.01, 2.0, cfg)
-        assert plain.tangent is None and tang.tangent.shape == (5, 2)
+        assert plain.tangent_ys is None and tang.tangent_ys.shape == (2, 5, len(tang.xs))
         for name in ("xs", "ys", "hs", "Q"):
             assert np.array_equal(getattr(plain, name), getattr(tang, name))
         assert (plain.stats.n_steps, plain.stats.n_rejected, plain.stats.n_rhs_evals) == \
@@ -393,7 +393,7 @@ class TestShiftedAndJoined:
         delta = np.array([3e-11, -2e-11])
         moved = hamiltonian_flow._integrate_raw(3, series.seed(rho + delta, 0.01), 0.01, 2.5, cfg)
         shifted = traj.shifted(delta)
-        assert shifted.tangent is None and shifted.xs is traj.xs
+        assert shifted.tangent_ys is None and shifted.xs is traj.xs
         for x in (0.05, 0.7, 1.9, 2.5):
             change = np.max(np.abs(moved.sample_state(x) - traj.sample_state(x)))
             miss = np.max(np.abs(moved.sample_state(x) - shifted.sample_state(x)))
@@ -650,7 +650,7 @@ class TestIntegrate:
         a = AsymptoticData(3, (0.0, 0.0), (0.0, 0.0))
         traj = integrate(init_from_asymptotics(a, 0.01), 8.0, IntegratorConfig(), 3)
         assert traj.stop_reason == "completed"
-        maxw = max(max(abs(v) for v in pt.w) for pt in traj.points)
+        maxw = float(np.max(np.abs(traj.ys[:2])))
         assert maxw <= 1e-9
         assert abs(traj.reg_integral) <= 1e-9
 
@@ -719,19 +719,12 @@ class TestIntegrate:
         for y in ([0.1, 0.2, 0.3, 0.4], np.array([0.1, 0.2, 0.3, 0.4, 9.0])):
             assert PhasePoint.from_state(1.5, y) == PhasePoint(1.5, (0.1, 0.2), (0.3, 0.4))
 
-    def test_points_are_built_once(self):
-        a = AsymptoticData(1, (0.2,), tuple(global_rho(1, (0.2,))))
-        traj = integrate(init_from_asymptotics(a, 0.01), 1.5, IntegratorConfig(), 1)
-        assert traj.points is traj.points
-        assert [p.x for p in traj.points] == traj.xs.tolist()
-        assert [list(p.w + p.wt) for p in traj.points] == traj.ys[:2].T.tolist()
-
     def test_dense_output_consistency(self):
         a = AsymptoticData(1, (0.2,), tuple(global_rho(1, (0.2,))))
         traj = integrate(init_from_asymptotics(a, 0.01), 1.5, IntegratorConfig(), 1)
         # dense samples at accepted nodes reproduce the stored states
-        for i in (1, len(traj.points) // 2, len(traj.points) - 1):
-            pt = traj.points[i]
+        for i in (1, len(traj.xs) // 2, len(traj.xs) - 1):
+            pt = PhasePoint.from_state(float(traj.xs[i]), traj.ys[:, i].tolist())
             s = traj.sample(pt.x)
             assert s.w == pytest.approx(pt.w, rel=1e-12, abs=1e-12)
             assert s.wt == pytest.approx(pt.wt, rel=1e-12, abs=1e-12)
@@ -1006,7 +999,7 @@ class TestCsv:
         trajectory_to_csv(traj, buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "x,w0,w1,wt0,wt1,H,reg_integral"
-        assert len(lines) == 1 + len(traj.points)
+        assert len(lines) == 1 + len(traj.xs)
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.01
 

@@ -36,74 +36,110 @@ def log_barnes_g_series_loops(y):
             + tail * y * y * y)
 
 
+def _log_gamma_lanczos(z):
+    """log_gamma's Lanczos sum, uncached."""
+    return log_gamma.__wrapped__(z)
+
+
+def _psi_m2_closed(z):
+    """psi_m2's closed form, uncached (its log Gamma reads stay cached)."""
+    return psi_m2.__wrapped__(z)
+
+
 @pytest.fixture
-def empty_memos(monkeypatch):
-    """Empty log_gamma and psi_m2 memos for one test; the module's own are
-    put back after it."""
-    monkeypatch.setattr(special_functions, "_LOG_GAMMA_MEMO", {})
-    monkeypatch.setattr(special_functions, "_PSI_M2_MEMO", {})
+def cold_caches():
+    """Empty log_gamma and psi_m2 caches for one test, emptied again after
+    it so that nothing it stored outlives it."""
+    log_gamma.cache_clear()
+    psi_m2.cache_clear()
+    yield
+    log_gamma.cache_clear()
+    psi_m2.cache_clear()
 
 
 class TestLoopOracles:
     # the loop-free log Gamma and series against their loop versions, bit
     # for bit, also inside log_barnes_g and psi_m2; each value is read once
-    # evaluated and once from the warm memo
+    # evaluated and once from the warm cache
     def test_log_gamma(self):
         zs = np.random.default_rng(801).uniform(0.0, 50.0, 10_000)
         for z in [*zs.tolist(), 0.5, 1.0, 2.0, 50.0, 0.49999999999999994, 5e-324]:
             assert log_gamma(z).hex() == log_gamma(z).hex() == log_gamma_loops(z).hex()
 
-    def test_barnes_and_psi(self, monkeypatch):
+    def test_barnes_and_psi(self, cold_caches, monkeypatch):
         zs = np.random.default_rng(802).uniform(0.0, 3.0, 10_000).tolist()
         zs += [0.5, 1.0, 1.5, 2.5, 3.0, 1.5000000000000002]
         fast = [(log_barnes_g(z), psi_m2(z), psi_m2(z)) for z in zs]
-        # the loops evaluate afresh: psi_m2 must not answer from the fast run
-        monkeypatch.setattr(special_functions, "_PSI_M2_MEMO", {})
+        # the loops evaluate afresh: psi_m2 must not answer from the fast
+        # run, and what the loops store is cleared after the test
+        psi_m2.cache_clear()
         monkeypatch.setattr(special_functions, "log_gamma", log_gamma_loops)
         monkeypatch.setattr(special_functions, "_log_barnes_g_series",
                             log_barnes_g_series_loops)
         for z, (g, p, p_warm) in zip(zs, fast):
             assert (g.hex(), p.hex(), p_warm.hex()) == (
                 log_barnes_g(z).hex(), psi_m2(z).hex(), psi_m2(z).hex())
+        assert psi_m2.cache_info().misses == len(set(zs))
 
 
 class TestMemo:
-    @pytest.mark.parametrize("f, memo", [(log_gamma, "_LOG_GAMMA_MEMO"),
-                                         (psi_m2, "_PSI_M2_MEMO")])
-    def test_repeated_call_same_bits(self, empty_memos, f, memo):
+    # log_gamma and psi_m2 are functools.lru_cache'd; `__wrapped__` is the
+    # uncached evaluation
+    @pytest.mark.parametrize("f", [log_gamma, psi_m2])
+    def test_repeated_call_same_bits(self, cold_caches, f):
+        # a hit returns the stored object
         for z in (0.3, 1.0, 1.7, 2.5):
             first = f(z)
-            assert getattr(special_functions, memo)[z] is first
-            assert f(z).hex() == first.hex()
+            assert f(z) is first
+        assert f.cache_info()[:2] == (4, 4)   # hits, misses
 
-    @pytest.mark.parametrize("f, evaluate", [
-        (log_gamma, special_functions._log_gamma_lanczos),
-        (psi_m2, special_functions._psi_m2_closed)])
+    @pytest.mark.parametrize("f, evaluate", [(log_gamma, _log_gamma_lanczos),
+                                             (psi_m2, _psi_m2_closed)])
     @pytest.mark.parametrize("z, as_float", [(2, 2.0), (np.float64(0.3), 0.3),
                                              ("0.3", 0.3), ("1.7", 1.7)])
-    def test_inputs_give_the_floats_bits(self, empty_memos, f, evaluate, z, as_float):
+    def test_inputs_give_the_floats_bits(self, cold_caches, f, evaluate, z, as_float):
         # a miss and then a hit, each with the bits of the float's evaluation
         ref = evaluate(as_float).hex()
         assert f(z).hex() == f(z).hex() == f(as_float).hex() == ref
-        memo = special_functions._PSI_M2_MEMO if f is psi_m2 else special_functions._LOG_GAMMA_MEMO
-        assert all(type(key) is float for key in memo)
 
     @pytest.mark.parametrize("f", [log_gamma, psi_m2])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_domain_errors_are_never_stored(self, empty_memos, f, bad):
+    def test_domain_errors_are_never_stored(self, cold_caches, f, bad):
         for _ in range(2):
             with pytest.raises(DomainError):
                 f(bad)
-        assert not special_functions._LOG_GAMMA_MEMO
-        assert not special_functions._PSI_M2_MEMO
+        assert f.cache_info().misses == 2
+        assert log_gamma.cache_info().currsize == psi_m2.cache_info().currsize == 0
 
-    def test_bounded(self, empty_memos):
-        size = special_functions._MEMO_SIZE
+    @pytest.mark.parametrize("f", [log_gamma, psi_m2])
+    def test_unhashable_argument_raises_type_error(self, cold_caches, f):
+        # the cache key is the argument as given
+        with pytest.raises(TypeError):
+            f(np.array(0.3))
+
+    def test_evaluations_are_misses(self, cold_caches):
+        zs = [0.25, 1.5, 0.25, 2.75, 1.5, 0.25]
+        for z in zs:
+            log_gamma(z)
+        assert log_gamma.cache_info()[:2] == (3, 3)   # hits, misses
+        assert log_gamma.cache_info().currsize == 3
+
+    def test_psi_m2_and_barnes_g_share_the_log_gamma_cache(self, cold_caches):
+        # psi_m2(1.75) reads log Gamma at 1.75, and at 0.75 through
+        # log G(1.75); log G(2.75) reads both again, from the cache
+        psi_m2(1.75)
+        assert log_gamma.cache_info()[:2] == (0, 2)
+        log_barnes_g(2.75)
+        assert log_gamma.cache_info()[:2] == (2, 2)
+
+    def test_bounded(self, cold_caches):
+        size = special_functions._CACHE_SIZE
         for z in np.linspace(0.001, 3.0, size + 100):
             log_gamma(z)
             psi_m2(z)
-        assert 0 < len(special_functions._LOG_GAMMA_MEMO) <= size
-        assert 0 < len(special_functions._PSI_M2_MEMO) <= size
+        for f in (log_gamma, psi_m2):
+            assert f.cache_info().maxsize == size
+            assert f.cache_info().currsize == size
 
 
 class TestLogGamma:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -324,10 +325,10 @@ class TestClassicalAction:
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
         traj = integrate(init_from_asymptotics(a, 0.01), 2.2, cfg, 3)
         s_val = classical_action(traj)
-        x1, x2 = traj.points[0].x, traj.x_final
+        x1, x2 = float(traj.xs[0]), traj.x_final
         log_tau_traj = traj.reg_integral - (x2 ** 2 - x1 ** 2)
-        boundary = (x2 * hamiltonian(traj.points[-1], 3)
-                    - x1 * hamiltonian(traj.points[0], 3))
+        boundary = (x2 * hamiltonian(PhasePoint.from_state(x2, traj.ys[:, -1].tolist()), 3)
+                    - x1 * hamiltonian(PhasePoint.from_state(x1, traj.ys[:, 0].tolist()), 3))
         assert abs(log_tau_traj - s_val - boundary) <= 1e-7
 
     def test_additivity(self):
@@ -336,7 +337,7 @@ class TestClassicalAction:
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
         t_full = integrate(init_from_asymptotics(a, 0.01), 2.0, cfg, 3)
         t1 = integrate(init_from_asymptotics(a, 0.01), 1.0, cfg, 3)
-        mid = t1.points[-1]
+        mid = PhasePoint.from_state(t1.x_final, t1.ys[:, -1].tolist())
         t2 = integrate(PhasePoint(x=mid.x, w=mid.w, wt=mid.wt), 2.0, cfg, 3)
         assert (classical_action(t1) + classical_action(t2)
                 == pytest.approx(classical_action(t_full), abs=1e-9))
@@ -345,9 +346,10 @@ class TestClassicalAction:
 class TestReportJson:
     def test_field_order(self):
         rep = ConstantReport(gamma=(0.1, 0.2), c_numeric=1.0, c_closed=1.0,
-                             abs_diff=0.0, x1=0.08, x2_used=7.0,
-                             tail_bound=1e-9, a=0.9)
-        d = rep.to_json_dict()
+                             abs_diff=0.0, x1=0.08, x2_used=7.0, tail_bound=1e-9,
+                             integrator_stats={}, shooting={}, a=0.9, series_order=0,
+                             series_error=math.inf)
+        d = asdict(rep)
         assert list(d.keys()) == ["gamma", "c_numeric", "c_closed", "abs_diff",
                                   "x1", "x2_used", "tail_bound",
                                   "integrator_stats", "shooting", "a", "series_order",
