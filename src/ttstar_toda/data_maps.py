@@ -277,6 +277,12 @@ class SymplecticCheckReport:
     max_asymmetry: float
 
 
+def _max_or_nan(values: list[float]) -> float:
+    """The largest of the non-negative `values`, or NaN if one is NaN, which
+    max() drops unless it comes first; their sum is NaN exactly then."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
 def _check_step(n: int, gamma, h: float) -> list[float]:
     """gamma as floats, once h is a central-difference step the checks can
     take there: 0 < h < inf, and genericity with margin 4h, since a step of
@@ -309,7 +315,7 @@ def verify_generating_function(n: int, gamma, rho=None,
         dF = (_gen_fun_F(n, rho, mp, psi) - _gen_fun_F(n, rho, mm, psi)) / (2.0 * h)
         residuals.append(abs(dF + log_e[i]))
     return GradientCheckReport(n=n, h=h, residuals=tuple(residuals),
-                               max_residual=max(residuals))
+                               max_residual=_max_or_nan(residuals))
 
 
 def verify_symplectic(n: int, gamma, h: float = 1e-4) -> SymplecticCheckReport:
@@ -332,7 +338,7 @@ def verify_symplectic(n: int, gamma, h: float = 1e-4) -> SymplecticCheckReport:
         gm_ = list(gamma); gm_[j] -= h
         cols.append([(p - m) / (2.0 * h) for p, m in zip(g(gp), g(gm_))])
     A = [list(row) for row in zip(*cols)]
-    asym = max(abs(A[i][j] - A[j][i]) for i in range(L) for j in range(L))
+    asym = _max_or_nan([abs(A[i][j] - A[j][i]) for i in range(L) for j in range(L)])
     return SymplecticCheckReport(n=n, h=h,
                                  matrix=tuple(tuple(row) for row in A),
                                  max_asymmetry=asym)

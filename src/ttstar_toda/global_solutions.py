@@ -420,9 +420,7 @@ class GlobalSolution:
         return PhasePoint.from_state(x, self.tail_state(x))
 
     def _tail_reg_integral(self, a: float, b: float) -> float:
-        # fixed-panel Gauss-Legendre of H + 2x along the matched tail
-        if b <= a:
-            return 0.0
+        # fixed-panel Gauss-Legendre of H + 2x along the matched tail, a < b
         nodes, weights = _GL12
         npanels = max(2, int(math.ceil((b - a) / 0.25)))
         edges = np.linspace(a, b, npanels + 1)

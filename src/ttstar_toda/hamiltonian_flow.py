@@ -48,7 +48,10 @@ its error control, and get their own nodes and coefficients, so that
 Through the q channel trajectories accumulate the regularized integral
 of H against the trivial background -2x as they go.  Blow-up flags and
 returns the partial trajectory instead of raising: a step underflow
-(below 1e-14 x), or an accepted state whose sup-norm of w exceeds the
+(below 1e-10 x, where the orbit varies on a scale ten orders below x
+itself: a singularity, which a run whose w stays under its threshold
+would otherwise crawl into over tens of thousands of steps), or an
+accepted state whose sup-norm of w exceeds the
 run's threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw`
 sets for every run.  It follows the start because the small-x seed has
 |w_i| ~ |gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) =
@@ -586,7 +589,7 @@ def _make_stepper(dim: int, size: int):
 
     `run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks)`
     steps forward from x with the first trial step h until x_end, a
-    blow-up or a step underflow, h below 1e-14 |x|.  It appends the
+    blow-up or a step underflow, h below 1e-10 |x|.  It appends the
     accepted abscissae, steps, states and the stages `_KEPT` of their 13
     (all `size` components, tangent columns included) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
@@ -624,7 +627,7 @@ def _make_stepper(dim: int, size: int):
         "    stop = 'completed'",
         "    while x < x_end:",
         "        h = min(h, x_end - x)",
-        "        if h < 1e-14 * abs(x):",
+        "        if h < 1e-10 * abs(x):",
         "            stop = 'step_underflow'",
         "            break",
     ]
@@ -700,7 +703,8 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     loop of `_make_stepper`, with the kernel of `_make_rhs` looked up here
     on every call.  The run blows up where the sup-norm of w exceeds
     max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's w at x0,
-    never off tangent columns.
+    never off tangent columns, and stops on a step underflow, a step below
+    1e-10 x.
     """
     f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]

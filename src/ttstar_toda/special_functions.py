@@ -139,9 +139,13 @@ def log_gamma(z: float) -> float:
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 
 
-def _zeta_int(s: int, nterms: int = 64) -> float:
-    head = sum(k ** (-float(s)) for k in range(1, nterms))
-    nf = float(nterms)
+# terms summed directly before the Euler-Maclaurin tail
+_ZETA_TERMS = 64
+
+
+def _zeta_int(s: int) -> float:
+    head = sum(k ** (-float(s)) for k in range(1, _ZETA_TERMS))
+    nf = float(_ZETA_TERMS)
     tail = nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-float(s))
     fac = float(s)
     power = nf ** (-float(s) - 1.0)
@@ -242,18 +246,25 @@ def _gl_panel(f, a: float, b: float):
     return f15, abs(f15 - f7)
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float, max_depth: int = 40):
-    """Adaptive bisection Gauss-Legendre; returns (value, achieved_bound)."""
+# the deepest bisection of a panel, and the oracle's absolute tolerance
+_MAX_DEPTH = 40
+_ORACLE_TOL = 1e-12
+
+
+def _adaptive_gl(f, a: float, b: float, tol: float):
+    """Adaptive bisection Gauss-Legendre; returns (value, achieved_bound).
+    A panel still above its share of tol after _MAX_DEPTH bisections
+    raises QuadratureError."""
     stack = [(a, b, tol, 0)]
     total = 0.0
     achieved = 0.0
     while stack:
         a0, b0, t0, depth = stack.pop()
         est, err = _gl_panel(f, a0, b0)
-        if err <= t0 or depth >= max_depth:
+        if err <= t0 or depth >= _MAX_DEPTH:
             total += est
             achieved += err
-            if err > t0 and depth >= max_depth:
+            if err > t0:
                 raise QuadratureError("quadrature did not converge", total, achieved)
         else:
             mid = 0.5 * (a0 + b0)
@@ -262,22 +273,22 @@ def _adaptive_gl(f, a: float, b: float, tol: float, max_depth: int = 40):
     return total, achieved
 
 
-def psi_m2_oracle(z: float, tol: float = 1e-12) -> float:
+def psi_m2_oracle(z: float) -> float:
     """integral_0^z log Gamma(t) dt by adaptive quadrature.
 
     The integrable -log t behaviour at 0 is removed exactly:
     log Gamma(t) = -log t + log Gamma(1+t), and integral_0^a (-log t) dt
     = a (1 - log a).  The smooth remainder is integrated by adaptive
-    Gauss-Legendre.
+    Gauss-Legendre to within _ORACLE_TOL = 1e-12 in all.
     """
     z = float(z)
     if not 0.0 < z <= 3.0:
         raise DomainError(f"psi_m2_oracle requires 0 < z <= 3, got {z!r}")
     a = min(z, 0.1)
     total = a * (1.0 - math.log(a))
-    val, _ = _adaptive_gl(lambda t: log_gamma(1.0 + t), 0.0, a, 0.25 * tol)
+    val, _ = _adaptive_gl(lambda t: log_gamma(1.0 + t), 0.0, a, 0.25 * _ORACLE_TOL)
     total += val
     if z > a:
-        val, _ = _adaptive_gl(log_gamma, a, z, 0.75 * tol)
+        val, _ = _adaptive_gl(log_gamma, a, z, 0.75 * _ORACLE_TOL)
         total += val
     return total

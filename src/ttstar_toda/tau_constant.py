@@ -51,7 +51,7 @@ DEFAULT_X2 = 7.0
 # the smallest exponent a(gamma) of the small-x corrections that
 # constant_numeric accepts: the series' first dropped term O(x1^{9a}) at
 # a = 0.2 falls below 1e-13 by x1 = 1.53e-7, while a = 0.1 would need x1
-# below the stepper's underflow near 1e-14
+# near 1e-14, below the lowest shooting start 1e-8
 _A_MIN = 0.2
 # the grid 6.25e-4 * 2^j, j <= 7, whose largest point below x2 is where
 # the solve starts its search for x1: its top, 0.08, is the largest within

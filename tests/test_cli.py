@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import types
 
 import pytest
 
@@ -62,6 +64,15 @@ class TestMaps:
         assert run(["maps", "--n", "3", "--gamma", "0.3,0.1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file or directory" in err
+
+    def test_out_writes_the_document(self, tmp_path, capsys):
+        # the bytes stdout gets without --out, and nothing on stdout
+        argv = ["maps", "--n", "3", "--gamma", "0.3,0.1", "--reproducible"]
+        assert run(argv) == 0
+        doc = capsys.readouterr().out
+        out = tmp_path / "maps.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_text() == doc
 
     def test_empty_out_exit_2(self, capsys):
         # an empty --out was read as absent: exit 0, the JSON on stdout
@@ -126,6 +137,25 @@ class TestSolve:
         lines = out.read_text().strip().split("\n")
         assert float(lines[1].split(",")[0]) == 1e-30
         assert float(lines[-1].split(",")[0]) == 6.0
+
+    def test_tiny_x0_to_default_x1_stops_on_underflow(self, tmp_path):
+        # to the default x1 = 8 the run meets the singularity near 7.17
+        # with |w| below its blow-up threshold, and steps down to 1e-14 x
+        # took 26,864 rows; below 1e-10 x it stops after about 1,450
+        out = tmp_path / "tiny.csv"
+        assert run(["solve", "--n", "1", "--gamma", "0.3", "--x0", "1e-30",
+                    "--out", str(out), "--reproducible"]) == 3
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) < 2000
+        assert lines[-1].startswith("# stopped: step_underflow at x=7.16")
+
+    def test_debug_log_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TTSTAR_LOG", "debug")
+        assert run(["solve", "--n", "3", "--gamma", "0,0", "--x1", "1",
+                    "--out", str(tmp_path / "d.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("[ttstar] integrated to x=1 (") and err.endswith(
+            " steps, stop=completed)\n")
 
     def test_rows_follow_the_global_solution(self, sol_031, tmp_path):
         # at (0.3, 0.1) the rows up to x = 4 stay within 1e-6 of the
@@ -291,6 +321,17 @@ class TestConstant:
         assert run(["constant", "--gamma=-0.9,0.9"]) == 2
         assert "a(gamma) = min_l s_l = 0.19999999999999996 is below" in capsys.readouterr().err
 
+    def test_default_threshold_is_the_constant_suites(self, monkeypatch, capsys):
+        # the default was 1e-2, where verify --suite constant gates the
+        # same residual at 1e-11
+        report = cli.tc.constant_numeric((0.0, 0.0))
+        monkeypatch.setattr(cli.tc, "constant_numeric", lambda gamma, x2: dataclasses.replace(
+            report, abs_diff=1e-9))
+        assert run(["constant", "--gamma", "0,0", "--reproducible"]) == 4
+        assert json.loads(capsys.readouterr().out)["abs_diff"] == 1e-9
+        assert run(["constant", "--gamma", "0,0", "--threshold", "1e-8",
+                    "--reproducible"]) == 0
+
     def test_blowup_exit_3(self, monkeypatch, capsys):
         # main maps tau_constant's BlowupError to 3 for every command
         def blown(gamma, x2):
@@ -394,6 +435,19 @@ class TestVerify:
         monkeypatch.setattr(cli.tc, "constant_numeric", blown)
         assert run(["verify", "--suite", "constant", "--samples", "2",
                     "--reproducible"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_residual"] == "inf" and doc["pass"] is False
+
+    @pytest.mark.parametrize("suite, target, name, value", [
+        ("constant", cli.tc, "constant_numeric",
+         lambda gamma: types.SimpleNamespace(abs_diff=math.nan)),
+        ("specfun", cli, "psi_m2", lambda z: math.nan),
+        ("symplectic", cli.dm, "_log_ratios", lambda n, gamma: [0.0, math.nan]),
+    ], ids=["constant", "specfun", "symplectic"])
+    def test_nan_residual_fails(self, suite, target, name, value, monkeypatch, capsys):
+        # max() drops a NaN, and these passed with max_residual 0.0
+        monkeypatch.setattr(target, name, value)
+        assert run(["verify", "--suite", suite, "--samples", "3", "--reproducible"]) == 4
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_residual"] == "inf" and doc["pass"] is False
 

@@ -303,6 +303,26 @@ class TestVerifyOps:
                 rep = verify_symplectic(n, g, h=1e-4)
                 assert rep.max_asymmetry <= 1e-7
 
+    def test_symplectic_reports_a_nan_entry(self, monkeypatch):
+        # max() dropped a NaN that was not first: with the second log ratio
+        # NaN the check reported max_asymmetry 0.0
+        log_ratios = data_maps._log_ratios
+        monkeypatch.setattr(data_maps, "_log_ratios",
+                            lambda n, gamma: [log_ratios(n, gamma)[0], math.nan])
+        rep = verify_symplectic(3, (0.2, -0.1))
+        assert math.isnan(rep.matrix[1][0]) and math.isnan(rep.max_asymmetry)
+
+    def test_generating_function_reports_a_nan_residual(self, monkeypatch):
+        # F NaN wherever m_1 is moved makes the second residual NaN, which
+        # max() dropped: the report carried the first residual
+        gen_fun = data_maps._gen_fun_F
+        m1 = -0.5 * -0.1
+        monkeypatch.setattr(data_maps, "_gen_fun_F", lambda n, rho, m, psi: (
+            gen_fun(n, rho, m, psi) if m[1] == m1 else math.nan))
+        rep = verify_generating_function(3, (0.2, -0.1))
+        assert not math.isnan(rep.residuals[0]) and math.isnan(rep.residuals[1])
+        assert math.isnan(rep.max_residual)
+
     @pytest.mark.parametrize("gamma", [(0.31, 0.12, -0.27), (0.2, -0.1, 0.05)])
     def test_symplectic_evaluates_each_log_gamma_argument_once(self, gamma, monkeypatch):
         # its 2L Gamma-product passes at gamma +- h e_j share most arguments;

@@ -446,6 +446,40 @@ class TestCorrectedSeed:
         assert ends[0] == first
 
 
+class TestShootingErrors:
+    # the three ways one shooting pass fails, each a GlobalSolveError
+    def test_probe_that_stops_raises(self):
+        # 1e-3 off the global rho the growing modes blow the probe up
+        # before the station
+        gamma = (0.3, 0.1)
+        rho = np.array(global_rho(3, gamma)) + 1e-3
+        with pytest.raises(GlobalSolveError,
+                           match=r"probe from x = 0\.01 stopped \(blowup\) at x = 2\.9"):
+            global_solutions._refine_rho(SmallXSeries(3, gamma), rho, 0.01)
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        # a growing-mode residual blind to the state makes every
+        # Jacobian column zero
+        monkeypatch.setattr(global_solutions, "_mode_residual", lambda y, x_p: np.zeros(2))
+        with pytest.raises(GlobalSolveError, match="singular shooting Jacobian"):
+            solve_global((0.3, 0.1), 0.01)
+
+    def test_kept_residual_above_1e_4_raises(self, monkeypatch):
+        # a relaunch from x = 3 started 1e-3 off the shifted probe grows
+        # to a residual of about 10 at the station
+        integrate_raw = global_solutions._integrate_raw
+
+        def nudged(n, y0, x0, x_end, cfg):
+            y0 = list(y0)
+            if len(y0) == 5:   # the plain relaunch, not the tangent probe
+                y0[0] += 1e-3
+            return integrate_raw(n, y0, x0, x_end, cfg)
+
+        monkeypatch.setattr(global_solutions, "_integrate_raw", nudged)
+        with pytest.raises(GlobalSolveError, match=r"residual \d\.\d+e\+01 on the kept orbit"):
+            solve_global((0.3, 0.1), 0.01)
+
+
 class TestLastStationStop:
     # the ids' last part names the rule that ended each solve when there
     # were three; kept, so that the test ids stay stable

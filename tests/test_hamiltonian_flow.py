@@ -457,7 +457,7 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     yt, yn = [0.0] * len(y), [0.0] * len(y)
     while x < x_end:
         h = min(h, x_end - x)
-        if h < 1e-14 * abs(x):
+        if h < 1e-10 * abs(x):
             stop = "step_underflow"
             break
         for i in comps:
@@ -797,6 +797,9 @@ class TestIntegrate:
         traj = integrate(PhasePoint(1.0, (100.0,), (0.0,)), 2.0, IntegratorConfig(), 1)
         assert traj.stop_reason == "step_underflow"
         assert traj.x_final == 1.0 and traj.stats.n_steps == 0
+        # with no step taken there is nothing to interpolate, even at x0
+        with pytest.raises(ValueError, match="trajectory carries no dense output"):
+            traj.sample_state(1.0)
 
     def test_even_variant_integration(self):
         a = AsymptoticData(2, (0.2,), (0.1,))

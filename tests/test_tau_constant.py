@@ -302,6 +302,14 @@ class TestConstantNumeric:
         with pytest.raises(ValueError, match="9.0"):
             constant_numeric((0.3, 0.1), x2=9.5)
 
+    def test_failed_solve_is_a_blowup_error(self, monkeypatch):
+        def failed(gamma, x0, basis=None):
+            raise global_solutions.GlobalSolveError("shooting probe stopped")
+        monkeypatch.setattr(tau_constant, "solve_global", failed)
+        with pytest.raises(tau_constant.BlowupError,
+                           match=r"global solve failed for gamma=\(0\.3, 0\.1\): shooting probe"):
+            constant_numeric((0.3, 0.1))
+
     def test_domain_floor_rejected_before_solving(self, monkeypatch):
         # a = 2 + 2 (-0.975) = 0.05: the solve returned a constant 4.8e-2
         # off the closed form with nothing flagging it
