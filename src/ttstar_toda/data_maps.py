@@ -12,9 +12,19 @@ Gamma-function products:
     log e_i = rho_i + gamma_i log(n+1) + log X_{n-i}(-gamma) - log X_i(-gamma)
 
 where the products are evaluated on the negated (equivalently reversed)
-full extension of gamma.  Solutions smooth on all of 0 < x < infinity are
-exactly those with log e_i = 0, which pins rho as a function of gamma
-(`global_rho`).
+full extension of gamma.  So at fixed gamma the map is a translation in
+rho, log e = rho + gamma log(n+1) + R(gamma), with R_i = log X_{n-i} -
+log X_i (`_log_ratios`), and the symplectic statement below concerns R
+alone.  Solutions smooth on all of 0 < x < infinity are exactly those
+with log e_i = 0, which pins rho as a function of gamma (`global_rho`).
+
+The maps and `global_rho` read R(gamma) from `_chart`, which checks
+genericity and evaluates R once per (n, gamma) and keeps it in a
+functools.lru_cache of special_functions._CACHE_SIZE entries: the round
+trip, the smooth family and the gradient check at one gamma, or the two
+global_rho reads of a connection constant, share one evaluation, with
+the same bits.  `verify_symplectic` evaluates R uncached, since its
+perturbed gammas do not repeat.
 
 The chart change (rho, m) -> (log e, m) is generated by
 
@@ -30,10 +40,12 @@ charts preserves the pairing  -1/2 sum dgamma_i ^ drho_i
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
-from .special_functions import log_gamma, psi_m2
+from .special_functions import _CACHE_SIZE, log_gamma, psi_m2
 
 __all__ = [
     "GenericityError",
@@ -67,10 +79,15 @@ class ShapeError(ValueError):
 
 
 def reduced_length(n: int) -> int:
-    """Number of independent entries for chain parameter n."""
-    if n < 1:
+    """Number of independent entries for chain parameter n, an integer
+    (operator.index: an int or np.int64, not 3.0) of at least 1."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = 0
+    if k < 1:
         raise ShapeError(f"n must be a positive integer, got {n!r}")
-    return (n - 1) // 2 + 1
+    return (k - 1) // 2 + 1
 
 
 def expand_reduced(n: int, values) -> list[float]:
@@ -114,10 +131,15 @@ def _check_record(record, *names: str) -> None:
         v = tuple(map(float, getattr(record, name)))
         if len(v) != L:
             raise ShapeError(f"{' and '.join(names)} must have length {L} for n={record.n}")
-        # a finite sum has finite terms: only one that overflows needs each entry read
-        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
-            raise ValueError(f"{name} must be finite, got {v}")
+        _check_finite(name, v)
         object.__setattr__(record, name, v)
+
+
+def _check_finite(name: str, v) -> None:
+    """ValueError unless every entry of the float sequence `v` is finite."""
+    # a finite sum has finite terms: only one that overflows needs each entry read
+    if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
+        raise ValueError(f"{name} must be finite, got {tuple(v)}")
 
 
 @dataclass(frozen=True)
@@ -188,35 +210,47 @@ def _log_ratios(n: int, gamma_reduced) -> list[float]:
             for i in range(reduced_length(n))]
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _chart(n: int, gamma: tuple[float, ...], lg) -> tuple[float, ...]:
+    """The shift R(gamma) = `_log_ratios` of a generic gamma, after
+    `check_genericity`, cached per (n, gamma, lg).  Callers pass gamma as
+    tuple(map(float, gamma)), so a list, a tuple, np.float64 entries, 0.0
+    and -0.0 share an entry (R reads -0.0 as 0.0 bit for bit), and lg as
+    the log_gamma this module calls, which only keys the entry: a rebound
+    log_gamma (a tracer, a test's patch) sees every evaluation of R made
+    while it is bound.  An error is raised on every call, never stored.
+    `_chart.__wrapped__` is the uncached evaluation."""
+    check_genericity(n, gamma)
+    return tuple(_log_ratios(n, gamma))
+
+
 # ----------------------------------------------------------------------
 # Data maps
 # ----------------------------------------------------------------------
 
 def asymptotic_to_monodromy(a: AsymptoticData) -> MonodromyData:
     """Closed-form monodromy data of a local solution germ."""
-    check_genericity(a.n, a.gamma)
     ln_np1 = math.log(a.n + 1)
     m = [-0.5 * g for g in a.gamma]
     log_e = [r + g * ln_np1 + x
-             for r, g, x in zip(a.rho, a.gamma, _log_ratios(a.n, a.gamma))]
+             for r, g, x in zip(a.rho, a.gamma, _chart(a.n, a.gamma, log_gamma))]
     return MonodromyData(n=a.n, m=tuple(m), log_e=tuple(log_e))
 
 
 def monodromy_to_asymptotic(md: MonodromyData) -> AsymptoticData:
     """Exact inverse of `asymptotic_to_monodromy`."""
-    gamma = [-2.0 * v for v in md.m]
-    check_genericity(md.n, gamma)
+    gamma = tuple(-2.0 * v for v in md.m)
     ln_np1 = math.log(md.n + 1)
     rho = [e - g * ln_np1 - x
-           for e, g, x in zip(md.log_e, gamma, _log_ratios(md.n, gamma))]
-    return AsymptoticData(n=md.n, gamma=tuple(gamma), rho=tuple(rho))
+           for e, g, x in zip(md.log_e, gamma, _chart(md.n, gamma, log_gamma))]
+    return AsymptoticData(n=md.n, gamma=gamma, rho=tuple(rho))
 
 
 def global_rho(n: int, gamma) -> list[float]:
     """The unique rho with log e_i = 0: the globally smooth solutions."""
-    check_genericity(n, gamma)
+    gamma = tuple(map(float, gamma))
     ln_np1 = math.log(n + 1)
-    return [-float(g) * ln_np1 - x for g, x in zip(gamma, _log_ratios(n, gamma))]
+    return [-g * ln_np1 - x for g, x in zip(gamma, _chart(n, gamma, log_gamma))]
 
 
 # ----------------------------------------------------------------------
@@ -228,18 +262,21 @@ def gen_fun_F(n: int, rho, m) -> float:
 
     The double sum runs over the full periodic anti-symmetric extension of
     m; every psi_m2 argument is positive exactly when the full m gaps lie
-    in (-1, 1), the image of genericity under m = -gamma/2.
+    in (-1, 1), the image of genericity under m = -gamma/2.  A non-finite
+    entry of rho or m raises ValueError.
     """
+    rho, m = [float(v) for v in rho], [float(v) for v in m]
+    _check_finite("rho", rho)
+    _check_finite("m", m)
     return _gen_fun_F(n, rho, m, {})
 
 
 def _gen_fun_F(n: int, rho, m, psi: dict) -> float:
-    """`gen_fun_F` with `psi` the memo of psi_m2 by argument, which callers
-    evaluating F at nearby m share: it is keyed by the exact float, so each
-    sum adds the same terms in the same order as with a fresh memo."""
+    """`gen_fun_F` on lists of floats, with `psi` the memo of psi_m2 by
+    argument, which callers evaluating F at nearby m share: it is keyed by
+    the exact float, so each sum adds the same terms in the same order as
+    with a fresh memo."""
     L = reduced_length(n)
-    rho = [float(v) for v in rho]
-    m = [float(v) for v in m]
     if len(rho) != L or len(m) != L:
         raise ShapeError(f"rho and m must have length {L} for n={n}")
     N = n + 1

@@ -48,10 +48,10 @@ its error control, and get their own nodes and coefficients, so that
 Through the q channel trajectories accumulate the regularized integral
 of H against the trivial background -2x as they go.  Blow-up flags and
 returns the partial trajectory instead of raising: a step underflow
-(below 1e-10 x, where the orbit varies on a scale ten orders below x
-itself: a singularity, which a run whose w stays under its threshold
-would otherwise crawl into over tens of thousands of steps), or an
-accepted state whose sup-norm of w exceeds the
+(a *proposed* step below 1e-10 x, where the orbit varies on a scale ten
+orders below x itself: a singularity, which a run whose w stays under
+its threshold would otherwise crawl into over tens of thousands of
+steps), or an accepted state whose sup-norm of w exceeds the
 run's threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw`
 sets for every run.  It follows the start because the small-x seed has
 |w_i| ~ |gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) =
@@ -589,7 +589,9 @@ def _make_stepper(dim: int, size: int):
 
     `run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks)`
     steps forward from x with the first trial step h until x_end, a
-    blow-up or a step underflow, h below 1e-10 |x|.  It appends the
+    blow-up or a step underflow: a *proposed* step h below 1e-10 |x|,
+    tested before h is clamped to x_end - x, so that a short last
+    interval is stepped, not flagged.  It appends the
     accepted abscissae, steps, states and the stages `_KEPT` of their 13
     (all `size` components, tangent columns included) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
@@ -626,10 +628,10 @@ def _make_stepper(dim: int, size: int):
         "    err_prev = 1e-4",
         "    stop = 'completed'",
         "    while x < x_end:",
-        "        h = min(h, x_end - x)",
         "        if h < 1e-10 * abs(x):",
         "            stop = 'step_underflow'",
         "            break",
+        "        h = min(h, x_end - x)",
     ]
     for s in range(2, 13):   # stage s from row s - 1 of _A, at node _C[s - 1]
         ws = terms(_A[s - 1])
@@ -703,8 +705,8 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     loop of `_make_stepper`, with the kernel of `_make_rhs` looked up here
     on every call.  The run blows up where the sup-norm of w exceeds
     max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's w at x0,
-    never off tangent columns, and stops on a step underflow, a step below
-    1e-10 x.
+    never off tangent columns, and stops on a step underflow, a proposed
+    step below 1e-10 x.
     """
     f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
@@ -716,8 +718,9 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     h = _initial_step(f, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
     # near x = 0 the seed's w ~ (gamma/2) log x varies on the scale of x
     # itself: a first step past about 0.2 x0 is rejected at rel_tol 1e-10,
-    # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0
-    h = min(h, 0.15 * x0, x_end - x0)
+    # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0;
+    # the loop clamps it to x_end - x0
+    h = min(h, 0.15 * x0)
 
     xs, ys, hs, ks = array("d", [x]), array("d", y), array("d"), array("d")
     x, y, n_steps, n_rejected, stop = _make_stepper(dim, size)(

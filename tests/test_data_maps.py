@@ -71,6 +71,19 @@ class TestExpand:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 cls(3, **values)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_reduced_length_refuses_a_non_integer(self, n):
+        # 2.5 gave 1.0, and AsymptoticData(3.0, ...) failed later with a
+        # bare TypeError from range
+        with pytest.raises(ShapeError, match="positive integer"):
+            reduced_length(n)
+        with pytest.raises(ShapeError, match="positive integer"):
+            AsymptoticData(n, (0.1, 0.2), (0.0, 0.0))
+
+    def test_reduced_length_takes_an_integer_type(self):
+        assert reduced_length(np.int64(3)) == reduced_length(3) == 2
+        assert AsymptoticData(np.int64(3), (0.1, 0.2), (0.0, 0.0)).gamma == (0.1, 0.2)
+
     def test_expand_full_dispatch(self):
         a = AsymptoticData(3, (0.1, 0.2), (0.3, 0.4))
         fg, fr = expand_full(a)
@@ -238,6 +251,15 @@ class TestGeneratingFunction:
     def test_domain_error(self):
         with pytest.raises(GenericityError):
             gen_fun_F(3, (0.0, 0.0), (0.9, -0.9))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        # a NaN rho gave NaN and an inf rho -inf; a NaN m surfaced as
+        # psi_m2's DomainError about z
+        with pytest.raises(ValueError, match="rho must be finite"):
+            gen_fun_F(3, (bad, 0.0), (0.1, 0.1))
+        with pytest.raises(ValueError, match="m must be finite"):
+            gen_fun_F(3, (0.0, 0.0), (0.1, bad))
 
     @pytest.mark.parametrize("n, gamma, bits, calls", [
         (3, (-0.825, 0.075), "0x1.2b7c09fc696a5p+4", 8),
@@ -432,3 +454,62 @@ class TestJson:
         d = asdict(md)
         assert list(d.keys()) == ["n", "m", "log_e"]
         assert MonodromyData(**json.loads(json.dumps(d))) == md
+
+
+class TestChartCache:
+    # R(gamma) is evaluated once per (n, gamma) by the cached _chart
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_cached_equals_uncached(self, n):
+        rng = np.random.default_rng(970 + n)
+        for _ in range(20):
+            g = tuple(map(float, random_generic(rng, n, scale=0.45, margin=5e-3)))
+            cached = [v.hex() for v in data_maps._chart(n, g, log_gamma)]
+            assert [v.hex() for v in data_maps._chart(n, g, log_gamma)] == cached
+            assert [v.hex() for v in data_maps._chart.__wrapped__(n, g, log_gamma)] == cached
+
+    @pytest.mark.parametrize("n, gamma, error", [(3, (1.9, 0.0), GenericityError),
+                                                 (3, (0.1, math.nan), GenericityError),
+                                                 (3, (0.1,), ShapeError)])
+    def test_errors_are_raised_every_time_and_never_stored(self, n, gamma, error):
+        size = data_maps._chart.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(error):
+                global_rho(n, gamma)
+            with pytest.raises(error):
+                data_maps._chart(n, gamma, log_gamma)
+        assert data_maps._chart.cache_info().currsize == size
+
+    def test_equal_gammas_share_one_entry(self):
+        data_maps._chart.cache_clear()
+        forms = [[0.25, -0.0], (0.25, 0.0), (np.float64(0.25), np.float64(0.0)),
+                 np.array([0.25, -0.0])]
+        bits = {tuple(v.hex() for v in global_rho(3, g)) for g in forms}
+        info = data_maps._chart.cache_info()
+        assert len(bits) == 1
+        assert (info.currsize, info.misses, info.hits) == (1, 1, len(forms) - 1)
+
+    def test_maps_share_one_entry(self):
+        data_maps._chart.cache_clear()
+        g, rho = (0.3, -0.1, 0.05), (0.2, 0.1, -0.3)
+        md = asymptotic_to_monodromy(AsymptoticData(5, g, rho))
+        monodromy_to_asymptotic(md)
+        global_rho(5, g)
+        verify_generating_function(5, g, rho)
+        assert data_maps._chart.cache_info().currsize == 1
+
+    def test_a_rebound_log_gamma_sees_every_evaluation(self, monkeypatch):
+        # a tracer wraps data_maps.log_gamma and counts its calls: it must
+        # see R evaluated under it, whatever the cache held before, and a
+        # repeat under it reads the entry made under it
+        g = (0.3, -0.1, 0.05)
+        rho = global_rho(5, g)
+        args = []
+        monkeypatch.setattr(data_maps, "log_gamma", lambda z: args.append(z) or log_gamma(z))
+        assert global_rho(5, g) == rho and len(args) == 30
+        assert global_rho(5, g) == rho and len(args) == 30
+
+    def test_symplectic_check_stores_nothing(self):
+        data_maps._chart.cache_clear()
+        verify_symplectic(5, (0.3, -0.1, 0.05))
+        assert data_maps._chart.cache_info().currsize == 0

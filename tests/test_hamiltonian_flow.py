@@ -450,16 +450,16 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     k1 = f(x, y)
     h = fl._initial_step(f, x, y[:dim], k1[:dim], rtol, atol)
     n_rhs = 2
-    h = min(h, 0.15 * x0, x_end - x0)
+    h = min(h, 0.15 * x0)
     xs, ys, hs, ks = [x], list(y), [], []
     err_prev = 1e-4
     stop = "completed"
     yt, yn = [0.0] * len(y), [0.0] * len(y)
     while x < x_end:
-        h = min(h, x_end - x)
         if h < 1e-10 * abs(x):
             stop = "step_underflow"
             break
+        h = min(h, x_end - x)
         for i in comps:
             yt[i] = y[i] + h * (a21 * k1[i])
         k2 = f(x + c2 * h, yt)
@@ -800,6 +800,14 @@ class TestIntegrate:
         # with no step taken there is nothing to interpolate, even at x0
         with pytest.raises(ValueError, match="trajectory carries no dense output"):
             traj.sample_state(1.0)
+
+    def test_short_interval_is_stepped(self):
+        # an interval below 1e-10 x stopped on step_underflow with 0 steps,
+        # the step tested after its clamp to x_end - x
+        x_end = 1.0 + 5e-11
+        traj = integrate(PhasePoint(1.0, (0.1,), (0.0,)), x_end, IntegratorConfig(), 1)
+        assert traj.stop_reason == "completed" and traj.stats.n_steps == 1
+        assert traj.x_final == x_end
 
     def test_even_variant_integration(self):
         a = AsymptoticData(2, (0.2,), (0.1,))
