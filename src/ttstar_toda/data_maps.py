@@ -35,7 +35,9 @@ The chart change (rho, m) -> (log e, m) is generated by
 through m_i = -dF/drho_i and log e_i = -dF/dm_i, and the induced map of
 charts preserves the pairing  -1/2 sum dgamma_i ^ drho_i
 = sum dm_i ^ dlog e_i.  `verify_generating_function` and
-`verify_symplectic` check both facts by central differences.
+`verify_symplectic` check both facts by central differences.  F reads
+psi_m2 through its own functools.lru_cache, so the gradient check's 2L
+evaluations of F at nearby m evaluate each argument they share once.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def expand_full(data):
 
 def log_x_k(k: int, full_values, n: int) -> float:
     """log X_k = sum_{j=1..n} log Gamma((v_k - v_{k+j} + 2j) / (2(n+1)))."""
+    reduced_length(n)   # ShapeError unless n is a positive integer
     N = n + 1
     full_values = list(full_values)
     if len(full_values) != N:
@@ -249,8 +252,9 @@ def monodromy_to_asymptotic(md: MonodromyData) -> AsymptoticData:
 def global_rho(n: int, gamma) -> list[float]:
     """The unique rho with log e_i = 0: the globally smooth solutions."""
     gamma = tuple(map(float, gamma))
+    shift = _chart(n, gamma, log_gamma)   # checks n before log(n + 1)
     ln_np1 = math.log(n + 1)
-    return [-g * ln_np1 - x for g, x in zip(gamma, _chart(n, gamma, log_gamma))]
+    return [-g * ln_np1 - x for g, x in zip(gamma, shift)]
 
 
 # ----------------------------------------------------------------------
@@ -263,19 +267,13 @@ def gen_fun_F(n: int, rho, m) -> float:
     The double sum runs over the full periodic anti-symmetric extension of
     m; every psi_m2 argument is positive exactly when the full m gaps lie
     in (-1, 1), the image of genericity under m = -gamma/2.  A non-finite
-    entry of rho or m raises ValueError.
+    entry of rho or m raises ValueError.  The extension repeats psi_m2
+    arguments (8 distinct of 12 at n = 3), which psi_m2's own cache
+    evaluates once; the sum adds one term per (k, j) in order.
     """
     rho, m = [float(v) for v in rho], [float(v) for v in m]
     _check_finite("rho", rho)
     _check_finite("m", m)
-    return _gen_fun_F(n, rho, m, {})
-
-
-def _gen_fun_F(n: int, rho, m, psi: dict) -> float:
-    """`gen_fun_F` on lists of floats, with `psi` the memo of psi_m2 by
-    argument, which callers evaluating F at nearby m share: it is keyed by
-    the exact float, so each sum adds the same terms in the same order as
-    with a fresh memo."""
     L = reduced_length(n)
     if len(rho) != L or len(m) != L:
         raise ShapeError(f"rho and m must have length {L} for n={n}")
@@ -284,7 +282,6 @@ def _gen_fun_F(n: int, rho, m, psi: dict) -> float:
     acc = -sum(rho[i] * m[i] for i in range(L))
     acc += math.log(N) * sum(v * v for v in m)
     ssum = 0.0
-    # psi: the extension repeats arguments, 8 distinct of 12 at n = 3
     for k in range(N):
         for j in range(1, n + 1):
             arg = (mf[(k - j) % N] - mf[k] + j) / N
@@ -292,9 +289,7 @@ def _gen_fun_F(n: int, rho, m, psi: dict) -> float:
                 raise GenericityError(
                     f"nonpositive psi_m2 argument {arg:.6g} at (k={k}, j={j}); "
                     "full m gaps must lie in (-1, 1)")
-            if arg not in psi:
-                psi[arg] = psi_m2(arg)
-            ssum += psi[arg]
+            ssum += psi_m2(arg)
     return acc + 0.5 * N * ssum
 
 
@@ -345,11 +340,10 @@ def verify_generating_function(n: int, gamma, rho=None,
     m = [-0.5 * g for g in gamma]
     log_e = asymptotic_to_monodromy(AsymptoticData(n, tuple(gamma), tuple(rho))).log_e
     residuals = []
-    psi = {}  # perturbing m_i moves only the arguments with full entries i, n - i
     for i in range(L):
         mp = list(m); mp[i] += h
         mm = list(m); mm[i] -= h
-        dF = (_gen_fun_F(n, rho, mp, psi) - _gen_fun_F(n, rho, mm, psi)) / (2.0 * h)
+        dF = (gen_fun_F(n, rho, mp) - gen_fun_F(n, rho, mm)) / (2.0 * h)
         residuals.append(abs(dF + log_e[i]))
     return GradientCheckReport(n=n, h=h, residuals=tuple(residuals),
                                max_residual=_max_or_nan(residuals))

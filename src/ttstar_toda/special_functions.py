@@ -15,7 +15,8 @@ log_gamma and psi_m2 are functools.lru_cache'd on their argument, so a
 repeated argument is evaluated once and returns the same bits: one sweep
 of the data maps and their checks over n = 1..6, which reads the Gamma
 products R(gamma) once per (n, gamma) from data_maps' own cache, repeats
-48% of its 536 log Gamma and 23% of its 270 psi_m2 arguments.  The key
+48% of its 536 log Gamma and 70% of its 703 psi_m2 arguments (the 2L
+evaluations of F in the gradient check share most of theirs).  The key
 is the argument as given (2 and 2.0, 0.3 and np.float64(0.3) share an
 entry; "0.3" has its own, holding the same float bits); an unhashable
 argument, such as a 0-d np.ndarray, raises TypeError.  A call that raises DomainError is never

@@ -19,9 +19,16 @@ compared against the closed form
         + 4 (psi_m2(1/4) + psi_m2(1/2) + psi_m2(3/4)),
 
 with rho* the smooth-family rho, m = -gamma/2, and F the generating
-function.  The x2 truncation error of the regularized integral decays
-like exp(-4 sqrt 2 x2) (the integrand is quadratic in the decaying tail),
-far below the reported tail bound |s1| sqrt(x2) exp(-2 sqrt 2 x2).
+function.  The x2 truncation error of the regularized integral is
+quadratic in the decaying tail.  The reported tail bound |s1| sqrt(x2)
+exp(-2 sqrt 2 x2) follows the slow mode alone, and bounds |c - C| only
+from x2 ~ 0.2 on: at the 8 acceptance gammas |c - C| is at most 0.15 of
+it at x2 = 0.2, but 0.56 of it at x2 = 0.1 and 61 times it at x2 = 1e-3.
+It leaves out the rate-4 mode, whose square decays like exp(-8 x2), so
+where s1 is small it bounds nothing below x2 ~ 3: s1 = 0 on gamma1 =
+-gamma0, and at (0.5, -0.5) |c - C| is 2.9e-6 at x2 = 1 against a bound
+of 1e-17.  Nor does it cover the round-off floor near 1e-13, which is
+the whole error at the default x2 = 7.
 """
 
 from __future__ import annotations
@@ -138,6 +145,9 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     not use it (the tail is closed-form); it is kept for the benchmark.
     `integrator_stats` is the work of the solve's forward runs, and
     `shooting` what its shooting did (`GlobalSolution.shooting`).
+    `tail_bound` is the slow mode's share of the x2 truncation: a bound on
+    |c - C| from x2 ~ 0.2 where s1 is not small, and never on the
+    round-off floor near 1e-13 (module docstring).
     """
     check_genericity(3, gamma)
     g0, g1 = float(gamma[0]), float(gamma[1])

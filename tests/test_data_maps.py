@@ -80,6 +80,16 @@ class TestExpand:
         with pytest.raises(ShapeError, match="positive integer"):
             AsymptoticData(n, (0.1, 0.2), (0.0, 0.0))
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_n_below_one_is_refused_before_any_arithmetic(self, n):
+        # global_rho(-1, ...) took log(n + 1) first and raised a bare "math
+        # domain error"; log_x_k(0, [], -1) divided by zero, and
+        # log_x_k(0, [0.0], 0) returned 0.0
+        with pytest.raises(ShapeError, match="positive integer"):
+            global_rho(n, (0.1,))
+        with pytest.raises(ShapeError, match="positive integer"):
+            log_x_k(0, [0.0] * max(n + 1, 0), n)
+
     def test_reduced_length_takes_an_integer_type(self):
         assert reduced_length(np.int64(3)) == reduced_length(3) == 2
         assert AsymptoticData(np.int64(3), (0.1, 0.2), (0.0, 0.0)).gamma == (0.1, 0.2)
@@ -261,20 +271,22 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError, match="m must be finite"):
             gen_fun_F(3, (0.0, 0.0), (0.1, bad))
 
-    @pytest.mark.parametrize("n, gamma, bits, calls", [
+    @pytest.mark.parametrize("n, gamma, bits, distinct", [
         (3, (-0.825, 0.075), "0x1.2b7c09fc696a5p+4", 8),
         (5, (0.3, 0.1, -0.2), "0x1.0c3be4284648bp+6", 18),
         (5, (0.6, -0.35, 0.05), "0x1.0cd03c7fdf17cp+6", 18)])
-    def test_each_distinct_argument_once(self, n, gamma, bits, calls, monkeypatch):
+    def test_each_distinct_argument_once(self, n, gamma, bits, distinct, monkeypatch):
         # the anti-symmetric extension repeats psi_m2 arguments (12 terms
-        # for 8 distinct ones at n = 3, 30 for 18 at n = 5); each is
-        # evaluated once, and the sum keeps its order, so the value keeps
-        # the bits it had with one call per term
+        # for 8 distinct ones at n = 3, 30 for 18 at n = 5); the psi_m2
+        # cache evaluates (misses) each distinct one once, and the sum adds
+        # one term per (k, j) in order, so the value keeps its bits
         args = []
+        psi_m2.cache_clear()
         monkeypatch.setattr(data_maps, "psi_m2", lambda z: args.append(z) or psi_m2(z))
         F = gen_fun_F(n, global_rho(n, gamma), tuple(-0.5 * g for g in gamma))
         assert F.hex() == bits
-        assert len(args) == len(set(args)) == calls
+        assert len(args) == n * (n + 1)
+        assert psi_m2.cache_info().misses == len(set(args)) == distinct
 
 
 class TestVerifyOps:
@@ -337,10 +349,10 @@ class TestVerifyOps:
     def test_generating_function_reports_a_nan_residual(self, monkeypatch):
         # F NaN wherever m_1 is moved makes the second residual NaN, which
         # max() dropped: the report carried the first residual
-        gen_fun = data_maps._gen_fun_F
+        gen_fun = data_maps.gen_fun_F
         m1 = -0.5 * -0.1
-        monkeypatch.setattr(data_maps, "_gen_fun_F", lambda n, rho, m, psi: (
-            gen_fun(n, rho, m, psi) if m[1] == m1 else math.nan))
+        monkeypatch.setattr(data_maps, "gen_fun_F", lambda n, rho, m: (
+            gen_fun(n, rho, m) if m[1] == m1 else math.nan))
         rep = verify_generating_function(3, (0.2, -0.1))
         assert not math.isnan(rep.residuals[0]) and math.isnan(rep.residuals[1])
         assert math.isnan(rep.max_residual)
@@ -404,8 +416,9 @@ def log_ratio(n, gamma, i):
 
 
 class TestOnePassOracles:
-    # one Gamma-product pass for all i, and one psi_m2 memo across the
-    # central differences, against the per-i and per-call forms, bit for bit
+    # one Gamma-product pass for all i, and the residuals as central
+    # differences of gen_fun_F, against the per-i and per-call forms, bit
+    # for bit
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_maps_equal_per_i_ratios(self, n):
         rng = np.random.default_rng(900 + n)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ttstar_toda import global_solutions, init_from_asymptotics, tau_constant
+from ttstar_toda.cli import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, GenericityError, global_rho
 from ttstar_toda.hamiltonian_flow import IntegratorConfig, PhasePoint, hamiltonian, integrate
 from ttstar_toda.tau_constant import (ConstantReport, classical_action,
@@ -247,6 +248,16 @@ class TestConstantNumeric:
         # constant and its report bit for bit
         rep = constant_numeric((0.3, 0.1))
         assert constant_numeric((0.3, 0.1), basis=global_solutions.make_backward_basis()) == rep
+
+    @pytest.mark.parametrize("x2", [0.2, 0.5, 1.0, 3.0, 7.0])
+    def test_tail_bound_holds_from_x2_0_2(self, x2):
+        # the slow-mode tail bound covers the x2 truncation at the
+        # acceptance gammas from x2 = 0.2 (at most 0.15 of it there), but
+        # not the round-off floor near 1e-13; below x2 = 0.2 it fails (61
+        # times it at x2 = 1e-3), as it does where s1 is small
+        for g in ACCEPTANCE_GAMMAS:
+            rep = constant_numeric(g, x2=x2)
+            assert rep.abs_diff <= rep.tail_bound + 1e-12
 
     def test_one_solve_x1_below_x2(self):
         # a short x2 lowers the top: x1 = 0.08 would start past it
