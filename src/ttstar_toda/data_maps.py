@@ -251,8 +251,9 @@ def monodromy_to_asymptotic(md: MonodromyData) -> AsymptoticData:
 
 def global_rho(n: int, gamma) -> list[float]:
     """The unique rho with log e_i = 0: the globally smooth solutions."""
+    reduced_length(n)   # checks n before _chart hashes it and log(n + 1)
     gamma = tuple(map(float, gamma))
-    shift = _chart(n, gamma, log_gamma)   # checks n before log(n + 1)
+    shift = _chart(n, gamma, log_gamma)
     ln_np1 = math.log(n + 1)
     return [-g * ln_np1 - x for g, x in zip(gamma, shift)]
 

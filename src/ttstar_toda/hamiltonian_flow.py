@@ -22,7 +22,8 @@ The chain's energy and force are written once, in `_make_rhs`, the vector
 field of the augmented state [w, wt, q] with q' = H + 2x; the stepper,
 `hamiltonian`, `vector_field` and `reg_density` evaluate it.  Its code is
 generated from `_links(n)` once per n and input length, straight through
-the links and tangent columns without loops.  It takes one state as a
+the links and tangent columns without loops, and each caller holds the
+body for the length it passes.  It takes one state as a
 sequence of floats (math.expm1, a list back) or a batch as an array
 (dim, ...) with the components on axis 0 (np.expm1, an array back).
 
@@ -170,24 +171,13 @@ def _links(n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, c
 
 
-class _Bodies(dict):
-    """Generated code by input length, each body made on its first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, size):
-        body = self[size] = self.make(size)
-        return body
-
-
 @functools.cache
-def _make_rhs(n: int, even: bool):
-    """Vector field of [w, wt, q] with q' = H + 2x, and the reduced length L.
+def _make_rhs(n: int, size: int):
+    """Vector field of [w, wt, q] with q' = H + 2x for inputs of `size`
+    components, and the reduced length L.
 
     `f(x, y)` takes one state as a sequence of floats and returns a list of
-    floats (math.expm1), or a batch as an array (dim, ...) with x
+    floats (math.expm1), or a batch as an array (size, ...) with x
     broadcasting against y[0] and returns an array (np.expm1); the input
     type chooses.  Link exponentials enter only through expm1 of the link
     exponents, so both the force terms and the regularized density H + 2x
@@ -202,13 +192,13 @@ def _make_rhs(n: int, even: bool):
     column's own dq enters nothing, nor does the state's q, so the stepper
     passes 0.0 there.  The input may also be the bare [w, wt] (2L
     components, no q), as `hamiltonian`, `vector_field` and the matched
-    tail pass it; any other length raises UnsupportedConfigError.
+    tail pass it; any other size raises UnsupportedConfigError.
 
     f is straight-line code over the L + 1 links of `_links(n)`, written
-    out as source and compiled once per chain and input length (2L, 2L +
-    1, or (2L + 1)(1 + m) with m tangent columns), on first use: a body
-    unpacks the whole of y into locals, writes every column's block out
-    and returns one list literal, and f only picks the body by len(y).
+    out as source and compiled once per chain and size (2L, 2L + 1, or
+    (2L + 1)(1 + m) with m tangent columns): it unpacks the whole of y
+    into locals, writes every column's block out and returns one list
+    literal, and callers hold it directly, one body per size they pass.
     The stepper calls it 12 times per step, and loops over the links and
     columns took three to four times as long (n = 3, x86-64, Python 3.11,
     fastest of 40 interleaved runs: 1.7 against 0.62 us a call, 4.8
@@ -221,17 +211,14 @@ def _make_rhs(n: int, even: bool):
     as dE_1 + ... + dE_{L-1} + c_0 (c_L/c_0 dE_L + dE_0).  Sums run in
     link order, as in the plain loops over the links (`eom_loops` in the
     tests), which f matches bit for bit.
-
-    `even` is n % 2 == 0, which n already decides; it stays a second
-    positional parameter because perfbench/smoke.py wraps this function in
-    a two-parameter function that forwards both arguments by position.
     """
-    if even != (n % 2 == 0):
-        raise UnsupportedConfigError(f"even={even} contradicts the parity of n={n}")
     A, c = _links(n)
     L, c = len(A) - 1, c.tolist()
-    q_const = 2.0 - sum(c)
     dim = 2 * L + 1
+    if size != 2 * L and (size < dim or size % dim):
+        raise UnsupportedConfigError(
+            f"the n={n} kernel takes {2 * L} or a multiple of {dim} components, got {size}")
+    q_const = 2.0 - sum(c)
     nonzero = [np.flatnonzero(row).tolist() for row in A]
     k = [float(row[j[-1]]) for row, j in zip(A, nonzero)]
 
@@ -258,52 +245,41 @@ def _make_rhs(n: int, even: bool):
     density = (f"({ww}) / (2.0 * x) - x * ({e_inner}) + {q_const!r} * x"
                f" - {c[0]!r} * x * ({c[L] / c[0]!r} * E{L} + E0)")
 
-    def body(size: int):
-        # the kernel for inputs of `size` components: [w, wt] (2L, no q),
-        # or the state [w, wt, q] and size / dim - 1 columns [dw, dwt, dq]
-        if size != 2 * L and (size < dim or size % dim):
-            raise UnsupportedConfigError(
-                f"the n={n} kernel takes {2 * L} or a multiple of {dim} components, got {size}")
-        cols = [f"c{j}_" for j in range(max(size // dim - 1, 0))]
-        unpack = names("w", "wt") + ["_"] * (size > 2 * L)
-        for p in cols:   # a q entry is read by nothing, the dq of a column neither
-            unpack += names(f"d{p}", f"dt{p}") + ["_"]
-        out = rates("wt", "E", density)
-        for p in cols:
-            out += rates(f"dt{p}", f"dE{p}", d_density(f"dt{p}", f"dE{p}"))
-        src = [
-            "def f(x, y):",
-            "    batch = isinstance(y, ndarray)",
-            "    expm1 = np_expm1 if batch else math_expm1",
-            f"    {', '.join(unpack)}, = y",
-            "    try:",
-            *(f"        E{i} = expm1({k[i]!r} * {a})" for i, a in enumerate(u("w"))),
-            "    except OverflowError:",
-            "        # a wild trial state: return the infinities np.expm1 gives, so",
-            "        # that the stepper rejects the step as it rejects any non-finite one",
-            "        return f(x, array(y)).tolist()",
-            "    m2x = -2.0 * x",
-            *(f"    T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1) if cols),
-            *(f"    dE{p}{i} = T{i} * {a}" for p in cols for i, a in enumerate(u(f"d{p}"))),
-            f"    out = [{', '.join(out)}]",
-            "    return array(out) if batch else out",
-        ]
-        scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
-                 "array": np.array}
-        exec(compile("\n".join(src), f"<chain kernel n={n} size={size}>", "exec"), scope)
-        return scope["f"]
-
-    bodies = _Bodies(body)
-
-    def f(x, y):
-        return bodies[len(y)](x, y)
-
-    return f, L
+    # [w, wt] (2L, no q), or the state [w, wt, q] and size / dim - 1
+    # columns [dw, dwt, dq]
+    cols = [f"c{j}_" for j in range(max(size // dim - 1, 0))]
+    unpack = names("w", "wt") + ["_"] * (size > 2 * L)
+    for p in cols:   # a q entry is read by nothing, the dq of a column neither
+        unpack += names(f"d{p}", f"dt{p}") + ["_"]
+    out = rates("wt", "E", density)
+    for p in cols:
+        out += rates(f"dt{p}", f"dE{p}", d_density(f"dt{p}", f"dE{p}"))
+    src = [
+        "def f(x, y):",
+        "    batch = isinstance(y, ndarray)",
+        "    expm1 = np_expm1 if batch else math_expm1",
+        f"    {', '.join(unpack)}, = y",
+        "    try:",
+        *(f"        E{i} = expm1({k[i]!r} * {a})" for i, a in enumerate(u("w"))),
+        "    except OverflowError:",
+        "        # a wild trial state: return the infinities np.expm1 gives, so",
+        "        # that the stepper rejects the step as it rejects any non-finite one",
+        "        return f(x, array(y)).tolist()",
+        "    m2x = -2.0 * x",
+        *(f"    T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1) if cols),
+        *(f"    dE{p}{i} = T{i} * {a}" for p in cols for i, a in enumerate(u(f"d{p}"))),
+        f"    out = [{', '.join(out)}]",
+        "    return array(out) if batch else out",
+    ]
+    scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
+             "array": np.array}
+    exec(compile("\n".join(src), f"<chain kernel n={n} size={size}>", "exec"), scope)
+    return scope["f"], L
 
 
 def _rhs_at(p: PhasePoint, n: int) -> list[float]:
     _check_n(n, len(p.w))
-    f, _L = _make_rhs(n, n % 2 == 0)
+    f, _L = _make_rhs(n, 2 * len(p.w))
     return f(p.x, p.w + p.wt)
 
 
@@ -322,7 +298,7 @@ def vector_field(p: PhasePoint, n: int):
 def reg_density(x, y: np.ndarray, n: int):
     """H + 2x at state(s) y = [w, wt, ...] (components on axis 0), evaluated
     without trivial-background cancellation."""
-    f, L = _make_rhs(n, n % 2 == 0)
+    f, L = _make_rhs(n, len(y))
     return f(x, y)[2 * L]
 
 
@@ -595,8 +571,9 @@ def _make_stepper(dim: int, size: int):
     accepted abscissae, steps, states and the stages `_KEPT` of their 13
     (all `size` components, tangent columns included) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
-    stop) at its end.  The kernel f is an argument, looked up per
-    integration, never kept here.
+    stop) at its end.  The kernel f, the body of `_make_rhs` for `size`
+    components, is an argument, looked up per integration, never kept
+    here.
 
     The loop is straight-line source, written once per (dim, size) and
     compiled: the state, the stages and the new state are locals, each
@@ -702,20 +679,23 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     the state's steps and dense output are those of a plain run bit for
     bit; the tangent columns ride along on the same steps, with their own
     nodes and dense-output coefficients.  The steps run in the generated
-    loop of `_make_stepper`, with the kernel of `_make_rhs` looked up here
-    on every call.  The run blows up where the sup-norm of w exceeds
-    max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's w at x0,
-    never off tangent columns, and stops on a step underflow, a proposed
-    step below 1e-10 x.
+    loop of `_make_stepper` with the body of `_make_rhs` for len(y0)
+    components, looked up here on every call; the initial step takes the
+    body for the state alone.  The run blows up where the sup-norm of w
+    exceeds max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's
+    w at x0, never off tangent columns, and stops on a step underflow, a
+    proposed step below 1e-10 x.
     """
-    f, L = _make_rhs(n, n % 2 == 0)
     y = [float(v) for v in y0]
-    dim, size = 2 * L + 1, len(y)
+    size = len(y)
+    f, L = _make_rhs(n, size)
+    dim = 2 * L + 1
     tangent = size > dim
+    f_state = _make_rhs(n, dim)[0] if tangent else f
     threshold = max(_BLOWUP_FLOOR, 1.0 + max(map(abs, y[:L])))
     x = float(x0)
     k1 = f(x, y)
-    h = _initial_step(f, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
+    h = _initial_step(f_state, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
     # near x = 0 the seed's w ~ (gamma/2) log x varies on the scale of x
     # itself: a first step past about 0.2 x0 is rejected at rel_tol 1e-10,
     # past 0.13 x0 at 1e-12, and _initial_step proposes up to 1.5 x0;

@@ -90,6 +90,12 @@ class TestExpand:
         with pytest.raises(ShapeError, match="positive integer"):
             log_x_k(0, [0.0] * max(n + 1, 0), n)
 
+    def test_unhashable_n_is_refused_before_the_chart_cache(self):
+        # global_rho([3], ...) raised a bare "unhashable type: 'list'" from
+        # the cache key of _chart
+        with pytest.raises(ShapeError, match="positive integer"):
+            global_rho([3], (0.1, 0.2))
+
     def test_reduced_length_takes_an_integer_type(self):
         assert reduced_length(np.int64(3)) == reduced_length(3) == 2
         assert AsymptoticData(np.int64(3), (0.1, 0.2), (0.0, 0.0)).gamma == (0.1, 0.2)

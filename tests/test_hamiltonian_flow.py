@@ -19,6 +19,12 @@ from ttstar_toda.hamiltonian_flow import (IntegratorConfig, PhasePoint,
 SQ8 = 2.0 * math.sqrt(2.0)
 
 
+def over_chains(*ns):
+    """Parametrise over the chains n, each case named by n and its parity
+    ("3-False", "4-True")."""
+    return pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-{n % 2 == 0}") for n in ns])
+
+
 def rand_point(rng, n, wscale=0.4):
     L = reduced_length(n)
     return PhasePoint(x=float(rng.uniform(0.2, 4.0)),
@@ -130,12 +136,12 @@ class TestVectorField:
 
 
 class TestKernelForms:
-    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
-                                         (2, True), (4, True)])
-    def test_float_and_batch_paths_agree(self, n, even):
+    @over_chains(1, 3, 5, 2, 4)
+    def test_float_and_batch_paths_agree(self, n):
         # one kernel, two input forms: floats through math.expm1, an array
         # batch (components on axis 0) through np.expm1
-        f, L = hamiltonian_flow._make_rhs(n, even)
+        L = reduced_length(n)
+        f, _L = hamiltonian_flow._make_rhs(n, 2 * L + 1)
         rng = np.random.default_rng(400 + n)
         x = rng.uniform(0.05, 4.0, 30)
         y = np.vstack([rng.uniform(-0.4, 0.4, (L, 30)), rng.uniform(-1.0, 1.0, (L, 30)),
@@ -146,32 +152,23 @@ class TestKernelForms:
         scale = np.max(np.abs(batch), axis=1, keepdims=True)
         assert np.all(np.abs(singles - batch) <= 1e-13 * scale)
 
-    def test_parity_is_that_of_n(self):
-        # the kernel's second argument repeats n's parity: it cannot pick
-        # another chain
-        with pytest.raises(UnsupportedConfigError):
-            hamiltonian_flow._make_rhs(3, True)
-        with pytest.raises(UnsupportedConfigError):
-            hamiltonian_flow._make_rhs(4, False)
-
     def test_other_lengths_are_refused(self):
         # a length that is neither [w, wt] nor the state and whole columns
-        f, _L = hamiltonian_flow._make_rhs(3, False)
         for size in (0, 3, 6, 9, 14, 16):
             with pytest.raises(UnsupportedConfigError, match="components"):
-                f(1.0, [0.0] * size)
+                hamiltonian_flow._make_rhs(3, size)
 
     def test_overflow_gives_the_batch_infinities(self):
         # math.expm1 raises where np.expm1 returns inf; a wild trial state
         # must come back non-finite, so that the stepper rejects the step
-        f, _L = hamiltonian_flow._make_rhs(3, False)
+        f, _L = hamiltonian_flow._make_rhs(3, 5)
         y = [200.0, 0.0, 0.1, 0.2, 0.0]
         with np.errstate(over="ignore"):
             floats, batch = f(1.0, y), f(1.0, np.array(y)).tolist()
         assert floats == batch == [0.1, 0.2, math.inf, -2.0, -math.inf]
 
 
-def eom_loops(x, y, n, even):
+def eom_loops(x, y, n):
     """The equations of motion of [w, wt, q] and of tangent columns [dw,
     dwt, dq] after it, as plain loops over the links: link 0 has exponent
     4 w_0, link i 2 (w_i - w_{i-1}), the last -4 w_{L-1} (odd n) or -2
@@ -179,6 +176,7 @@ def eom_loops(x, y, n, even):
     array with np.expm1."""
     L = reduced_length(n)
     dim = 2 * L + 1
+    even = n % 2 == 0
     last, last_weight = (-2.0, 2.0) if even else (-4.0, 1.0)
     q_const = 1.5 - float(L) if even else 2.0 - float(L)
     batch = isinstance(y, np.ndarray)
@@ -189,7 +187,7 @@ def eom_loops(x, y, n, even):
             E.append(expm1(2.0 * (y[i] - y[i - 1])))
         E.append(expm1(last * y[L - 1]))
     except OverflowError:
-        return eom_loops(x, np.array(y), n, even).tolist()
+        return eom_loops(x, np.array(y), n).tolist()
     out = []
     ww = 0.0
     for i in range(L):
@@ -227,21 +225,22 @@ def bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 
 
-def kernel_layout(L, ncols):
-    """(state entries, tangent columns) of a kernel input: the state [w, wt,
-    q] and ncols columns, "L" columns for a chain of L modes, or for "2L"
-    the bare [w, wt] that `hamiltonian`, `vector_field` and the matched
-    tail's quadrature pass."""
-    if ncols == "2L":
-        return 2 * L, 0
-    return 2 * L + 1, (L if ncols == "L" else ncols)
+def kernel_layout(n, ncols):
+    """(body, L, state entries, tangent columns) of a kernel input: the
+    state [w, wt, q] and ncols columns, "L" columns for a chain of L modes,
+    or for "2L" the bare [w, wt] that `hamiltonian`, `vector_field` and the
+    matched tail's quadrature pass; the body is `_make_rhs`'s for that
+    input's size."""
+    L = reduced_length(n)
+    state, cols = (2 * L, 0) if ncols == "2L" else (2 * L + 1, L if ncols == "L" else ncols)
+    f, _L = hamiltonian_flow._make_rhs(n, state + (2 * L + 1) * cols)
+    return f, L, state, cols
 
 
 class TestKernelOracle:
     # the generated straight-line kernel against the loops, bit for bit,
     # over every input length the library passes
-    chains = pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
-                                                 (7, False), (2, True), (4, True)])
+    chains = over_chains(1, 3, 5, 7, 2, 4)
     columns = pytest.mark.parametrize("ncols", [0, 1, 2, "L", "2L"])
 
     @staticmethod
@@ -250,9 +249,8 @@ class TestKernelOracle:
 
     @chains
     @columns
-    def test_floats(self, n, even, ncols):
-        f, L = hamiltonian_flow._make_rhs(n, even)
-        state, cols = kernel_layout(L, ncols)
+    def test_floats(self, n, ncols):
+        f, L, state, cols = kernel_layout(n, ncols)
         rng = np.random.default_rng(self.seed(600, n, ncols))
         for scale in (0.0, 1e-9, 0.4, 3.0):
             for _ in range(25):
@@ -261,42 +259,41 @@ class TestKernelOracle:
                      + rng.normal(0.0, 1.0, (2 * L + 1) * cols).tolist())
                 out = f(x, y)
                 assert isinstance(out, list)
-                assert bits(out) == bits(eom_loops(x, y, n, even))
+                assert bits(out) == bits(eom_loops(x, y, n))
 
     @chains
     @columns
-    def test_batches(self, n, even, ncols):
-        f, L = hamiltonian_flow._make_rhs(n, even)
-        state, cols = kernel_layout(L, ncols)
+    def test_batches(self, n, ncols):
+        f, L, state, cols = kernel_layout(n, ncols)
         rng = np.random.default_rng(self.seed(700, n, ncols))
         x = rng.uniform(1e-3, 9.0, 40)
         y = np.vstack([rng.normal(0.0, 0.5, (state, 40)),
                        rng.normal(0.0, 1.0, ((2 * L + 1) * cols, 40))])
         out = f(x, y)
         assert out.shape == ((2 * L + 1) * (1 + cols), 40)
-        assert bits(out) == bits(eom_loops(x, y, n, even))
+        assert bits(out) == bits(eom_loops(x, y, n))
 
     @chains
     @columns
-    def test_overflow(self, n, even, ncols):
+    def test_overflow(self, n, ncols):
         # math.expm1 raises on the state [300, 0, ...]: the kernel answers
         # with the infinities of the batch path, as the loops do
-        f, L = hamiltonian_flow._make_rhs(n, even)
-        state, cols = kernel_layout(L, ncols)
+        f, L, state, cols = kernel_layout(n, ncols)
         y = [300.0] + [0.0] * (state - 1) + [0.5] * ((2 * L + 1) * cols)
         with np.errstate(over="ignore", invalid="ignore"):
-            out, ref = f(1.0, y), eom_loops(1.0, y, n, even)
+            out, ref = f(1.0, y), eom_loops(1.0, y, n)
         assert isinstance(out, list) and not all(map(math.isfinite, out))
         assert bits(out) == bits(ref)
 
     @chains
-    def test_q_entries_are_not_read(self, n, even):
+    def test_q_entries_are_not_read(self, n):
         # the stepper passes 0.0 for the q entry of every stage argument,
         # the state's q and each column's dq: NaN there changes no bit
-        f, L = hamiltonian_flow._make_rhs(n, even)
+        L = reduced_length(n)
         dim = 2 * L + 1
         rng = np.random.default_rng(650 + n)
         for ncols in range(L + 1):
+            f, _L = hamiltonian_flow._make_rhs(n, dim * (1 + ncols))
             x = rng.uniform(1e-3, 9.0, 12)
             y = rng.normal(0.0, 0.5, (dim * (1 + ncols), 12))
             nan_q = y.copy()
@@ -308,18 +305,19 @@ class TestKernelOracle:
 
 
 class TestTangentColumns:
-    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
-                                         (2, True), (4, True)])
-    def test_linearisation_matches_central_difference(self, n, even):
+    @over_chains(1, 3, 5, 2, 4)
+    def test_linearisation_matches_central_difference(self, n):
         # tangent columns [dw, dwt, dq] after the state come back as J(y) v,
         # dq' included, the state's own derivative unchanged bit for bit
-        f, L = hamiltonian_flow._make_rhs(n, even)
+        L = reduced_length(n)
         dim = 2 * L + 1
+        f, _L = hamiltonian_flow._make_rhs(n, dim)
+        f3, _L = hamiltonian_flow._make_rhs(n, 3 * dim)
         rng = np.random.default_rng(500 + n)
         x = 0.7
         y = rng.uniform(-0.4, 0.4, L).tolist() + rng.uniform(-1.0, 1.0, L).tolist() + [0.0]
         cols = [rng.uniform(-1.0, 1.0, dim).tolist() for _ in range(2)]
-        out = f(x, y + cols[0] + cols[1])
+        out = f3(x, y + cols[0] + cols[1])
         assert len(out) == 3 * dim
         assert out[:dim] == f(x, y)
         h = 1e-6
@@ -336,8 +334,9 @@ class TestTangentColumns:
         # of H + 2x along it, H summed over the n + 1 gaps of the full
         # periodic chain with plain exponentials: no code shared with the
         # kernel
-        f, L = hamiltonian_flow._make_rhs(n, n % 2 == 0)
+        L = reduced_length(n)
         dim = 2 * L + 1
+        f, _L = hamiltonian_flow._make_rhs(n, 3 * dim)
         rng = np.random.default_rng(900 + n)
 
         def density(x, w, wt):
@@ -416,12 +415,13 @@ class TestShiftedAndJoined:
                 whole.stats.n_integrations) == (1, 1, 2)
 
 
-def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
+def dop853_loops(n, y0, x0, x_end, cfg, floor=5.0):
     """DOP853 as plain loops over the components, each stage's argument
     written into one reused list: the stepper before it was generated as
     straight-line code, kept as the generated loop's byte-for-byte oracle.
     The run blows up where |w_i| exceeds max(floor, 1 + max_i |w_i(x0)|).
-    Tangent columns get their nodes and dense output on the state's steps,
+    The kernel is `_make_rhs`'s body for len(y0), the initial step's its
+    body for the state alone.  Tangent columns get their nodes and dense output on the state's steps,
     their three extra stages from the same kernel calls as the state's.
     Returns (xs, ys, hs, Q, tangent_ys, tangent_Q, (n_steps, n_rejected,
     n_rhs_evals), stop_reason)."""
@@ -438,17 +438,18 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
     er1, _, _, _, _, er6, er7, er8, er9, er10, er11, er12 = fl._E5
     bhh1, bhh2, bhh3 = fl._BHH
 
-    f, L = fl._make_rhs(n, even)
     y = [float(v) for v in y0]
+    f, L = fl._make_rhs(n, len(y))
     dim = 2 * L + 1
     tangent = len(y) > dim
+    f_state, _L = fl._make_rhs(n, dim)
     comps = range(len(y))
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     threshold = max(floor, 1.0 + max(abs(v) for v in y[:L]))
     x = float(x0)
     n_steps = n_rejected = 0
     k1 = f(x, y)
-    h = fl._initial_step(f, x, y[:dim], k1[:dim], rtol, atol)
+    h = fl._initial_step(f_state, x, y[:dim], k1[:dim], rtol, atol)
     n_rhs = 2
     h = min(h, 0.15 * x0)
     xs, ys, hs, ks = [x], list(y), [], []
@@ -562,12 +563,12 @@ def dop853_loops(n, y0, x0, x_end, cfg, even=False, floor=5.0):
             (n_steps, n_rejected, n_rhs + 3), stop)
 
 
-def assert_same_run(n, y0, x0, x_end, cfg, even=False, floor=5.0):
+def assert_same_run(n, y0, x0, x_end, cfg, floor=5.0):
     """The generated stepper against `dop853_loops`, bit for bit; returns
     the trajectory."""
     traj = hamiltonian_flow._integrate_raw(n, y0, x0, x_end, cfg)
     xs, ys, hs, Q, tangent_ys, tangent_Q, counts, stop = dop853_loops(
-        n, y0, x0, x_end, cfg, even, floor)
+        n, y0, x0, x_end, cfg, floor)
     for name, ref in (("xs", xs), ("ys", ys), ("hs", hs), ("Q", Q),
                       ("tangent_ys", tangent_ys), ("tangent_Q", tangent_Q)):
         got = getattr(traj, name)
@@ -591,16 +592,15 @@ def near_blowup_seed():
 class TestStepperOracle:
     # the generated stepping loop against the loops over the components
 
-    @pytest.mark.parametrize("n, even", [(1, False), (3, False), (5, False),
-                                         (7, False), (2, True), (4, True)])
+    @over_chains(1, 3, 5, 7, 2, 4)
     @pytest.mark.parametrize("ncols", [0, 1, 2])
-    def test_chains_and_tangent_columns(self, n, even, ncols):
+    def test_chains_and_tangent_columns(self, n, ncols):
         L = reduced_length(n)
         rng = np.random.default_rng(800 + 10 * n + ncols)
         y0 = (rng.normal(0.0, 0.1, L).tolist() + rng.normal(0.0, 0.3, L).tolist() + [0.0]
               + rng.normal(0.0, 1.0, (2 * L + 1) * ncols).tolist())
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
-        traj = assert_same_run(n, y0, 0.05, 2.5, cfg, even)
+        traj = assert_same_run(n, y0, 0.05, 2.5, cfg)
         assert traj.stats.n_steps > 10
 
     def test_rejections_and_blowup(self):
@@ -735,8 +735,8 @@ class TestIntegrate:
         calls = [0]
         make_rhs = hamiltonian_flow._make_rhs
 
-        def counting_make_rhs(n, even):
-            f, L = make_rhs(n, even)
+        def counting_make_rhs(n, size):
+            f, L = make_rhs(n, size)
 
             def counted(x, y):
                 calls[0] += 1
@@ -759,7 +759,8 @@ class TestIntegrate:
         # the stepping loop is generated once per state size but takes the
         # kernel as an argument, so a _make_rhs wrapped after the loop was
         # cached still sees every call; calls carrying tangent columns are
-        # counted apart
+        # counted apart, and the sizes asked for are the bodies the run
+        # calls: no body that dispatches on the length
         a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
         p = init_from_asymptotics(a, 0.01)
         y0 = p.w + p.wt + (0.0,)
@@ -769,10 +770,12 @@ class TestIntegrate:
             hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg)
         cached = hamiltonian_flow._make_stepper.cache_info()
         calls = {"all": 0, "tangent": 0}
+        requested = []
         make_rhs = hamiltonian_flow._make_rhs
 
-        def counting_make_rhs(n, even):
-            f, L = make_rhs(n, even)
+        def counting_make_rhs(n, size):
+            requested.append((n, size))
+            f, L = make_rhs(n, size)
 
             def counted(x, y):
                 calls["all"] += 1
@@ -782,11 +785,13 @@ class TestIntegrate:
             return counted, L
 
         monkeypatch.setattr(hamiltonian_flow, "_make_rhs", counting_make_rhs)
-        for y in (y0, y0 + cols):
+        for y, sizes in ((y0, [(3, 5)]), (y0 + cols, [(3, 15), (3, 5)])):
             calls.update(all=0, tangent=0)
+            requested.clear()
             st = hamiltonian_flow._integrate_raw(3, y, 0.01, 2.0, cfg).stats
             assert st.n_rhs_evals == calls["all"]
             assert st.n_tangent_rhs == calls["tangent"]
+            assert requested == sizes
         assert st.n_tangent_rhs == st.n_rhs_evals - 1 > 0
         info = hamiltonian_flow._make_stepper.cache_info()
         assert (info.hits, info.misses) == (cached.hits + 2, cached.misses)
