@@ -29,16 +29,18 @@ two-sided strategy:
      fixed quadratures, no scipy);
   3. a least-squares match of the forward trajectory on the overlap window
      [3.9, 4.6] against the two decaying and the two growing modes, which
-     keeps the decaying amplitudes (A, D) and drops the growing content
-     the integrator's error leaves in the run.
+     keeps the decaying amplitudes `amps` (one per mode) and drops the
+     growing content the integrator's error leaves in the run.
 
 The composite object starts where the shooting does (its x0, the start
 of step 1) and evaluates states on [x0, 9], forward up to x = 4.2 and
-A K0(2 sqrt 2 x) (1, 1) + D K0(4 x) (1, -1) beyond; it accumulates the
-regularized integral of (H + 2x) from x0, forward part from the augmented
-integrator state and tail part by fixed-panel Gauss-Legendre quadrature
-of the matched tail.  Its cut series (diagnostics["series"]) also gives
-`tau_constant` the integral of H over (0, x0) (the endcap).
+sum_k amps_k K0(r_k x) v_k beyond; it accumulates the regularized
+integral of (H + 2x) from x0, forward part from the augmented integrator
+state and tail part by fixed-panel Gauss-Legendre quadrature of the
+matched tail, and gives the integral beyond any x2 to quadratic order in
+closed form (`GlobalSolution.truncation`).  Its cut series
+(diagnostics["series"]) also gives `tau_constant` the integral of H over
+(0, x0) (the endcap).
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ __all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve
 
 # the chain linearised at w = 0, n = 3: rates r_k and vectors v_k (rows),
 # K0(r_k x) v_k decaying and I0(r_k x) v_k growing; the one definition of
-# the tail's modes, which the shooting, the tail, the match and the tail
-# bound all read.  2 sqrt 2 is kept as written: 4 sin(pi/4) differs in the
-# last bit.
+# the tail's modes, which the shooting, the tail, the match and the
+# truncation all read.  2 sqrt 2 is kept as written: 4 sin(pi/4) differs
+# in the last bit.
 _RATES = np.array([2.0 * math.sqrt(2.0), 4.0])
 _VECTORS = np.array([[1.0, 1.0], [1.0, -1.0]])
 _RATES.flags.writeable = _VECTORS.flags.writeable = False
@@ -355,9 +357,10 @@ def make_backward_basis() -> tuple[np.ndarray, np.ndarray]:
     return _RATES, _VECTORS
 
 
-def _match(fwd: Trajectory) -> tuple[float, float, float]:
-    """Decaying amplitudes (A, D) of the forward run on the window [3.9,
-    4.6], and the fit's residual relative to the run's largest entry.
+def _match(fwd: Trajectory) -> tuple[tuple[float, ...], float]:
+    """The decaying amplitudes of the forward run on the window [3.9,
+    4.6], one per mode, and the fit's residual relative to the run's
+    largest entry.
 
     The fit is least squares against the two decaying and the two growing
     modes (Beyn's projection of the unstable part, IMA J. Numer. Anal. 10,
@@ -371,15 +374,14 @@ def _match(fwd: Trajectory) -> tuple[float, float, float]:
     t = (fwd.sample_state(xs)[:2 * _L] * wgt).T.ravel()
     scale = float(np.max(np.abs(t)))
     if scale == 0.0:
-        return 0.0, 0.0, 0.0  # identically-zero forward solution
+        return (0.0,) * _L, 0.0  # identically-zero forward solution
     M = np.hstack([(_modes(xs[:, None], np.eye(_L), growing) * wgt[..., None])
                    .transpose(1, 0, 2).reshape(-1, _L) for growing in (False, True)])
     col = np.max(np.abs(M), axis=0)
     M /= col
     coef, *_ = np.linalg.lstsq(M, t, rcond=None)
     resid = float(np.max(np.abs(M @ coef - t)) / scale)
-    A, D = coef[:_L] / col[:_L]
-    return float(A), float(D), resid
+    return tuple((coef[:_L] / col[:_L]).tolist()), resid
 
 
 _GL12 = np.polynomial.legendre.leggauss(12)
@@ -389,24 +391,22 @@ _GL12 = np.polynomial.legendre.leggauss(12)
 class GlobalSolution:
     """Matched composite global solution on [x0, x_right] (n = 3): the
     forward trajectory from its start x0 up to x_switch, the matched tail
-    beyond, whose slowest decay rate is tail_rate (2 sqrt 2)."""
+    sum_k amps_k K0(r_k x) v_k beyond."""
 
     x_switch = _X_SWITCH
     x_right = _X_RIGHT
-    tail_rate = float(_RATES.min())
 
     gamma: tuple[float, ...]
     rho_formula: tuple[float, ...]
     rho_seed: tuple[float, ...]
     x0: float
     forward: Trajectory
-    amp_sum: float
-    amp_diff: float
+    amps: tuple[float, ...]
     diagnostics: dict
 
     def tail_state(self, x) -> np.ndarray:
         """[w, wt] of the matched tail at x, a scalar or an array."""
-        return _modes(x, (self.amp_sum, self.amp_diff))
+        return _modes(x, self.amps)
 
     def _check_range(self, name: str, x: float) -> None:
         if not self.x0 <= x <= self.x_right:
@@ -452,6 +452,17 @@ class GlobalSolution:
         return (self.forward.reg_integral_to(self.x_switch)
                 + self._tail_reg_integral(self.x_switch, x2))
 
+    def truncation(self, x2: float) -> float:
+        """integral (H + 2x) dx from x2 to infinity along the matched tail,
+        to quadratic order: sum_k amps_k^2 |v_k|^2/2 (z K0(z) K1(z) - z^2
+        (K1(z)^2 - K0(z)^2)) at z = r_k x2.  The modes are orthogonal, so
+        no cross terms enter."""
+        self._check_range("x2", x2)
+        z = _RATES * x2
+        k0, k1 = _bessel(z).T
+        return float(np.sum(np.square(self.amps) * np.sum(_VECTORS * _VECTORS, 1) / 2
+                            * (z * k0 * k1 - z * z * (k1 * k1 - k0 * k0))))
+
 
 def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     """Compute the global solution with asymptotic slope data `gamma` (n=3).
@@ -488,9 +499,9 @@ def solve_global(gamma, x0: float, basis=None) -> GlobalSolution:
     gamma = tuple(float(g) for g in gamma)
     rho_f = tuple(global_rho(3, gamma))
     rho_seed, info, fwd = _refine_rho(SmallXSeries(3, gamma), rho_f, x0)
-    A, D, resid = _match(fwd)
+    amps, resid = _match(fwd)
     if resid > _MATCH_TOL:
         raise GlobalSolveError(f"tail match residual {resid:.3e} above {_MATCH_TOL:g}")
     return GlobalSolution(gamma=gamma, rho_formula=rho_f, rho_seed=tuple(rho_seed.tolist()),
-                          x0=info["x_start"], forward=fwd, amp_sum=A, amp_diff=D,
+                          x0=info["x_start"], forward=fwd, amps=amps,
                           diagnostics={**info, "match_residual": resid})

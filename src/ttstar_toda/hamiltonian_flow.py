@@ -49,10 +49,10 @@ its error control, and get their own nodes and coefficients, so that
 Through the q channel trajectories accumulate the regularized integral
 of H against the trivial background -2x as they go.  Blow-up flags and
 returns the partial trajectory instead of raising: a step underflow
-(a *proposed* step below 1e-10 x, where the orbit varies on a scale ten
-orders below x itself: a singularity, which a run whose w stays under
-its threshold would otherwise crawl into over tens of thousands of
-steps), or an accepted state whose sup-norm of w exceeds the
+(a *proposed* step at or below 1e-10 x, where the orbit varies on a
+scale ten orders below x itself: a singularity, which a run whose w
+stays under its threshold would otherwise crawl into over tens of
+thousands of steps), or an accepted state whose sup-norm of w exceeds the
 run's threshold max(5, 1 + max_i |w_i(x0)|), which `_integrate_raw`
 sets for every run.  It follows the start because the small-x seed has
 |w_i| ~ |gamma_i|/2 |log x0|, above 5 near the domain floor a(gamma) =
@@ -565,9 +565,10 @@ def _make_stepper(dim: int, size: int):
 
     `run(f, x, x_end, h, y, k1, atol, rtol, threshold, xs, ys, hs, ks)`
     steps forward from x with the first trial step h until x_end, a
-    blow-up or a step underflow: a *proposed* step h below 1e-10 |x|,
-    tested before h is clamped to x_end - x, so that a short last
-    interval is stepped, not flagged.  It appends the
+    blow-up or a step underflow: a *proposed* step h at or below 1e-10
+    |x|, tested before h is clamped to x_end - x, so that a short last
+    interval is stepped, not flagged; "at or" stops a run at a subnormal
+    x, where 1e-10 |x| underflows to 0 and rejected steps shrink h to 0.  It appends the
     accepted abscissae, steps, states and the stages `_KEPT` of their 13
     (all `size` components, tangent columns included) to the array('d')
     buffers xs, hs, ys and ks, and returns (x, y, n_steps, n_rejected,
@@ -605,7 +606,7 @@ def _make_stepper(dim: int, size: int):
         "    err_prev = 1e-4",
         "    stop = 'completed'",
         "    while x < x_end:",
-        "        if h < 1e-10 * abs(x):",
+        "        if h <= 1e-10 * abs(x):",
         "            stop = 'step_underflow'",
         "            break",
         "        h = min(h, x_end - x)",
@@ -684,7 +685,7 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     body for the state alone.  The run blows up where the sup-norm of w
     exceeds max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's
     w at x0, never off tangent columns, and stops on a step underflow, a
-    proposed step below 1e-10 x.
+    proposed step at or below 1e-10 x.
     """
     y = [float(v) for v in y0]
     size = len(y)

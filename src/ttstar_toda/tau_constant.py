@@ -20,15 +20,13 @@ compared against the closed form
 
 with rho* the smooth-family rho, m = -gamma/2, and F the generating
 function.  The x2 truncation error of the regularized integral is
-quadratic in the decaying tail.  The reported tail bound |s1| sqrt(x2)
-exp(-2 sqrt 2 x2) follows the slow mode alone, and bounds |c - C| only
-from x2 ~ 0.2 on: at the 8 acceptance gammas |c - C| is at most 0.15 of
-it at x2 = 0.2, but 0.56 of it at x2 = 0.1 and 61 times it at x2 = 1e-3.
-It leaves out the rate-4 mode, whose square decays like exp(-8 x2), so
-where s1 is small it bounds nothing below x2 ~ 3: s1 = 0 on gamma1 =
--gamma0, and at (0.5, -0.5) |c - C| is 2.9e-6 at x2 = 1 against a bound
-of 1e-17.  Nor does it cover the round-off floor near 1e-13, which is
-the whole error at the default x2 = 7.
+quadratic in the decaying tail, and the reported tail bound is that
+quadratic term, `GlobalSolution.truncation(x2)`, summed over every mode
+of the matched tail: at the acceptance gammas and (0.5, -0.5) it is
+|c - C| to within 1% from x2 = 1 and 13% at x2 = 0.2, where the cubic
+terms it leaves out start to show.  It does not cover the round-off
+floor near 1e-13, the whole error at the default x2 = 7, where the
+bound reads about 1e-21.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho,
                         reduced_length)
 from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
-from .hamiltonian_flow import Trajectory, _links, reg_density, tail_amplitude_s1
+from .hamiltonian_flow import Trajectory, _links, reg_density
 from .special_functions import psi_m2
 
 __all__ = [
@@ -118,20 +116,18 @@ def log_tau(gamma, x1: float, x2: float, return_shooting: bool = False):
 
 def constant_closed(gamma) -> float:
     """Closed-form connection constant of the smooth n=3 family."""
-    gamma = tuple(float(g) for g in gamma)
+    gamma = tuple(map(float, gamma))
     rho = global_rho(3, gamma)  # checks the length and genericity of gamma
-    g0, g1 = gamma
-    m = (-0.5 * g0, -0.5 * g1)
-    F = gen_fun_F(3, rho, m)
+    F = gen_fun_F(3, rho, [-0.5 * g for g in gamma])
     psis = psi_m2(0.25) + psi_m2(0.5) + psi_m2(0.75)
-    return -0.125 * (g0 * g0 + g1 * g1) - 0.5 * F + 4.0 * psis
+    return -0.125 * sum(g * g for g in gamma) - 0.5 * F + 4.0 * psis
 
 
 def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantReport:
     """Constant by regularized quadrature from one solve where the small-x
     series has converged.
 
-    C(x1) = reg_integral(x1 -> x2) + x1^2 + (gamma0^2 + gamma1^2)/8 * log x1
+    C(x1) = reg_integral(x1 -> x2) + x1^2 + |gamma|^2/8 * log x1
     - endcap, x2 at most GlobalSolution.x_right; the endcap
     (`SmallXSeries.endcap`, at the smooth family's rho) integrates the
     series of H - q/x over (0, x1), the solve's own cut series
@@ -145,35 +141,34 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
     not use it (the tail is closed-form); it is kept for the benchmark.
     `integrator_stats` is the work of the solve's forward runs, and
     `shooting` what its shooting did (`GlobalSolution.shooting`).
-    `tail_bound` is the slow mode's share of the x2 truncation: a bound on
-    |c - C| from x2 ~ 0.2 where s1 is not small, and never on the
-    round-off floor near 1e-13 (module docstring).
+    `tail_bound` is the x2 truncation to quadratic order
+    (`GlobalSolution.truncation`), which |c - C| follows to within 1% from
+    x2 = 1 down to the round-off floor near 1e-13, which it never covers
+    (module docstring).
     """
     check_genericity(3, gamma)
-    g0, g1 = float(gamma[0]), float(gamma[1])
+    gamma = tuple(map(float, gamma))
     if not _X1_MIN < x2 <= GlobalSolution.x_right:
         raise ValueError(f"x2 must lie in ({_X1_MIN}, {GlobalSolution.x_right}], got {x2}")
-    a = float(min(2.0 + 0.5 * (_links(3)[0] @ np.array((g0, g1)))))   # as SmallXSeries.s
+    a = float(min(2.0 + 0.5 * (_links(3)[0] @ np.array(gamma))))   # as SmallXSeries.s
     if a < _A_MIN:
         raise GenericityError(f"a(gamma) = min_l s_l = {a!r} is below a_min = {_A_MIN} "
-                              f"for gamma={(g0, g1)}")
+                              f"for gamma={gamma}")
     x1 = _X1_MAX
     while x1 >= x2:
         x1 *= 0.5
     try:
-        sol = solve_global((g0, g1), x1, basis=basis)
+        sol = solve_global(gamma, x1, basis=basis)
     except GlobalSolveError as exc:
-        raise BlowupError(f"global solve failed for gamma={(g0, g1)}: {exc}") from exc
+        raise BlowupError(f"global solve failed for gamma={gamma}: {exc}") from exc
     x1, cut = sol.x0, sol.diagnostics["series"]
-    c_num = (sol.reg_integral(x2) + x1 * x1 + (g0 * g0 + g1 * g1) / 8.0 * math.log(x1)
+    c_num = (sol.reg_integral(x2) + x1 * x1 + sum(g * g for g in gamma) / 8.0 * math.log(x1)
              - cut.endcap(sol.rho_formula, x1))
-    c_closed = constant_closed((g0, g1))
-    s1 = tail_amplitude_s1((g0, g1))
-    tail = abs(s1) * math.sqrt(x2) * math.exp(-GlobalSolution.tail_rate * x2)
+    c_closed = constant_closed(gamma)
     return ConstantReport(
-        gamma=(g0, g1), c_numeric=float(c_num), c_closed=float(c_closed),
+        gamma=gamma, c_numeric=float(c_num), c_closed=float(c_closed), a=a,
         abs_diff=abs(float(c_num) - float(c_closed)), x1=x1, x2_used=float(x2),
-        tail_bound=float(tail), a=a, integrator_stats=dict(sol.diagnostics["integrator_stats"]),
+        tail_bound=sol.truncation(x2), integrator_stats=dict(sol.diagnostics["integrator_stats"]),
         series_order=cut.order, series_error=cut.error, shooting=sol.shooting)
 
 

@@ -196,11 +196,11 @@ def test_criterion_7_dynamics_identities():
 
 
 def test_criterion_8_large_x_tail(sol_031):
-    # w_0 sqrt(x) exp(2 sqrt 2 x) tends to amp_sum sqrt(pi) 2^(-5/4), the
-    # large-z limit of the tail's A K0(2 sqrt 2 x)
+    # w_0 sqrt(x) exp(2 sqrt 2 x) tends to amps[0] sqrt(pi) 2^(-5/4), the
+    # large-z limit of the tail's amps[0] K0(2 sqrt 2 x)
     s1 = tail_amplitude_s1((0.3, 0.1))
     predicted = -s1 * 2.0 ** -1.75 / math.sqrt(math.pi)
-    limit = sol_031.amp_sum * math.sqrt(math.pi) * 2.0 ** -1.25
+    limit = sol_031.amps[0] * math.sqrt(math.pi) * 2.0 ** -1.25
     rel = abs(limit - predicted) / abs(predicted)
     _report(8, rel <= 1e-6,
             f"tail amplitude {limit:.12e} vs -s1 2^(-7/4) pi^(-1/2) "

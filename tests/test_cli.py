@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -148,6 +151,26 @@ class TestSolve:
         lines = out.read_text().strip().split("\n")
         assert len(lines) < 2000
         assert lines[-1].startswith("# stopped: step_underflow at x=7.16")
+
+    def test_subnormal_x0_stops_on_underflow(self, tmp_path):
+        # at a subnormal x, wt/x overflows, every trial step is rejected
+        # and h shrinks to 0, while 1e-10 x has itself underflowed to 0.0:
+        # a test h < 1e-10 x never fired, and these runs never returned.
+        # In a subprocess, so that a hang fails by its timeout
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = tmp_path / "sub.csv"
+        argv = ["solve", "--n", "1", "--gamma", "0.3", "--x0", "1e-320", "--x1", "1",
+                "--out", str(out), "--reproducible"]
+        code = "\n".join([f"import sys; sys.path.insert(0, {src!r})",
+                          "from ttstar_toda import cli, global_solutions as gs",
+                          f"print(cli.main({argv!r}))",
+                          "try: gs.solve_global((0.3, 0.1), 5e-324)",
+                          "except gs.GlobalSolveError as exc: print(exc)"])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        rc, err = res.stdout.splitlines()
+        assert rc == "3" and "(step_underflow)" in err
+        assert out.read_text().splitlines()[-1].startswith("# stopped: step_underflow")
 
     def test_debug_log_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TTSTAR_LOG", "debug")

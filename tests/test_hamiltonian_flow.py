@@ -457,7 +457,7 @@ def dop853_loops(n, y0, x0, x_end, cfg, floor=5.0):
     stop = "completed"
     yt, yn = [0.0] * len(y), [0.0] * len(y)
     while x < x_end:
-        if h < 1e-10 * abs(x):
+        if h <= 1e-10 * abs(x):
             stop = "step_underflow"
             break
         h = min(h, x_end - x)
