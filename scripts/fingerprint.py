@@ -4,9 +4,10 @@
 Prints one JSON line holding three SHA-256 digests over `float.hex` values:
 - `constants`: `c_numeric` and the work counts of `integrator_stats`
   (integrations, steps, rejected steps, RHS calls) of `constant_numeric`
-  at the 8 gammas of the CI constant gate (`cli.ACCEPTANCE_GAMMAS`) and at 40
-  draws from |gamma_i| <= 0.9 (numpy seed 12345); a draw that raises a
-  typed error hashes the error's name instead;
+  at the 8 gammas of the CI constant gate (`verify.ACCEPTANCE_GAMMAS`, the
+  constant suite's fixed list) and at 40 draws from |gamma_i| <= 0.9
+  (numpy seed 12345); a draw that raises a typed error hashes the error's
+  name instead;
 - `solves`: `reg_integral` at three x2 and `state` at three x of
   `solve_global(gamma, 0.01)` for three gammas;
 - `maps`: the closed-form layer at 20 generic gammas per n = 1..6, each
@@ -35,7 +36,7 @@ import numpy as np
 from ttstar_toda import (BlowupError, GenericityError, GlobalSolveError,
                          constant_numeric, solve_global)
 from ttstar_toda import data_maps as dm
-from ttstar_toda.cli import ACCEPTANCE_GAMMAS
+from ttstar_toda.verify import ACCEPTANCE_GAMMAS
 DRAWS, DRAW_SEED, DRAW_RADIUS = 40, 12345, 0.9
 STATS_KEYS = ("integrations", "steps", "rejected", "rhs_evals")
 SOLVE_GAMMAS = ((0.3, 0.1), (0.1, -0.1), (-0.2, 0.4))

@@ -685,7 +685,9 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     body for the state alone.  The run blows up where the sup-norm of w
     exceeds max(_BLOWUP_FLOOR, 1 + max_i |w_i(x0)|), read off the state's
     w at x0, never off tangent columns, and stops on a step underflow, a
-    proposed step at or below 1e-10 x.
+    proposed step at or below 1e-10 x.  A start where the vector field (its
+    first kernel call) is not finite raises UnsupportedConfigError before
+    any step.
     """
     y = [float(v) for v in y0]
     size = len(y)
@@ -696,6 +698,9 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
     threshold = max(_BLOWUP_FLOOR, 1.0 + max(map(abs, y[:L])))
     x = float(x0)
     k1 = f(x, y)
+    if not all(map(math.isfinite, k1)):
+        # at a subnormal x0, wt/x overflows: no step could be accepted
+        raise UnsupportedConfigError(f"the vector field is not finite at the start x0 = {x0!r}")
     h = _initial_step(f_state, x, y[:dim], k1[:dim], cfg.rel_tol, cfg.abs_tol)
     # near x = 0 the seed's w ~ (gamma/2) log x varies on the scale of x
     # itself: a first step past about 0.2 x0 is rejected at rel_tol 1e-10,
@@ -747,7 +752,8 @@ def integrate(start: PhasePoint, x_end: float, cfg: IntegratorConfig | None,
 
     On blow-up or step underflow the partial trajectory is returned with
     the stopping reason flagged; this is a legitimate outcome, not an
-    error.
+    error.  A start where the vector field is not finite (a subnormal x,
+    where wt/x overflows) raises UnsupportedConfigError.
     """
     cfg = cfg or IntegratorConfig()
     L = len(start.w)

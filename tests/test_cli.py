@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from ttstar_toda import cli, log_tau
+from ttstar_toda import cli, log_tau, verify
 
 
 def run(args):
@@ -152,10 +152,11 @@ class TestSolve:
         assert len(lines) < 2000
         assert lines[-1].startswith("# stopped: step_underflow at x=7.16")
 
-    def test_subnormal_x0_stops_on_underflow(self, tmp_path):
-        # at a subnormal x, wt/x overflows, every trial step is rejected
-        # and h shrinks to 0, while 1e-10 x has itself underflowed to 0.0:
-        # a test h < 1e-10 x never fired, and these runs never returned.
+    def test_subnormal_x0_is_refused(self, tmp_path):
+        # at a subnormal x, wt/x overflows: the run once stepped h down to
+        # 0 (a test h < 1e-10 x never fired, and it never returned), then
+        # stopped on a step underflow after a first row with H = inf; now
+        # the start is refused before any step, and no CSV is written.
         # In a subprocess, so that a hang fails by its timeout
         src = os.path.dirname(os.path.dirname(cli.__file__))
         out = tmp_path / "sub.csv"
@@ -165,12 +166,12 @@ class TestSolve:
                           "from ttstar_toda import cli, global_solutions as gs",
                           f"print(cli.main({argv!r}))",
                           "try: gs.solve_global((0.3, 0.1), 5e-324)",
-                          "except gs.GlobalSolveError as exc: print(exc)"])
+                          "except gs.UnsupportedConfigError as exc: print(exc)"])
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60)
         rc, err = res.stdout.splitlines()
-        assert rc == "3" and "(step_underflow)" in err
-        assert out.read_text().splitlines()[-1].startswith("# stopped: step_underflow")
+        assert rc == "2" and err == "the vector field is not finite at the start x0 = 5e-324"
+        assert "x0 = 1e-320" in res.stderr and not out.exists()
 
     def test_debug_log_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TTSTAR_LOG", "debug")
@@ -464,7 +465,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite, target, name, value", [
         ("constant", cli.tc, "constant_numeric",
          lambda gamma: types.SimpleNamespace(abs_diff=math.nan)),
-        ("specfun", cli, "psi_m2", lambda z: math.nan),
+        ("specfun", verify, "psi_m2", lambda z: math.nan),
         ("symplectic", cli.dm, "_log_ratios", lambda n, gamma: [0.0, math.nan]),
     ], ids=["constant", "specfun", "symplectic"])
     def test_nan_residual_fails(self, suite, target, name, value, monkeypatch, capsys):
@@ -509,7 +510,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_n_below_1_exit_2(self, n, capsys):
         # specfun never reads n, and reported "n": 0 with exit 0
-        for suite in cli._SUITES:
+        for suite in verify.SUITES:
             assert run(["verify", "--suite", suite, "--n", n, "--samples", "2",
                         "--reproducible"]) == 2
             out = capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 
 from ttstar_toda import (constant_numeric, global_solutions, init_from_asymptotics,
                          make_backward_basis)
-from ttstar_toda.cli import ACCEPTANCE_GAMMAS
+from ttstar_toda.verify import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, ShapeError, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, UnsupportedConfigError, _links,

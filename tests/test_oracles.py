@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ttstar_toda.data_maps import global_rho
-from ttstar_toda.global_solutions import SmallXSeries, _bessel
+from ttstar_toda.global_solutions import _RATES, _VECTORS, SmallXSeries, _bessel
 from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2
 from ttstar_toda.tau_constant import constant_closed
 
@@ -45,18 +45,32 @@ def test_psi_m2(z):
         assert abs(psi_m2(z) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("growing, lo, hi", [(False, 10.0, 40.0), (True, 10.0, 19.0)],
+@pytest.mark.parametrize("growing, lo, hi", [(False, 1e-3, 40.0), (True, 10.0, 19.0)],
                          ids=["K", "I"])
 def test_tail_bessel_functions(growing, lo, hi):
-    # K_0, K_1 (or I_0, I_1) by the tail's fixed rules, on the ranges the
-    # tail (z up to 36) and the match (I up to 18.4) read
-    z = np.linspace(lo, hi, 121)
-    got = _bessel(z, growing)
+    # K_0, K_1 (or I_0, I_1) by the tail's rules, on the ranges the tail
+    # (z up to 36), truncation(x2) (K down to z = r_k x2) and the match (I
+    # up to 18.4) read; K's node count follows a call's smallest z, so
+    # each z is also read alone, as the scalar state reads take it
+    z = np.geomspace(lo, hi, 121)
     fn = mp.besseli if growing else mp.besselk
     with mp.workdps(30):
-        for nu in (0, 1):
-            ref = np.array([float(fn(nu, mp.mpf(v))) for v in z])
-            assert np.max(np.abs(got[:, nu] / ref - 1.0)) <= 2e-15
+        ref = np.array([[float(fn(nu, mp.mpf(v))) for nu in (0, 1)] for v in z])
+    for got in (_bessel(z, growing), np.array([_bessel(v, growing) for v in z])):
+        assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+
+
+def test_truncation_below_the_tail(sol_031):
+    # truncation(x2) reads K at z = r_k x2, down to z = 0.028 at x2 = x0 =
+    # 0.01, where K1 by the tail's 24 nodes was 85% off and tail_bound read
+    # 0.0097 against |c - C| = 0.034; the formula's own cancellation grows
+    # with z, to about 1e-13 beyond x2 = 3
+    for x2 in np.geomspace(sol_031.x0, 1.0, 9):
+        with mp.workdps(30):
+            ref = sum(mp.mpf(a) ** 2 * float(v @ v) / 2 * (z * mp.besselk(0, z) * mp.besselk(1, z)
+                      - z * z * (mp.besselk(1, z) ** 2 - mp.besselk(0, z) ** 2))
+                      for a, v, z in zip(sol_031.amps, _VECTORS, map(mp.mpf, _RATES * x2)))
+        assert abs(sol_031.truncation(x2) / float(ref) - 1.0) <= 1e-14, x2
 
 
 def test_series_tail_coefficients():

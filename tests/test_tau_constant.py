@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ttstar_toda import global_solutions, init_from_asymptotics, tau_constant
-from ttstar_toda.cli import ACCEPTANCE_GAMMAS
+from ttstar_toda.verify import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, GenericityError, ShapeError, global_rho
 from ttstar_toda.hamiltonian_flow import IntegratorConfig, PhasePoint, hamiltonian, integrate
 from ttstar_toda.tau_constant import (ConstantReport, classical_action,
