@@ -38,6 +38,25 @@ charts preserves the pairing  -1/2 sum dgamma_i ^ drho_i
 `verify_symplectic` check both facts by central differences.  F reads
 psi_m2 through its own functools.lru_cache, so the gradient check's 2L
 evaluations of F at nearby m evaluate each argument they share once.
+
+F's double sum and R(gamma) are straight-line code (`_f_body`,
+`_r_body`), written out as source and compiled once per n on first use,
+never at import, for n as a plain int (operator.index), so an np.int64 n
+shares the int's body and the source holds only Python literals.  Each
+body unpacks the reduced list into locals of the full extension (a
+literal 0.0 in the middle for even n), writes every
+argument (m_{k-j} - m_k + j)/(n+1) or (v_k - v_{k+j} + 2j)/(2(n+1)) out
+as its own local, tests them all for positivity with one min, and sums
+the terms left to right from 0.0, (k, j) in the order of the plain loops
+over k and j (`log_x_k`, and F's loop in the tests).  Float addition does
+not associate, so that order is what keeps every value the loops' bits.
+A nonpositive argument sends the body back over the terms in loop order
+(`_refuse`), which raises the loops' GenericityError naming the first
+bad (k, j), or the special function's own error where the loops met
+that first.  The loops took more than half of a sweep of the data maps
+over n = 1..6, most of whose psi_m2 and log_gamma calls are cache hits.
+The caller passes psi_m2 or log_gamma as the module global read at call
+time, so a rebound name (a tracer, a test's patch) sees every call.
 """
 
 from __future__ import annotations
@@ -92,17 +111,23 @@ def reduced_length(n: int) -> int:
     return (k - 1) // 2 + 1
 
 
+def _reduced(n: int, values) -> list[float]:
+    """`values` as floats, of length reduced_length(n) (else ShapeError)."""
+    values = [float(v) for v in values]
+    if len(values) != reduced_length(n):
+        raise ShapeError(
+            f"reduced list for n={n} must have length {reduced_length(n)}, "
+            f"got {len(values)}")
+    return values
+
+
 def expand_reduced(n: int, values) -> list[float]:
     """Full anti-symmetric periodic extension of a reduced list.
 
     Odd n:  (v_0..v_k, -v_k..-v_0); even n inserts a forced 0 in the
     middle.  The result has length n+1 and satisfies v_i + v_{n-i} = 0.
     """
-    values = [float(v) for v in values]
-    if len(values) != reduced_length(n):
-        raise ShapeError(
-            f"reduced list for n={n} must have length {reduced_length(n)}, "
-            f"got {len(values)}")
+    values = _reduced(n, values)
     mirror = [-v for v in reversed(values)]
     if n % 2 == 1:
         return values + mirror
@@ -200,17 +225,81 @@ def log_x_k(k: int, full_values, n: int) -> float:
     for j in range(1, n + 1):
         arg = (v_k - full_values[(k + j) % N] + 2.0 * j) / two_N
         if arg <= 0.0:
-            raise GenericityError(
-                f"nonpositive Gamma argument {arg:.6g} in X_k at (k={k}, j={j})")
+            raise GenericityError(_X_MESSAGE.format(a=arg, k=k, j=j))
         acc += log_gamma(arg)
     return acc
 
 
+_X_MESSAGE = "nonpositive Gamma argument {a:.6g} in X_k at (k={k}, j={j})"
+_F_MESSAGE = ("nonpositive psi_m2 argument {a:.6g} at (k={k}, j={j}); "
+              "full m gaps must lie in (-1, 1)")
+
+
+def _refuse(message: str, order, args, fn) -> None:
+    """The loops' pass over the terms, (k, j) in `order` with arguments
+    `args`, up to the first nonpositive argument, where it raises
+    GenericityError naming that (k, j), unless fn raises first."""
+    for (k, j), a in zip(order, args):
+        if a <= 0.0:
+            raise GenericityError(message.format(a=a, k=k, j=j))
+        fn(a)
+
+
+def _compile(n: int, negate: bool, groups, arg, combine, message: str):
+    """body(values, fn) for reduced `values`: the full extension of values
+    (of their negation if `negate`) as locals e0..en, the argument
+    arg(e, k, j) of each (k, j) of `groups` as a local, and `combine` of
+    the group sums 0.0 + fn(..) + ..., term by term in group order."""
+    L = reduced_length(n)
+    first = [n - i for i in range(L)] if negate else list(range(L))
+    order = [kj for group in groups for kj in group]
+    name = "a{}_{}".format
+    args = ", ".join(name(*kj) for kj in order)
+
+    def e(i):
+        return "0.0" if 2 * i == n else f"e{i}"
+
+    sums = [f"(0.0{''.join(f' + fn({name(*kj)})' for kj in group)})" for group in groups]
+    src = [
+        "def body(values, fn):",
+        f"    {''.join(f'e{i}, ' for i in first)}= values",
+        *(f"    e{n - i} = -e{i}" for i in first),
+        *(f"    {name(*kj)} = {arg(e, *kj)}" for kj in order),
+        f"    if not min({args}) > 0.0:",
+        f"        _refuse(MESSAGE, ORDER, ({args}), fn)",
+        f"    return {combine(sums)}",
+    ]
+    scope = {"_refuse": _refuse, "MESSAGE": message, "ORDER": tuple(order)}
+    exec(compile("\n".join(src), f"<data_maps body n={n} negate={negate}>", "exec"), scope)
+    return scope["body"]
+
+
+@functools.cache
+def _f_body(n: int):
+    """F's sum_{k=0..n} sum_{j=1..n} fn((m_{k-j} - m_k + j) / (n+1)) over the
+    full extension of reduced m, as body(m, fn)."""
+    N = n + 1
+    return _compile(n, False, [[(k, j) for k in range(N) for j in range(1, N)]],
+                    lambda e, k, j: f"({e((k - j) % N)} - {e(k)} + {j}) / {N}",
+                    lambda sums: sums[0], _F_MESSAGE)
+
+
+@functools.cache
+def _r_body(n: int):
+    """R(gamma) = [log X_{n-i} - log X_i, i < L] on the negated full
+    extension of reduced gamma, as body(gamma, fn) with fn = log_gamma."""
+    N = n + 1
+    return _compile(n, True, [[(k, j) for j in range(1, N)]
+                              for i in range(reduced_length(n)) for k in (n - i, i)],
+                    lambda e, k, j: f"({e(k)} - {e((k + j) % N)} + {2.0 * j!r}) / {2.0 * N!r}",
+                    lambda sums: f"[{', '.join(map(' - '.join, zip(sums[::2], sums[1::2])))}]",
+                    _X_MESSAGE)
+
+
 def _log_ratios(n: int, gamma_reduced) -> list[float]:
     """log X_{n-i} - log X_i, i < L, on the negated full extension of gamma."""
-    neg_full = [-v for v in expand_reduced(n, gamma_reduced)]
-    return [log_x_k(n - i, neg_full, n) - log_x_k(i, neg_full, n)
-            for i in range(reduced_length(n))]
+    gamma = _reduced(n, gamma_reduced)   # ShapeError unless n is a positive integer
+    return _r_body(operator.index(n))(gamma, log_gamma)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -279,19 +368,9 @@ def gen_fun_F(n: int, rho, m) -> float:
     if len(rho) != L or len(m) != L:
         raise ShapeError(f"rho and m must have length {L} for n={n}")
     N = n + 1
-    mf = expand_reduced(n, m)
     acc = -sum(rho[i] * m[i] for i in range(L))
     acc += math.log(N) * sum(v * v for v in m)
-    ssum = 0.0
-    for k in range(N):
-        for j in range(1, n + 1):
-            arg = (mf[(k - j) % N] - mf[k] + j) / N
-            if arg <= 0.0:
-                raise GenericityError(
-                    f"nonpositive psi_m2 argument {arg:.6g} at (k={k}, j={j}); "
-                    "full m gaps must lie in (-1, 1)")
-            ssum += psi_m2(arg)
-    return acc + 0.5 * N * ssum
+    return acc + 0.5 * N * _f_body(operator.index(n))(m, psi_m2)
 
 
 @dataclass(frozen=True)

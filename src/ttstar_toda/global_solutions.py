@@ -421,11 +421,15 @@ class GlobalSolution:
     diagnostics: dict
 
     def tail_state(self, x) -> np.ndarray:
-        """[w, wt] of the matched tail at x, a scalar or an array."""
+        """[w, wt] of the matched tail at x in [x0, x_right], a scalar or an
+        array."""
+        self._check_range("x", x)
         return _modes(x, self.amps)
 
-    def _check_range(self, name: str, x: float) -> None:
-        if not self.x0 <= x <= self.x_right:
+    def _check_range(self, name: str, x) -> None:
+        # an array by its extremes: one NaN entry makes them NaN, which fails
+        lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+        if not (self.x0 <= lo and hi <= self.x_right):
             raise ValueError(f"{name} must lie in [{self.x0}, {self.x_right}]")
 
     def state(self, x: float) -> PhasePoint:
@@ -433,16 +437,17 @@ class GlobalSolution:
         self._check_range("x", x)
         if x <= self.x_switch:
             return self.forward.sample(x)
-        return PhasePoint.from_state(x, self.tail_state(x))
+        return PhasePoint.from_state(x, _modes(x, self.amps))
 
     def _tail_reg_integral(self, a: float, b: float) -> float:
-        # fixed-panel Gauss-Legendre of H + 2x along the matched tail, a < b
+        # fixed-panel Gauss-Legendre of H + 2x along the matched tail,
+        # x_switch <= a < b <= x_right
         nodes, weights = _GL12
         npanels = max(2, int(math.ceil((b - a) / 0.25)))
         edges = np.linspace(a, b, npanels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
-        terms = weights * half * reg_density(x, self.tail_state(x), self.forward.n)
+        terms = weights * half * reg_density(x, _modes(x, self.amps), self.forward.n)
         # summed left to right, panel by panel: a pairwise sum would move
         # the constant in its last bits
         return float(np.cumsum(terms)[-1])

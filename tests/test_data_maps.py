@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -293,6 +296,127 @@ class TestGeneratingFunction:
         assert F.hex() == bits
         assert len(args) == n * (n + 1)
         assert psi_m2.cache_info().misses == len(set(args)) == distinct
+
+
+def gen_fun_F_loops(n, rho, m):
+    """gen_fun_F of finite rho and m, with F's double sum as the plain
+    loops over k and j, each term checked and then added in turn."""
+    N, L = n + 1, reduced_length(n)
+    mf = expand_reduced(n, m)
+    acc = -sum(rho[i] * m[i] for i in range(L))
+    acc += math.log(N) * sum(v * v for v in m)
+    ssum = 0.0
+    for k in range(N):
+        for j in range(1, n + 1):
+            arg = (mf[(k - j) % N] - mf[k] + j) / N
+            if arg <= 0.0:
+                raise GenericityError(
+                    f"nonpositive psi_m2 argument {arg:.6g} at (k={k}, j={j}); "
+                    "full m gaps must lie in (-1, 1)")
+            ssum += psi_m2(arg)
+    return acc + 0.5 * N * ssum
+
+
+def log_ratios_loops(n, gamma):
+    """R(gamma) as log X_{n-i} - log X_i of the public, looping log_x_k."""
+    neg_full = [-v for v in expand_reduced(n, gamma)]
+    return [log_x_k(n - i, neg_full, n) - log_x_k(i, neg_full, n)
+            for i in range(reduced_length(n))]
+
+
+def outcome(f, *args):
+    """f(*args) as float.hex strings, or the type and message of its error."""
+    try:
+        v = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in (v if isinstance(v, list) else [v])]
+
+
+def reduced_lists(data, n, lo, hi):
+    L = reduced_length(n)
+    return data.draw(st.lists(st.floats(lo, hi), min_size=L, max_size=L))
+
+
+class TestStraightLineBodies:
+    # gen_fun_F and _log_ratios run one body per n, generated as straight
+    # lines (data_maps._compile); the loops over k and j are the reference,
+    # bit for bit and error for error.  No benchmark compiles n = 7..9.
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generic_values_keep_the_loops_bits(self, n, data):
+        # |gamma_i| < 1 and |m_i| < 1/2 are generic at every n
+        gamma = reduced_lists(data, n, -0.99, 0.99)
+        m = reduced_lists(data, n, -0.49, 0.49)
+        rho = reduced_lists(data, n, -5.0, 5.0)
+        assert gen_fun_F(n, rho, m).hex() == gen_fun_F_loops(n, rho, m).hex()
+        assert outcome(data_maps._log_ratios, n, gamma) == outcome(log_ratios_loops, n, gamma)
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_wide_values_fail_as_the_loops_do(self, n, data):
+        # most of these leave the domain: the same error, naming the same
+        # first (k, j), or the same bits
+        gamma = reduced_lists(data, n, -6.0, 6.0)
+        m = reduced_lists(data, n, -3.0, 3.0)
+        rho = reduced_lists(data, n, -5.0, 5.0)
+        assert outcome(gen_fun_F, n, rho, m) == outcome(gen_fun_F_loops, n, rho, m)
+        assert outcome(data_maps._log_ratios, n, gamma) == outcome(log_ratios_loops, n, gamma)
+
+    @pytest.mark.parametrize("n, gamma, in_r, in_f", [
+        (3, (1.5, -1.5), "-0.125 in X_k at (k=0, j=1)", "-0.125 at (k=1, j=1)"),
+        (4, (0.1, 2.5), "-0.05 in X_k at (k=1, j=1)", "-0.05 at (k=2, j=1)"),
+        (7, (0.0, 0.0, 0.0, 3.0), "-0.25 in X_k at (k=3, j=1)", "-0.25 at (k=4, j=1)")])
+    def test_non_generic_names_the_first_bad_term(self, n, gamma, in_r, in_f):
+        # R's first bad term comes after a whole product X_{n-i}, and F's
+        # after its k = 0 terms: the first in the loops' order
+        m, rho = [-0.5 * g for g in gamma], [0.0] * len(gamma)
+        got_r = outcome(data_maps._log_ratios, n, gamma)
+        got_f = outcome(gen_fun_F, n, rho, m)
+        assert got_r == outcome(log_ratios_loops, n, gamma)
+        assert got_f == outcome(gen_fun_F_loops, n, rho, m)
+        assert got_r == (GenericityError, f"nonpositive Gamma argument {in_r}")
+        assert got_f == (GenericityError, f"nonpositive psi_m2 argument {in_f}; "
+                                          "full m gaps must lie in (-1, 1)")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_non_finite_input_raises_as_before(self, n, bad):
+        # F refuses it by name; R meets it as the loops do, log_gamma's
+        # DomainError or a nonpositive argument, whichever comes first
+        for i in range(reduced_length(n)):
+            values = [0.1] * reduced_length(n)
+            values[i] = bad
+            with pytest.raises(ValueError, match="m must be finite"):
+                gen_fun_F(n, [0.0] * len(values), values)
+            got = outcome(data_maps._log_ratios, n, values)
+            assert got == outcome(log_ratios_loops, n, values)
+            assert issubclass(got[0], ValueError)
+
+    def test_an_np_int64_n_gets_the_int_bodies(self):
+        # the bodies are generated for n as a plain int, so an np.int64 n
+        # compiles no body of its own and keeps the bits of the int n
+        def values(n):
+            data_maps._chart.cache_clear()
+            md = data_maps.asymptotic_to_monodromy(AsymptoticData(n, (0.3, 0.1), (0.2, -0.4)))
+            return [v.hex() for v in (*md.log_e, *data_maps.global_rho(n, (0.3, 0.1)),
+                                      gen_fun_F(n, (0.2, -0.4), (-0.15, -0.05)))]
+
+        data_maps._f_body.cache_clear()
+        data_maps._r_body.cache_clear()
+        assert values(np.int64(3)) == values(3)
+        assert data_maps._f_body.cache_info().currsize == 1
+        assert data_maps._r_body.cache_info().currsize == 1
+
+    def test_nothing_is_compiled_at_import(self):
+        src = os.path.dirname(os.path.dirname(data_maps.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); from ttstar_toda import data_maps; "
+                "print(data_maps._f_body.cache_info().currsize, "
+                "data_maps._r_body.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestVerifyOps:

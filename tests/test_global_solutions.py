@@ -207,6 +207,23 @@ class TestSolveGlobal:
             with pytest.raises(ValueError, match=re.escape(f"x2 must lie in {span}")):
                 read(outside(sol_031))
 
+    @pytest.mark.parametrize("outside", [
+        lambda s: 0.0, lambda s: -1.0, lambda s: s.x_right + 1e-9, lambda s: math.nan,
+        lambda s: np.array([5.0, 6.0, math.nan, 7.0]),
+        lambda s: np.linspace(5.0, s.x_right + 1e-9, 7).reshape(1, 7)])
+    def test_tail_state_outside_the_orbit_is_refused(self, sol_031, outside):
+        # it read the tail's formula anywhere: w = (-119.9, -29.0) at 0.0,
+        # and inf and NaN with numpy warnings at -1.0
+        span = f"[{sol_031.x0}, {sol_031.x_right}]"
+        with pytest.raises(ValueError, match=re.escape(f"x must lie in {span}")):
+            sol_031.tail_state(outside(sol_031))
+
+    def test_tail_state_reads_arrays_at_both_ends(self, sol_031):
+        xs = np.array([[sol_031.x0, 5.0], [6.0, sol_031.x_right]])
+        y = sol_031.tail_state(xs)
+        assert y.shape == (4, 2, 2)
+        assert y[:, 1, 1].tolist() == sol_031.tail_state(sol_031.x_right).tolist()
+
     def test_state_at_both_ends(self, sol_031):
         assert sol_031.state(sol_031.x0).x == sol_031.x0
         assert sol_031.state(sol_031.x_right).x == sol_031.x_right
