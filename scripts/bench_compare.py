@@ -7,7 +7,9 @@ that .gitignore does not name) into another.  Then, one process at a
 time, it runs `perfbench/run.py --trace 0` in both over seeds 1..N of
 each workload, the side that runs first alternating from pair to pair;
 one `perfbench/run.py --trace 1` run per side and workload (seed 1) for
-the work counts; and `scripts/fingerprint.py` in both.
+the work counts; and the work tree's `scripts/fingerprint.py` on each
+side's `src`, so that a digest the parent's copy of the script lacks is
+compared too.
 
 Writes one JSON file in BENCH_16.json's layout.  Under "end_to_end", per
 workload and per end-to-end metric of BENCHMARK.json:
@@ -21,7 +23,7 @@ workload and per end-to-end metric of BENCHMARK.json:
   than the parent's q3 - q1;
 and each run's [attempted, failed], to read peak_rss_mb against the op
 count.  "work_counts" holds the count metrics of the traced runs, and
-"fingerprint" each side's three digests.  It gates nothing: a pair's
+"fingerprint" each side's four digests.  It gates nothing: a pair's
 timings are evidence only when both sides ran interleaved on one machine.
 Exits 1 when a run fails or reports a wrong output.
 
@@ -49,7 +51,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-DIGESTS = ("constants", "solves", "maps")
+DIGESTS = ("constants", "solves", "maps", "reads")
 
 
 def _git(root: Path, *args: str) -> bytes:
@@ -157,7 +159,8 @@ def compare(root: Path, workloads: list, seeds: dict, seconds: float,
                 result, _ = _bench(dirs[side], workload, 1, seconds, 1)
                 counts[workload]["traced_totals"][side] = [
                     {k: v["value"] for k, v in result["metrics"].items() if v["unit"] == "count"}]
-        prints = {side: _run(dirs[side], ["scripts/fingerprint.py"], True)[-1] for side in SIDES}
+        script = str(dirs["change"] / "scripts" / "fingerprint.py")
+        prints = {side: _run(dirs[side], [script], True)[-1] for side in SIDES}
         fingerprint = {side: {k: prints[side][k] for k in DIGESTS} for side in SIDES}
     counts["note"] = ("One traced run per side and workload, at seed 1. Traced runs are "
                       "time-bounded, so the faster side fits more ops and its totals are "
@@ -175,7 +178,8 @@ def compare(root: Path, workloads: list, seeds: dict, seconds: float,
                    | {"platform": platform.platform()},
         "end_to_end": end_to_end,
         "work_counts": counts,
-        "fingerprint": {"command": "PYTHONPATH=src python scripts/fingerprint.py",
+        "fingerprint": {"command": ("PYTHONPATH=src python <change>/scripts/fingerprint.py, "
+                                    "in each side's directory"),
                         **fingerprint, "equal": fingerprint["parent"] == fingerprint["change"]},
     }
 

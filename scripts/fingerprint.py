@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bit-level fingerprint of the numerical results, for bit-identity claims.
 
-Prints one JSON line holding three SHA-256 digests over `float.hex` values:
+Prints one JSON line holding four SHA-256 digests over `float.hex` values:
 - `constants`: `c_numeric` and the work counts of `integrator_stats`
   (integrations, steps, rejected steps, RHS calls) of `constant_numeric`
   at the 8 gammas of the CI constant gate (`verify.ACCEPTANCE_GAMMAS`, the
@@ -14,7 +14,11 @@ Prints one JSON line holding three SHA-256 digests over `float.hex` values:
   with a rho (numpy seed 2718): `log_e` of `asymptotic_to_monodromy`, `rho`
   of the round trip back, `global_rho`, `gen_fun_F` at the smooth family,
   the `verify_generating_function` residuals and the `verify_symplectic`
-  matrix.
+  matrix;
+- `reads`: the read path of the three solutions of `solves`, over
+  seeded grids (numpy seed 38): `forward.sample_state` on a 1-D and on a
+  2-D grid over [x0, 4.2], `tail_state` on an array over [4.2, 9], and
+  `state` at 20 scalar x over [x0, 9].
 
 A change that claims to keep every result bit for bit runs this on the
 parent commit and on the change and shows the same digests; a change that
@@ -42,13 +46,14 @@ STATS_KEYS = ("integrations", "steps", "rejected", "rhs_evals")
 SOLVE_GAMMAS = ((0.3, 0.1), (0.1, -0.1), (-0.2, 0.4))
 REG_X2 = (1.0, 4.0, 6.0)
 STATE_X = (0.5, 3.0, 6.0)
+READS_SEED, READS_GRID, READS_2D, READS_TAIL, READS_STATES = 38, 64, (8, 6), 40, 20
 MAPS_N, MAPS_DRAWS, MAPS_SEED = range(1, 7), 20, 2718
 MAPS_SCALE, MAPS_MARGIN = 0.45, 5e-3   # as the benchmark's maps_closed draws
 
 
 def main() -> int:
     digests = {"constants": hashlib.sha256(), "solves": hashlib.sha256(),
-               "maps": hashlib.sha256()}
+               "maps": hashlib.sha256(), "reads": hashlib.sha256()}
 
     def put(h, *values) -> None:
         for v in values:
@@ -69,11 +74,20 @@ def main() -> int:
             continue
         put(h, rep.c_numeric, *(rep.integrator_stats[k] for k in STATS_KEYS))
 
-    h = digests["solves"]
-    for gamma in SOLVE_GAMMAS:
-        sol = solve_global(gamma, 0.01)
+    h, sols = digests["solves"], [solve_global(gamma, 0.01) for gamma in SOLVE_GAMMAS]
+    for sol in sols:
         put(h, *(sol.reg_integral(x2) for x2 in REG_X2))
         for x in STATE_X:
+            p = sol.state(x)
+            put(h, *p.w, *p.wt)
+
+    h, rng = digests["reads"], np.random.default_rng(READS_SEED)
+    for sol in sols:
+        x0, xs, xr = sol.x0, sol.x_switch, sol.x_right
+        for grid in (rng.uniform(x0, xs, READS_GRID), rng.uniform(x0, xs, READS_2D)):
+            put(h, *sol.forward.sample_state(grid).ravel().tolist())
+        put(h, *sol.tail_state(rng.uniform(xs, xr, READS_TAIL)).ravel().tolist())
+        for x in rng.uniform(x0, xr, READS_STATES):
             p = sol.state(x)
             put(h, *p.w, *p.wt)
 

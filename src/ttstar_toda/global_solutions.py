@@ -55,8 +55,8 @@ import numpy as np
 
 from .data_maps import AsymptoticData, check_genericity, global_rho
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
-                               UnsupportedConfigError, _integrate_raw, _links,
-                               reg_density)
+                               UnsupportedConfigError, _components_first, _integrate_raw,
+                               _links, reg_density)
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve_global",
            "make_backward_basis"]
@@ -354,15 +354,15 @@ def _bessel(z, growing: bool = False) -> np.ndarray:
 
 def _modes(x, amps, growing: bool = False) -> np.ndarray:
     """[w, wt] of sum_k amps_k v_k K0(r_k x), components on axis 0 as in
-    `Trajectory.sample_state`, with wt = x dw/dx = -sum_k amps_k v_k r_k x
-    K1(r_k x); with `growing`, I0 and +r_k x I1.  `amps` broadcasts against
-    the modes on its last axis: amps = eye(2) at x[..., None] gives the
-    modes one by one, on a last axis."""
+    `Trajectory.sample_state` (by the same `_components_first`), with wt =
+    x dw/dx = -sum_k amps_k v_k r_k x K1(r_k x); with `growing`, I0 and
+    +r_k x I1.  `amps` broadcasts against the modes on its last axis: amps
+    = eye(2) at x[..., None] gives the modes one by one, on a last axis."""
     z = _RATES * np.asarray(x, dtype=float)[..., None]
     b, amps = _bessel(z, growing), np.asarray(amps, dtype=float)
     w = (amps * b[..., 0]) @ _VECTORS
     wt = (amps * (z if growing else -z) * b[..., 1]) @ _VECTORS
-    return np.moveaxis(np.concatenate([w, wt], axis=-1), -1, 0)
+    return _components_first(np.concatenate([w, wt], axis=-1))
 
 
 def make_backward_basis() -> tuple[np.ndarray, np.ndarray]:

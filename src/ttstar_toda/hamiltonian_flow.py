@@ -114,7 +114,12 @@ class PhasePoint:
 
     @classmethod
     def from_state(cls, x: float, y) -> PhasePoint:
-        """The point at x of a state row y = [w, wt] or [w, wt, q]."""
+        """The point at x of a state row y = [w, wt] or [w, wt, q], a
+        sequence of floats or a 1-D array.  An array is converted with one
+        `tolist()`, so `__post_init__` reads Python floats (the same values)
+        rather than one numpy scalar per entry."""
+        if isinstance(y, np.ndarray):
+            y = y.tolist()
         L = len(y) // 2
         return cls(x=x, w=y[:L], wt=y[L:2 * L])
 
@@ -263,8 +268,10 @@ def _make_rhs(n: int, size: int):
         *(f"        E{i} = expm1({k[i]!r} * {a})" for i, a in enumerate(u("w"))),
         "    except OverflowError:",
         "        # a wild trial state: return the infinities np.expm1 gives, so",
-        "        # that the stepper rejects the step as it rejects any non-finite one",
-        "        return f(x, array(y)).tolist()",
+        "        # that the stepper rejects the step as it rejects any non-finite",
+        "        # one, without numpy's warnings for an outcome that is expected",
+        "        with errstate(over='ignore', invalid='ignore'):",
+        "            return f(x, array(y)).tolist()",
         "    m2x = -2.0 * x",
         *(f"    T{i} = {k[i]!r} * (E{i} + 1.0)" for i in range(L + 1) if cols),
         *(f"    dE{p}{i} = T{i} * {a}" for p in cols for i, a in enumerate(u(f"d{p}"))),
@@ -272,7 +279,7 @@ def _make_rhs(n: int, size: int):
         "    return array(out) if batch else out",
     ]
     scope = {"ndarray": np.ndarray, "np_expm1": np.expm1, "math_expm1": math.expm1,
-             "array": np.array}
+             "array": np.array, "errstate": np.errstate}
     exec(compile("\n".join(src), f"<chain kernel n={n} size={size}>", "exec"), scope)
     return scope["f"], L
 
@@ -451,6 +458,12 @@ _KEPT = tuple(s for s in range(13)
               if _DENSE_F[s].any() or any(_A[t][s] for t in (13, 14, 15)))
 
 
+def _components_first(a: np.ndarray) -> np.ndarray:
+    """The view np.moveaxis(a, -1, 0), without that function's argument
+    handling, which takes longer than a scalar state read's arithmetic."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
+
+
 class Trajectory:
     """Accepted integration samples, their dense output and the accumulated
     regularized integral.
@@ -506,14 +519,20 @@ class Trajectory:
 
     def sample_state(self, x) -> np.ndarray:
         """Dense-output state [w, wt, q] at covered x, a scalar or an array;
-        the components are on axis 0 of the result."""
+        the components are on axis 0 of the result.
+
+        One path serves a scalar and an array x.  It calls ndarray methods
+        and ufuncs (`.all()`, `np.minimum`/`np.maximum`,
+        `_components_first`), not `np.all`, `np.clip` or `np.moveaxis`,
+        whose Python-level wrappers cost more than a scalar read's
+        arithmetic; the float operations are those of the wrappers."""
         if not len(self.hs):
             raise ValueError("trajectory carries no dense output")
         xa = np.asarray(x, dtype=float)
         lo, hi = float(self.xs[0]), float(self.xs[-1])
-        if not np.all((lo <= xa) & (xa <= hi)):
+        if not ((lo <= xa) & (xa <= hi)).all():
             raise ValueError(f"x={x!r} outside covered range [{lo}, {hi}]")
-        k = np.clip(np.searchsorted(self.xs, xa), 1, len(self.hs)) - 1
+        k = np.minimum(np.maximum(np.searchsorted(self.xs, xa), 1), len(self.hs)) - 1
         h = self.hs[k]
         th = (xa - self.xs[k]) / h
         # th, ..., th^7 by a running product, not pow: products are rounded
@@ -521,7 +540,7 @@ class Trajectory:
         # changes of a scalar lookup
         P = np.multiply.accumulate(np.repeat(th[..., None], 7, axis=-1), axis=-1)
         Qp = (self.Q[k] @ P[..., None])[..., 0]
-        return self.ys[:, k] + h * np.moveaxis(Qp, -1, 0)
+        return self.ys[:, k] + h * _components_first(Qp)
 
     def sample(self, x: float) -> PhasePoint:
         return PhasePoint.from_state(x, self.sample_state(x))

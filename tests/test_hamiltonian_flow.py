@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -682,6 +683,20 @@ class TestIntegrate:
             traj = integrate(init_from_asymptotics(a, 0.01), 1.5, cfg, 1)
             vals.append(traj.sample(1.5).w[0])
         assert abs(vals[0] - vals[1]) <= 10 * 1e-9
+
+    @pytest.mark.parametrize("rel_tol", [0.03, 0.3])
+    def test_overflowing_trial_steps_are_silent(self, rel_tol):
+        # at these tolerances trial steps overflow the kernel's math.expm1;
+        # its numpy fallback printed "overflow encountered in expm1" and
+        # "invalid value encountered in scalar subtract" for steps that are
+        # then rejected as designed, before the run ends as a clean blow-up
+        a = AsymptoticData(3, (0.3, 0.1), tuple(global_rho(3, (0.3, 0.1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(init_from_asymptotics(a, 0.01), 8.0,
+                             IntegratorConfig(rel_tol=rel_tol), 3)
+        assert traj.stop_reason == "blowup"
+        assert np.isfinite(traj.ys).all()
 
     def test_forward_only(self):
         p = PhasePoint(x=1.0, w=(0.0, 0.0), wt=(0.0, 0.0))
