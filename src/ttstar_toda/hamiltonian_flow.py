@@ -442,12 +442,11 @@ def _dense_maps() -> tuple[np.ndarray, np.ndarray]:
     b[:12] = _A[12]
     e0, e12 = np.eye(16)[0], np.eye(16)[12]
     F = np.vstack([b, e0 - b, 2.0 * b - e0 - e12, np.array(_D)])
-    poly = np.polynomial.polynomial
+    # th^a (1 - th)^m = sum_i (-1)^i C(m, i) th^(a + i)
     T = np.zeros((7, 8))
     for j in range(7):
-        coef = poly.polymul(poly.polypow([0.0, 1.0], j // 2 + 1),
-                            poly.polypow([1.0, -1.0], (j + 1) // 2))
-        T[j, :len(coef)] = coef
+        a, m = j // 2 + 1, (j + 1) // 2
+        T[j, a:a + m + 1] = [(-1) ** i * math.comb(m, i) for i in range(m + 1)]
     return F.T, T[:, 1:]
 
 
@@ -689,6 +688,15 @@ def _make_stepper(dim: int, size: int):
 _BLOWUP_FLOOR = 5.0
 
 
+def _blowup_errstate(stop_reason: str) -> np.errstate:
+    """Silence numpy's overflow and invalid-value warnings over a run that
+    blew up, whose last state may be finite but wild; otherwise change
+    nothing."""
+    if stop_reason == "blowup":
+        return np.errstate(over="ignore", invalid="ignore")
+    return np.errstate()
+
+
 def _integrate_raw(n: int, y0, x0: float, x_end: float,
                    cfg: IntegratorConfig) -> Trajectory:
     """DOP853 forward from x0 > 0 to x_end > x0 on plain floats.
@@ -741,20 +749,23 @@ def _integrate_raw(n: int, y0, x0: float, x_end: float,
 
     # the three extra stages of the dense output, for all steps at once:
     # the state's arguments are formed as in a plain run and the columns'
-    # apart, and one kernel call takes both
+    # apart, and one kernel call takes both.  The last step of a blow-up
+    # may reach a state where they overflow, as the kernel's fallback for
+    # trial states does, and its dense output is then not finite
     x_old, h_old = np.frombuffer(xs)[:-1], np.frombuffer(hs)
     nodes = np.frombuffer(ys).reshape(-1, size)
     parts = (slice(0, dim), slice(dim, size)) if tangent else (slice(0, dim),)
     Ks = [np.zeros((len(h_old), 16, p.stop - p.start)) for p in parts]
     for p, K in zip(parts, Ks):
         K[:, _KEPT] = np.frombuffer(ks).reshape(-1, len(_KEPT), size)[..., p]
-    for s in (13, 14, 15):
-        args = [(nodes[:-1, p] + h_old[:, None] * np.matmul(np.array(_A[s]), K[:, :s])).T
-                for p, K in zip(parts, Ks)]
-        out = f(x_old + _C[s] * h_old, np.vstack(args) if tangent else args[0]).T
-        for p, K in zip(parts, Ks):
-            K[:, s] = out[:, p]
-    Q, *QT = (K.transpose(0, 2, 1) @ _DENSE_F @ _DENSE_T for K in Ks)
+    with _blowup_errstate(stop):
+        for s in (13, 14, 15):
+            args = [(nodes[:-1, p] + h_old[:, None] * np.matmul(np.array(_A[s]), K[:, :s])).T
+                    for p, K in zip(parts, Ks)]
+            out = f(x_old + _C[s] * h_old, np.vstack(args) if tangent else args[0]).T
+            for p, K in zip(parts, Ks):
+                K[:, s] = out[:, p]
+        Q, *QT = (K.transpose(0, 2, 1) @ _DENSE_F @ _DENSE_T for K in Ks)
     tangent_ys = tangent_Q = None
     if tangent:
         ncols = size // dim - 1
@@ -818,7 +829,9 @@ def trajectory_to_csv(traj: Trajectory, fh) -> None:
     header = (["x"] + [f"w{i}" for i in range(L)] + [f"wt{i}" for i in range(L)]
               + ["H", "reg_integral"])
     fh.write(",".join(header) + "\n")
-    H = reg_density(traj.xs, traj.ys, traj.n) - 2.0 * traj.xs
+    with _blowup_errstate(traj.stop_reason):
+        # a blown-up last row may read H = -inf, and the trailer marks it
+        H = reg_density(traj.xs, traj.ys, traj.n) - 2.0 * traj.xs
     rows = np.vstack([traj.xs, traj.ys[:2 * L], H, traj.ys[-1]]).T
     for row in rows.tolist():
         fh.write(",".join(f"{v + 0.0:.17g}" for v in row) + "\n")

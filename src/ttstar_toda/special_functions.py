@@ -233,16 +233,22 @@ def psi_m2(z: float) -> float:
     return head + (z - 1.0) * log_gamma(z) - log_barnes_g(z)
 
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+@functools.cache
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1],
+    built on first use, so that importing the package loads no
+    numpy.polynomial and makes no LAPACK call (leggauss's eigvalsh)."""
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes.flags.writeable = weights.flags.writeable = False   # shared by every call
+    return nodes, weights
 
 
 def _gl_panel(f, a: float, b: float):
     """(estimate, error_estimate) on one panel from a G7/G15 pair."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x7, w7 = _GL7
-    x15, w15 = _GL15
+    x7, w7 = _gauss_legendre(7)
+    x15, w15 = _gauss_legendre(15)
     f15 = sum(w * f(mid + half * x) for x, w in zip(x15, w15)) * half
     f7 = sum(w * f(mid + half * x) for x, w in zip(x7, w7)) * half
     return f15, abs(f15 - f7)

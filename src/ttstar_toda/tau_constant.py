@@ -2,7 +2,11 @@
 
 For a global solution the tau function over [x1, x2] is log tau =
 integral of H, computed here from the accumulated regularized state as
-reg_integral(x2) - reg_integral(x1) - (x2^2 - x1^2).  The connection
+reg_integral(x2) - reg_integral(x1) - (x2^2 - x1^2); past the
+forward/tail switch at 4.2, reg_integral's tail part is the closed-form
+truncation(4.2) - truncation(x2), within 1.0e-21 of the Gauss-Legendre
+quadrature of the matched tail it replaced, so the constant at the
+default x2 = 7 keeps its bits.  The connection
 constant
 
     C = lim_{x1 -> 0, x2 -> inf} ( log tau(x1, x2) + x2^2
@@ -40,7 +44,7 @@ from .data_maps import (GenericityError, check_genericity, gen_fun_F, global_rho
                         reduced_length)
 from .global_solutions import GlobalSolution, GlobalSolveError, solve_global
 from .hamiltonian_flow import Trajectory, _links, reg_density
-from .special_functions import psi_m2
+from .special_functions import _gauss_legendre, psi_m2
 
 __all__ = [
     "BlowupError",
@@ -172,9 +176,6 @@ def constant_numeric(gamma, x2: float = DEFAULT_X2, basis=None) -> ConstantRepor
         series_order=cut.order, series_error=cut.error, shooting=sol.shooting)
 
 
-_GL6 = np.polynomial.legendre.leggauss(6)
-
-
 def classical_action(traj: Trajectory) -> float:
     """integral (sum wt_i dw_i/dx - H) dx along an integrated trajectory.
 
@@ -182,7 +183,7 @@ def classical_action(traj: Trajectory) -> float:
     evaluated on the dense output with per-step Gauss panels.
     """
     L = reduced_length(traj.n)
-    nodes, weights = _GL6
+    nodes, weights = _gauss_legendre(6)
     half = 0.5 * traj.hs[:, None]
     x = traj.xs[:-1, None] + half + half * nodes
     y = traj.sample_state(x)

@@ -173,6 +173,22 @@ class TestSolve:
         assert rc == "2" and err == "the vector field is not finite at the start x0 = 5e-324"
         assert "x0 = 1e-320" in res.stderr and not out.exists()
 
+    def test_wild_last_step_is_silent(self, tmp_path):
+        # at rel_tol 0.9 the run accepts a last step to a finite but wild
+        # state (x = 5.526): the end-of-run batch calls over it printed 7
+        # numpy RuntimeWarnings; the row keeps H = -inf under the trailer
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = tmp_path / "wild.csv"
+        res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                              "ttstar_toda.cli", "solve", "--n", "3", "--gamma", "0.3,0.1",
+                              "--rel-tol", "0.9", "--out", str(out), "--reproducible"],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert (res.returncode, res.stderr) == (3, "")
+        *_, last, trailer = out.read_text().splitlines()
+        assert last.split(",")[-2] == "-inf"
+        assert trailer.startswith("# stopped: blowup at x=5.52")
+
     def test_debug_log_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TTSTAR_LOG", "debug")
         assert run(["solve", "--n", "3", "--gamma", "0,0", "--x1", "1",

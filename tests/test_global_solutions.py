@@ -12,9 +12,22 @@ from ttstar_toda.verify import ACCEPTANCE_GAMMAS
 from ttstar_toda.data_maps import AsymptoticData, ShapeError, global_rho, reduced_length
 from ttstar_toda.global_solutions import GlobalSolveError, SmallXSeries, solve_global
 from ttstar_toda.hamiltonian_flow import (IntegratorConfig, UnsupportedConfigError, _links,
-                                          tail_amplitude_s1)
+                                          reg_density, tail_amplitude_s1)
 
 SQ8 = 2.0 * math.sqrt(2.0)
+
+
+def tail_quad(sol, a, b):
+    """integral (H + 2x) dx over [a, b] along the matched tail, x_switch <=
+    a < b <= x_right, by 12-node Gauss-Legendre on panels of at most 0.25,
+    summed left to right: the oracle of the closed-form tail integral."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    npanels = max(2, math.ceil((b - a) / 0.25))
+    edges = np.linspace(a, b, npanels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+    terms = weights * half * reg_density(x, sol.tail_state(x), sol.forward.n)
+    return float(np.cumsum(terms)[-1])
 
 
 class TestSolveGlobal:
@@ -111,9 +124,21 @@ class TestSolveGlobal:
         # it leaves out (relative 8e-8 from 4.2 and 7e-7 from 5)
         sol = solve_global(gamma, 0.08)
         for x2 in (4.2, 5.0):
-            quad = sol._tail_reg_integral(x2, sol.x_right)
+            quad = tail_quad(sol, x2, sol.x_right)
             closed = sol.truncation(x2) - sol.truncation(sol.x_right)
             assert abs(closed - quad) <= 1e-5 * quad
+
+    @pytest.mark.parametrize("gamma", [(0.3, 0.1), (0.5, -0.5), (-0.2, 0.4)])
+    def test_reg_integral_past_the_switch_is_the_tail_quadrature(self, gamma):
+        # past x_switch reg_integral adds the closed-form tail integral to
+        # the forward run's value at x_switch; the quadrature oracle gives
+        # the same sum, the two tail parts (about 1e-14) 1.0e-21 apart
+        sol = solve_global(gamma, 0.08)
+        head = sol.forward.reg_integral_to(sol.x_switch)
+        for x2 in np.linspace(sol.x_switch, sol.x_right, 25)[1:].tolist():
+            quad = tail_quad(sol, sol.x_switch, x2)
+            assert abs(sol.reg_integral(x2) - (head + quad)) <= 1e-20
+            assert abs(sol.truncation(sol.x_switch) - sol.truncation(x2) - quad) <= 1e-20
 
     def test_default_basis_gives_the_shared_basis_numbers(self, sol_031):
         # the tail is closed-form and `basis` unused, so a solve given

@@ -866,6 +866,17 @@ class TestTableau:
         for k in range(8):
             assert b @ c[:12] ** k == pytest.approx(1.0 / (k + 1), abs=1e-15)
 
+    def test_power_map_is_the_polynomial_products(self):
+        # the integer map built from binomials is numpy.polynomial's
+        # th^(j//2 + 1) (1 - th)^((j + 1)//2), bit for bit
+        poly = np.polynomial.polynomial
+        T = np.zeros((7, 8))
+        for j in range(7):
+            coef = poly.polymul(poly.polypow([0.0, 1.0], j // 2 + 1),
+                                poly.polypow([1.0, -1.0], (j + 1) // 2))
+            T[j, :len(coef)] = coef
+        assert hamiltonian_flow._DENSE_T.tobytes() == T[:, 1:].tobytes()
+
     def test_power_basis_is_the_dop853_interpolant(self):
         # Q = K^T F T against dop853's nested form of the same seven terms
         rng = np.random.default_rng(8)

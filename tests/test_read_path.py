@@ -112,8 +112,9 @@ class TestModes:
                          modes_ref(xs, eye, growing))
 
     def test_tail_quadrature_panels(self, sol_031):
-        # (panels, 12) Gauss nodes of _tail_reg_integral
-        nodes = global_solutions._GL12[0]
+        # (panels, 12) Gauss nodes, as the tail quadrature oracle of
+        # test_global_solutions reads the tail
+        nodes = np.polynomial.legendre.leggauss(12)[0]
         edges = np.linspace(sol_031.x_switch, sol_031.x_right, 20)
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from ttstar_toda import special_functions
 from ttstar_toda.special_functions import (_LANCZOS_C, _SERIES_TAIL, _SERIES_Y1,
                                            _SERIES_Y2, DomainError, QuadratureError,
-                                           _zeta_int, log_barnes_g, log_gamma, psi_m2,
+                                           _gauss_legendre, _zeta_int, log_barnes_g, log_gamma, psi_m2,
                                            psi_m2_oracle)
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -248,3 +251,23 @@ class TestPsiM2:
             psi_m2(bad)
         with pytest.raises(DomainError):
             psi_m2_oracle(bad)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("k", [6, 7, 15])
+    def test_rules_are_leggauss_read_only(self, k):
+        nodes, weights = _gauss_legendre(k)
+        ref = np.polynomial.legendre.leggauss(k)
+        assert nodes.tobytes() == ref[0].tobytes() and weights.tobytes() == ref[1].tobytes()
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert _gauss_legendre(k)[0] is nodes
+
+    def test_import_loads_no_numpy_polynomial(self):
+        # the rules are built on first use, so the package's import leaves
+        # numpy.polynomial unloaded
+        src = os.path.dirname(os.path.dirname(special_functions.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import ttstar_toda, ttstar_toda.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
