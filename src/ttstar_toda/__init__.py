@@ -7,8 +7,8 @@ the tau-function connection constant computed both by regularized
 quadrature along global solutions and in closed form.
 """
 
-from .special_functions import (DomainError, QuadratureError, log_barnes_g,
-                                log_gamma, psi_m2, psi_m2_oracle)
+from .special_functions import (DomainError, log_barnes_g, log_gamma, psi_m2,
+                                psi_m2_oracle)
 from .data_maps import (AsymptoticData, GenericityError, MonodromyData,
                         ShapeError, asymptotic_to_monodromy, check_genericity,
                         expand_full, expand_reduced, gen_fun_F, global_rho,

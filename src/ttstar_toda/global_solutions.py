@@ -62,6 +62,7 @@ from .data_maps import AsymptoticData, check_genericity, global_rho
 from .hamiltonian_flow import (IntegratorConfig, PhasePoint, Trajectory,
                                UnsupportedConfigError, _components_first, _integrate_raw,
                                _links, reg_density)
+from .special_functions import _bessel
 
 __all__ = ["GlobalSolveError", "GlobalSolution", "init_from_asymptotics", "solve_global",
            "make_backward_basis"]
@@ -318,43 +319,6 @@ def _refine_rho(series: SmallXSeries, rho, x0: float) -> tuple[np.ndarray, dict,
     return rho - step, {"iterations": 1, "station": _STATION, "x_start": start,
                         "residual": residual, "probe_residual": probe_residual,
                         "integrator_stats": stats, "series": series}, traj
-
-
-# K_nu and I_nu (nu = 0, 1) by trapezoid and midpoint rules: e^z K_nu(z) =
-# int_0^inf e^{-z (cosh t - 1)} cosh(nu t) dt by the trapezoid rule, h = 1/8,
-# and e^{-z} I_nu(z) = (1/pi) int_0^pi e^{z (cos t - 1)} cos(nu t) dt by the
-# 24-node midpoint rule; nodes are the exponents over z, and a weight column
-# per nu.  K takes 24 nodes where every z of a call is at least 4, and below
-# that the count that puts the first dropped node's exponent z (cosh t - 1)
-# beyond 36 at the call's smallest z (90 at z = 1e-3): the dropped terms are
-# then below 1e-15 relative.  Within 2e-15 of mpmath for K on z in [1e-3,
-# 40] and for I on z <= 19; the tail reads K up to z = 4 x_right = 36, the
-# match I up to 4 * 4.6 = 18.4, and truncation(x2) K down to z = r_k x2.
-@functools.lru_cache(maxsize=64)
-def _k_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.arange(count) / 8.0
-    nodes, weights = 1.0 - np.cosh(t), (np.column_stack([np.ones(count), np.cosh(t)])
-                                        * np.r_[0.0625, np.full(count - 1, 0.125)][:, None])
-    nodes.flags.writeable = weights.flags.writeable = False   # shared by every call
-    return nodes, weights
-
-
-_IT = (np.arange(24) + 0.5) * (math.pi / 24.0)
-_I_RULE = (np.cos(_IT) - 1.0, np.column_stack([np.ones(24), np.cos(_IT)]) / 24.0)
-
-
-def _bessel(z, growing: bool = False) -> np.ndarray:
-    """K_0(z), K_1(z) on a new last axis, or I_0(z), I_1(z) with `growing`:
-    one exp over (..., nodes) and one product."""
-    z = np.asarray(z, dtype=float)[..., None]
-    if growing:
-        nodes, weights = _I_RULE
-    else:
-        # a NaN z keeps 24 nodes, and z <= 0, where K is not finite, 1e-300's
-        z_min = float(z.min(initial=4.0))
-        nodes, weights = _k_rule(24 if not z_min < 4.0 else math.ceil(
-            8.0 * math.acosh(1.0 + 36.0 / max(z_min, 1e-300))))
-    return np.exp(z if growing else -z) * (np.exp(z * nodes) @ weights)
 
 
 def _modes(x, amps, growing: bool = False) -> np.ndarray:

@@ -196,8 +196,8 @@ def _make_rhs(n: int, size: int):
     u_l, and dq' = d(H + 2x) = (wt . dwt)/x - x sum_l c_l dE_l.  A
     column's own dq enters nothing, nor does the state's q, so the stepper
     passes 0.0 there.  The input may also be the bare [w, wt] (2L
-    components, no q), as `hamiltonian`, `vector_field` and the matched
-    tail pass it; any other size raises UnsupportedConfigError.
+    components, no q), as `hamiltonian` and `vector_field` pass it
+    through `_rhs_at`; any other size raises UnsupportedConfigError.
 
     f is straight-line code over the L + 1 links of `_links(n)`, written
     out as source and compiled once per chain and size (2L, 2L + 1, or

@@ -11,7 +11,7 @@ import pytest
 
 from ttstar_toda.data_maps import global_rho
 from ttstar_toda.global_solutions import _RATES, _VECTORS, SmallXSeries, _bessel
-from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2
+from ttstar_toda.special_functions import _SERIES_TAIL, log_barnes_g, psi_m2, psi_m2_oracle
 from ttstar_toda.tau_constant import constant_closed
 
 mp = pytest.importorskip("mpmath")
@@ -45,13 +45,28 @@ def test_psi_m2(z):
         assert abs(psi_m2(z) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("growing, lo, hi", [(False, 1e-3, 40.0), (True, 10.0, 19.0)],
+# 50 seeded z in (0, 3], z = 1e-6, the oracle's panel edges 0.1 * 2^j
+# and the end of its domain
+ORACLE_GRID = [*(3.0 - np.random.default_rng(11).uniform(0.0, 3.0, 50)).tolist(),
+               1e-6, *(0.1 * 2.0 ** j for j in range(5)), 3.0]
+
+
+@pytest.mark.parametrize("z", ORACLE_GRID)
+def test_psi_m2_oracle(z):
+    # the fixed graded rule against mpmath's own quadrature; worst 1.8e-15
+    with mp.workdps(30):
+        assert abs(psi_m2_oracle(z) - _psi_m2_mp(mp.mpf(z))) <= 1e-14
+
+
+@pytest.mark.parametrize("growing, lo, hi", [(False, 1e-3, 40.0), (True, 0.25, 19.0)],
                          ids=["K", "I"])
 def test_tail_bessel_functions(growing, lo, hi):
     # K_0, K_1 (or I_0, I_1) by the tail's rules, on the ranges the tail
     # (z up to 36), truncation(x2) (K down to z = r_k x2) and the match (I
-    # up to 18.4) read; K's node count follows a call's smallest z, so
-    # each z is also read alone, as the scalar state reads take it
+    # from 11 to 18.4) read, and I below them to 0.25, where I_1's sum
+    # still keeps its relative accuracy; K's node count follows a call's
+    # smallest z, so each z is also read alone, as the scalar state reads
+    # take it
     z = np.geomspace(lo, hi, 121)
     fn = mp.besseli if growing else mp.besselk
     with mp.workdps(30):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ttstar_toda import special_functions
 from ttstar_toda.special_functions import (_LANCZOS_C, _SERIES_TAIL, _SERIES_Y1,
-                                           _SERIES_Y2, DomainError, QuadratureError,
+                                           _SERIES_Y2, DomainError,
                                            _gauss_legendre, _zeta_int, log_barnes_g, log_gamma, psi_m2,
                                            psi_m2_oracle)
 
@@ -234,16 +234,6 @@ class TestPsiM2:
     def test_oracle_values(self):
         assert psi_m2_oracle(1.0) == pytest.approx(0.5 * LN_2PI, abs=1e-11)
         assert psi_m2_oracle(0.5) == pytest.approx(psi_m2(0.5), abs=1e-10)
-
-    def test_oracle_raises_at_the_depth_limit(self, monkeypatch):
-        # a panel still above its tolerance after the deepest bisection
-        # raises, carrying the estimate and the error bound it reached: the
-        # piece over [0.1, 1.5] fails, within 2e-8, after two bisections
-        monkeypatch.setattr(special_functions, "_MAX_DEPTH", 2)
-        with pytest.raises(QuadratureError, match="quadrature did not converge") as exc:
-            psi_m2_oracle(1.5)
-        assert 1e-12 < exc.value.achieved_tol < 1e-7
-        assert abs(exc.value.estimate - (psi_m2(1.5) - psi_m2(0.1))) <= exc.value.achieved_tol
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, 3.5])
     def test_domain(self, bad):
